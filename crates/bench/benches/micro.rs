@@ -3,7 +3,7 @@
 //! and metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dde_ring::{ChurnBatch, LocalStore, Network, Placement, RingId};
+use dde_ring::{BatchRouter, ChurnBatch, LocalStore, Network, Placement, RingId};
 use dde_stats::dist::{BoundedPareto, Distribution, Normal, Truncated};
 use dde_stats::equidepth::EquiDepthSummary;
 use dde_stats::gk::GkSketch;
@@ -29,6 +29,28 @@ fn lookup(c: &mut Criterion) {
         let from = net.random_peer(&mut rng).expect("nonempty");
         g.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, _| {
             b.iter(|| net.lookup(from, RingId(rng.gen())).expect("routes"));
+        });
+    }
+    g.finish();
+}
+
+/// One same-origin window of `w` batched lookups per iteration. Edge dedup
+/// is O(1) per hop, so time per window should grow linearly in `w`.
+fn lookup_batched(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/lookup_batched_window");
+    let mut net = ring_net(4096, 1);
+    let mut batch = BatchRouter::new();
+    for w in [16usize, 512] {
+        let mut rng = SeedSequence::new(2).stream(Component::Workload, w as u64);
+        let from = net.random_peer(&mut rng).expect("nonempty");
+        g.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
+            b.iter(|| {
+                batch.begin_window();
+                for _ in 0..w {
+                    net.lookup_batched(from, RingId(rng.gen()), &mut batch).expect("routes");
+                }
+                batch.edges_paid()
+            });
         });
     }
     g.finish();
@@ -223,6 +245,7 @@ fn range_query(c: &mut Criterion) {
 criterion_group!(
     micro,
     lookup,
+    lookup_batched,
     probe,
     global_values,
     churn,

@@ -66,9 +66,15 @@ impl ProbePlan {
     /// Determinism: draws no randomness; harvest order is the plan's fixed
     /// stratum order, so identical network state yields identical replies.
     pub fn offer_owner(&mut self, net: &mut Network, owner: RingId) -> usize {
+        // Read the owner's believed arc once: a point outside it cannot be
+        // harvested (the same test `piggyback_probe` applies), so only the
+        // rare covered points pay for the owner lookup a reply needs.
+        let Some(pred) = net.node(owner).and_then(|n| n.predecessor) else {
+            return 0;
+        };
         let mut harvested = 0;
         for (slot, &point) in self.replies.iter_mut().zip(&self.points) {
-            if slot.is_some() {
+            if slot.is_some() || !point.in_arc(pred, owner) {
                 continue;
             }
             if let Some(reply) = net.piggyback_probe(owner, point) {

@@ -264,6 +264,22 @@ impl FingerTable {
             .map(move |i| self.targets[i])
     }
 
+    /// The largest clockwise progress `distance(me, finger)` among set
+    /// fingers that does not exceed `ceiling`, or 0 when none qualifies.
+    /// Branch-free over all [`RING_BITS`] slots (a fixed-trip loop the
+    /// compiler can unroll), since routing calls it on every hop.
+    /// Deterministic: a pure max over the slots.
+    #[inline]
+    pub(crate) fn best_progress(&self, me: RingId, ceiling: u64) -> u64 {
+        let mut best = 0u64;
+        for (i, t) in self.targets.iter().enumerate() {
+            let d = me.distance_to(*t);
+            let ok = (self.mask >> i) & 1 == 1 && d <= ceiling;
+            best = best.max(if ok { d } else { 0 });
+        }
+        best
+    }
+
     /// Clears every finger pointing at `dead`.
     /// Deterministic: clears matching slots in index order.
     pub fn forget(&mut self, dead: RingId) {

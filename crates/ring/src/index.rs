@@ -114,6 +114,34 @@ impl NodeIndex {
         self.position(*id).is_ok()
     }
 
+    /// Ring-order position of `id`, if present — one binary search. The
+    /// lookup path resolves each hop's callee here once and then addresses
+    /// it by position ([`NodeIndex::node_at`]).
+    #[inline]
+    pub(crate) fn position_of(&self, id: RingId) -> Option<usize> {
+        self.position(id).ok()
+    }
+
+    /// Position of `id`, trusting `hint` in O(1) when it still holds `id`
+    /// and re-searching only after a membership change shifted the column.
+    #[inline]
+    pub(crate) fn position_hinted(&self, id: RingId, hint: usize) -> Option<usize> {
+        if self.keys.get(hint) == Some(&id) {
+            Some(hint)
+        } else {
+            self.position_of(id)
+        }
+    }
+
+    /// The node at ring-order position `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of bounds.
+    #[inline]
+    pub(crate) fn node_at(&self, idx: usize) -> &Node {
+        self.arena.slot(self.order[idx] as usize)
+    }
+
     /// The node with `id`, if present.
     #[inline]
     pub fn get(&self, id: &RingId) -> Option<&Node> {
@@ -480,6 +508,20 @@ mod tests {
         assert_eq!(n.first_after(RingId(20)), Some(RingId(30)));
         assert_eq!(n.first_after(RingId(30)), None); // strict, no wrap
         assert_eq!(n.first(), Some(RingId(10)));
+    }
+
+    #[test]
+    fn positional_node_access_and_hints() {
+        let mut n = idx(&[10, 20, 30]);
+        assert_eq!(n.position_of(RingId(20)), Some(1));
+        assert_eq!(n.position_of(RingId(25)), None);
+        assert_eq!(n.node_at(2).id, RingId(30));
+        // A valid hint is trusted; a stale one falls back to the search.
+        assert_eq!(n.position_hinted(RingId(30), 2), Some(2));
+        n.remove(&RingId(10)).expect("present");
+        assert_eq!(n.position_hinted(RingId(30), 2), Some(1));
+        assert_eq!(n.position_hinted(RingId(30), 7), Some(1));
+        assert_eq!(n.position_hinted(RingId(10), 0), None);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use id::RingId;
 pub use index::{NodeIndex, RepairStats};
 pub use messages::{MessageKind, MessageStats};
 pub use network::{LookupError, LookupResult, Network, ProbeReply};
-pub use node::{Node, RouteBuf};
+pub use node::Node;
 pub use placement::{DomainMap, Placement};
 pub use query::RangeQueryResult;
 pub use store::LocalStore;

@@ -11,7 +11,7 @@ use crate::faults::{FaultDecision, FaultPlan};
 use crate::id::RingId;
 use crate::index::NodeIndex;
 use crate::messages::{MessageKind, MessageStats};
-use crate::node::{Node, RouteBuf, SUCCESSOR_LIST_LEN};
+use crate::node::{Node, SUCCESSOR_LIST_LEN};
 use crate::placement::Placement;
 use dde_stats::equidepth::EquiDepthSummary;
 use rand::Rng;
@@ -138,8 +138,10 @@ impl Clone for Network {
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Contact {
-    /// Exchange succeeded (two messages plus delivery delay charged).
-    Ok,
+    /// Exchange succeeded (two messages plus delivery delay charged, unless
+    /// a batch window already paid for the edge). Carries the callee's
+    /// ring-order position, valid until the next membership change.
+    Ok(usize),
     /// The peer is permanently gone — dead or crashed mid-request. The
     /// timeout was charged and the stale entry purged from the caller.
     Gone,
@@ -509,12 +511,22 @@ impl Network {
     /// One hop-level request/reply exchange `from → to`, subject to the
     /// fault plan. On success charges 2 hop messages plus delivery delay;
     /// on failure charges exactly one timeout through the unified path.
-    fn contact(&mut self, from: RingId, to: RingId) -> Contact {
-        if !self.is_alive(to) {
+    ///
+    /// Inside a batch window (`batch`), a fault-free exchange over an edge
+    /// the window already paid for is free. With a fault plan installed the
+    /// dedup is off: fault decisions are stateful per-link draws, and
+    /// skipping one would diverge from per-op behaviour.
+    ///
+    /// The callee's liveness and its index position come from one binary
+    /// search; [`Contact::Ok`] hands the position back so the lookup never
+    /// searches for the same peer twice.
+    fn contact(&mut self, from: RingId, to: RingId, batch: Option<&mut BatchRouter>) -> Contact {
+        let Some(pos) = self.nodes.position_of(to) else {
             self.timeout_and_purge(from, to, MessageKind::LookupTimeout);
             return Contact::Gone;
-        }
+        };
         let decision = match self.faults.as_mut() {
+            None if batch.is_some_and(|b| b.seen_or_insert(from, to)) => return Contact::Ok(pos),
             None => FaultDecision::Clean,
             Some(p) => p.decide_rpc(from, to),
         };
@@ -526,7 +538,7 @@ impl Network {
                     let d = p.deliver(from, to) + p.deliver(to, from);
                     self.stats.record_delay(d);
                 }
-                Contact::Ok
+                Contact::Ok(pos)
             }
             FaultDecision::Sick => {
                 self.observe_timeout(MessageKind::FaultSick);
@@ -569,7 +581,7 @@ impl Network {
     /// step surface as [`LookupError::MessageLost`] rather than ever
     /// returning a wrong owner.
     pub fn lookup(&mut self, from: RingId, target: RingId) -> Result<LookupResult, LookupError> {
-        self.lookup_impl(from, target, None)
+        self.lookup_impl(from, target, None).map(|(res, _)| res)
     }
 
     /// [`Network::lookup`] inside a same-origin arrival window: routing
@@ -587,59 +599,48 @@ impl Network {
         target: RingId,
         batch: &mut BatchRouter,
     ) -> Result<LookupResult, LookupError> {
-        self.lookup_impl(from, target, Some(batch))
+        self.lookup_impl(from, target, Some(batch)).map(|(res, _)| res)
     }
 
-    /// One hop exchange under an optional batch window: a window edge that
-    /// was already paid is free (fault-free fast path only — with a plan
-    /// installed, or a dead callee, this is exactly [`Network::contact`]).
-    fn contact_dedup(
-        &mut self,
-        from: RingId,
-        to: RingId,
-        batch: &mut Option<&mut BatchRouter>,
-    ) -> Contact {
-        if let Some(b) = batch.as_deref_mut() {
-            if self.faults.is_none() && self.is_alive(to) {
-                if !b.seen_or_insert(from, to) {
-                    self.stats.record(MessageKind::LookupHop, 8);
-                    self.stats.record(MessageKind::LookupHop, 8);
-                }
-                return Contact::Ok;
-            }
-        }
-        self.contact(from, to)
-    }
-
+    /// The routing loop behind every lookup. Returns the result plus the
+    /// owner's index position, which stays valid until the next membership
+    /// change — callers that go on to read or write the owner (probe,
+    /// insert, delete, tuple sample) address it there instead of searching
+    /// for it again.
+    ///
+    /// Per hop the loop does one pass over the current node's inline routing
+    /// state ([`Node::best_candidate`]) and one binary search of the index
+    /// (inside [`Network::contact`], for the callee). The next node is then
+    /// read by position. Only a failed exchange — which may have crashed a
+    /// peer and so shifted the columns — re-validates the current position,
+    /// in O(1) unless it really moved. The heap is never touched (guarded
+    /// by `crates/ring/tests/alloc_free.rs`).
     fn lookup_impl(
         &mut self,
         from: RingId,
         target: RingId,
         mut batch: Option<&mut BatchRouter>,
-    ) -> Result<LookupResult, LookupError> {
+    ) -> Result<(LookupResult, usize), LookupError> {
         if self.nodes.is_empty() {
             return Err(LookupError::EmptyNetwork);
         }
-        if !self.is_alive(from) {
+        let Some(mut cur_pos) = self.nodes.position_of(from) else {
             return Err(LookupError::InitiatorDead);
-        }
+        };
         if let Some(p) = self.faults.as_mut() {
             p.tick();
         }
         let mut cur = from;
         let mut hops: u32 = 0;
-        // One stack buffer reused across hops: the per-hop path allocates
-        // nothing (guarded by `crates/ring/tests/alloc_free.rs`).
-        let mut route_buf = RouteBuf::new();
         loop {
             if hops > MAX_HOPS {
                 return Err(LookupError::HopLimitExceeded);
             }
-            let node = self.nodes.get(&cur).expect("cur is alive");
+            let node = self.nodes.node_at(cur_pos);
             // A node knows its own arc.
             if node.owns(target) {
                 self.stats.record_lookup(hops);
-                return Ok(LookupResult { owner: cur, hops });
+                return Ok((LookupResult { owner: cur, hops }, cur_pos));
             }
             // A node with no successors at all cannot resolve anything it
             // does not own itself (a storm-isolated node must *not* claim
@@ -651,14 +652,13 @@ impl Network {
             // (Iterate a stack snapshot: contacting a dead successor purges
             // it from the live list.)
             let (succs, succ_len) = node.successors_snapshot();
-            let succ = succs[0];
-            if target.in_arc(cur, succ) {
+            if target.in_arc(cur, succs[0]) {
                 for &s in &succs[..succ_len] {
-                    match self.contact_dedup(cur, s, &mut batch) {
-                        Contact::Ok => {
+                    match self.contact(cur, s, batch.as_deref_mut()) {
+                        Contact::Ok(pos) => {
                             hops += 1;
                             self.stats.record_lookup(hops);
-                            return Ok(LookupResult { owner: s, hops });
+                            return Ok((LookupResult { owner: s, hops }, pos));
                         }
                         // Dead successor: ownership passed on; try the next.
                         Contact::Gone => {}
@@ -673,34 +673,40 @@ impl Network {
             }
             // Advance via the best candidate that answers (any candidate
             // preserves correctness; faulted ones just cost a timeout).
-            node.route_candidates_into(target, &mut route_buf);
-            let mut advanced = false;
-            for &c in route_buf.as_slice() {
-                if self.contact_dedup(cur, c, &mut batch) == Contact::Ok {
-                    hops += 1;
-                    cur = c;
-                    advanced = true;
+            // Candidates come lazily, best first: the next one is only
+            // looked for when the previous one did not answer. A failed
+            // exchange purges nothing but the candidate it tried, so
+            // rescanning the live state below that candidate's progress
+            // continues the same best-first order.
+            let mut ceiling = node.route_ceiling(target);
+            let mut next = None;
+            while let Some(c) = self.nodes.node_at(cur_pos).best_candidate(ceiling) {
+                if let Contact::Ok(pos) = self.contact(cur, c, batch.as_deref_mut()) {
+                    next = Some((c, pos));
                     break;
                 }
+                ceiling = cur.distance_to(c) - 1;
+                cur_pos = self.nodes.position_hinted(cur, cur_pos).expect("cur is alive");
             }
-            if !advanced {
+            if next.is_none() {
                 // All preceding candidates unresponsive: step through the
                 // successor list (the target then lies beyond the first
                 // responsive one, so the next iteration resolves or
                 // advances from there).
-                let (succs, succ_len) = self.nodes.get(&cur).expect("alive").successors_snapshot();
+                let (succs, succ_len) = self.nodes.node_at(cur_pos).successors_snapshot();
                 for &s in &succs[..succ_len] {
-                    if self.contact_dedup(cur, s, &mut batch) == Contact::Ok {
-                        hops += 1;
-                        cur = s;
-                        advanced = true;
+                    if let Contact::Ok(pos) = self.contact(cur, s, batch.as_deref_mut()) {
+                        next = Some((s, pos));
                         break;
                     }
                 }
             }
-            if !advanced {
+            let Some((c, pos)) = next else {
                 return Err(LookupError::NoRoute);
-            }
+            };
+            hops += 1;
+            cur = c;
+            cur_pos = pos;
         }
     }
 
@@ -712,7 +718,7 @@ impl Network {
         initiator: RingId,
         ring_point: RingId,
     ) -> Result<ProbeReply, LookupError> {
-        let res = self.lookup(initiator, ring_point)?;
+        let (res, owner_pos) = self.lookup_impl(initiator, ring_point, None)?;
         // The probe RPC itself (initiator → owner) is subject to the fault
         // plan, except when the initiator owns the point (local read).
         if res.owner != initiator {
@@ -721,19 +727,20 @@ impl Network {
                 net.stats.record(MessageKind::Probe, 8);
             })?;
         }
-        let reply = self.probe_reply_from(res.owner, res.hops);
+        let reply = self.probe_reply_at(owner_pos, res.hops);
         self.stats.record(MessageKind::Probe, 8);
         self.stats.record(MessageKind::ProbeReply, 40 + reply.summary.wire_size());
         self.charge_rpc_delay(initiator, res.owner);
         Ok(reply)
     }
 
-    /// Assembles the probe statistic from `owner`'s local state (no message
-    /// charges — callers charge the transport they actually used).
-    fn probe_reply_from(&self, owner: RingId, hops: u32) -> ProbeReply {
-        let node = self.nodes.get(&owner).expect("owner alive");
+    /// Assembles the probe statistic from the local state of the peer at
+    /// index position `pos` (no message charges — callers charge the
+    /// transport they actually used).
+    fn probe_reply_at(&self, pos: usize, hops: u32) -> ProbeReply {
+        let node = self.nodes.node_at(pos);
         ProbeReply {
-            peer: owner,
+            peer: node.id,
             predecessor: node.predecessor,
             count: node.store.len() as u64,
             sum: node.store.sum(),
@@ -755,10 +762,8 @@ impl Network {
     /// field-for-field what a dedicated probe of `point` would have
     /// returned, with `hops = 0` marginal routing cost.
     pub fn piggyback_probe(&mut self, owner: RingId, point: RingId) -> Option<ProbeReply> {
-        if !self.nodes.get(&owner).is_some_and(|n| n.owns(point)) {
-            return None;
-        }
-        let reply = self.probe_reply_from(owner, 0);
+        let pos = self.nodes.position_of(owner).filter(|&p| self.nodes.node_at(p).owns(point))?;
+        let reply = self.probe_reply_at(pos, 0);
         self.stats.record(MessageKind::ProbePiggyback, 40 + reply.summary.wire_size());
         Some(reply)
     }
@@ -834,8 +839,7 @@ impl Network {
     /// the routing hops). This is the write path dynamic workloads use.
     pub fn insert(&mut self, initiator: RingId, x: f64) -> Result<u32, LookupError> {
         self.bump_epoch();
-        let pos = self.placement.place(x);
-        let res = self.lookup(initiator, pos)?;
+        let (res, owner_pos) = self.lookup_impl(initiator, self.placement.place(x), None)?;
         // The handoff RPC (initiator → owner) is subject to the fault plan
         // unless the write is local.
         if res.owner != initiator {
@@ -844,11 +848,11 @@ impl Network {
                 // *was* stored but the ack vanished (or came too late), so
                 // the writer sees a failure (a retry would duplicate — its
                 // problem).
-                net.nodes.get_mut(&res.owner).expect("owner alive").store.insert(x);
+                net.nodes.node_at_mut(owner_pos).store.insert(x);
                 net.stats.record(MessageKind::Handoff, 8);
             })?;
         }
-        self.nodes.get_mut(&res.owner).expect("owner alive").store.insert(x);
+        self.nodes.node_at_mut(owner_pos).store.insert(x);
         self.stats.record(MessageKind::Handoff, 8);
         self.stats.record(MessageKind::Handoff, 0);
         self.charge_rpc_delay(initiator, res.owner);
@@ -859,9 +863,8 @@ impl Network {
     /// item was found (plus the routing hops spent).
     pub fn delete(&mut self, initiator: RingId, x: f64) -> Result<(bool, u32), LookupError> {
         self.bump_epoch();
-        let pos = self.placement.place(x);
-        let res = self.lookup(initiator, pos)?;
-        let removed = self.nodes.get_mut(&res.owner).expect("owner alive").store.remove(x);
+        let (res, owner_pos) = self.lookup_impl(initiator, self.placement.place(x), None)?;
+        let removed = self.nodes.node_at_mut(owner_pos).store.remove(x);
         self.stats.record(MessageKind::Handoff, 8);
         self.stats.record(MessageKind::Handoff, 0);
         Ok((removed, res.hops))
@@ -875,8 +878,8 @@ impl Network {
         ring_point: RingId,
         rng: &mut R,
     ) -> Result<(Option<f64>, u32), LookupError> {
-        let res = self.lookup(initiator, ring_point)?;
-        let node = self.nodes.get(&res.owner).expect("owner alive");
+        let (res, owner_pos) = self.lookup_impl(initiator, ring_point, None)?;
+        let node = self.nodes.node_at(owner_pos);
         let tuple = node.store.sample_uniform(rng);
         self.stats.record(MessageKind::TupleSample, 8);
         self.stats.record(MessageKind::TupleSample, 16);
@@ -995,5 +998,139 @@ impl Network {
             }
         }
         violations
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    /// The reference routing loop: re-find the current node by id every
+    /// hop, materialize the candidates in the open arc sorted by decreasing
+    /// progress, and try them in that order. The lazy, position-carrying
+    /// loop must match it exactly.
+    fn reference_lookup(
+        net: &mut Network,
+        from: RingId,
+        target: RingId,
+    ) -> Result<LookupResult, LookupError> {
+        if net.nodes.is_empty() {
+            return Err(LookupError::EmptyNetwork);
+        }
+        if !net.is_alive(from) {
+            return Err(LookupError::InitiatorDead);
+        }
+        if let Some(p) = net.faults.as_mut() {
+            p.tick();
+        }
+        let mut cur = from;
+        let mut hops = 0u32;
+        let answers =
+            |net: &mut Network, cur, c| matches!(net.contact(cur, c, None), Contact::Ok(_));
+        loop {
+            if hops > MAX_HOPS {
+                return Err(LookupError::HopLimitExceeded);
+            }
+            let node = net.nodes.get(&cur).expect("cur is alive");
+            if node.owns(target) {
+                net.stats.record_lookup(hops);
+                return Ok(LookupResult { owner: cur, hops });
+            }
+            if node.successors.is_empty() {
+                return Err(LookupError::NoRoute);
+            }
+            let succs = node.successors.to_vec();
+            if target.in_arc(cur, succs[0]) {
+                for s in succs {
+                    match net.contact(cur, s, None) {
+                        Contact::Ok(_) => {
+                            net.stats.record_lookup(hops + 1);
+                            return Ok(LookupResult { owner: s, hops: hops + 1 });
+                        }
+                        Contact::Gone => {}
+                        Contact::Faulted => return Err(LookupError::MessageLost),
+                    }
+                }
+                return Err(LookupError::NoRoute);
+            }
+            let mut cands: Vec<RingId> = node
+                .fingers
+                .present()
+                .chain(node.successors.iter().copied())
+                .filter(|&c| c != cur && c.in_open_arc(cur, target))
+                .collect();
+            cands.sort_by_key(|&c| std::cmp::Reverse(cur.distance_to(c)));
+            cands.dedup();
+            let mut next = cands.into_iter().find(|&c| answers(net, cur, c));
+            if next.is_none() {
+                let succs = net.nodes.get(&cur).expect("alive").successors.to_vec();
+                next = succs.into_iter().find(|&s| answers(net, cur, s));
+            }
+            let Some(c) = next else { return Err(LookupError::NoRoute) };
+            hops += 1;
+            cur = c;
+        }
+    }
+
+    /// Every piece of state a lookup can touch: membership, routing state,
+    /// message counters, and the fault plan's draw position.
+    fn assert_same_state(a: &Network, b: &Network) {
+        assert_eq!(a.ids().collect::<Vec<_>>(), b.ids().collect::<Vec<_>>(), "membership");
+        for ((id, x), (_, y)) in a.nodes.iter().zip(b.nodes.iter()) {
+            assert_eq!(x.predecessor, y.predecessor, "predecessor of {id}");
+            assert_eq!(x.successors, y.successors, "successors of {id}");
+            assert_eq!(x.fingers, y.fingers, "fingers of {id}");
+        }
+        assert_eq!(a.stats, b.stats, "message counters");
+        assert_eq!(a.faults, b.faults, "fault plan state");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The one-pass hop ≡ the sorted-candidate reference: identical
+        /// results, purges, crashes, charges and fault draws, on rings made
+        /// stale by silent crashes (so candidates time out and are purged
+        /// mid-hop) under a fault plan that itself crashes callees (so the
+        /// index shifts under the current node's position). Every returned
+        /// owner position must address the owner.
+        #[test]
+        fn one_pass_hop_matches_sorted_reference(
+            seed: u64,
+            peers in 8usize..200,
+            dead_pct in 0u32..45,
+            crash in 0.0f64..0.08,
+            loss in 0.0f64..0.2,
+            stabilize in 0usize..3,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let ids: Vec<RingId> = (0..peers).map(|_| RingId(rng.gen())).collect();
+            let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+            let victims: Vec<RingId> =
+                net.ids().filter(|_| rng.gen_range(0..100u32) < dead_pct).collect();
+            for v in victims.into_iter().take(net.len() - 1) {
+                net.fail(v).expect("alive");
+            }
+            for _ in 0..stabilize {
+                net.stabilize_round();
+            }
+            net.set_fault_plan(
+                FaultPlan::new(seed ^ 0x5EED).with_crash(crash).with_loss(loss).with_sick(0.05, 8),
+            );
+            let mut reference = net.fork();
+            for _ in 0..40 {
+                let Some(from) = net.random_peer(&mut rng) else { break };
+                let target = RingId(rng.gen());
+                let expected = reference_lookup(&mut reference, from, target);
+                let got = net.lookup_impl(from, target, None);
+                prop_assert_eq!(got.map(|(res, _)| res), expected);
+                if let Ok((res, pos)) = got {
+                    prop_assert_eq!(net.nodes.key_at(pos), Some(res.owner));
+                }
+            }
+            assert_same_state(&net, &reference);
+        }
     }
 }

@@ -1,66 +1,13 @@
 //! Per-peer routing state (the Chord node).
 
 use crate::arena::{FingerTable, SuccessorList};
-use crate::id::{RingId, RING_BITS};
+use crate::id::RingId;
 use crate::store::LocalStore;
 use std::collections::BTreeMap;
 
 /// Default successor-list length (Chord recommends `Θ(log P)`; 8 covers
 /// networks up to ~2⁸·ln-ish failure patterns and is what we use everywhere).
 pub const SUCCESSOR_LIST_LEN: usize = 8;
-
-/// Upper bound on distinct routing candidates one node can enumerate: every
-/// finger slot plus every successor.
-pub const MAX_ROUTE_CANDIDATES: usize = RING_BITS as usize + SUCCESSOR_LIST_LEN;
-
-/// A reusable, heap-free buffer of routing candidates, best first.
-///
-/// One of these lives on the stack per lookup and is refilled each hop, so
-/// the per-hop routing path never allocates (see
-/// [`Node::route_candidates_into`]).
-#[derive(Debug, Clone)]
-pub struct RouteBuf {
-    ids: [RingId; MAX_ROUTE_CANDIDATES],
-    len: usize,
-}
-
-impl RouteBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self { ids: [RingId(0); MAX_ROUTE_CANDIDATES], len: 0 }
-    }
-
-    /// Drops all candidates.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// The current candidates, best (most clockwise progress) first.
-    pub fn as_slice(&self) -> &[RingId] {
-        &self.ids[..self.len]
-    }
-
-    /// Inserts `c`, keeping candidates ordered by decreasing clockwise
-    /// distance from `me`; duplicates are dropped (distance from a fixed
-    /// origin is injective, so equal distance means equal id).
-    fn insert_by_progress(&mut self, me: RingId, c: RingId) {
-        let d = me.distance_to(c);
-        let pos = self.ids[..self.len].partition_point(|&x| me.distance_to(x) > d);
-        if pos < self.len && self.ids[pos] == c {
-            return;
-        }
-        debug_assert!(self.len < MAX_ROUTE_CANDIDATES);
-        self.ids.copy_within(pos..self.len, pos + 1);
-        self.ids[pos] = c;
-        self.len += 1;
-    }
-}
-
-impl Default for RouteBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// A stack-allocated copy of a successor list (lookup iterates a snapshot
 /// because contacting a dead successor purges it from the live list).
@@ -126,25 +73,35 @@ impl Node {
         }
     }
 
-    /// Routing candidates for reaching `target`, best first: every known
-    /// peer in the open arc `(self.id, target)`, ordered by decreasing
-    /// clockwise progress. The caller (the network) tries them in order,
-    /// skipping dead ones.
-    pub fn route_candidates(&self, target: RingId) -> Vec<RingId> {
-        let mut buf = RouteBuf::new();
-        self.route_candidates_into(target, &mut buf);
-        buf.as_slice().to_vec()
+    /// The progress ceiling for routing to `target`: a known peer `c` is a
+    /// candidate when its clockwise progress `d = distance(self.id, c)`
+    /// satisfies `1 ≤ d ≤ ceiling`, i.e. when it lies in the open arc
+    /// `(self.id, target)` — the whole ring minus this node when `target`
+    /// is this node's own id.
+    pub(crate) fn route_ceiling(&self, target: RingId) -> u64 {
+        self.id.distance_to(target).wrapping_sub(1)
     }
 
-    /// Allocation-free form of [`Node::route_candidates`]: fills `buf` with
-    /// the same candidates in the same best-first order.
-    pub fn route_candidates_into(&self, target: RingId, buf: &mut RouteBuf) {
-        buf.clear();
-        for c in self.fingers.present().chain(self.successors.iter().copied()) {
-            if c != self.id && c.in_open_arc(self.id, target) {
-                buf.insert_by_progress(self.id, c);
-            }
-        }
+    /// The known peer (finger or successor) with the most clockwise
+    /// progress not above `ceiling`, or `None` when no peer qualifies.
+    ///
+    /// One pass over the inline routing state — no buffer, no sort, and no
+    /// argmax bookkeeping: progress from a fixed origin is injective, so
+    /// the best progress alone names the peer (`self.id + progress`). A
+    /// caller whose best candidate did not answer asks again with
+    /// `ceiling = distance(self.id, c) − 1`; the successive answers are
+    /// every known peer in the open arc `(self.id, target)` by decreasing
+    /// progress, without duplicates (the proptest below), and the common
+    /// case (the best candidate answers) costs a single scan.
+    pub(crate) fn best_candidate(&self, ceiling: u64) -> Option<RingId> {
+        let me = self.id;
+        let best = self
+            .successors
+            .iter()
+            .map(|&s| me.distance_to(s))
+            .filter(|&d| d <= ceiling)
+            .fold(self.fingers.best_progress(me, ceiling), u64::max);
+        (best != 0).then(|| RingId(me.0.wrapping_add(best)))
     }
 
     /// Copies the successor list into a fixed stack array (callers iterate
@@ -198,6 +155,20 @@ impl Node {
 mod tests {
     use super::*;
 
+    impl Node {
+        /// Every candidate the lookup path would try for `target`, in the
+        /// order it tries them: [`Node::best_candidate`] asked repeatedly.
+        fn route_candidates(&self, target: RingId) -> Vec<RingId> {
+            let mut out = Vec::new();
+            let mut ceiling = self.route_ceiling(target);
+            while let Some(c) = self.best_candidate(ceiling) {
+                out.push(c);
+                ceiling = self.id.distance_to(c) - 1;
+            }
+            out
+        }
+    }
+
     #[test]
     fn fresh_node_owns_nothing() {
         let n = Node::new(RingId(100));
@@ -235,6 +206,70 @@ mod tests {
         n.successors = [RingId(7)].into();
         // Target == candidate: open arc excludes it.
         assert!(n.route_candidates(RingId(7)).is_empty());
+    }
+
+    #[test]
+    fn route_to_own_id_spans_the_whole_ring() {
+        // Target == self: every other known peer qualifies, including the
+        // one just counter-clockwise (progress u64::MAX).
+        let mut n = Node::new(RingId(10));
+        n.successors = [RingId(20), RingId(9)].into();
+        n.fingers.set(0, Some(RingId(10)));
+        assert_eq!(n.route_ceiling(RingId(10)), u64::MAX);
+        assert_eq!(n.route_candidates(RingId(10)), vec![RingId(9), RingId(20)]);
+    }
+
+    /// The specification of the candidate order: filter to the open arc,
+    /// sort by decreasing progress, drop duplicates.
+    fn sorted_candidates(n: &Node, target: RingId) -> Vec<RingId> {
+        let mut all: Vec<RingId> = n
+            .fingers
+            .present()
+            .chain(n.successors.iter().copied())
+            .filter(|&c| c != n.id && c.in_open_arc(n.id, target))
+            .collect();
+        all.sort_by_key(|&c| std::cmp::Reverse(n.id.distance_to(c)));
+        all.dedup();
+        all
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Lazy best-first enumeration ≡ the sorted candidate list, over
+        /// arbitrary (stale, duplicated, self-referencing) routing state.
+        #[test]
+        fn lazy_enumeration_matches_sorted_list(
+            me: u64,
+            target: u64,
+            seed: u64,
+            fingers_present: u64,
+            succ_len in 0usize..=SUCCESSOR_LIST_LEN,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut n = Node::new(RingId(me));
+            // A small id pool forces duplicates, self entries and
+            // targets-as-candidates; the rest are arbitrary.
+            let pool = [me, target, me.wrapping_add(1), me.wrapping_sub(1), target.wrapping_sub(1)];
+            let pick = |rng: &mut rand::rngs::StdRng| {
+                if rng.gen_range(0..4) == 0 {
+                    RingId(pool[rng.gen_range(0..pool.len())])
+                } else {
+                    RingId(rng.gen())
+                }
+            };
+            for i in 0..64 {
+                if fingers_present & (1 << i) != 0 {
+                    n.fingers.set(i, Some(pick(&mut rng)));
+                }
+            }
+            for _ in 0..succ_len {
+                n.successors.push(pick(&mut rng));
+            }
+            let target = RingId(target);
+            proptest::prop_assert_eq!(n.route_candidates(target), sorted_candidates(&n, target));
+        }
     }
 
     #[test]

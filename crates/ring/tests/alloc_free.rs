@@ -2,9 +2,10 @@
 //!
 //! This binary installs [`CountingAlloc`] as its global allocator and counts
 //! this thread's allocations across a block of warmed-up lookups. The
-//! routing path is designed allocation-free — stack [`dde_ring::RouteBuf`]
-//! candidates, stack successor snapshots, array-indexed message counters —
-//! and this test is the regression fence that keeps it that way.
+//! routing path is designed allocation-free — a one-pass best-candidate
+//! scan over inline routing state (`Node::best_candidate`),
+//! stack successor snapshots, array-indexed message counters — and this
+//! test is the regression fence that keeps it that way.
 
 use dde_ring::{BatchRouter, ChurnBatch, Network, Placement, RingId};
 use dde_stats::alloc::{thread_allocations, CountingAlloc};
@@ -45,9 +46,9 @@ fn steady_state_lookup_allocates_nothing() {
 #[test]
 fn warmed_batched_lookup_allocates_nothing() {
     // The serving hot path: same-origin windows routed through a shared
-    // BatchRouter. The router's edge buffer grows during warm-up and is
-    // reused (`begin_window` clears, never shrinks), so warmed windows must
-    // stay off the heap exactly like per-op lookups. Warm-up windows are
+    // BatchRouter. The router's edge table grows during warm-up and is
+    // reused (`begin_window` bumps a stamp, never shrinks), so warmed windows
+    // must stay off the heap exactly like per-op lookups. Warm-up windows are
     // wider than measured ones, so the edge high-water mark is already set.
     let seq = SeedSequence::new(1404);
     let mut id_rng = seq.stream(Component::NodeIds, 3);
@@ -77,6 +78,41 @@ fn warmed_batched_lookup_allocates_nothing() {
     let delta = thread_allocations() - before;
     assert!(hops > 1_000, "multi-hop routes expected in a 512-peer ring");
     assert_eq!(delta, 0, "batched lookup hot path allocated {delta} times over 1008 lookups");
+}
+
+#[test]
+fn wide_batch_windows_reuse_the_edge_table() {
+    // Windows of 512 same-origin lookups pay a few thousand distinct edges
+    // each. Opening a window must recycle the grown edge table (a stamp
+    // bump), not clear or rebuild it, so equally wide windows after the
+    // first one stay off the heap.
+    let seq = SeedSequence::new(0xB47C);
+    let mut id_rng = seq.stream(Component::NodeIds, 5);
+    let ids: Vec<RingId> = (0..4096).map(|_| RingId(id_rng.gen())).collect();
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
+    let mut rng = seq.stream(Component::Workload, 5);
+    let from = net.random_peer(&mut rng).expect("nonempty");
+    let mut batch = BatchRouter::new();
+    let window = |net: &mut Network, batch: &mut BatchRouter, rng: &mut StdRng| {
+        batch.begin_window();
+        for _ in 0..512 {
+            net.lookup_batched(from, RingId(rng.gen()), batch).expect("routes");
+        }
+        batch.edges_paid()
+    };
+
+    for _ in 0..2 {
+        window(&mut net, &mut batch, &mut rng);
+    }
+
+    let before = thread_allocations();
+    let mut widest = 0;
+    for _ in 0..16 {
+        widest = widest.max(window(&mut net, &mut batch, &mut rng));
+    }
+    let delta = thread_allocations() - before;
+    assert!(widest > 1_000, "wide windows expected, widest paid only {widest} edges");
+    assert_eq!(delta, 0, "wide batch windows allocated {delta} times over 16 windows");
 }
 
 #[test]
