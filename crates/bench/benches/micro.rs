@@ -166,9 +166,9 @@ fn metrics_ks(c: &mut Criterion) {
 fn churn(c: &mut Criterion) {
     // The three membership-mutation policies F12b weighs against each other,
     // on a data-free 4096-peer ring (isolating repair machinery from data
-    // handoff): one coalesced `ChurnBatch` window, the same event mix
-    // through the one-at-a-time arena drivers, and the teardown-and-rebuild
-    // a snapshot-immutable design would pay instead. Windows are join/death
+    // handoff): one coalesced `ChurnBatch` window, the same event mix as 64
+    // one-event batches, and the teardown-and-rebuild a snapshot-immutable
+    // design would pay instead. Windows are join/death
     // balanced (32/16/16) so the ring size stays put across iterations.
     let mut g = c.benchmark_group("micro/churn");
     let p = 4096;
@@ -198,18 +198,20 @@ fn churn(c: &mut Criterion) {
         let ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
         let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
         let mut rng = SeedSequence::new(24).stream(Component::Churn, 0);
+        let mut batch = ChurnBatch::new();
         g.bench_function("incremental_64_events", |b| {
             b.iter(|| {
                 for _ in 0..32 {
-                    net.churn_join(RingId(rng.gen()));
+                    batch.join(RingId(rng.gen()));
+                    batch.apply(&mut net);
                 }
                 for _ in 0..16 {
-                    let v = net.random_peer(&mut rng).expect("nonempty");
-                    net.churn_leave(v);
+                    batch.leave(net.random_peer(&mut rng).expect("nonempty"));
+                    batch.apply(&mut net);
                 }
                 for _ in 0..16 {
-                    let v = net.random_peer(&mut rng).expect("nonempty");
-                    net.churn_crash(v);
+                    batch.crash(net.random_peer(&mut rng).expect("nonempty"));
+                    batch.apply(&mut net);
                 }
                 net.len()
             });

@@ -16,7 +16,7 @@
 //! **D10.** Estimator/probe/routing-policy modules ([`policy::D10_FILES`])
 //! must stay sans-IO: they may interrogate the [`Network`] and bill stats,
 //! but direct topology/data mutation (`net.insert(...)`, `net.build(...)`,
-//! `net.bulk_join(...)`) belongs to drivers. Method calls on a `net` /
+//! `net.join(...)`) is left to the simulation layer. Method calls on a `net` /
 //! `network` receiver (and `Network::` paths) outside
 //! [`policy::NETWORK_READ_WHITELIST`] are violations — the static
 //! pre-enforcement of ROADMAP item 1's `(incoming message, state) →

@@ -9,18 +9,16 @@
 //!   the full bootstrap-lookup protocol and stabilization repairs routing
 //!   state at a fixed period, so staleness tracks the churn/stabilization
 //!   ratio.
-//! * **Amortized arena churn** ([`Network::churn_join`] /
-//!   [`Network::churn_leave`] / [`Network::churn_crash`] and the batched
-//!   [`ChurnBatch`]) — the mega-scale mutation path: membership events
-//!   splice the columnar state directly and restore *perfect* routing via
-//!   `O(log P)` locality repair
+//! * **Amortized arena churn** ([`ChurnBatch`]) — the mega-scale mutation
+//!   path: membership events splice the columnar state directly and
+//!   restore *perfect* routing via `O(log P)` locality repair
 //!   ([`crate::index::NodeIndex::repair_positions`]), skipping the
 //!   stabilization storm a 10⁶-peer network cannot afford. Data handoff and
 //!   the stabilization traffic a real join/leave would cost are still
 //!   charged to the message counters. A batch coalesces a window of events
-//!   into one column splice plus one repair sweep; it is property-tested
-//!   equivalent to applying the same events one at a time
-//!   (`crates/sim/tests/churn_equivalence.rs`).
+//!   into one column splice plus one repair sweep (a single event is a
+//!   1-event batch); it is property-tested against a one-event-at-a-time
+//!   reference model (`crates/sim/tests/churn_equivalence.rs`).
 
 use crate::id::RingId;
 use crate::index::RepairStats;
@@ -127,21 +125,6 @@ impl ChurnProcess {
         }
     }
 
-    /// Applies exactly `n` churn events (no clock, no stabilization) — for
-    /// tests that want precise control.
-    pub fn apply_events<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        n: usize,
-        rng: &mut R,
-    ) -> ChurnOutcome {
-        let mut outcome = ChurnOutcome::default();
-        for _ in 0..n {
-            self.apply_one(net, rng, &mut outcome);
-        }
-        outcome
-    }
-
     fn apply_one<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
@@ -230,63 +213,6 @@ pub struct ChurnApplied {
 }
 
 impl Network {
-    /// Amortized single join on arena state: splices `id` into the sorted
-    /// columns, drains the arc `(pred, id]` from the old owner, and restores
-    /// perfect routing with one `O(log P)` locality repair — no bootstrap
-    /// lookup, no stabilization storm. Charges the handoff bytes plus the
-    /// stabilization exchange a protocol join would cost. Returns `false`
-    /// (and does nothing) if the network is empty or `id` is already taken.
-    pub fn churn_join(&mut self, id: RingId) -> bool {
-        if self.nodes.is_empty() || self.nodes.contains_key(&id) {
-            return false;
-        }
-        self.bump_epoch();
-        let p = self.nodes.len();
-        let placement = self.placement;
-        let succ_pos = self.nodes.owner_position(id);
-        let pred = self.nodes.key_at((succ_pos + p - 1) % p).expect("in range");
-        let moved = self
-            .nodes
-            .node_at_mut(succ_pos)
-            .store
-            .drain_by(|x| placement.place(x).in_arc(pred, id));
-        self.stats.record(MessageKind::Handoff, 8 * moved.len());
-        let slen = SUCCESSOR_LIST_LEN.min(p).max(1);
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + slen));
-        let mut node = Node::new(id);
-        node.store.extend_values(moved);
-        self.nodes.insert(id, node);
-        let pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[pos]);
-        true
-    }
-
-    /// Amortized single graceful leave on arena state: hands the departing
-    /// peer's data to its successor, splices the columns, and repairs the
-    /// heir's arc. Charges handoff bytes plus the stabilization exchange.
-    /// Returns `false` if `id` is absent or the network would drop below 2
-    /// peers.
-    pub fn churn_leave(&mut self, id: RingId) -> bool {
-        if !self.nodes.contains_key(&id) || self.nodes.len() <= 2 {
-            return false;
-        }
-        self.bump_epoch();
-        let p = self.nodes.len();
-        let pos = self.nodes.owner_position(id);
-        let data = self.nodes.node_at_mut(pos).store.drain_all();
-        self.stats.record(MessageKind::Handoff, 8 * data.len());
-        let heir = self.nodes.node_at_mut((pos + 1) % p);
-        heir.store.extend_values(data);
-        heir.replicas.remove(&id);
-        let slen = SUCCESSOR_LIST_LEN.min(p - 2).max(1);
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + slen));
-        let _ = self.nodes.remove(&id);
-        self.finger_cursor.remove(&id);
-        let heir_pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[heir_pos]);
-        true
-    }
-
     /// Direct-placement item insert for churn/turnover phases: the value
     /// lands on its true owner without routing (the mega-scale simulator
     /// path — routing 5% of 2·10⁷ items per round would dwarf the phase
@@ -322,38 +248,26 @@ impl Network {
         }
         None
     }
-
-    /// Amortized single crash on arena state: the peer vanishes, its primary
-    /// data is lost (no handoff, no charges — nobody sent anything), and the
-    /// heir's arc is repaired. Returns `false` if `id` is absent or the
-    /// network would drop below 2 peers.
-    pub fn churn_crash(&mut self, id: RingId) -> bool {
-        if !self.nodes.contains_key(&id) || self.nodes.len() <= 2 {
-            return false;
-        }
-        self.bump_epoch();
-        let _ = self.nodes.remove(&id);
-        self.finger_cursor.remove(&id);
-        let heir_pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[heir_pos]);
-        true
-    }
 }
 
 /// A coalesced window of membership events, applied to arena state in one
 /// column splice plus one monotone repair sweep.
 ///
 /// Semantics are **identical** to applying the recorded events one at a
-/// time through [`Network::churn_join`] / [`Network::churn_leave`] /
-/// [`Network::churn_crash`] in recorded order (the cross-path property
-/// `crates/sim/tests/churn_equivalence.rs` pins): data movement replays in
-/// event order against a merged view of the evolving membership, so
-/// order-dependent outcomes (an heir crashing after inheriting, a joiner
-/// taking items a prior joiner just received) come out the same. The one
-/// policy difference is **conflict handling**: a batch admits at most one
-/// event per id — later events on the same id are skipped and counted,
-/// where the sequential path would apply them. Callers wanting repeat
-/// events on one id split them across batches.
+/// time in recorded order: a join drains the arc `(pred, id]` from its
+/// successor, a leave hands its whole store to its successor, a crash
+/// drops its store, and departures are refused at 2 peers. Each event
+/// charges its handoff bytes plus the stabilization exchange a protocol
+/// join/leave would cost (crashes charge nothing); routing ends perfect.
+/// The reference model in `crates/sim/tests/churn_equivalence.rs` pins
+/// this for whole windows and for 1-event batches alike. Data movement
+/// replays in event order against a merged view of the evolving
+/// membership, so order-dependent outcomes (an heir crashing after
+/// inheriting, a joiner taking items a prior joiner just received) come
+/// out the same. The one policy difference is **conflict handling**: a
+/// batch admits at most one event per id — later events on the same id are
+/// skipped and counted, where one-at-a-time application would apply them.
+/// Callers wanting repeat events on one id split them across batches.
 ///
 /// Scratch buffers (including the replacement columns, which ping-pong with
 /// the network's) are retained across `apply` calls, so steady-state
@@ -434,8 +348,8 @@ impl ChurnBatch {
         let p0 = net.nodes.len();
 
         // Validate. Conflict policy first: at most one event per id per
-        // batch, first recorded wins. Then feasibility in event order,
-        // mirroring the single-event guards exactly: joins of alive ids are
+        // batch, first recorded wins. Then feasibility in event order, as
+        // one-at-a-time application would judge it: joins of alive ids are
         // skipped, departures of absent ids or past the ≥ 2-peer floor are
         // skipped.
         self.skip.clear();
@@ -506,7 +420,7 @@ impl ChurnBatch {
 
         // Replay data movement in recorded order against the merged view.
         // Every resolution (owner, predecessor, heir) sees exactly the
-        // membership the sequential path would: base peers minus
+        // membership one-at-a-time application would: base peers minus
         // already-departed, plus already-joined overlays.
         let placement = net.placement;
         let mut alive = p0;
@@ -818,18 +732,26 @@ mod tests {
         assert_eq!(a.stats().total_bytes(), b.stats().total_bytes(), "bytes");
     }
 
+    /// Applies `ev` as its own 1-event batch.
+    fn apply_one(net: &mut Network, ev: ChurnEvent) -> ChurnApplied {
+        let mut batch = ChurnBatch::new();
+        batch.push(ev);
+        batch.apply(net)
+    }
+
     #[test]
     fn churn_join_splices_and_stays_perfect() {
         let mut net = net_of_n(16);
         net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let before = net.total_items();
-        assert!(net.churn_join(RingId(5_000)));
-        assert!(net.churn_join(RingId(u64::MAX - 3)));
+        assert_eq!(apply_one(&mut net, ChurnEvent::Join(RingId(5_000))).joins, 1);
+        assert_eq!(apply_one(&mut net, ChurnEvent::Join(RingId(u64::MAX - 3))).joins, 1);
         assert_eq!(net.len(), 18);
         assert_eq!(net.total_items(), before, "joins move, never lose, items");
         assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
-        // Guards: duplicate id and empty network refuse.
-        assert!(!net.churn_join(RingId(5_000)));
+        // Guard: a duplicate id refuses.
+        assert_eq!(apply_one(&mut net, ChurnEvent::Join(RingId(5_000))).skipped, 1);
+        assert_eq!(net.len(), 18);
     }
 
     #[test]
@@ -838,11 +760,11 @@ mod tests {
         net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let before = net.total_items();
         let victim = net.ids().nth(5).unwrap();
-        assert!(net.churn_leave(victim));
+        assert_eq!(apply_one(&mut net, ChurnEvent::Leave(victim)).leaves, 1);
         assert_eq!(net.len(), 15);
         assert_eq!(net.total_items(), before, "graceful leave conserves items");
         assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
-        assert!(!net.churn_leave(victim), "absent id refuses");
+        assert_eq!(apply_one(&mut net, ChurnEvent::Leave(victim)).skipped, 1, "absent id refuses");
     }
 
     #[test]
@@ -853,7 +775,7 @@ mod tests {
         let victim_items = net.node(victim).unwrap().store.len();
         assert!(victim_items > 0);
         let bytes_before = net.stats().total_bytes();
-        assert!(net.churn_crash(victim));
+        assert_eq!(apply_one(&mut net, ChurnEvent::Crash(victim)).crashes, 1);
         assert_eq!(net.total_items(), 320 - victim_items as u64);
         assert_eq!(net.stats().total_bytes(), bytes_before, "crashes charge nothing");
         assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
@@ -863,8 +785,8 @@ mod tests {
     fn churn_floor_blocks_departures() {
         let mut net = net_of_n(2);
         let id = net.ids().next().unwrap();
-        assert!(!net.churn_leave(id));
-        assert!(!net.churn_crash(id));
+        assert_eq!(apply_one(&mut net, ChurnEvent::Leave(id)).skipped, 1);
+        assert_eq!(apply_one(&mut net, ChurnEvent::Crash(id)).skipped, 1);
         assert_eq!(net.len(), 2);
     }
 
@@ -906,12 +828,7 @@ mod tests {
             ChurnEvent::Crash(ids[0]),
         ];
         for ev in events {
-            let applied = match ev {
-                ChurnEvent::Join(id) => seq.churn_join(id),
-                ChurnEvent::Leave(id) => seq.churn_leave(id),
-                ChurnEvent::Crash(id) => seq.churn_crash(id),
-            };
-            assert!(applied, "{ev:?} must be feasible");
+            assert_eq!(apply_one(&mut seq, ev).skipped, 0, "{ev:?} must be feasible");
         }
         let mut batch = ChurnBatch::new();
         for ev in events {
@@ -1047,14 +964,5 @@ mod tests {
         let mut churn = ChurnProcess::new(cfg);
         churn.run(&mut net, 50.0, &mut rng);
         assert_eq!(net.len(), 2);
-    }
-
-    #[test]
-    fn apply_events_is_exact() {
-        let mut net = net_of_n(16);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut churn = ChurnProcess::new(ChurnConfig::symmetric(1.0, 1.0));
-        let outcome = churn.apply_events(&mut net, 10, &mut rng);
-        assert_eq!(outcome.joins + outcome.leaves + outcome.fails + outcome.skipped, 10);
     }
 }

@@ -37,8 +37,14 @@
 //! * [`network`] — the overlay itself: build, route, probe;
 //! * [`membership`] — join / leave / fail / stabilize;
 //! * [`churn`] — Poisson churn process driver plus the amortized
-//!   arena-churn path (single-event `churn_*` drivers and batched
-//!   [`ChurnBatch`] repair sweeps for mega-scale networks).
+//!   arena-churn path ([`ChurnBatch`] repair sweeps for mega-scale
+//!   networks).
+//!
+//! Membership changes through exactly two paths: the protocol
+//! join/leave/fail/stabilize of [`membership`], which leaves routing state
+//! stale the way a deployment would, and [`ChurnBatch`], which splices the
+//! arena and restores perfect routing. [`Network::build_bulk`] only
+//! constructs.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

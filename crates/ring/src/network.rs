@@ -288,58 +288,6 @@ impl Network {
         net
     }
 
-    /// Resets every node's routing state to ground truth (used at build time
-    /// and by tests; **not** by the protocol paths) in `O(P · RING_BITS)`.
-    pub fn rewire_perfectly(&mut self) {
-        self.nodes.rewire_perfect();
-    }
-
-    /// Admits a coordinated block of new peers at once (a provisioned
-    /// capacity expansion, not a churn storm): inserts every not-yet-taken
-    /// id, rewires the whole ring perfectly in `O(P · RING_BITS)`, and
-    /// re-homes items to their new true owners. Charges one state transfer
-    /// per admitted peer plus handoff bytes per moved item; returns the
-    /// number of peers admitted. The DST harness drives this through its
-    /// `BulkJoinBlock` event to fuzz arena-backed bulk wiring.
-    pub fn bulk_join(&mut self, new_ids: &[RingId]) -> usize {
-        let mut added: Vec<RingId> =
-            new_ids.iter().copied().filter(|&id| !self.is_alive(id)).collect();
-        added.sort();
-        added.dedup();
-        if added.is_empty() {
-            return 0;
-        }
-        self.bump_epoch();
-        for &id in &added {
-            self.nodes.insert(id, Node::new(id));
-            self.finger_cursor.insert(id, 0);
-        }
-        self.nodes.rewire_perfect();
-        // Re-home misplaced items: with perfect arcs the placement map fully
-        // determines ownership, so one drain + redistribute pass lands
-        // everything (charged as handoff bytes, like the join data handoff).
-        let p = self.nodes.len();
-        let placement = self.placement;
-        let mut moved: Vec<f64> = Vec::new();
-        for pos in 0..p {
-            let id = self.nodes.key_at(pos).expect("in range");
-            let pred = self.nodes.key_at((pos + p - 1) % p).expect("in range");
-            moved.extend(
-                self.nodes
-                    .node_at_mut(pos)
-                    .store
-                    .drain_by(|x| !placement.place(x).in_arc(pred, id)),
-            );
-        }
-        if !moved.is_empty() {
-            self.stats.record(MessageKind::Handoff, 8 * moved.len());
-            self.bulk_load(&moved);
-        }
-        let slen = SUCCESSOR_LIST_LEN.min(p - 1).max(1);
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + slen) * added.len());
-        added.len()
-    }
-
     /// Number of alive peers.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -118,15 +118,19 @@ fn wide_batch_windows_reuse_the_edge_table() {
 #[test]
 fn bulk_built_lookup_stays_allocation_free() {
     // The mega-scale construction path: `build_bulk` wires the arena in one
-    // O(P·log P) pass and `bulk_join` re-wires it after a block of joiners.
-    // Both must leave the same kind of arena layout the incremental path
-    // produces — warmed lookups stay off the heap.
+    // O(P·log P) pass and a join-only `ChurnBatch` admits a block of 64
+    // joiners with one splice and one repair sweep. Both must leave the
+    // same kind of arena layout the incremental path produces — warmed
+    // lookups stay off the heap.
     let seq = SeedSequence::new(99);
     let mut id_rng = seq.stream(Component::NodeIds, 2);
     let ids: Vec<RingId> = (0..512).map(|_| RingId(id_rng.gen())).collect();
     let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
-    let block: Vec<RingId> = (0..64).map(|_| RingId(id_rng.gen())).collect();
-    assert!(net.bulk_join(&block) > 0, "the join block must add peers");
+    let mut block = ChurnBatch::new();
+    for _ in 0..64 {
+        block.join(RingId(id_rng.gen()));
+    }
+    assert!(block.apply(&mut net).joins > 0, "the join block must add peers");
     let mut rng = seq.stream(Component::Workload, 2);
     let from = net.random_peer(&mut rng).expect("nonempty");
 

@@ -7,15 +7,18 @@
 //!   `Join / Leave / Crash / Heal / Insert / Probe / EstimateRefresh /
 //!   FaultWindow` events — plus the adversarial pack: `FlashCrowd /
 //!   HotspotBurst / CapacitySkew / ArcPartition / AdversarialJoin /
-//!   BulkJoinBlock / WorkloadBurst / ChurnWindow` (see
-//!   `TESTING.md` §scenario axes) — from a master seed. Every event carries *concrete*
-//!   parameters (entropy words, peer ranks resolved against the alive set at
-//!   application time), never a shared RNG — so removing events during
-//!   shrinking cannot perturb how the remaining ones apply.
+//!   WorkloadBurst / ChurnWindow` (see `TESTING.md` §scenario axes) — from
+//!   a master seed. Every event carries *concrete* parameters (entropy
+//!   words, peer ranks resolved against the alive set at application time),
+//!   never a shared RNG — so removing events during shrinking cannot
+//!   perturb how the remaining ones apply. Membership changes through the
+//!   two paths the ring has: the protocol's one-at-a-time joins, leaves and
+//!   crashes, and `ChurnWindow`'s batched [`dde_ring::ChurnBatch`].
 //! * **Invariant oracle** — after *every* event the always-true local
 //!   invariants ([`dde_ring::Network::check_local_invariants`]), message-stat
 //!   monotonicity, item conservation, and probe/estimate monotonicity are
-//!   checked; after every `Heal` (which stabilizes to quiescence) the
+//!   checked; after every `Heal` (which stabilizes to quiescence), and
+//!   after every `ChurnWindow` applied to a converged ring, the
 //!   ground-truth ring+data invariants
 //!   ([`dde_ring::Network::check_invariants`]) must be empty.
 //! * **Shrinker** — [`shrink`] ddmin-reduces a failing schedule to a
@@ -157,17 +160,6 @@ pub enum DstEvent {
         /// Jitter entropy positioning the joiner inside the target arc.
         jitter: u64,
     },
-    /// A block of peers joins through the O(P) bulk path
-    /// ([`dde_ring::Network::bulk_join`]): ids derive from `id_entropy`, the
-    /// whole ring is rewired perfectly in one pass, and misplaced items
-    /// re-home — the mega-scale counterpart of [`DstEvent::FlashCrowd`]'s
-    /// one-by-one overlay joins.
-    BulkJoinBlock {
-        /// Raw entropy the block's ring ids derive from.
-        id_entropy: u64,
-        /// Peers joining in the block.
-        count: u16,
-    },
     /// A same-origin burst of open-loop serving traffic: a 300/700‰
     /// insert/lookup mix routed through one shared batch window
     /// ([`dde_ring::BatchRouter`]), with the lookups' resolved owners
@@ -245,9 +237,6 @@ impl std::fmt::Display for DstEvent {
             }
             DstEvent::AdversarialJoin { jitter } => {
                 write!(f, "AdversarialJoin(jitter: {jitter})")
-            }
-            DstEvent::BulkJoinBlock { id_entropy, count } => {
-                write!(f, "BulkJoinBlock(id_entropy: {id_entropy}, count: {count})")
             }
             DstEvent::WorkloadBurst { origin_rank, entropy, count } => {
                 write!(
@@ -372,8 +361,7 @@ fn random_event(rng: &mut StdRng) -> DstEvent {
             duration: rng.gen_range(1..=8),
         },
         115..=117 => DstEvent::AdversarialJoin { jitter: rng.gen() },
-        118..=121 => DstEvent::BulkJoinBlock { id_entropy: rng.gen(), count: rng.gen_range(2..=8) },
-        122..=124 => DstEvent::ChurnWindow { entropy: rng.gen(), count: rng.gen_range(6..=24) },
+        118..=124 => DstEvent::ChurnWindow { entropy: rng.gen(), count: rng.gen_range(6..=24) },
         _ => DstEvent::WorkloadBurst {
             origin_rank: rng.gen(),
             entropy: rng.gen(),
@@ -447,12 +435,11 @@ struct World {
     prev_delay: u64,
     estimates: usize,
     /// Whether the ring's wiring is fully converged (perfect successors,
-    /// lists, and fingers everywhere). True after the bulk build, a
-    /// quiesced `Heal`, or a `BulkJoinBlock` full rewire; false once any
-    /// one-at-a-time overlay membership event leaves stale fingers behind.
-    /// Gates the `ChurnWindow` full-oracle check: a batched repair sweep
-    /// preserves convergence, but cannot be blamed for staleness it
-    /// inherited.
+    /// lists, and fingers everywhere). True after the bulk build or a
+    /// quiesced `Heal`; false once any one-at-a-time overlay membership
+    /// event leaves stale fingers behind. Gates the `ChurnWindow`
+    /// full-oracle check: a batched repair sweep preserves convergence, but
+    /// cannot be blamed for staleness it inherited.
     converged: bool,
 }
 
@@ -727,38 +714,6 @@ impl World {
                     }
                 }
             }
-            DstEvent::BulkJoinBlock { id_entropy, count } => {
-                let (items_before, peers_before) = (self.net.total_items(), self.net.len());
-                let ids: Vec<RingId> = (0..u64::from(count))
-                    .map(|i| RingId(splitmix64(id_entropy.wrapping_add(i))))
-                    .collect();
-                self.net.bulk_join(&ids);
-                // Bulk wiring is perfect by construction, whatever state the
-                // ring was in before (crashed peers leave the columns when
-                // they die): the *full* convergence oracle must be clean
-                // immediately, no Heal in between.
-                self.converged = true;
-                for v in self.net.check_invariants() {
-                    extra.push(format!("post-bulk-join: {v}"));
-                }
-                let items_after = self.net.total_items();
-                if items_after != items_before {
-                    extra.push(format!(
-                        "bulk join broke item conservation: {items_before} -> {items_after}"
-                    ));
-                }
-                if self.net.len() < peers_before {
-                    extra.push(format!(
-                        "bulk join shrank the ring: {peers_before} -> {}",
-                        self.net.len()
-                    ));
-                }
-                // The CoW fork path at the new scale: forking right after a
-                // bulk rewire must conserve the item total column-for-column.
-                if self.net.fork().total_items() != items_after {
-                    extra.push("fork changed the item total after bulk join".into());
-                }
-            }
             DstEvent::WorkloadBurst { origin_rank, entropy, count } => {
                 let origin = self.peer_at(origin_rank);
                 // Per-event RNG, like EstimateRefresh: the burst stays
@@ -835,6 +790,11 @@ impl World {
                          with {} reported lost",
                         applied.lost.len()
                     ));
+                }
+                // The CoW fork path after a column splice: forking the
+                // churned ring must conserve the item total.
+                if self.net.fork().total_items() != items_after {
+                    extra.push("fork changed the item total after churn window".into());
                 }
                 // On a converged ring, one batched repair sweep must restore
                 // *full* convergence — perfect successors, lists, and
@@ -1136,10 +1096,17 @@ pub fn parse_repro(text: &str) -> Result<Schedule, String> {
         }
     }
 
+    let peers = peers.ok_or("missing peers")?;
+    let items = items.ok_or("missing items")?;
+    if peers == 0 || items == 0 {
+        return Err(format!(
+            "a schedule needs peers and items, got peers: {peers}, items: {items}"
+        ));
+    }
     Ok(Schedule {
         seed: seed.ok_or("missing seed")?,
-        peers: peers.ok_or("missing peers")?,
-        items: items.ok_or("missing items")?,
+        peers,
+        items,
         replication: replication.ok_or("missing replication")?,
         bug,
         events,
@@ -1167,6 +1134,10 @@ fn parse_event(line: &str) -> Result<DstEvent, String> {
     let get = |key: &str| -> Result<u64, String> {
         fields.get(key).copied().ok_or_else(|| format!("event {line:?} missing field {key:?}"))
     };
+    let get16 = |key: &str| -> Result<u16, String> {
+        let v = get(key)?;
+        u16::try_from(v).map_err(|_| format!("event {line:?} field {key:?} = {v} overflows u16"))
+    };
     match name {
         "Join" => Ok(DstEvent::Join {
             id_entropy: get("id_entropy")?,
@@ -1187,43 +1158,39 @@ fn parse_event(line: &str) -> Result<DstEvent, String> {
         }),
         "FaultWindow" => Ok(DstEvent::FaultWindow {
             entropy: get("entropy")?,
-            loss_pm: get("loss_pm")? as u16,
-            reply_loss_pm: get("reply_loss_pm")? as u16,
-            sick_pm: get("sick_pm")? as u16,
-            duration: get("duration")? as u16,
+            loss_pm: get16("loss_pm")?,
+            reply_loss_pm: get16("reply_loss_pm")?,
+            sick_pm: get16("sick_pm")?,
+            duration: get16("duration")?,
         }),
         "FlashCrowd" => {
-            Ok(DstEvent::FlashCrowd { id_entropy: get("id_entropy")?, count: get("count")? as u16 })
+            Ok(DstEvent::FlashCrowd { id_entropy: get("id_entropy")?, count: get16("count")? })
         }
         "HotspotBurst" => Ok(DstEvent::HotspotBurst {
             initiator_rank: get("initiator_rank")?,
             entropy: get("entropy")?,
-            count: get("count")? as u16,
+            count: get16("count")?,
         }),
         "CapacitySkew" => Ok(DstEvent::CapacitySkew {
             entropy: get("entropy")?,
-            slow_pm: get("slow_pm")? as u16,
-            factor: get("factor")? as u16,
-            deadline: get("deadline")? as u16,
-            duration: get("duration")? as u16,
+            slow_pm: get16("slow_pm")?,
+            factor: get16("factor")?,
+            deadline: get16("deadline")?,
+            duration: get16("duration")?,
         }),
         "ArcPartition" => Ok(DstEvent::ArcPartition {
-            start_pm: get("start_pm")? as u16,
-            span_pm: get("span_pm")? as u16,
-            duration: get("duration")? as u16,
+            start_pm: get16("start_pm")?,
+            span_pm: get16("span_pm")?,
+            duration: get16("duration")?,
         }),
         "AdversarialJoin" => Ok(DstEvent::AdversarialJoin { jitter: get("jitter")? }),
-        "BulkJoinBlock" => Ok(DstEvent::BulkJoinBlock {
-            id_entropy: get("id_entropy")?,
-            count: get("count")? as u16,
-        }),
         "WorkloadBurst" => Ok(DstEvent::WorkloadBurst {
             origin_rank: get("origin_rank")?,
             entropy: get("entropy")?,
-            count: get("count")? as u16,
+            count: get16("count")?,
         }),
         "ChurnWindow" => {
-            Ok(DstEvent::ChurnWindow { entropy: get("entropy")?, count: get("count")? as u16 })
+            Ok(DstEvent::ChurnWindow { entropy: get("entropy")?, count: get16("count")? })
         }
         other => Err(format!("unknown event: {other:?}")),
     }
@@ -1280,6 +1247,32 @@ mod tests {
         let cfg = DstConfig::default();
         let text = to_repro(&generate(&cfg)).replace("Heal", "Hea1");
         assert!(parse_repro(&text).is_err() || !text.contains("Hea1"));
+
+        // Out-of-range fields are refused, never wrapped (`count: 65537`
+        // would replay as 1), and so is a schedule without peers or items
+        // (its replay would panic in the scenario build).
+        let base = Schedule {
+            seed: 1,
+            peers: 8,
+            items: 100,
+            replication: 0,
+            bug: None,
+            events: vec![DstEvent::Heal],
+        };
+        let text = to_repro(&base);
+        assert_eq!(parse_repro(&text), Ok(base));
+        for bad in [
+            text.replace("Heal", "ChurnWindow(entropy: 5, count: 65537)"),
+            text.replace(
+                "Heal",
+                "FaultWindow(entropy: 1, loss_pm: 66000, reply_loss_pm: 0, sick_pm: 0, \
+                 duration: 65536)",
+            ),
+            text.replace("peers: 8", "peers: 0"),
+            text.replace("items: 100", "items: 0"),
+        ] {
+            assert!(parse_repro(&bad).is_err(), "accepted:\n{bad}");
+        }
     }
 
     #[test]

@@ -1,24 +1,37 @@
-//! `ChurnBatch::apply` ≡ the one-at-a-time arena churn path.
+//! `ChurnBatch::apply` ≡ a one-event-at-a-time reference model.
 //!
 //! The batched repair sweep coalesces a whole window of membership events
 //! into one column splice and one monotone repair pass, so its claim to
-//! correctness is *equivalence*: the network it leaves behind must be
-//! indistinguishable from applying the same events through
-//! `churn_join` / `churn_leave` / `churn_crash` in recorded order —
-//! identical membership, successor lists, predecessors, finger tables,
-//! per-peer stores, Handoff/Stabilize message charges, and seeded lookup
-//! routes (hop for hop). Epoch counters differ by construction (one bump
-//! per batch vs one per event) and are deliberately out of scope.
+//! correctness is *equivalence* with applying the same events one at a
+//! time in recorded order. That sequential semantics lives here as a small
+//! model, not in the library: an ordered map of alive id → sorted store,
+//! where a join drains the arc `(pred, id]` from its successor, a leave
+//! hands its whole store to its successor, a crash drops it, departures
+//! are refused at 2 peers, and each event tallies the Handoff/Stabilize
+//! charges it bills. The wiring reference is `Network::build_bulk` of the
+//! model's final membership (itself proven equal to the converged protocol
+//! state by `bulk_equivalence.rs`).
+//!
+//! The batch must match the model in membership, successor lists,
+//! predecessors, finger tables, per-peer stores, crash losses,
+//! Handoff/Stabilize message counts and bytes, and 64 seeded lookup routes
+//! (hop for hop) — both when the window is applied as one batch and when
+//! every event is applied as its own 1-event batch. Epoch counters differ
+//! by construction (one bump per batch) and are deliberately out of scope.
 //!
 //! Property-tested over seeds × sizes × every node layout the scenario
 //! builders emit, with a pinned 4096-peer adversarial cell guarding the
 //! shape where repair locality actually matters.
 
-use dde_ring::{ChurnBatch, ChurnEvent, MessageKind, Network, Placement, RingId};
+use dde_ring::messages::HEADER_BYTES;
+use dde_ring::node::SUCCESSOR_LIST_LEN;
+use dde_ring::{ChurnApplied, ChurnBatch, ChurnEvent, MessageKind, Network, Placement, RingId};
 use dde_sim::{build_fresh, NodeLayout, Scenario};
 use dde_stats::rng::{Component, SeedSequence};
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Ring ids drawn from a real scenario build, so the sweep covers the id
 /// *shapes* the suite actually runs, not just uniform entropy.
@@ -72,73 +85,173 @@ fn event_window(net: &Network, seed: u64) -> Vec<ChurnEvent> {
     shuffled
 }
 
-/// The equivalence oracle: state, charges, and routes must all match.
-fn assert_equivalent(seq: &mut Network, bat: &mut Network, seed: u64) {
-    let ids: Vec<RingId> = seq.ids().collect();
-    assert_eq!(ids, bat.ids().collect::<Vec<_>>(), "membership differs");
-    for &id in &ids {
-        let s = seq.node(id).expect("alive sequentially");
-        let b = bat.node(id).expect("alive in batch");
-        assert_eq!(s.successors, b.successors, "{id}: successor lists differ");
-        assert_eq!(s.predecessor, b.predecessor, "{id}: predecessors differ");
-        assert_eq!(s.fingers, b.fingers, "{id}: finger tables differ");
-        assert_eq!(s.store.values(), b.store.values(), "{id}: stores differ");
-    }
-    for kind in [MessageKind::Handoff, MessageKind::Stabilize] {
-        assert_eq!(
-            seq.stats().count(kind),
-            bat.stats().count(kind),
-            "{kind:?} message counts differ"
-        );
-    }
-    assert_eq!(seq.stats().total_bytes(), bat.stats().total_bytes(), "byte charges differ");
+/// The sequential reference: alive id → sorted store, mutated one event at
+/// a time, with the message charges each event bills and the outcome
+/// tally (`repair` aside) a batch must report.
+struct Model {
+    placement: Placement,
+    stores: BTreeMap<RingId, Vec<f64>>,
+    messages: BTreeMap<MessageKind, u64>,
+    bytes: u64,
+    tally: ChurnApplied,
+}
 
-    // Both paths leave a fully consistent overlay.
-    assert!(seq.check_invariants().is_empty(), "{:?}", seq.check_invariants());
-    assert!(bat.check_invariants().is_empty(), "{:?}", bat.check_invariants());
+impl Model {
+    fn of(net: &Network) -> Self {
+        let stores = net.ids().map(|id| (id, net.node(id).expect("alive").store.values().to_vec()));
+        Self {
+            placement: net.placement(),
+            stores: stores.collect(),
+            messages: BTreeMap::new(),
+            bytes: 0,
+            tally: ChurnApplied::default(),
+        }
+    }
+
+    /// The first alive id clockwise after `id`.
+    fn successor(&self, id: RingId) -> RingId {
+        let next = self.stores.range((Excluded(id), Unbounded)).next();
+        *next.or_else(|| self.stores.iter().next()).expect("nonempty").0
+    }
+
+    /// The last alive id counter-clockwise before `id`.
+    fn predecessor(&self, id: RingId) -> RingId {
+        let prev = self.stores.range(..id).next_back();
+        *prev.or_else(|| self.stores.iter().next_back()).expect("nonempty").0
+    }
+
+    fn bill(&mut self, kind: MessageKind, payload: usize) {
+        *self.messages.entry(kind).or_default() += 1;
+        self.bytes += (HEADER_BYTES + payload) as u64;
+    }
+
+    /// Applies one event, or counts it skipped if infeasible.
+    fn apply(&mut self, ev: ChurnEvent) {
+        let p = self.stores.len();
+        let feasible = match ev {
+            ChurnEvent::Join(id) => p > 0 && !self.stores.contains_key(&id),
+            ChurnEvent::Leave(id) | ChurnEvent::Crash(id) => p > 2 && self.stores.contains_key(&id),
+        };
+        if !feasible {
+            self.tally.skipped += 1;
+            return;
+        }
+        match ev {
+            ChurnEvent::Join(id) => {
+                let (pred, placement) = (self.predecessor(id), self.placement);
+                let donor = self.stores.get_mut(&self.successor(id)).expect("alive");
+                let (moved, kept): (Vec<f64>, Vec<f64>) =
+                    donor.iter().partition(|&&x| placement.place(x).in_arc(pred, id));
+                *donor = kept;
+                self.bill(MessageKind::Handoff, 8 * moved.len());
+                self.bill(MessageKind::Stabilize, 8 * (1 + SUCCESSOR_LIST_LEN.min(p).max(1)));
+                self.tally.joins += 1;
+                self.tally.items_moved += moved.len() as u64;
+                self.stores.insert(id, moved);
+            }
+            ChurnEvent::Leave(id) => {
+                let heir = self.successor(id);
+                let data = self.stores.remove(&id).expect("alive");
+                self.bill(MessageKind::Handoff, 8 * data.len());
+                self.tally.leaves += 1;
+                self.tally.items_moved += data.len() as u64;
+                let heir_store = self.stores.get_mut(&heir).expect("alive");
+                heir_store.extend(data);
+                heir_store.sort_by(f64::total_cmp);
+                self.bill(MessageKind::Stabilize, 8 * (1 + SUCCESSOR_LIST_LEN.min(p - 2).max(1)));
+            }
+            ChurnEvent::Crash(id) => {
+                let data = self.stores.remove(&id).expect("alive");
+                self.tally.crashes += 1;
+                self.tally.lost.extend(data);
+            }
+        }
+    }
+}
+
+/// The equivalence oracle: `got` (churned from `base`, reporting
+/// `applied`) must match the model's membership, stores, outcome tally and
+/// charges, and `reference`'s wiring and routes.
+fn assert_matches(
+    label: &str,
+    model: &Model,
+    reference: &Network,
+    base: &Network,
+    got: &mut Network,
+    applied: &ChurnApplied,
+    seed: u64,
+) {
+    let ids: Vec<RingId> = got.ids().collect();
+    assert!(ids.iter().eq(model.stores.keys()), "{label}: membership differs");
+    for &id in &ids {
+        let (g, r) = (got.node(id).expect("alive"), reference.node(id).expect("alive"));
+        assert_eq!(g.successors, r.successors, "{label} {id}: successor lists differ");
+        assert_eq!(g.predecessor, r.predecessor, "{label} {id}: predecessors differ");
+        assert_eq!(g.fingers, r.fingers, "{label} {id}: finger tables differ");
+        assert_eq!(g.store.values(), &model.stores[&id][..], "{label} {id}: stores differ");
+    }
+    let expected = ChurnApplied { repair: applied.repair, ..model.tally.clone() };
+    assert_eq!(applied, &expected, "{label}: outcome tallies differ");
+    for kind in [MessageKind::Handoff, MessageKind::Stabilize] {
+        let billed = got.stats().count(kind) - base.stats().count(kind);
+        let expected = model.messages.get(&kind).copied().unwrap_or(0);
+        assert_eq!(billed, expected, "{label}: {kind:?} message counts differ");
+    }
+    let bytes = got.stats().total_bytes() - base.stats().total_bytes();
+    assert_eq!(bytes, model.bytes, "{label}: byte charges differ");
+    assert!(got.check_invariants().is_empty(), "{label}: {:?}", got.check_invariants());
 
     // Same seeded routes, hop for hop.
+    let mut reference = reference.clone();
     let mut rng = SeedSequence::new(seed).stream(Component::Workload, 7);
     for probe in 0..64 {
         let from = ids[rng.gen_range(0..ids.len())];
         let target = RingId(rng.gen());
-        let a = seq.lookup(from, target).expect("sequential routes");
-        let b = bat.lookup(from, target).expect("batch routes");
-        assert_eq!(a.owner, b.owner, "probe {probe}: owners differ for {target}");
-        assert_eq!(a.hops, b.hops, "probe {probe}: hop counts differ for {target}");
+        let a = got.lookup(from, target).expect("batch routes");
+        let b = reference.lookup(from, target).expect("reference routes");
+        assert_eq!(a.owner, b.owner, "{label} probe {probe}: owners differ for {target}");
+        assert_eq!(a.hops, b.hops, "{label} probe {probe}: hop counts differ for {target}");
     }
 }
 
 fn check(seed: u64, peers: usize, layout: NodeLayout) {
     let ids = layout_ids(seed, peers, layout);
     let placement = Placement::range(0.0, 1000.0);
-    let mut seq = Network::build_bulk(ids, placement);
+    let mut base = Network::build_bulk(ids, placement);
     let mut rng = SeedSequence::new(seed).stream(Component::Dataset, 5);
     let data: Vec<f64> = (0..peers * 20).map(|_| rng.gen_range(0.0..1000.0)).collect();
-    seq.bulk_load(&data);
-    let mut bat = seq.clone();
+    base.bulk_load(&data);
+    let events = event_window(&base, seed);
 
-    let events = event_window(&seq, seed);
-    let mut applied = 0u64;
+    let mut model = Model::of(&base);
     for &ev in &events {
-        let ok = match ev {
-            ChurnEvent::Join(id) => seq.churn_join(id),
-            ChurnEvent::Leave(id) => seq.churn_leave(id),
-            ChurnEvent::Crash(id) => seq.churn_crash(id),
-        };
-        applied += u64::from(ok);
+        model.apply(ev);
     }
+    let reference = Network::build_bulk(model.stores.keys().copied().collect(), placement);
     let mut batch = ChurnBatch::new();
+
+    // The whole window as one batch.
+    let mut whole = base.clone();
     for &ev in &events {
         batch.push(ev);
     }
-    let out = batch.apply(&mut bat);
-    assert_eq!(
-        out.joins + out.leaves + out.crashes,
-        applied,
-        "batch and sequential paths disagree on feasibility"
-    );
-    assert_equivalent(&mut seq, &mut bat, seed);
+    let out = batch.apply(&mut whole);
+    assert_matches("window", &model, &reference, &base, &mut whole, &out, seed);
+
+    // Every event as its own 1-event batch.
+    let mut single = base.clone();
+    let mut total = ChurnApplied::default();
+    for &ev in &events {
+        batch.push(ev);
+        let out = batch.apply(&mut single);
+        total.joins += out.joins;
+        total.leaves += out.leaves;
+        total.crashes += out.crashes;
+        total.skipped += out.skipped;
+        total.items_moved += out.items_moved;
+        total.lost.extend(out.lost);
+    }
+    assert_matches("1-event", &model, &reference, &base, &mut single, &total, seed);
 }
 
 proptest! {

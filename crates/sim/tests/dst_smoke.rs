@@ -43,10 +43,11 @@ fn clean_corpus_runs_without_violations() {
 }
 
 /// F12's smallest sweep cell, fuzzed: the mega-scale shape (bulk-built ring,
-/// items ∝ P) must survive a schedule of churn, bulk-join blocks, probes,
-/// and fault windows with zero violations — including the `BulkJoinBlock`
-/// oracle's demand that bulk wiring is *fully* converged with items
-/// conserved across a CoW fork.
+/// items ∝ P) must survive a schedule of churn, batched churn windows,
+/// probes, and fault windows with zero violations — including the
+/// `ChurnWindow` oracle's demand that a batched sweep over a converged ring
+/// leaves it *fully* converged, with items conserved (minus the reported
+/// crash losses) and across a CoW fork.
 #[test]
 fn f12_smallest_cell_survives_a_fuzzed_schedule() {
     let s = dde_sim::experiments::f12_scale::scale_scenario(1_000);
