@@ -1,8 +1,12 @@
 //! Microbenchmarks of the substrate hot paths: routing, probing, membership
-//! churn, store and summary operations, sketches, skeleton assembly, KDE,
-//! and metrics.
+//! churn, store and summary operations, sketches, skeleton assembly, the
+//! baseline estimators, KDE, and metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dde_core::{
+    CdfSkeleton, DensityEstimator, DfDde, DfDdeConfig, ExactAggregation, GossipAggregation,
+    GossipConfig, RandomWalkConfig, RandomWalkSampling, Weighting,
+};
 use dde_ring::{BatchRouter, ChurnBatch, LocalStore, Network, Placement, RingId};
 use dde_stats::dist::{BoundedPareto, Distribution, Normal, Truncated};
 use dde_stats::equidepth::EquiDepthSummary;
@@ -134,15 +138,46 @@ fn skeleton_assembly(c: &mut Criterion) {
         (0..256).map(|_| net.probe(from, RingId(rng.gen())).expect("probes")).collect();
     c.bench_function("micro/skeleton_from_256_probes", |b| {
         b.iter(|| {
-            dde_core::CdfSkeleton::from_probes(
-                &replies,
-                (0.0, 1000.0),
-                4096,
-                dde_core::skeleton::Weighting::HorvitzThompson,
-            )
-            .expect("builds")
+            CdfSkeleton::from_probes(&replies, (0.0, 1000.0), 4096, Weighting::HorvitzThompson)
+                .expect("builds")
         });
     });
+    // DF-DDE's own shape, as `static` and `serve` build it: 64 stratified
+    // probes under range placement arrive in value order, so the pooled
+    // fold keeps a growing run of full replies and cuts the empty tail.
+    let replies = DfDde::new(DfDdeConfig::with_probes(64))
+        .run_probes(&mut net, from, &mut rng)
+        .expect("probes");
+    c.bench_function("micro/skeleton_from_64_probes", |b| {
+        b.iter(|| {
+            CdfSkeleton::from_probes(&replies, (0.0, 1000.0), 4096, Weighting::HorvitzThompson)
+                .expect("builds")
+        });
+    });
+}
+
+/// One whole estimate per iteration on a 256-peer ring, for the baselines
+/// whose per-estimate cost is their own arithmetic rather than routing.
+fn baseline_estimates(c: &mut Criterion) {
+    let mut net = ring_net(256, 13);
+    let dist = Truncated::new(Normal::new(500.0, 120.0), 0.0, 1000.0);
+    let mut data_rng = SeedSequence::new(13).stream(Component::Dataset, 0);
+    let data: Vec<f64> = (0..50_000).map(|_| dist.sample(&mut data_rng)).collect();
+    net.bulk_load(&data);
+    let mut rng = SeedSequence::new(14).stream(Component::Estimator, 0);
+    let from = net.random_peer(&mut rng).expect("nonempty");
+    let estimators: [(&str, Box<dyn DensityEstimator>); 3] = [
+        ("gossip_256", Box::new(GossipAggregation::new(GossipConfig::default()))),
+        ("walk_256", Box::new(RandomWalkSampling::new(RandomWalkConfig::default()))),
+        ("exact_256", Box::new(ExactAggregation::new())),
+    ];
+    let mut g = c.benchmark_group("micro/estimate");
+    for (name, est) in &estimators {
+        g.bench_function(*name, |b| {
+            b.iter(|| est.estimate(&mut net, from, &mut rng).expect("estimates").messages());
+        });
+    }
+    g.finish();
 }
 
 fn kde_eval(c: &mut Criterion) {
@@ -256,6 +291,7 @@ criterion_group!(
     equidepth_query,
     gk_insert,
     skeleton_assembly,
+    baseline_estimates,
     kde_eval,
     metrics_ks
 );

@@ -73,9 +73,14 @@ fn scenario_of(args: &Args) -> Result<Scenario, String> {
         "hashed" => PlacementMode::Hashed,
         other => return Err(format!("unknown placement '{other}'")),
     };
+    let peers = args.get_or("peers", 256usize)?;
+    let items = args.get_or("items", 50_000usize)?;
+    if peers == 0 || items == 0 {
+        return Err(format!("--peers and --items must be at least 1, got {peers} and {items}"));
+    }
     Ok(Scenario::default()
-        .with_peers(args.get_or("peers", 256usize)?)
-        .with_items(args.get_or("items", 50_000usize)?)
+        .with_peers(peers)
+        .with_items(items)
         .with_distribution(dist_of(args.get("dist").unwrap_or("zipf"))?)
         .with_summary_buckets(args.get_or("buckets", 8usize)?)
         .with_placement(placement)
@@ -241,6 +246,9 @@ pub fn query(args: &Args) -> Result<(), String> {
     let probes = args.get_or("probes", 128usize)?;
     let lo = args.get_or("lo", 100.0f64)?;
     let hi = args.get_or("hi", 300.0f64)?;
+    if !(lo.is_finite() && hi.is_finite()) {
+        return Err(format!("--lo and --hi must be finite, got {lo} and {hi}"));
+    }
     let (mut built, mut rng, initiator) = setup(args)?;
     let report = DfDde::new(DfDdeConfig::with_probes(probes))
         .estimate(&mut built.net, initiator, &mut rng)
@@ -546,6 +554,37 @@ mod tests {
         )
         .unwrap();
         query(&args).unwrap();
+    }
+
+    fn parse(line: &str) -> Args {
+        crate::args::Args::parse(line.split_whitespace().map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn empty_scenarios_are_errors_in_every_command() {
+        type Command = fn(&Args) -> Result<(), String>;
+        let commands: [(&str, Command); 6] = [
+            ("estimate", estimate),
+            ("aggregate", aggregate),
+            ("query", query),
+            ("churn", churn),
+            ("workload", workload),
+            ("topology", topology),
+        ];
+        for (name, run) in commands {
+            for bad in ["--peers 0", "--items 0", "--peers 0 --items 0"] {
+                let err = run(&parse(&format!("{name} {bad}"))).unwrap_err();
+                assert!(err.contains("must be at least 1"), "{name} {bad}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_rejects_non_finite_bounds() {
+        for bounds in ["--lo NaN", "--hi inf", "--lo -inf --hi 10", "--lo nan --hi nan"] {
+            let err = query(&parse(&format!("query --peers 16 --items 100 {bounds}"))).unwrap_err();
+            assert!(err.contains("must be finite"), "{bounds}: {err}");
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use dde_ring::{MessageKind, Network, RingId};
 use dde_stats::{CdfFn, Histogram, PiecewiseCdf};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Configuration for [`GossipAggregation`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +53,110 @@ impl GossipAggregation {
     pub fn config(&self) -> &GossipConfig {
         &self.config
     }
+
+    /// Runs `rounds` synchronous Push-Sum rounds from every peer's local
+    /// histogram and returns the initiator's final `(value, weight)`.
+    ///
+    /// State lives in flat buffers indexed by ring position, and each round
+    /// pushes from one halved snapshot: receivers add their deliveries in
+    /// sender (ring) order, the order a per-receiver inbox would hold them,
+    /// so every bin sums the same terms in the same order.
+    fn push_sum(&self, net: &mut Network, initiator: RingId, rng: &mut StdRng) -> (Histogram, f64) {
+        let (lo, hi) = net.placement().domain();
+        let GossipConfig { rounds, bins } = self.config;
+        // Peer `i` (in ring order) owns `state[i*stride..(i+1)*stride]`:
+        // its histogram's bin masses, then its weight.
+        let stride = bins + 1;
+        let ids: Vec<RingId> = net.ids().collect();
+        let grid = Histogram::new(lo, hi, bins);
+        let mut state = vec![0.0; ids.len() * stride];
+        for (own, &id) in state.chunks_exact_mut(stride).zip(&ids) {
+            for &x in net.node(id).expect("alive").store.values() {
+                own[grid.bin_of(x)] += 1.0;
+            }
+            // Sum variant of Push-Sum: only the initiator carries weight, so
+            // value/weight converges to the global *sum* (Kempe et al. §2)
+            // rather than the average.
+            own[bins] = f64::from(u8::from(id == initiator));
+        }
+        let neighbours = Neighbours::build(net, &ids);
+        // This round's pushes: every peer's halved state, and where it went.
+        let mut sent = vec![0.0; state.len()];
+        let mut target: Vec<Option<usize>> = vec![None; ids.len()];
+        let payload = 8 * bins + 8;
+
+        for _ in 0..rounds {
+            // Synchronous round: everyone halves and pushes.
+            for (v, out) in state.iter_mut().zip(&mut sent) {
+                *v *= 0.5;
+                *out = *v;
+            }
+            for (i, to) in target.iter_mut().enumerate() {
+                // Random alive neighbor from the peer's routing state.
+                let nbrs = neighbours.of(i);
+                *to = None;
+                if nbrs.is_empty() {
+                    continue;
+                }
+                let t = nbrs[rng.gen_range(0..nbrs.len())];
+                net.stats_mut().record(MessageKind::Gossip, payload);
+                // Under a fault plan, a lost push loses its share of
+                // mass outright — Push-Sum's conservation breaks and
+                // the estimate drifts (no retries in plain Push-Sum).
+                if !net.message_lost(ids[i], ids[t]) {
+                    *to = Some(t);
+                }
+            }
+            // Deliveries land in sender (ring) order at every receiver.
+            for (out, to) in sent.chunks_exact(stride).zip(&target) {
+                let Some(t) = *to else { continue };
+                for (v, d) in state[t * stride..(t + 1) * stride].iter_mut().zip(out) {
+                    *v += d;
+                }
+            }
+        }
+        let at = ids.binary_search(&initiator).expect("initiator alive");
+        let own = &state[at * stride..(at + 1) * stride];
+        (Histogram::from_masses(lo, hi, own[..bins].to_vec()), own[bins])
+    }
+}
+
+/// Each peer's distinct alive overlay neighbours (successors and fingers),
+/// as sorted ring positions. Computed once per estimate: gossip does not
+/// change the overlay, so every round would rebuild the same lists.
+struct Neighbours {
+    /// Peer `i`'s neighbours are `list[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl Neighbours {
+    fn build(net: &Network, ids: &[RingId]) -> Self {
+        let mut start = Vec::with_capacity(ids.len() + 1);
+        let mut list = Vec::new();
+        let mut candidates = Vec::new();
+        for &id in ids {
+            let node = net.node(id).expect("alive");
+            candidates.clear();
+            candidates.extend(
+                node.successors.iter().copied().chain(node.fingers.present()).filter(|&n| n != id),
+            );
+            // Dedup: finger tables repeat nearby peers many times and would
+            // skew the push target distribution, slowing mixing. Deduping
+            // first leaves one position search per distinct neighbour;
+            // positions sort like ids, so draws index the same list.
+            candidates.sort_unstable();
+            candidates.dedup();
+            start.push(list.len());
+            list.extend(candidates.iter().filter_map(|n| ids.binary_search(n).ok()));
+        }
+        start.push(list.len());
+        Self { start, list }
+    }
+
+    fn of(&self, i: usize) -> &[usize] {
+        &self.list[self.start[i]..self.start[i + 1]]
+    }
 }
 
 impl DensityEstimator for GossipAggregation {
@@ -71,72 +174,8 @@ impl DensityEstimator for GossipAggregation {
             return Err(EstimateError::InitiatorDead);
         }
         let (lo, hi) = net.placement().domain();
-        let bins = self.config.bins;
-        let rounds = self.config.rounds;
-        let ((hist, weight), cost) = with_cost(net, |net| {
-            // Per-peer Push-Sum state.
-            let ids: Vec<RingId> = net.ids().collect();
-            let mut state: BTreeMap<RingId, (Histogram, f64)> = ids
-                .iter()
-                .map(|&id| {
-                    let node = net.node(id).expect("alive");
-                    let mut h = Histogram::new(lo, hi, bins);
-                    for &x in node.store.values() {
-                        h.add(x, 1.0);
-                    }
-                    // Sum variant of Push-Sum: only the initiator carries
-                    // weight, so value/weight converges to the global *sum*
-                    // (Kempe et al. §2) rather than the average.
-                    (id, (h, f64::from(u8::from(id == initiator))))
-                })
-                .collect();
-            let payload = 8 * bins + 8;
-
-            for _ in 0..rounds {
-                // Synchronous round: everyone halves and pushes.
-                let mut inbox: BTreeMap<RingId, Vec<(Histogram, f64)>> = BTreeMap::new();
-                for &id in &ids {
-                    let (h, w) = state.get_mut(&id).expect("state exists");
-                    h.scale(0.5);
-                    *w *= 0.5;
-                    let out = (h.clone(), *w);
-                    // Random alive neighbor from the peer's routing state.
-                    let node = net.node(id).expect("alive");
-                    let mut nbrs: Vec<RingId> = node
-                        .successors
-                        .iter()
-                        .copied()
-                        .chain(node.fingers.present())
-                        .filter(|&n| n != id && net.is_alive(n))
-                        .collect();
-                    // Dedup: finger tables repeat nearby peers many times and
-                    // would skew the push target distribution, slowing mixing.
-                    nbrs.sort();
-                    nbrs.dedup();
-                    if nbrs.is_empty() {
-                        continue;
-                    }
-                    let target = nbrs[rng.gen_range(0..nbrs.len())];
-                    net.stats_mut().record(MessageKind::Gossip, payload);
-                    // Under a fault plan, a lost push loses its share of
-                    // mass outright — Push-Sum's conservation breaks and
-                    // the estimate drifts (no retries in plain Push-Sum).
-                    if net.message_lost(id, target) {
-                        continue;
-                    }
-                    inbox.entry(target).or_default().push(out);
-                }
-                for (id, deliveries) in inbox {
-                    let (h, w) = state.get_mut(&id).expect("state exists");
-                    for (dh, dw) in deliveries {
-                        h.merge(&dh);
-                        *w += dw;
-                    }
-                }
-            }
-            let (h, w) = state.remove(&initiator).expect("initiator alive");
-            Ok((h, w))
-        })?;
+        let GossipConfig { rounds, bins } = self.config;
+        let ((hist, weight), cost) = with_cost(net, |net| Ok(self.push_sum(net, initiator, rng)))?;
 
         if weight <= 0.0 || hist.total() <= 0.0 {
             return Err(EstimateError::NoData);
@@ -168,7 +207,7 @@ impl DensityEstimator for GossipAggregation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dde_ring::Placement;
+    use dde_ring::{FaultPlan, Placement};
     use dde_stats::dist::DistributionKind;
     use dde_stats::rng::{Component, SeedSequence};
     use rand::SeedableRng;
@@ -185,6 +224,105 @@ mod tests {
         let data: Vec<f64> = (0..items).map(|_| dist.sample(&mut data_rng)).collect();
         net.bulk_load(&data);
         net
+    }
+
+    /// Push-Sum as it ran before the flat buffers: `BTreeMap` state, every
+    /// neighbour list rebuilt every round, cloned histograms collected in a
+    /// `BTreeMap` inbox. The reference [`GossipAggregation::push_sum`] must
+    /// match bin for bin.
+    fn push_sum_reference(
+        net: &mut Network,
+        initiator: RingId,
+        cfg: GossipConfig,
+        rng: &mut StdRng,
+    ) -> (Histogram, f64) {
+        use std::collections::BTreeMap;
+        let (lo, hi) = net.placement().domain();
+        let ids: Vec<RingId> = net.ids().collect();
+        let mut state: BTreeMap<RingId, (Histogram, f64)> = ids
+            .iter()
+            .map(|&id| {
+                let mut h = Histogram::new(lo, hi, cfg.bins);
+                for &x in net.node(id).unwrap().store.values() {
+                    h.add(x, 1.0);
+                }
+                (id, (h, f64::from(u8::from(id == initiator))))
+            })
+            .collect();
+        for _ in 0..cfg.rounds {
+            let mut inbox: BTreeMap<RingId, Vec<(Histogram, f64)>> = BTreeMap::new();
+            for &id in &ids {
+                let (h, w) = state.get_mut(&id).unwrap();
+                h.scale(0.5);
+                *w *= 0.5;
+                let out = (h.clone(), *w);
+                let node = net.node(id).unwrap();
+                let mut nbrs: Vec<RingId> = node
+                    .successors
+                    .iter()
+                    .copied()
+                    .chain(node.fingers.present())
+                    .filter(|&n| n != id && net.is_alive(n))
+                    .collect();
+                nbrs.sort();
+                nbrs.dedup();
+                if nbrs.is_empty() {
+                    continue;
+                }
+                let target = nbrs[rng.gen_range(0..nbrs.len())];
+                net.stats_mut().record(MessageKind::Gossip, 8 * cfg.bins + 8);
+                if net.message_lost(id, target) {
+                    continue;
+                }
+                inbox.entry(target).or_default().push(out);
+            }
+            for (id, deliveries) in inbox {
+                let (h, w) = state.get_mut(&id).unwrap();
+                for (dh, dw) in deliveries {
+                    h.merge(&dh);
+                    *w += dw;
+                }
+            }
+        }
+        state.remove(&initiator).unwrap()
+    }
+
+    #[test]
+    fn flat_push_sum_matches_btreemap_reference_under_loss_and_partition() {
+        // Past ~50 rounds the halved masses stop being exact dyadic sums, so
+        // the order deliveries are added in can show in the low bits.
+        let cfg = GossipConfig { rounds: 120, bins: 24 };
+        for seed in 0..4u64 {
+            let mut base = build_net(72, 5_000, &DistributionKind::Bimodal, 40 + seed);
+            // Silent crashes leave dead entries in routing state, so the
+            // alive filter matters.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..5 {
+                let victim = base.random_peer(&mut rng).unwrap();
+                base.fail(victim).unwrap();
+            }
+            let plan =
+                FaultPlan::new(seed).with_loss(0.15).with_partition(seed << 60, u64::MAX / 5);
+            base.set_fault_plan(plan);
+            let initiator = base.random_peer(&mut rng).unwrap();
+            let (mut flat_net, mut ref_net) = (base.fork(), base.fork());
+            let (mut flat_rng, mut ref_rng) = (rng.clone(), rng.clone());
+
+            let gossip = GossipAggregation::new(cfg);
+            let (hist, weight) = gossip.push_sum(&mut flat_net, initiator, &mut flat_rng);
+            let (ref_hist, ref_weight) =
+                push_sum_reference(&mut ref_net, initiator, cfg, &mut ref_rng);
+
+            let bits = |h: &Histogram| h.masses().iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&hist), bits(&ref_hist), "seed {seed}: bins differ");
+            assert!(hist.total() > 0.0, "seed {seed}: no mass reached the initiator");
+            assert_eq!(weight.to_bits(), ref_weight.to_bits(), "seed {seed}: weight differs");
+            assert_eq!(flat_net.stats(), ref_net.stats(), "seed {seed}: charges differ");
+            assert!(flat_net.stats().count(MessageKind::FaultDrop) > 0, "seed {seed}: no loss");
+            assert!(flat_net.stats().count(MessageKind::FaultPartition) > 0, "seed {seed}: no cut");
+            assert_eq!(flat_net.fault_plan(), ref_net.fault_plan(), "seed {seed}: fault draws");
+            assert_eq!(flat_rng.gen::<u64>(), ref_rng.gen::<u64>(), "seed {seed}: rng draws");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod random_walk;
 pub mod uniform_peer;
 
 use dde_ring::ProbeReply;
+use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
 
 /// How pooled replies are weighted.
@@ -42,51 +43,28 @@ pub(crate) fn pool_replies(
     support_cap: usize,
     weighting: PoolWeighting,
 ) -> Option<PiecewiseCdf> {
-    if replies.is_empty() {
-        return None;
-    }
-    let (lo, hi) = domain;
-    let mut support: Vec<f64> = replies
-        .iter()
-        .flat_map(|r| r.summary.boundaries().iter().copied())
-        .filter(|x| x.is_finite() && *x > lo && *x < hi)
-        .collect();
-    support.sort_by(f64::total_cmp);
-    support.dedup();
-    if support.len() > support_cap {
-        let step = support.len() as f64 / support_cap as f64;
-        support = (0..support_cap).map(|i| support[(i as f64 * step) as usize]).collect();
-        support.dedup();
-    }
-
-    let f_hat: Box<dyn Fn(f64) -> f64> = match weighting {
+    let points = match weighting {
         PoolWeighting::Equal => {
-            let nonempty: Vec<&ProbeReply> = replies.iter().filter(|r| r.count > 0).collect();
-            if nonempty.is_empty() {
+            // An empty peer's summary has no boundaries, so skipping it
+            // leaves the support as it was.
+            let nonempty = || replies.iter().filter(|r| r.count > 0);
+            let k = nonempty().count();
+            if k == 0 {
                 return None;
             }
-            let k = nonempty.len() as f64;
-            let nonempty: Vec<ProbeReply> = nonempty.into_iter().cloned().collect();
-            Box::new(move |x| {
-                nonempty.iter().map(|r| r.summary.count_le(x) / r.count as f64).sum::<f64>() / k
-            })
+            let k = k as f64;
+            let terms = nonempty().map(|r| (&r.summary, PoolTerm::Divided(r.count as f64)));
+            pooled_cdf_points(terms, domain, support_cap, |c| c / k)
         }
         PoolWeighting::CountWeighted => {
             let total: f64 = replies.iter().map(|r| r.count as f64).sum();
             if total <= 0.0 {
                 return None;
             }
-            let replies = replies.to_vec();
-            Box::new(move |x| replies.iter().map(|r| r.summary.count_le(x)).sum::<f64>() / total)
+            let terms = replies.iter().map(|r| (&r.summary, PoolTerm::Count));
+            pooled_cdf_points(terms, domain, support_cap, |c| c / total)
         }
     };
-
-    let mut points = Vec::with_capacity(support.len() + 2);
-    points.push((lo, 0.0));
-    for x in support {
-        points.push((x, f_hat(x)));
-    }
-    points.push((hi, 1.0));
     PiecewiseCdf::from_noisy_points(points)
 }
 

@@ -8,8 +8,8 @@
 //!
 //! Pooling then has the same choices (and the same equal-weight bias) as
 //! [`super::uniform_peer`]; what changes is the *cost*: every step is a
-//! message, so `k` samples cost `burn_in + k·gap` walk steps plus the reply
-//! traffic.
+//! degree query (a request and a reply), so `k` samples cost
+//! `burn_in + k·gap` such exchanges plus the reply traffic.
 
 use crate::baseline::{pool_replies, PoolWeighting};
 use crate::estimate::DensityEstimate;
@@ -17,6 +17,7 @@ use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationRep
 use dde_ring::{MessageKind, Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Configuration for [`RandomWalkSampling`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,33 +61,18 @@ impl RandomWalkSampling {
         &self.config
     }
 
-    /// Distinct alive neighbors of `id` in the overlay graph.
-    fn neighbors(net: &Network, id: RingId) -> Vec<RingId> {
-        let Some(node) = net.node(id) else { return Vec::new() };
-        let mut nbrs: Vec<RingId> = node
-            .successors
-            .iter()
-            .copied()
-            .chain(node.fingers.present())
-            .chain(node.predecessor)
-            .filter(|&n| n != id && net.is_alive(n))
-            .collect();
-        nbrs.sort();
-        nbrs.dedup();
-        nbrs
-    }
-
     /// One Metropolis–Hastings step; returns the (possibly unchanged)
-    /// position. Charges one walk-step message when the walk moves and one
-    /// probe-sized exchange for the degree query either way.
-    fn mh_step(net: &mut Network, cur: RingId, rng: &mut StdRng) -> RingId {
-        let nbrs = Self::neighbors(net, cur);
+    /// position. Every proposal costs a degree query at the proposed peer,
+    /// a request and a reply, whether or not the walk then moves; a lost
+    /// request charges the request alone and keeps the walk in place.
+    fn mh_step(net: &mut Network, view: &mut WalkView, cur: RingId, rng: &mut StdRng) -> RingId {
+        let nbrs = view.neighbours(net, cur);
         if nbrs.is_empty() {
             return cur;
         }
         let proposed = nbrs[rng.gen_range(0..nbrs.len())];
         let deg_cur = nbrs.len() as f64;
-        let deg_prop = Self::neighbors(net, proposed).len().max(1) as f64;
+        let deg_prop = view.neighbours(net, proposed).len().max(1) as f64;
         // Degree query at the proposed peer: one request + one reply. A
         // lost request stalls the walk for this step (the walker times out
         // in place — extra cost, slower mixing).
@@ -100,6 +86,88 @@ impl RandomWalkSampling {
         } else {
             cur
         }
+    }
+
+    /// The walk itself: `burn_in` steps, then `peers` samples `gap` steps
+    /// apart, each fetched from the initiator. `step` moves the walker.
+    fn walk(
+        &self,
+        net: &mut Network,
+        initiator: RingId,
+        rng: &mut StdRng,
+        mut step: impl FnMut(&mut Network, RingId, &mut StdRng) -> RingId,
+    ) -> Vec<ProbeReply> {
+        let cfg = self.config;
+        let mut cur = initiator;
+        for _ in 0..cfg.burn_in {
+            cur = step(net, cur, rng);
+        }
+        let mut replies: Vec<ProbeReply> = Vec::with_capacity(cfg.peers);
+        for _ in 0..cfg.peers {
+            // Sample the current position, then decorrelate. Under a fault
+            // plan the sampling exchange can lose its request or its reply
+            // — that sample is simply gone (the walk has no retry protocol).
+            net.stats_mut().record(MessageKind::Probe, 8);
+            if !net.message_lost(initiator, cur) {
+                let node = net.node(cur).expect("walk stays on alive peers");
+                let summary = node.store.summary(net.summary_buckets());
+                let reply = ProbeReply {
+                    peer: cur,
+                    predecessor: node.predecessor,
+                    count: node.store.len() as u64,
+                    sum: node.store.sum(),
+                    sum_sq: node.store.sum_sq(),
+                    summary,
+                    hops: 0,
+                };
+                net.stats_mut().record(MessageKind::ProbeReply, 24 + reply.summary.wire_size());
+                if !net.reply_lost(cur, initiator) {
+                    replies.push(reply);
+                }
+            }
+            for _ in 0..cfg.gap {
+                cur = step(net, cur, rng);
+            }
+        }
+        replies
+    }
+}
+
+/// The overlay as one walk sees it: each visited peer's distinct alive
+/// neighbours (successors, fingers, predecessor), computed on its first
+/// visit. A walk does not change the overlay, so a peer's list — and its
+/// degree — stays valid for the rest of the estimate.
+#[derive(Debug, Default)]
+struct WalkView {
+    /// Visited peer → its range of `list`.
+    spans: BTreeMap<RingId, (usize, usize)>,
+    list: Vec<RingId>,
+    candidates: Vec<RingId>,
+}
+
+impl WalkView {
+    fn neighbours(&mut self, net: &Network, id: RingId) -> &[RingId] {
+        let (list, candidates) = (&mut self.list, &mut self.candidates);
+        let &mut (start, end) = self.spans.entry(id).or_insert_with(|| {
+            candidates.clear();
+            if let Some(node) = net.node(id) {
+                candidates.extend(
+                    node.successors
+                        .iter()
+                        .copied()
+                        .chain(node.fingers.present())
+                        .chain(node.predecessor)
+                        .filter(|&n| n != id),
+                );
+            }
+            // Dedup before the liveness check: fingers repeat nearby peers.
+            candidates.sort_unstable();
+            candidates.dedup();
+            let start = list.len();
+            list.extend(candidates.iter().copied().filter(|&n| net.is_alive(n)));
+            (start, list.len())
+        });
+        &self.list[start..end]
     }
 }
 
@@ -122,40 +190,10 @@ impl DensityEstimator for RandomWalkSampling {
         }
         let domain = net.placement().domain();
         let cfg = self.config;
+        let mut view = WalkView::default();
         let (replies, cost) = with_cost(net, |net| {
-            let mut cur = initiator;
-            for _ in 0..cfg.burn_in {
-                cur = Self::mh_step(net, cur, rng);
-            }
-            let mut replies: Vec<ProbeReply> = Vec::with_capacity(cfg.peers);
-            for _ in 0..cfg.peers {
-                // Sample the current position, then decorrelate. Under a
-                // fault plan the sampling exchange can lose its request or
-                // its reply — that sample is simply gone (the walk has no
-                // retry protocol).
-                net.stats_mut().record(MessageKind::Probe, 8);
-                if !net.message_lost(initiator, cur) {
-                    let node = net.node(cur).expect("walk stays on alive peers");
-                    let summary = node.store.summary(net.summary_buckets());
-                    let reply = ProbeReply {
-                        peer: cur,
-                        predecessor: node.predecessor,
-                        count: node.store.len() as u64,
-                        sum: node.store.sum(),
-                        sum_sq: node.store.sum_sq(),
-                        summary,
-                        hops: 0,
-                    };
-                    net.stats_mut().record(MessageKind::ProbeReply, 24 + reply.summary.wire_size());
-                    if !net.reply_lost(cur, initiator) {
-                        replies.push(reply);
-                    }
-                }
-                for _ in 0..cfg.gap {
-                    cur = Self::mh_step(net, cur, rng);
-                }
-            }
-            Ok(replies)
+            Ok(self
+                .walk(net, initiator, rng, |net, cur, rng| Self::mh_step(net, &mut view, cur, rng)))
         })?;
 
         let contacted = replies.len();
@@ -175,7 +213,7 @@ impl DensityEstimator for RandomWalkSampling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dde_ring::Placement;
+    use dde_ring::{FaultPlan, Placement};
     use dde_stats::dist::DistributionKind;
     use dde_stats::rng::{Component, SeedSequence};
     use rand::SeedableRng;
@@ -200,9 +238,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let initiator = net.random_peer(&mut rng).unwrap();
         let mut cur = initiator;
+        let mut view = WalkView::default();
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..500 {
-            cur = RandomWalkSampling::mh_step(&mut net, cur, &mut rng);
+            cur = RandomWalkSampling::mh_step(&mut net, &mut view, cur, &mut rng);
             seen.insert(cur);
         }
         assert!(seen.len() > 60, "walk only reached {} peers", seen.len());
@@ -216,13 +255,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let initiator = net.random_peer(&mut rng).unwrap();
         let mut cur = initiator;
+        let mut view = WalkView::default();
         for _ in 0..100 {
-            cur = RandomWalkSampling::mh_step(&mut net, cur, &mut rng);
+            cur = RandomWalkSampling::mh_step(&mut net, &mut view, cur, &mut rng);
         }
         let mut visits: std::collections::BTreeMap<RingId, u32> = Default::default();
         let total = 6_000;
         for _ in 0..total {
-            cur = RandomWalkSampling::mh_step(&mut net, cur, &mut rng);
+            cur = RandomWalkSampling::mh_step(&mut net, &mut view, cur, &mut rng);
             *visits.entry(cur).or_insert(0) += 1;
         }
         let expected = total as f64 / 32.0;
@@ -247,6 +287,85 @@ mod tests {
         // Walk steps dominate the cost: burn_in + k·gap exchanges, 2 msgs each.
         let steps = (cfg.burn_in + cfg.peers * cfg.gap) as u64;
         assert_eq!(est.cost.count(MessageKind::WalkStep), 2 * steps);
+    }
+
+    /// The reference neighbour list, rebuilt on every call.
+    fn neighbours_rebuilt(net: &Network, id: RingId) -> Vec<RingId> {
+        let Some(node) = net.node(id) else { return Vec::new() };
+        let mut nbrs: Vec<RingId> = node
+            .successors
+            .iter()
+            .copied()
+            .chain(node.fingers.present())
+            .chain(node.predecessor)
+            .filter(|&n| n != id && net.is_alive(n))
+            .collect();
+        nbrs.sort();
+        nbrs.dedup();
+        nbrs
+    }
+
+    /// [`RandomWalkSampling::mh_step`] with both neighbour lists rebuilt
+    /// every step: the reference the memoized step must match.
+    fn mh_step_rebuilt(net: &mut Network, cur: RingId, rng: &mut StdRng) -> RingId {
+        let nbrs = neighbours_rebuilt(net, cur);
+        if nbrs.is_empty() {
+            return cur;
+        }
+        let proposed = nbrs[rng.gen_range(0..nbrs.len())];
+        let deg_cur = nbrs.len() as f64;
+        let deg_prop = neighbours_rebuilt(net, proposed).len().max(1) as f64;
+        net.stats_mut().record(MessageKind::WalkStep, 8);
+        if net.message_lost(cur, proposed) {
+            return cur;
+        }
+        net.stats_mut().record(MessageKind::WalkStep, 8);
+        if rng.gen::<f64>() < (deg_cur / deg_prop).min(1.0) {
+            proposed
+        } else {
+            cur
+        }
+    }
+
+    #[test]
+    fn memoized_walk_matches_per_step_rebuilds_under_loss() {
+        let cfg = RandomWalkConfig { peers: 40, burn_in: 16, gap: 5, ..Default::default() };
+        let walker = RandomWalkSampling::new(cfg);
+        for seed in 0..6u64 {
+            let mut base = build_net(80, 4_000, &DistributionKind::Bimodal, 30 + seed);
+            // Silent crashes leave dead entries in routing state, so the
+            // alive filter matters; loss and reply loss make steps stall.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..6 {
+                let victim = base.random_peer(&mut rng).unwrap();
+                base.fail(victim).unwrap();
+            }
+            base.set_fault_plan(FaultPlan::new(seed).with_loss(0.2).with_reply_loss(0.1));
+            let initiator = base.random_peer(&mut rng).unwrap();
+            let (mut memo_net, mut ref_net) = (base.fork(), base.fork());
+            let (mut memo_rng, mut ref_rng) = (rng.clone(), rng.clone());
+
+            let mut view = WalkView::default();
+            let (mut memo_path, mut ref_path) = (Vec::new(), Vec::new());
+            let memo = walker.walk(&mut memo_net, initiator, &mut memo_rng, |net, cur, rng| {
+                let next = RandomWalkSampling::mh_step(net, &mut view, cur, rng);
+                memo_path.push(next);
+                next
+            });
+            let reference = walker.walk(&mut ref_net, initiator, &mut ref_rng, |net, cur, rng| {
+                let next = mh_step_rebuilt(net, cur, rng);
+                ref_path.push(next);
+                next
+            });
+
+            assert_eq!(memo_path, ref_path, "seed {seed}: trajectories differ");
+            assert!(memo_path.iter().any(|&p| p != initiator), "seed {seed}: walk never moved");
+            assert_eq!(memo, reference, "seed {seed}: replies differ");
+            assert_eq!(memo_net.stats(), ref_net.stats(), "seed {seed}: charges differ");
+            assert!(memo_net.stats().count(MessageKind::FaultDrop) > 0, "seed {seed}: no loss");
+            assert_eq!(memo_net.fault_plan(), ref_net.fault_plan(), "seed {seed}: fault draws");
+            assert_eq!(memo_rng.gen::<u64>(), ref_rng.gen::<u64>(), "seed {seed}: rng draws");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
 use dde_ring::{MessageKind, Network, RingId};
+use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
 use rand::rngs::StdRng;
 
@@ -77,29 +78,11 @@ impl DensityEstimator for ExactAggregation {
                 return Err(EstimateError::NoData);
             }
 
-            // Support: union of all boundaries, thinned to the cap.
-            let mut support: Vec<f64> = summaries
-                .iter()
-                .flat_map(|(_, s)| s.boundaries().iter().copied())
-                .filter(|x| x.is_finite() && *x > lo && *x < hi)
-                .collect();
-            support.sort_by(f64::total_cmp);
-            support.dedup();
-            if support.len() > self.support_cap {
-                let step = support.len() as f64 / self.support_cap as f64;
-                support =
-                    (0..self.support_cap).map(|i| support[(i as f64 * step) as usize]).collect();
-                support.dedup();
-            }
-
-            // Exact cumulative counts: C(x) = Σᵢ cᵢ(x).
-            let mut points: Vec<(f64, f64)> = Vec::with_capacity(support.len() + 2);
-            points.push((lo, 0.0));
-            for x in support {
-                let c: f64 = summaries.iter().map(|(_, s)| s.count_le(x)).sum();
-                points.push((x, c / n_total as f64));
-            }
-            points.push((hi, 1.0));
+            // Exact cumulative counts: C(x) = Σᵢ cᵢ(x), at the union of all
+            // boundaries thinned to the cap.
+            let terms = summaries.iter().map(|(_, s)| (s, PoolTerm::Count));
+            let points =
+                pooled_cdf_points(terms, (lo, hi), self.support_cap, |c| c / n_total as f64);
             Ok((points, n_total, visited))
         })?;
 

@@ -25,6 +25,7 @@
 //! the difference.
 
 use dde_ring::ProbeReply;
+use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
 
 /// Whether probe replies are reweighted by inclusion probability.
@@ -65,21 +66,20 @@ impl CdfSkeleton {
         support_cap: usize,
         weighting: Weighting,
     ) -> Option<CdfSkeleton> {
-        let (lo, hi) = domain;
-        debug_assert!(lo < hi);
+        debug_assert!(domain.0 < domain.1);
         // Usable replies: inclusion probability must be known.
-        let usable: Vec<(&ProbeReply, f64)> = replies
-            .iter()
-            .filter_map(|r| {
+        let usable = || {
+            replies.iter().filter_map(|r| {
                 let pred = r.predecessor?;
                 let s = r.peer.arc_fraction_from(pred);
                 (s > 0.0).then_some((r, s))
             })
-            .collect();
-        if usable.len() < 2 {
+        };
+        let probes_used = usable().count();
+        if probes_used < 2 {
             return None;
         }
-        let k = usable.len() as f64;
+        let k = probes_used as f64;
 
         let weight = |s: f64| match weighting {
             Weighting::HorvitzThompson => 1.0 / s,
@@ -87,42 +87,23 @@ impl CdfSkeleton {
         };
 
         // N̂ and its standard error.
-        let draws: Vec<f64> = usable.iter().map(|(r, s)| r.count as f64 * weight(*s)).collect();
-        let n_hat = draws.iter().sum::<f64>() / k;
+        let draw = |(r, s): (&ProbeReply, f64)| r.count as f64 * weight(s);
+        let n_hat = usable().map(draw).sum::<f64>() / k;
         if n_hat <= 0.0 {
             return None;
         }
-        let var = draws.iter().map(|d| (d - n_hat).powi(2)).sum::<f64>() / (k - 1.0).max(1.0);
+        let var = usable().map(|u| (draw(u) - n_hat).powi(2)).sum::<f64>() / (k - 1.0).max(1.0);
         let n_stderr = (var / k).sqrt();
 
-        // Support: the union of all summary boundaries, thinned to the cap.
-        let mut support: Vec<f64> = usable
-            .iter()
-            .flat_map(|(r, _)| r.summary.boundaries().iter().copied())
-            .filter(|x| x.is_finite() && *x > lo && *x < hi)
-            .collect();
-        // total_cmp: panic-free and a total order even for non-finite input,
-        // so the support order is deterministic with no filter coupling.
-        support.sort_by(f64::total_cmp);
-        support.dedup();
-        if support.len() > support_cap {
-            let step = support.len() as f64 / support_cap as f64;
-            support = (0..support_cap).map(|i| support[(i as f64 * step) as usize]).collect();
-            support.dedup();
-        }
-
         // Ĉ(x) at each support point, then F̂ = Ĉ/N̂.
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(support.len() + 2);
-        points.push((lo, 0.0));
-        for x in support {
-            let c_hat: f64 =
-                usable.iter().map(|(r, s)| r.summary.count_le(x) * weight(*s)).sum::<f64>() / k;
-            points.push((x, c_hat / n_hat));
-        }
-        points.push((hi, 1.0));
-
+        let points = pooled_cdf_points(
+            usable().map(|(r, s)| (&r.summary, PoolTerm::Scaled(weight(s)))),
+            domain,
+            support_cap,
+            |c| c / k / n_hat,
+        );
         let cdf = PiecewiseCdf::from_noisy_points(points)?;
-        Some(CdfSkeleton { cdf, n_hat, n_stderr, probes_used: usable.len() })
+        Some(CdfSkeleton { cdf, n_hat, n_stderr, probes_used })
     }
 }
 

@@ -11,7 +11,12 @@
 //! membership windows and delta-journaled truth (f12b), the adversarial
 //! axis pack whose fault plans and crowds ride in the scenario itself
 //! (f13), and the open-loop serving engine whose cells each drive thousands
-//! of foreground ops (f14).
+//! of foreground ops (f14). Each experiment's serial render is also checked
+//! against its golden fixture (`tests/golden/`, shared with
+//! `golden_experiments.rs`), so these eight pin their bytes without a third
+//! run.
+
+mod support;
 
 use dde_core::{DfDde, DfDdeConfig};
 use dde_sim::exec;
@@ -31,7 +36,9 @@ fn render(tables: &[Table]) -> (String, String) {
 fn quick_suite_is_byte_identical_across_jobs() {
     for id in ["f1", "f3", "f5", "f11", "f12", "f12b", "f13", "f14"] {
         exec::set_jobs(1);
-        let serial = render(&run_by_id(id, Scale::Quick).expect("known id"));
+        let tables = run_by_id(id, Scale::Quick).expect("known id");
+        support::check_tables(id, &tables);
+        let serial = render(&tables);
 
         exec::set_jobs(4);
         let parallel = render(&run_by_id(id, Scale::Quick).expect("known id"));

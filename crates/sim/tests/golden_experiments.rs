@@ -6,40 +6,20 @@
 //! the RNG derivation, or the renderer shows up as a fixture diff that has
 //! to be blessed deliberately:
 //!
-//! `GOLDEN_UPDATE=1 cargo test -p dde-sim --test golden_experiments`
+//! `GOLDEN_UPDATE=1 cargo test -p dde-sim --test golden_experiments --test determinism`
 //!
-//! f1/f3/f5/f5b/f11/f12/f13 are excluded: they are covered by their own
-//! behavioural tests and dominate quick-suite runtime.
+//! Every quick experiment is pinned. The eight `determinism.rs` runs across
+//! worker counts (f1, f3, f5, f11, f12, f12b, f13, f14) check their serial
+//! render against these fixtures there, so this binary runs only the rest
+//! and each experiment runs once per `cargo test`.
+
+mod support;
 
 use dde_sim::experiments::{run_by_id, Scale};
-use std::path::PathBuf;
-
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
-
-fn check(name: &str, rendered: &str) {
-    let path = fixture(name);
-    if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {name} ({e}); run with GOLDEN_UPDATE=1"));
-    assert_eq!(
-        rendered, expected,
-        "{name} drifted from its fixture; if intentional, regenerate with GOLDEN_UPDATE=1"
-    );
-}
 
 fn check_experiment(id: &str) {
     let tables = run_by_id(id, Scale::Quick).expect("known experiment id");
-    assert!(!tables.is_empty(), "{id} produced no tables");
-    for (i, table) in tables.iter().enumerate() {
-        check(&format!("{id}_{i}.txt"), &table.to_text());
-        check(&format!("{id}_{i}.csv"), &table.to_csv());
-    }
+    support::check_tables(id, &tables);
 }
 
 macro_rules! golden {
@@ -53,6 +33,7 @@ macro_rules! golden {
 
 golden!(f2_network_size, "f2");
 golden!(f4_cost_accuracy, "f4");
+golden!(f5b_continuous_refresh, "f5b");
 golden!(f6_granularity, "f6");
 golden!(f7_dataset_size, "f7");
 golden!(f8_routing, "f8");

@@ -202,6 +202,180 @@ impl EquiDepthSummary {
     }
 }
 
+/// How one summary's `count_le(x)` enters a pooled sum (see
+/// [`pooled_cdf_points`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PoolTerm {
+    /// `count_le(x)` itself (count-weighted and exact pooling).
+    Count,
+    /// `count_le(x) * w` (a Horvitz–Thompson weight; 1 when unweighted).
+    Scaled(f64),
+    /// `count_le(x) / n` (equal weighting: the summary's own CDF times `n`'s
+    /// share).
+    Divided(f64),
+}
+
+impl PoolTerm {
+    /// The term of a summary whose `count_le(x)` is `c`.
+    fn apply(self, c: f64) -> f64 {
+        match self {
+            PoolTerm::Count => c,
+            PoolTerm::Scaled(w) => c * w,
+            PoolTerm::Divided(n) => c / n,
+        }
+    }
+}
+
+/// One summary of a pool, flattened into the pool's knot column
+/// (`(boundary, items below it)` pairs).
+struct Part {
+    /// First boundary: `count_le` is 0 below it (`+∞` when empty).
+    lo: f64,
+    /// Last boundary: `count_le` is the total from it on (`-∞` when empty).
+    hi: f64,
+    /// The term at or above `hi`.
+    full: f64,
+    /// The least `lo` of this and every later part: all of them are 0 below.
+    floor: f64,
+    term: PoolTerm,
+    /// `count_le`'s `partition_point`: the first knot above the last `x`
+    /// this part was evaluated at inside its range (only ever advances).
+    cursor: usize,
+    /// One past this part's last knot.
+    end: usize,
+}
+
+impl Part {
+    /// `count_le(x)` for `lo <= x < hi`, by the same arithmetic as
+    /// [`EquiDepthSummary::count_le`].
+    fn count_inside(&mut self, x: f64, knots: &[(f64, u64)]) -> f64 {
+        while self.cursor + 1 < self.end && knots[self.cursor].0 <= x {
+            self.cursor += 1;
+        }
+        let (blo, below) = knots[self.cursor - 1];
+        let (bhi, next) = knots[self.cursor];
+        let width = bhi - blo;
+        let frac = if width > 0.0 { (x - blo) / width } else { 1.0 };
+        below as f64 + frac * (next - below) as f64
+    }
+}
+
+/// Pools summaries into the points of one global CDF: `(lo, 0)`, then
+/// `(x, finish(Σⱼ termⱼ(sⱼ.count_le(x))))` at every support point `x`,
+/// then `(hi, 1)`. The support is the union of the summaries' finite
+/// boundaries strictly inside `domain = (lo, hi)`, sorted, deduplicated and
+/// uniformly thinned to `support_cap` points.
+///
+/// Every sum is bit-identical to the left fold
+/// `summaries.map(|(s, t)| t(s.count_le(x))).sum::<f64>()`, but costs
+/// what its nonzero terms cost rather than `O(k·b)` per point:
+///
+/// * each summary keeps a bucket cursor that only advances as `x` grows, in
+///   place of `count_le`'s search and prefix sum;
+/// * a summary below its first boundary contributes `+0.0`, which leaves a
+///   non-negative sum unchanged, so it is skipped — and once every later
+///   summary is below its own first boundary (a suffix minimum), the fold
+///   stops;
+/// * summaries at or past their last boundary contribute a constant, so the
+///   fold over the leading run of them is kept and extended, not redone.
+///
+/// The order of the nonzero terms, and each term's own `×w`, `÷n` or
+/// identity, are unchanged. Term factors must be positive and finite, so
+/// that a zero count makes a `+0.0` term.
+///
+/// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
+pub fn pooled_cdf_points<'a, I>(
+    summaries: I,
+    domain: (f64, f64),
+    support_cap: usize,
+    finish: impl Fn(f64) -> f64,
+) -> Vec<(f64, f64)>
+where
+    I: IntoIterator<Item = (&'a EquiDepthSummary, PoolTerm)>,
+    I::IntoIter: Clone,
+{
+    let (lo, hi) = domain;
+    let summaries = summaries.into_iter();
+    let (n, n_knots) =
+        summaries.clone().fold((0, 0), |(n, k), (s, _)| (n + 1, k + s.boundaries.len()));
+    let mut parts: Vec<Part> = Vec::with_capacity(n);
+    let mut knots: Vec<(f64, u64)> = Vec::with_capacity(n_knots);
+    for (s, term) in summaries {
+        debug_assert!(match term {
+            PoolTerm::Count => true,
+            PoolTerm::Scaled(f) | PoolTerm::Divided(f) => f > 0.0 && f.is_finite(),
+        });
+        let start = knots.len();
+        let mut below = 0;
+        if let Some(&first) = s.boundaries.first() {
+            knots.push((first, 0));
+            for (&b, &c) in s.boundaries[1..].iter().zip(&s.counts) {
+                below += c;
+                knots.push((b, below));
+            }
+        }
+        let (first, last) = s.bounds().unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+        parts.push(Part {
+            lo: first,
+            hi: last,
+            full: term.apply(below as f64),
+            floor: first,
+            term,
+            cursor: start + 1,
+            end: knots.len(),
+        });
+    }
+    let mut floor = f64::INFINITY;
+    for part in parts.iter_mut().rev() {
+        floor = floor.min(part.lo);
+        part.floor = floor;
+    }
+
+    let mut support = Vec::with_capacity(knots.len());
+    support.extend(knots.iter().map(|k| k.0).filter(|x| x.is_finite() && *x > lo && *x < hi));
+    // total_cmp ties are bit-identical, so an unstable sort is as
+    // deterministic as a stable one, without the stable sort's buffer.
+    support.sort_unstable_by(f64::total_cmp);
+    support.dedup();
+    if support.len() > support_cap {
+        let step = support.len() as f64 / support_cap as f64;
+        // In place: the source index `⌊i·step⌋ ≥ i` is never overwritten yet.
+        for i in 0..support_cap {
+            support[i] = support[(i as f64 * step) as usize];
+        }
+        support.truncate(support_cap);
+        support.dedup();
+    }
+
+    let mut points = Vec::with_capacity(support.len() + 2);
+    points.push((lo, 0.0));
+    let (mut full_run, mut full_sum, mut live) = (0, 0.0, 0);
+    for &x in &support {
+        while full_run < n && parts[full_run].hi <= x {
+            full_sum += parts[full_run].full;
+            full_run += 1;
+        }
+        while live < n && parts[live].floor <= x {
+            live += 1;
+        }
+        let mut sum = full_sum;
+        for part in parts.iter_mut().take(live).skip(full_run) {
+            if x < part.lo {
+                continue;
+            }
+            sum += if x >= part.hi {
+                part.full
+            } else {
+                let c = part.count_inside(x, &knots);
+                part.term.apply(c)
+            };
+        }
+        points.push((x, finish(sum)));
+    }
+    points.push((hi, 1.0));
+    points
+}
+
 impl CdfFn for EquiDepthSummary {
     fn cdf(&self, x: f64) -> f64 {
         let t = self.total();

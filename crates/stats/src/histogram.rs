@@ -30,6 +30,19 @@ impl Histogram {
         Self { lo, hi, bins: vec![0.0; bins] }
     }
 
+    /// Wraps existing bin masses over `[lo, hi]` — state an aggregation
+    /// protocol kept in a flat buffer of its own.
+    ///
+    /// # Panics
+    /// Panics if `masses` is empty or `lo >= hi`.
+    ///
+    /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
+    pub fn from_masses(lo: f64, hi: f64, masses: Vec<f64>) -> Self {
+        assert!(!masses.is_empty(), "histogram needs at least one bin");
+        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad interval [{lo}, {hi}]");
+        Self { lo, hi, bins: masses }
+    }
+
     /// Builds a histogram of `samples` with unit weight each.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
