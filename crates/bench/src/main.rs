@@ -35,25 +35,6 @@ use dde_sim::experiments::{run_by_id, Scale, ALL_IDS};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// With `--features perf-counters` every heap allocation is counted, so the
-/// per-experiment stderr lines report real allocation numbers. Off by
-/// default: the counter costs two writes per allocation.
-#[cfg(feature = "perf-counters")]
-#[global_allocator]
-static ALLOC: dde_stats::alloc::CountingAlloc = dde_stats::alloc::CountingAlloc;
-
-/// The ", N allocs" suffix for stderr timing lines (empty without the
-/// `perf-counters` feature, where the count would always read 0).
-#[cfg(feature = "perf-counters")]
-fn alloc_note(allocs: u64) -> String {
-    format!(", {allocs} allocs")
-}
-
-#[cfg(not(feature = "perf-counters"))]
-fn alloc_note(_allocs: u64) -> String {
-    String::new()
-}
-
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("dst") {
@@ -116,7 +97,6 @@ fn main() {
     let mut total_cells = 0u64;
     let mut total_cpu = Duration::ZERO;
     let mut total_build = Duration::ZERO;
-    let mut total_allocs = 0u64;
     let _ = exec::take_stats(); // start the counters from zero
 
     for id in &ids {
@@ -131,14 +111,12 @@ fn main() {
         total_cells += stats.cells;
         total_cpu += stats.cpu;
         total_build += stats.build;
-        total_allocs += stats.allocs;
         eprintln!(
-            "[{id}] {} cells in {:.2}s wall, {:.2}s cell time ({:.2}s build{}) (jobs={jobs})",
+            "[{id}] {} cells in {:.2}s wall, {:.2}s cell time ({:.2}s build) (jobs={jobs})",
             stats.cells,
             wall.as_secs_f64(),
             stats.cpu.as_secs_f64(),
             stats.build.as_secs_f64(),
-            alloc_note(stats.allocs),
         );
         for (i, table) in tables.iter().enumerate() {
             println!("{}", table.to_text());
@@ -152,13 +130,12 @@ fn main() {
         }
     }
     eprintln!(
-        "suite: {} experiments, {} cells, {:.2}s wall, {:.2}s cell time ({:.2}s build{}), jobs={jobs}",
+        "suite: {} experiments, {} cells, {:.2}s wall, {:.2}s cell time ({:.2}s build), jobs={jobs}",
         ids.len(),
         total_cells,
         suite_start.elapsed().as_secs_f64(),
         total_cpu.as_secs_f64(),
         total_build.as_secs_f64(),
-        alloc_note(total_allocs),
     );
 }
 

@@ -102,13 +102,7 @@ impl AggregateEstimator {
         let (replies, cost) = with_cost(net, |net| prober.run_probes(net, initiator, rng))?;
         let agg = estimate_aggregates(&replies, self.config.weighting)
             .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })?;
-        let skeleton = CdfSkeleton::from_probes(
-            &replies,
-            domain,
-            self.config.support_cap,
-            self.config.weighting,
-        )
-        .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })?;
+        let skeleton = prober.build_skeleton(&replies, domain)?;
         Ok(AggregateReport {
             count: agg.0,
             sum: agg.1,

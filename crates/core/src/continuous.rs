@@ -10,10 +10,9 @@ use crate::dfdde::{DfDde, DfDdeConfig};
 use crate::estimate::DensityEstimate;
 use crate::estimator::EstimateError;
 use crate::retry::RetryPolicy;
-use crate::skeleton::{CdfSkeleton, Weighting};
+use crate::skeleton::Weighting;
 use dde_ring::{Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
-use std::collections::VecDeque;
 
 /// Configuration for [`ContinuousEstimator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,8 @@ impl Default for ContinuousConfig {
 #[derive(Debug, Clone)]
 pub struct ContinuousEstimator {
     config: ContinuousConfig,
-    window: VecDeque<ProbeReply>,
+    /// Probe replies, oldest first.
+    window: Vec<ProbeReply>,
 }
 
 impl ContinuousEstimator {
@@ -56,7 +56,7 @@ impl ContinuousEstimator {
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
     pub fn new(config: ContinuousConfig) -> Self {
-        Self { config, window: VecDeque::with_capacity(config.window) }
+        Self { config, window: Vec::with_capacity(config.window) }
     }
 
     /// Probes currently held.
@@ -77,18 +77,7 @@ impl ContinuousEstimator {
         rng: &mut StdRng,
     ) -> Result<(), EstimateError> {
         let missing = self.config.window.saturating_sub(self.window.len());
-        if missing == 0 {
-            return Ok(());
-        }
-        let prober = DfDde::new(DfDdeConfig {
-            probes: missing,
-            retry: self.config.retry,
-            ..DfDdeConfig::default()
-        });
-        for r in prober.run_probes(net, initiator, rng)? {
-            self.window.push_back(r);
-        }
-        Ok(())
+        self.refresh(net, initiator, rng, missing)
     }
 
     /// Issues `refresh_per_tick` fresh probes (charged to the network) and
@@ -101,19 +90,7 @@ impl ContinuousEstimator {
         initiator: RingId,
         rng: &mut StdRng,
     ) -> Result<(), EstimateError> {
-        let prober = DfDde::new(DfDdeConfig {
-            probes: self.config.refresh_per_tick,
-            retry: self.config.retry,
-            ..DfDdeConfig::default()
-        });
-        let fresh = prober.run_probes(net, initiator, rng)?;
-        for r in fresh {
-            self.window.push_back(r);
-        }
-        while self.window.len() > self.config.window {
-            self.window.pop_front();
-        }
-        Ok(())
+        self.refresh(net, initiator, rng, self.config.refresh_per_tick)
     }
 
     /// The current estimate, rebuilt from the probe window (stale probes —
@@ -122,15 +99,36 @@ impl ContinuousEstimator {
     ///
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
     pub fn current_estimate(&self, domain: (f64, f64)) -> Result<DensityEstimate, EstimateError> {
-        let replies: Vec<ProbeReply> = self.window.iter().cloned().collect();
-        let skeleton = CdfSkeleton::from_probes(
-            &replies,
-            domain,
-            self.config.support_cap,
-            self.config.weighting,
-        )
-        .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })?;
+        let skeleton = self.prober(0).build_skeleton(&self.window, domain)?;
         Ok(DensityEstimate::from_cdf(skeleton.cdf))
+    }
+
+    /// Runs `probes` fresh stratified probes into the window, then evicts
+    /// the oldest replies beyond its capacity.
+    fn refresh(
+        &mut self,
+        net: &mut Network,
+        initiator: RingId,
+        rng: &mut StdRng,
+        probes: usize,
+    ) -> Result<(), EstimateError> {
+        self.window.extend(self.prober(probes).run_probes(net, initiator, rng)?);
+        let excess = self.window.len().saturating_sub(self.config.window);
+        self.window.drain(..excess);
+        Ok(())
+    }
+
+    /// A DF-DDE round of `probes` probes with this estimator's retry policy,
+    /// support cap and weighting (the skeleton build reads only the last
+    /// two).
+    fn prober(&self, probes: usize) -> DfDde {
+        DfDde::new(DfDdeConfig {
+            probes,
+            retry: self.config.retry,
+            support_cap: self.config.support_cap,
+            weighting: self.config.weighting,
+            ..DfDdeConfig::default()
+        })
     }
 }
 

@@ -12,7 +12,7 @@ use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
 use crate::retry::RetryPolicy;
 use crate::skeleton::{CdfSkeleton, Weighting};
-use dde_ring::{Network, ProbeReply, RingId};
+use dde_ring::{LookupError, Network, ProbeReply, RingId};
 use dde_stats::CdfFn as _;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -120,46 +120,59 @@ impl DfDde {
         rng: &mut StdRng,
     ) -> Result<Vec<ProbeReply>, EstimateError> {
         let k = self.config.probes;
-        let retry = self.config.retry;
         let mut replies = Vec::with_capacity(k);
-        // Stratum width for systematic probing (k strata tile the ring).
-        let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
         for j in 0..k {
-            for attempt in 0..retry.max_attempts.max(1) {
-                // Every attempt draws a fresh random position (the old one
-                // may sit behind a lossy link or a sick peer), but retries
-                // stay *inside the probe's stratum* under the stratified
-                // strategy — re-issuing globally uniform would quietly
-                // un-stratify the design and inflate variance under loss.
-                let point = match self.config.strategy {
-                    ProbeStrategy::IidUniform => RingId(rng.gen()),
-                    ProbeStrategy::Stratified => {
-                        let offset = rng.gen::<u64>() as u128 % stratum;
-                        RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                    }
-                };
-                match net.probe(initiator, point) {
-                    Ok(reply) => {
-                        replies.push(reply);
-                        break;
-                    }
-                    Err(dde_ring::LookupError::InitiatorDead) => {
-                        return Err(EstimateError::InitiatorDead)
-                    }
-                    Err(_) => {
-                        // Waiting time (timeout + backoff) is the retry
-                        // policy's side of the cost model; the network
-                        // already charged the messages.
-                        net.stats_mut().record_delay(retry.failed_attempt_cost(attempt));
-                    }
-                }
-            }
+            replies.extend(self.probe_stratum(net, initiator, j, k, None, rng)?);
         }
         Ok(replies)
     }
 
-    /// Builds the skeleton from replies (None-safe wrapper used by both this
-    /// estimator and the continuous one).
+    /// A fresh probe position for stratum `j` of `k`: uniform within
+    /// `[j/k, (j+1)/k)` of the ring under [`ProbeStrategy::Stratified`],
+    /// anywhere under [`ProbeStrategy::IidUniform`]. Draws one `u64`.
+    pub(crate) fn stratum_point(&self, j: usize, k: usize, rng: &mut StdRng) -> RingId {
+        match self.config.strategy {
+            ProbeStrategy::IidUniform => RingId(rng.gen()),
+            ProbeStrategy::Stratified => {
+                let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
+                let offset = u128::from(rng.gen::<u64>()) % stratum;
+                RingId((j as u128 * stratum + offset) as u64)
+            }
+        }
+    }
+
+    /// The one Phase-1 probe/retry loop, for stratum `j` of `k`. Attempt 0
+    /// probes `first` when the caller pre-drew it ([`crate::ProbePlan`]);
+    /// every other attempt draws a fresh point (the old one may sit behind a
+    /// lossy link or a sick peer) *inside the stratum* — re-issuing globally
+    /// uniform would quietly un-stratify the design and inflate variance
+    /// under loss. `Ok(None)`: the attempts ran out.
+    pub(crate) fn probe_stratum(
+        &self,
+        net: &mut Network,
+        initiator: RingId,
+        j: usize,
+        k: usize,
+        first: Option<RingId>,
+        rng: &mut StdRng,
+    ) -> Result<Option<ProbeReply>, EstimateError> {
+        let retry = self.config.retry;
+        for attempt in 0..retry.max_attempts.max(1) {
+            let point =
+                first.filter(|_| attempt == 0).unwrap_or_else(|| self.stratum_point(j, k, rng));
+            match net.probe(initiator, point) {
+                Ok(reply) => return Ok(Some(reply)),
+                Err(LookupError::InitiatorDead) => return Err(EstimateError::InitiatorDead),
+                // Waiting time (timeout + backoff) is the retry policy's side
+                // of the cost model; the network already charged the messages.
+                Err(_) => net.stats_mut().record_delay(retry.failed_attempt_cost(attempt)),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Builds the skeleton from replies (None-safe wrapper used by every
+    /// Phase-1 caller: this estimator, the continuous and aggregate ones).
     ///
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
     pub fn build_skeleton(

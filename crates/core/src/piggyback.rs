@@ -19,11 +19,10 @@
 //! one within the DKW band on identical snapshots — is asserted by
 //! `crates/sim/tests/piggyback_equivalence.rs`.
 
-use crate::dfdde::{DfDde, ProbeStrategy};
+use crate::dfdde::DfDde;
 use crate::estimator::EstimateError;
 use dde_ring::{Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A planned set of Phase-1 probe points whose replies may be satisfied by
 /// piggybacking on foreground lookups before dedicated probes are issued.
@@ -44,18 +43,8 @@ impl ProbePlan {
     /// Determinism: draws randomness only from the caller-supplied RNG
     /// stream; identical inputs and RNG state produce identical output.
     pub fn plan(estimator: &DfDde, rng: &mut StdRng) -> Self {
-        let cfg = estimator.config();
-        let k = cfg.probes;
-        let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
-        let points: Vec<RingId> = (0..k)
-            .map(|j| match cfg.strategy {
-                ProbeStrategy::IidUniform => RingId(rng.gen()),
-                ProbeStrategy::Stratified => {
-                    let offset = u128::from(rng.gen::<u64>()) % stratum;
-                    RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                }
-            })
-            .collect();
+        let k = estimator.config().probes;
+        let points: Vec<RingId> = (0..k).map(|j| estimator.stratum_point(j, k, rng)).collect();
         Self { replies: vec![None; points.len()], points, piggybacked: 0 }
     }
 
@@ -107,12 +96,12 @@ impl ProbePlan {
         self.points.is_empty()
     }
 
-    /// Issues dedicated probes for every still-uncovered point (first
-    /// attempt at the planned point, retries redrawn within the stratum,
-    /// waiting time charged through the retry policy — the same accounting
-    /// as [`DfDde::run_probes`]) and returns all replies in stratum order.
-    /// A probe whose attempts run out is skipped; the skeleton degrades
-    /// gracefully.
+    /// Issues dedicated probes for every still-uncovered point through the
+    /// same per-stratum loop as [`DfDde::run_probes`] (first attempt at the
+    /// planned point, retries redrawn within the stratum, waiting time
+    /// charged through the retry policy) and returns all replies in stratum
+    /// order. A probe whose attempts run out is skipped; the skeleton
+    /// degrades gracefully.
     ///
     /// Determinism: randomness comes only from the caller-supplied RNG
     /// stream (retry redraws), in fixed stratum order — identical inputs,
@@ -124,38 +113,10 @@ impl ProbePlan {
         initiator: RingId,
         rng: &mut StdRng,
     ) -> Result<Vec<ProbeReply>, EstimateError> {
-        let cfg = estimator.config();
-        let retry = cfg.retry;
-        let k = self.points.len().max(1);
-        let stratum = (u128::from(u64::MAX) + 1) / k as u128;
-        for (j, slot) in self.replies.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            for attempt in 0..retry.max_attempts.max(1) {
-                let point = if attempt == 0 {
-                    self.points[j]
-                } else {
-                    match cfg.strategy {
-                        ProbeStrategy::IidUniform => RingId(rng.gen()),
-                        ProbeStrategy::Stratified => {
-                            let offset = u128::from(rng.gen::<u64>()) % stratum;
-                            RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                        }
-                    }
-                };
-                match net.probe(initiator, point) {
-                    Ok(reply) => {
-                        *slot = Some(reply);
-                        break;
-                    }
-                    Err(dde_ring::LookupError::InitiatorDead) => {
-                        return Err(EstimateError::InitiatorDead)
-                    }
-                    Err(_) => {
-                        net.stats_mut().record_delay(retry.failed_attempt_cost(attempt));
-                    }
-                }
+        let k = self.points.len();
+        for (j, (slot, &point)) in self.replies.iter_mut().zip(&self.points).enumerate() {
+            if slot.is_none() {
+                *slot = estimator.probe_stratum(net, initiator, j, k, Some(point), rng)?;
             }
         }
         Ok(self.replies.into_iter().flatten().collect())
@@ -167,7 +128,7 @@ mod tests {
     use super::*;
     use crate::dfdde::DfDdeConfig;
     use dde_ring::{MessageKind, Placement};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_net(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);

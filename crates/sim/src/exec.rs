@@ -33,23 +33,15 @@ static CELL_NANOS: AtomicU64 = AtomicU64::new(0);
 /// split; see [`note_build`]).
 static BUILD_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Portion of [`CELL_NANOS`] spent mutating memberships/data inside churn
-/// phases (see [`note_churn`]; the remainder after build + churn is
-/// estimation time — the three-way split the F12b progress lines report).
-static CHURN_NANOS: AtomicU64 = AtomicU64::new(0);
-
 /// Heap allocations made inside cells since the last [`take_stats`] call
-/// (stays 0 unless the binary registered [`dde_stats::alloc::CountingAlloc`],
-/// which the `expts` binary does under its `perf-counters` feature).
+/// (stays 0 unless the binary installed [`dde_stats::alloc::CountingAlloc`]
+/// as its global allocator, as the `ringbench` harness does).
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Build nanoseconds accrued on this thread (monotone; cells measure a
     /// before/after delta around themselves).
     static TL_BUILD: Cell<u64> = const { Cell::new(0) };
-    /// Churn nanoseconds accrued on this thread (same protocol as
-    /// [`TL_BUILD`]).
-    static TL_CHURN: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Credits `d` to the current thread's scenario-build time. Called by
@@ -60,13 +52,6 @@ pub fn note_build(d: Duration) {
     // throughout: a u64 nanosecond counter caps out at ~584 years, so pegging
     // at the max beats wrapping to a nonsense small number on week-long runs.
     let _ = TL_BUILD.try_with(|c| c.set(c.get().saturating_add(nanos_u64(d))));
-}
-
-/// Credits `d` to the current thread's churn time (membership mutation +
-/// item turnover). Called by the churn-phase experiments; the surrounding
-/// cell attributes the delta to its build/churn/estimate split.
-pub fn note_churn(d: Duration) {
-    let _ = TL_CHURN.try_with(|c| c.set(c.get().saturating_add(nanos_u64(d))));
 }
 
 /// A `Duration` as saturating u64 nanoseconds (`as_nanos` returns u128; the
@@ -102,9 +87,6 @@ pub struct ExecStats {
     /// Portion of `cpu` spent building scenarios (snapshot-cache misses are
     /// expensive, hits nearly free — this is the number the cache shrinks).
     pub build: Duration,
-    /// Portion of `cpu` spent in churn phases (membership mutation + item
-    /// turnover; see [`note_churn`]).
-    pub churn: Duration,
     /// Heap allocations made inside cells (0 without the counting allocator).
     pub allocs: u64,
 }
@@ -115,7 +97,6 @@ pub fn take_stats() -> ExecStats {
         cells: CELLS_DONE.swap(0, Ordering::Relaxed),
         cpu: Duration::from_nanos(CELL_NANOS.swap(0, Ordering::Relaxed)),
         build: Duration::from_nanos(BUILD_NANOS.swap(0, Ordering::Relaxed)),
-        churn: Duration::from_nanos(CHURN_NANOS.swap(0, Ordering::Relaxed)),
         allocs: ALLOC_COUNT.swap(0, Ordering::Relaxed),
     }
 }
@@ -129,8 +110,6 @@ pub struct CellResult<T> {
     pub elapsed: Duration,
     /// Portion of `elapsed` spent in scenario builds (see [`note_build`]).
     pub build: Duration,
-    /// Portion of `elapsed` spent in churn phases (see [`note_churn`]).
-    pub churn: Duration,
     /// Heap allocations the cell made (0 without the counting allocator).
     pub allocs: u64,
 }
@@ -223,16 +202,14 @@ impl<'a, T: Send> ExecPlan<'a, T> {
 /// build-time share, and its allocation count, then books the counters.
 fn execute<T>(cell: CellFn<'_, T>) -> CellResult<T> {
     let build0 = TL_BUILD.with(Cell::get);
-    let churn0 = TL_CHURN.with(Cell::get);
     let allocs0 = dde_stats::alloc::thread_allocations();
     // ddelint::allow(wallclock, "timing-only: elapsed feeds CellResult.elapsed and the stderr progress line, never an experiment value — this site-level review also stops D8 taint here")
     let start = Instant::now();
     let value = cell();
     let elapsed = start.elapsed();
     let build = Duration::from_nanos(TL_BUILD.with(Cell::get).saturating_sub(build0));
-    let churn = Duration::from_nanos(TL_CHURN.with(Cell::get).saturating_sub(churn0));
     let allocs = dde_stats::alloc::thread_allocations().saturating_sub(allocs0);
-    finish(CellResult { value, elapsed, build, churn, allocs })
+    finish(CellResult { value, elapsed, build, allocs })
 }
 
 /// Books a completed cell into the global counters.
@@ -240,7 +217,6 @@ fn finish<T>(result: CellResult<T>) -> CellResult<T> {
     CELLS_DONE.fetch_add(1, Ordering::Relaxed);
     CELL_NANOS.fetch_add(nanos_u64(result.elapsed), Ordering::Relaxed);
     BUILD_NANOS.fetch_add(nanos_u64(result.build), Ordering::Relaxed);
-    CHURN_NANOS.fetch_add(nanos_u64(result.churn), Ordering::Relaxed);
     ALLOC_COUNT.fetch_add(result.allocs, Ordering::Relaxed);
     result
 }
@@ -337,20 +313,6 @@ mod tests {
         // The global split sees it too (lower bound only: parallel tests).
         let stats = take_stats();
         assert!(stats.build >= Duration::from_millis(7), "build = {:?}", stats.build);
-    }
-
-    #[test]
-    fn churn_time_is_attributed_to_the_cell() {
-        let mut plan = ExecPlan::new();
-        plan.push(|| {
-            note_churn(Duration::from_millis(3));
-            note_churn(Duration::from_millis(4));
-            1u8
-        });
-        let out = plan.run_with(1);
-        assert!(out[0].churn >= Duration::from_millis(7), "churn = {:?}", out[0].churn);
-        let stats = take_stats();
-        assert!(stats.churn >= Duration::from_millis(7), "churn = {:?}", stats.churn);
     }
 
     #[test]

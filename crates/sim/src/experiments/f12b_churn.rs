@@ -28,7 +28,7 @@
 use super::f12_scale::{scale_scenario, ITEMS_PER_PEER, PROBES};
 use super::Scale;
 use crate::build::{BuiltScenario, DataTruth};
-use crate::exec::{note_churn, ExecPlan};
+use crate::exec::ExecPlan;
 use crate::report::{f, Table};
 use crate::runner::aggregate;
 use crate::scenario::Scenario;
@@ -37,7 +37,6 @@ use dde_ring::{ChurnBatch, Network, RepairStats, RingId};
 use dde_stats::rng::{Component, SeedSequence};
 use dde_stats::Ecdf;
 use rand::Rng;
-use std::time::Instant;
 
 /// The sweep's seed: distinct from F12 so the two columns never share a
 /// snapshot (a churned network must not be mistaken for a pristine one —
@@ -200,10 +199,7 @@ pub fn f12b_churn(scale: Scale) -> Vec<Table> {
             let s = &scenario;
             plan.push(move || {
                 let mut built = crate::build::build(s);
-                // ddelint::allow(wallclock, "timing-only: feeds the note_churn phase split and the stderr progress line, never an experiment value")
-                let t0 = Instant::now();
                 let phase = churn_phase(&mut built);
-                note_churn(t0.elapsed());
                 let est = DfDde::new(DfDdeConfig::with_probes(PROBES));
                 let agg = aggregate(&mut built, &est, REPEATS);
                 (agg, phase)
@@ -212,13 +208,11 @@ pub fn f12b_churn(scale: Scale) -> Vec<Table> {
         let results = plan.run();
         let r = &results[0];
         let (agg, phase) = &r.value;
-        let estimate = r.elapsed.saturating_sub(r.build).saturating_sub(r.churn);
         eprintln!(
-            "[f12b] P = {p}: build {:.2}s churn {:.2}s estimate {:.2}s ({} events, {} \
-             finger writes, {} items turned)",
+            "[f12b] P = {p}: build {:.2}s, churn + estimate {:.2}s ({} events, {} finger \
+             writes, {} items turned)",
             r.build.as_secs_f64(),
-            r.churn.as_secs_f64(),
-            estimate.as_secs_f64(),
+            r.elapsed.saturating_sub(r.build).as_secs_f64(),
             phase.events,
             phase.repair.finger_writes,
             phase.items_turned,

@@ -82,33 +82,6 @@ impl Scale {
     }
 }
 
-/// Runs every experiment at the given scale, in index order.
-pub fn run_all(scale: Scale) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(t1_default_parameters(scale));
-    tables.extend(f1_accuracy_vs_probes(scale));
-    tables.extend(f2_accuracy_vs_network_size(scale));
-    tables.extend(f3_distribution_free(scale));
-    tables.extend(f4_cost_accuracy_frontier(scale));
-    tables.extend(f5_accuracy_under_churn(scale));
-    tables.extend(f5b_continuous_refresh(scale));
-    tables.extend(f6_summary_granularity(scale));
-    tables.extend(f7_dataset_size(scale));
-    tables.extend(f8_routing_hops(scale));
-    tables.extend(f9_sample_quality(scale));
-    tables.extend(f10_replication(scale));
-    tables.extend(f11_faults(scale));
-    tables.extend(f12_scale(scale));
-    tables.extend(f12b_churn(scale));
-    tables.extend(f13_adversarial(scale));
-    tables.extend(f14_throughput(scale));
-    tables.extend(t2_messages_to_target_accuracy(scale));
-    tables.extend(t3_bias_ablation(scale));
-    tables.extend(t4_probe_strategy(scale));
-    tables.extend(t5_aggregates(scale));
-    tables
-}
-
 /// Runs one experiment by id (`"f1"`, `"t3"`, …); `None` for unknown ids.
 pub fn run_by_id(id: &str, scale: Scale) -> Option<Vec<Table>> {
     Some(match id.to_ascii_lowercase().as_str() {

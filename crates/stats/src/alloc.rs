@@ -1,5 +1,5 @@
 //! A counting global allocator for allocation-regression tests and the
-//! `perf-counters` instrumentation in the benchmark harness.
+//! allocation counts of the `ringbench` harness.
 //!
 //! [`CountingAlloc`] delegates every operation to the [`System`] allocator
 //! and additionally bumps two counters per *allocation* (deallocations are

@@ -21,7 +21,6 @@
 //! * [`kde`] — Gaussian kernel density estimation;
 //! * [`metrics`] — distribution distance metrics (Kolmogorov–Smirnov, L1/L2,
 //!   1-D Wasserstein, χ²);
-//! * [`reservoir`] — reservoir sampling;
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
 //! * [`assert`] — DKW-derived confidence-band assertions for estimator
@@ -41,7 +40,6 @@ pub mod inversion;
 pub mod kde;
 pub mod metrics;
 pub mod piecewise;
-pub mod reservoir;
 pub mod rng;
 pub mod streaming;
 
