@@ -16,7 +16,9 @@
 //!
 //!   --bug takes an optional drill name: `skip-successor-on-heal` (default,
 //!   the crash-heal membership race) or `drop-capacity-fifo-guard` (the
-//!   capacity axis's per-link FIFO clamp dropped).
+//!   capacity axis's per-link FIFO clamp dropped); `InjectedBug::NAMES`
+//!   lists them. --peers and --items must lie within `dst::check_size`'s
+//!   caps.
 //!
 //!   Deterministic simulation testing (see TESTING.md). The fuzz form runs N
 //!   seeded schedules against the invariant oracle; on failure it shrinks to
@@ -171,25 +173,16 @@ fn dst_main(raw: Vec<String>) {
                 // The drill name is optional (bare --bug keeps the original
                 // membership drill); only consume the next token when it
                 // names a bug rather than starting the next flag.
-                let named = args.peek().filter(|a| !a.starts_with("--")).cloned();
-                cfg.bug = Some(match named.as_deref() {
-                    None => InjectedBug::SkipSuccessorOnHeal,
-                    Some("skip-successor-on-heal") => {
-                        args.next();
-                        InjectedBug::SkipSuccessorOnHeal
-                    }
-                    Some("drop-capacity-fifo-guard") => {
-                        args.next();
-                        InjectedBug::DropCapacityFifoGuard
-                    }
-                    Some(other) => {
-                        eprintln!(
-                            "unknown bug '{other}' (known: skip-successor-on-heal, \
-                             drop-capacity-fifo-guard)"
-                        );
-                        std::process::exit(2);
-                    }
-                });
+                let Some(named) = args.next_if(|a| !a.starts_with("--")) else {
+                    cfg.bug = Some(InjectedBug::SkipSuccessorOnHeal);
+                    continue;
+                };
+                let Some(&(bug, ..)) = InjectedBug::NAMES.iter().find(|(.., n)| *n == named) else {
+                    let known: Vec<&str> = InjectedBug::NAMES.iter().map(|(.., n)| *n).collect();
+                    eprintln!("unknown bug '{named}' (known: {})", known.join(", "));
+                    std::process::exit(2);
+                };
+                cfg.bug = Some(bug);
             }
             "--replay" => {
                 let Some(file) = args.next() else {
@@ -256,6 +249,10 @@ fn dst_main(raw: Vec<String>) {
         return;
     }
 
+    if let Err(e) = dst::check_size(cfg.peers, cfg.items) {
+        eprintln!("bad dst size: {e}");
+        std::process::exit(2);
+    }
     // ddelint::allow(wallclock, "timing-only: fuzz wall-clock goes to the stderr summary; schedules derive from the seed alone")
     let start = Instant::now();
     eprintln!(

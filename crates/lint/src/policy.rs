@@ -53,9 +53,9 @@ pub const D7_FILES: &[&str] = &[
 /// Modules that must stay sans-IO (rule D10): the estimator/probe/routing
 /// policy layer in `crates/core`. These files may *interrogate* the network
 /// and bill message stats, but direct topology/data mutation belongs to the
-/// drivers (`sim`, the CLI, and eventually the `dde-node` binary of ROADMAP
-/// item 1) — keeping the policy layer a pure `(incoming message, state) →
-/// outgoing messages` state machine that the node split can lift verbatim.
+/// drivers (`sim` and the CLI) — keeping the policy layer a pure
+/// `(incoming message, state) → outgoing messages` state machine, the shape
+/// a sans-IO probe round (ROADMAP item 3) needs.
 pub fn d10_file(path: &str) -> bool {
     path.starts_with("crates/core/src/")
 }
@@ -96,14 +96,11 @@ pub const NETWORK_READ_WHITELIST: &[&str] = &[
 /// How one requirement of an exhaustive protocol enum is expressed in code
 /// (rule D9). All searches are confined to the named fn's (or const's) byte
 /// span in the code mask, so comments and unrelated code cannot satisfy
-/// them; `QuotedIn` searches the raw source because repro parsers match on
-/// string literals, which the mask blanks.
+/// them.
 #[derive(Debug, Clone, Copy)]
 pub enum Requirement {
     /// `Enum::Variant` must appear in the body of fn `func` in `file`.
     ArmIn { file: &'static str, func: &'static str, what: &'static str },
-    /// `"Variant"` (quoted) must appear in the body of fn `func` in `file`.
-    QuotedIn { file: &'static str, func: &'static str, what: &'static str },
     /// `Enum::Variant` must appear in the initializer of `const_name` in `file`.
     ListedIn { file: &'static str, const_name: &'static str, what: &'static str },
     /// `Enum::Variant` must appear as the first argument of a call to one of
@@ -115,10 +112,9 @@ impl Requirement {
     /// Names the missing wiring in a D9 report.
     pub fn describe(self) -> &'static str {
         match self {
-            Self::ArmIn { what, .. }
-            | Self::QuotedIn { what, .. }
-            | Self::ListedIn { what, .. }
-            | Self::Billed { what, .. } => what,
+            Self::ArmIn { what, .. } | Self::ListedIn { what, .. } | Self::Billed { what, .. } => {
+                what
+            }
         }
     }
 }
@@ -136,54 +132,31 @@ pub struct ExhaustiveEnum {
 
 /// The protocol enums rule D9 polices. Adding a variant to one of these
 /// without wiring every listed site fails `cargo test` at the declaration.
-pub const EXHAUSTIVE_ENUMS: &[ExhaustiveEnum] = &[
-    ExhaustiveEnum {
-        file: "crates/ring/src/messages.rs",
-        enum_name: "MessageKind",
-        requirements: &[
-            Requirement::ArmIn {
-                file: "crates/ring/src/messages.rs",
-                func: "index",
-                what: "a dense-index arm in `MessageKind::index`",
-            },
-            Requirement::ListedIn {
-                file: "crates/ring/src/messages.rs",
-                const_name: "ALL",
-                what: "an entry in `MessageKind::ALL` (breakdown/registry order)",
-            },
-            Requirement::Billed {
-                fns: &["record", "observe_timeout"],
-                what: "a `MessageStats` billing call (`record`/`observe_timeout`) at a use site",
-            },
-        ],
-    },
-    ExhaustiveEnum {
-        file: "crates/sim/src/dst.rs",
-        enum_name: "DstEvent",
-        requirements: &[
-            Requirement::ArmIn {
-                file: "crates/sim/src/dst.rs",
-                func: "apply",
-                what: "a handler arm in `World::apply` (applies the event under the oracle)",
-            },
-            Requirement::ArmIn {
-                file: "crates/sim/src/dst.rs",
-                func: "random_event",
-                what: "a generator arm in `random_event` (fuzz coverage)",
-            },
-            Requirement::ArmIn {
-                file: "crates/sim/src/dst.rs",
-                func: "fmt",
-                what: "a `Display` arm (repro rendering)",
-            },
-            Requirement::QuotedIn {
-                file: "crates/sim/src/dst.rs",
-                func: "parse_event",
-                what: "a quoted arm in `parse_event` (repro round-trip)",
-            },
-        ],
-    },
-];
+///
+/// `sim::dst::DstEvent` is not listed: each of its variants is one row of
+/// the `dst_events!` table, which derives the enum, its repro line, its
+/// generator and its parser, and its one hand-written site, `World::apply`,
+/// is a wildcard-free `match` that rustc holds exhaustive.
+pub const EXHAUSTIVE_ENUMS: &[ExhaustiveEnum] = &[ExhaustiveEnum {
+    file: "crates/ring/src/messages.rs",
+    enum_name: "MessageKind",
+    requirements: &[
+        Requirement::ArmIn {
+            file: "crates/ring/src/messages.rs",
+            func: "index",
+            what: "a dense-index arm in `MessageKind::index`",
+        },
+        Requirement::ListedIn {
+            file: "crates/ring/src/messages.rs",
+            const_name: "ALL",
+            what: "an entry in `MessageKind::ALL` (breakdown/registry order)",
+        },
+        Requirement::Billed {
+            fns: &["record", "observe_timeout"],
+            what: "a `MessageStats` billing call (`record`/`observe_timeout`) at a use site",
+        },
+    ],
+}];
 
 /// Whether the walker should descend into / lint this path at all.
 ///

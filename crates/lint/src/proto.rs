@@ -4,14 +4,14 @@
 //! **D9.** The policy declares, per protocol enum ([`policy::EXHAUSTIVE_ENUMS`]),
 //! the places every variant must appear: a handler arm in a named fn, a
 //! listing in a registry const, a `MessageStats` billing call somewhere
-//! outside the defining file, a quoted repro-parser arm. Adding a variant
-//! without wiring all of them fails `cargo test` at the variant's
-//! declaration line. The checks are textual-within-structure: each
-//! requirement searches the code mask *inside the byte span* of the named
-//! fn (found by the item parser), so a mention in a comment or an unrelated
-//! fn can never satisfy it. Repro parsers match on string literals, which
-//! the mask blanks — `QuotedIn` is the one requirement that searches the
-//! raw source, still confined to the fn's span.
+//! outside the defining file. Adding a variant without wiring all of them
+//! fails `cargo test` at the variant's declaration line. The checks are
+//! textual-within-structure: each requirement searches the code mask
+//! *inside the byte span* of the named fn (found by the item parser), so a
+//! mention in a comment or an unrelated fn can never satisfy it. An entry
+//! whose defining file is present but shows the parser no variants (the
+//! enum is gone, empty, or declared inside a macro) would pass while
+//! checking nothing, so it is itself a violation, reported at the file.
 //!
 //! **D10.** Estimator/probe/routing-policy modules ([`policy::D10_FILES`])
 //! must stay sans-IO: they may interrogate the [`Network`] and bill stats,
@@ -19,8 +19,8 @@
 //! `net.join(...)`) is left to the simulation layer. Method calls on a `net` /
 //! `network` receiver (and `Network::` paths) outside
 //! [`policy::NETWORK_READ_WHITELIST`] are violations — the static
-//! pre-enforcement of ROADMAP item 1's `(incoming message, state) →
-//! outgoing messages` discipline.
+//! pre-enforcement of a `(incoming message, state) → outgoing messages`
+//! discipline.
 
 use crate::check::{snippet_at, FileCheck, Violation};
 use crate::policy::{self, Requirement};
@@ -132,6 +132,10 @@ pub fn check_d9(files: &mut [FileCheck]) {
             .filter(|e| e.name == spec.enum_name)
             .flat_map(|e| e.variants.iter().map(|v| (v.name.clone(), v.at)))
             .collect();
+        if variants.is_empty() {
+            report_vacuous(&mut files[def_idx], spec.enum_name);
+            continue;
+        }
         for (variant, at) in variants {
             let mut missing: Vec<String> = Vec::new();
             for req in spec.requirements {
@@ -141,12 +145,6 @@ pub fn check_d9(files: &mut [FileCheck]) {
                             fn_bodies(f, func)
                                 .iter()
                                 .any(|&(a, b)| has_qualified_variant(&f.lexed.mask[a..b], &variant))
-                        })
-                    }
-                    Requirement::QuotedIn { file, func, .. } => {
-                        let quoted = format!("\"{variant}\"");
-                        files.iter().filter(|f| f.path == *file).any(|f| {
-                            fn_bodies(f, func).iter().any(|&(a, b)| f.src[a..b].contains(&quoted))
                         })
                     }
                     Requirement::ListedIn { file, const_name, .. } => {
@@ -199,6 +197,26 @@ pub fn check_d9(files: &mut [FileCheck]) {
             files[def_idx].push(Violation { path, line, col, rule: RuleId::D9, message, snippet });
         }
     }
+}
+
+/// Reports a D9 entry that checks nothing: its defining file is present,
+/// but the parser sees no variants of `enum_name` there. Points at the
+/// enum's name when the file still declares it, else at the file's start.
+fn report_vacuous(file: &mut FileCheck, enum_name: &str) {
+    let mask = &file.lexed.mask;
+    let at = ident_hits(mask, enum_name)
+        .into_iter()
+        .find(|&at| mask[..at].trim_end().ends_with("enum"))
+        .unwrap_or(0);
+    let (line, col) = file.lexed.pos(at);
+    let message = format!(
+        "policy entry for `{enum_name}` checks nothing: the parser sees no `{enum_name}` \
+         variants in this file (enum missing, empty, or declared inside a macro) — \
+         declare them here or drop the entry"
+    );
+    let snippet = snippet_at(&file.src, &file.lexed, at);
+    let path = file.path.clone();
+    file.push(Violation { path, line, col, rule: RuleId::D9, message, snippet });
 }
 
 /// Runs the D10 pass, appending violations to each offending file.

@@ -38,8 +38,8 @@ pub enum RuleId {
     /// calls deep.
     D8,
     /// Message exhaustiveness: every variant of a policed protocol enum
-    /// (`MessageKind`, `DstEvent`) must be wired everywhere the policy says
-    /// — handler arm, registry listing, stats billing, repro parser.
+    /// (`MessageKind`) must be wired everywhere the policy says — handler
+    /// arm, registry listing, stats billing.
     D9,
     /// Sans-IO boundary: estimator/probe/routing-policy modules may not
     /// directly mutate the `Network` outside the read/probe/billing
@@ -122,7 +122,7 @@ impl RuleId {
             Self::D6 => "pub fn in an estimator module lacking a determinism-contract doc comment",
             Self::D7 => "successor-list/sorted-store clone on a ring hot path (snapshot or Arc-share instead)",
             Self::D8 => "fn transitively reaches ambient entropy/wall-clock without threading a seed parameter",
-            Self::D9 => "protocol enum variant missing a handler arm, registry entry, billing call, or parser arm",
+            Self::D9 => "protocol enum variant missing a handler arm, registry entry, or billing call",
             Self::D10 => "direct Network mutation in a sans-IO module (outside the read/probe/billing whitelist)",
             Self::A0 => "malformed ddelint::allow (unknown rule or missing/empty reason)",
             Self::A1 => "ddelint::allow that suppressed no violation",

@@ -131,6 +131,29 @@ fn d9_allow_on_the_variant_line_escapes() {
 }
 
 #[test]
+fn d9_refuses_an_entry_whose_enum_shows_no_variants() {
+    // Declared inside a macro: the parser reads `enum MessageKind` with zero
+    // variants, so the entry would check nothing. Reported at the enum name.
+    let v = check_corpus(&[
+        ("crates/ring/src/messages.rs", "d9_vacuous.rs"),
+        ("crates/ring/src/network.rs", "d9_billing.rs"),
+    ]);
+    assert_eq!(rules_of(&v), vec![RuleId::D9], "{v:?}");
+    assert_eq!(v[0].path, "crates/ring/src/messages.rs");
+    assert!(v[0].message.contains("`MessageKind` checks nothing"), "{}", v[0].message);
+    let src = fixture("d9_vacuous.rs");
+    let line_text = src.lines().nth(v[0].line - 1).expect("line exists");
+    assert!(line_text.contains("enum MessageKind"), "{line_text}");
+
+    // The defining file is present but declares no such enum at all:
+    // reported at the file's start.
+    let v = check_corpus(&[("crates/ring/src/messages.rs", "d9_billing.rs")]);
+    assert_eq!(rules_of(&v), vec![RuleId::D9], "{v:?}");
+    assert_eq!((v[0].line, v[0].col), (1, 1), "{v:?}");
+    assert!(v[0].message.contains("checks nothing"), "{}", v[0].message);
+}
+
+#[test]
 fn d10_flags_method_and_path_mutations_with_position() {
     let v = check_corpus(&[("crates/core/src/fixture.rs", "d10_violation.rs")]);
     assert_eq!(rules_of(&v), vec![RuleId::D10, RuleId::D10], "{v:?}");

@@ -13,7 +13,9 @@
 //!   never a shared RNG — so removing events during shrinking cannot
 //!   perturb how the remaining ones apply. Membership changes through the
 //!   two paths the ring has: the protocol's one-at-a-time joins, leaves and
-//!   crashes, and `ChurnWindow`'s batched [`dde_ring::ChurnBatch`].
+//!   crashes, and `ChurnWindow`'s batched [`dde_ring::ChurnBatch`]. Each
+//!   event is declared once, in the `dst_events!` table below, which
+//!   derives the enum, its repro line, its generator draws and its parser.
 //! * **Invariant oracle** — after *every* event the always-true local
 //!   invariants ([`dde_ring::Network::check_local_invariants`]), message-stat
 //!   monotonicity, item conservation, and probe/estimate monotonicity are
@@ -36,10 +38,12 @@ use crate::build::build;
 use crate::exec::ExecPlan;
 use crate::scenario::Scenario;
 use dde_core::{ContinuousConfig, ContinuousEstimator, DfDde, DfDdeConfig, ProbePlan};
-use dde_ring::{BatchRouter, ChurnBatch, FaultPlan, Network, RingId};
+use dde_ring::{BatchRouter, ChurnBatch, FaultPlan, Network, ProbeReply, RingId};
 use dde_stats::rng::{splitmix64, Component, SeedSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Stabilization rounds a `Heal` event may spend reaching quiescence before
 /// the oracle calls non-convergence itself a violation.
@@ -48,207 +52,235 @@ pub const MAX_HEAL_ROUNDS: usize = 64;
 /// Churn events never shrink the network below this many peers.
 const MIN_PEERS: usize = 5;
 
-/// One fuzzed event. All parameters are concrete: peer choices are encoded
-/// as *ranks* reduced modulo the alive-peer count at application time, so an
-/// event stays applicable (and deterministic) no matter which other events a
-/// shrinking pass removed around it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DstEvent {
-    /// A new peer joins through a bootstrap peer.
-    Join {
-        /// Raw entropy for the joiner's ring id.
-        id_entropy: u64,
-        /// Rank (mod alive count) of the bootstrap peer.
-        bootstrap_rank: u64,
-    },
-    /// A peer leaves gracefully, handing its data to its heir.
-    Leave {
-        /// Rank (mod alive count) of the departing peer.
-        victim_rank: u64,
-    },
-    /// A peer crash-fails: data lost, nobody told.
-    Crash {
-        /// Rank (mod alive count) of the crashing peer.
-        victim_rank: u64,
-    },
-    /// The network settles: faults clear and stabilization runs until a
-    /// round makes zero corrections (bounded by [`MAX_HEAL_ROUNDS`]).
-    Heal,
-    /// A peer inserts one value through the overlay.
-    Insert {
-        /// Rank (mod alive count) of the inserting peer.
-        initiator_rank: u64,
-        /// Raw entropy mapped to a value inside the data domain.
-        value_entropy: u64,
-    },
-    /// A peer probes the owner of a ring point (the estimator's primitive).
-    Probe {
-        /// Rank (mod alive count) of the probing peer.
-        initiator_rank: u64,
-        /// The probed ring point.
-        point: u64,
-    },
-    /// The resident continuous estimator refreshes part of its probe window.
-    EstimateRefresh {
-        /// Rank (mod alive count) of the estimating peer.
-        initiator_rank: u64,
-        /// Seed for the refresh's probe positions.
-        entropy: u64,
-    },
-    /// A fault plan (loss/reply-loss/sick windows) switches on for the next
-    /// `duration` events (or until a `Heal`).
-    FaultWindow {
-        /// Seed for the plan's per-link streams.
-        entropy: u64,
-        /// Request loss probability in per-mille.
-        loss_pm: u16,
-        /// Reply loss probability in per-mille.
-        reply_loss_pm: u16,
-        /// Sick-peer probability in per-mille.
-        sick_pm: u16,
-        /// Events the window stays installed for.
-        duration: u16,
-    },
-    /// A flash crowd: several peers join back-to-back — within one
-    /// stabilization window, no repair rounds in between.
-    FlashCrowd {
-        /// Raw entropy the joiners' ring ids (and bootstrap rank) derive
-        /// from.
-        id_entropy: u64,
-        /// Peers joining back-to-back.
-        count: u16,
-    },
-    /// A burst of probes from one initiator, all aimed inside one narrow
-    /// hot arc (Zipf-head traffic in miniature).
-    HotspotBurst {
-        /// Rank (mod alive count) of the probing peer.
-        initiator_rank: u64,
-        /// Raw entropy for the hot arc's centre and per-probe jitter.
-        entropy: u64,
-        /// Probes in the burst.
-        count: u16,
-    },
-    /// A heterogeneous-capacity window: a static slow class whose outgoing
-    /// messages are delay-scaled (and may miss reply deadlines) for the
-    /// next `duration` events (or until a `Heal`).
-    CapacitySkew {
-        /// Seed for the plan's decision streams.
-        entropy: u64,
-        /// Per-mille of peers in the slow class.
-        slow_pm: u16,
-        /// Delay multiplier for messages sent by slow peers.
-        factor: u16,
-        /// Reply deadline in delay units (0 = callers wait forever).
-        deadline: u16,
-        /// Events the window stays installed for.
-        duration: u16,
-    },
-    /// A spatially-correlated partition: a contiguous ring arc is cut off
-    /// from the rest for the next `duration` events (or until a `Heal`).
-    ArcPartition {
-        /// Arc start in per-mille of the ring.
-        start_pm: u16,
-        /// Arc span in per-mille of the ring.
-        span_pm: u16,
-        /// Events the partition stays up for.
-        duration: u16,
-    },
-    /// An adversarially placed joiner: lands mid-arc of the peer holding
-    /// the fewest items, maximizing arc-uniform sampling bias (the
-    /// event-level cousin of `NodeLayout::Adversarial`).
-    AdversarialJoin {
-        /// Jitter entropy positioning the joiner inside the target arc.
-        jitter: u64,
-    },
-    /// A same-origin burst of open-loop serving traffic: a 300/700‰
-    /// insert/lookup mix routed through one shared batch window
-    /// ([`dde_ring::BatchRouter`]), with the lookups' resolved owners
-    /// piggybacking a small probe plan ([`dde_core::ProbePlan`]) completed
-    /// by dedicated probes at burst end — the serving engine's hot path
-    /// ([`crate::workload`]) in miniature, under fuzz.
-    WorkloadBurst {
-        /// Rank (mod alive count) of the burst's origin peer.
-        origin_rank: u64,
-        /// Raw entropy for the burst's op kinds, values, and probe plan.
-        entropy: u64,
-        /// Foreground ops in the burst.
-        count: u16,
-    },
-    /// A coalesced membership window: ~`count` joins, leaves, and crashes
-    /// (split 2:1:1) queued together and applied as one
-    /// [`dde_ring::ChurnBatch`] — a single column splice plus one monotone
-    /// repair sweep, the amortized mega-scale mutation path under fuzz.
-    /// On a converged ring the sweep must leave the *full* ground-truth
-    /// invariants clean, with item losses exactly the crashed primaries'.
-    ChurnWindow {
-        /// Raw entropy the joiner ids and victim ranks derive from.
-        entropy: u64,
-        /// Membership events queued in the window.
-        count: u16,
-    },
+/// The most initial peers a schedule may ask for: F12's largest point.
+pub const MAX_PEERS: usize = 1_000_000;
+
+/// The most initial items a schedule may ask for: F12's largest point.
+pub const MAX_ITEMS: usize = 20_000_000;
+
+/// One generator draw: a whole word, or a value in the field's fuzz range.
+macro_rules! draw {
+    ($rng:ident) => {
+        $rng.gen()
+    };
+    ($rng:ident, $range:expr) => {
+        $rng.gen_range($range)
+    };
 }
 
-impl std::fmt::Display for DstEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            DstEvent::Join { id_entropy, bootstrap_rank } => {
-                write!(f, "Join(id_entropy: {id_entropy}, bootstrap_rank: {bootstrap_rank})")
-            }
-            DstEvent::Leave { victim_rank } => write!(f, "Leave(victim_rank: {victim_rank})"),
-            DstEvent::Crash { victim_rank } => write!(f, "Crash(victim_rank: {victim_rank})"),
-            DstEvent::Heal => write!(f, "Heal"),
-            DstEvent::Insert { initiator_rank, value_entropy } => {
-                write!(
-                    f,
-                    "Insert(initiator_rank: {initiator_rank}, value_entropy: {value_entropy})"
-                )
-            }
-            DstEvent::Probe { initiator_rank, point } => {
-                write!(f, "Probe(initiator_rank: {initiator_rank}, point: {point})")
-            }
-            DstEvent::EstimateRefresh { initiator_rank, entropy } => {
-                write!(f, "EstimateRefresh(initiator_rank: {initiator_rank}, entropy: {entropy})")
-            }
-            DstEvent::FaultWindow { entropy, loss_pm, reply_loss_pm, sick_pm, duration } => write!(
-                f,
-                "FaultWindow(entropy: {entropy}, loss_pm: {loss_pm}, reply_loss_pm: \
-                 {reply_loss_pm}, sick_pm: {sick_pm}, duration: {duration})"
-            ),
-            DstEvent::FlashCrowd { id_entropy, count } => {
-                write!(f, "FlashCrowd(id_entropy: {id_entropy}, count: {count})")
-            }
-            DstEvent::HotspotBurst { initiator_rank, entropy, count } => {
-                write!(
-                    f,
-                    "HotspotBurst(initiator_rank: {initiator_rank}, entropy: {entropy}, \
-                     count: {count})"
-                )
-            }
-            DstEvent::CapacitySkew { entropy, slow_pm, factor, deadline, duration } => write!(
-                f,
-                "CapacitySkew(entropy: {entropy}, slow_pm: {slow_pm}, factor: {factor}, \
-                 deadline: {deadline}, duration: {duration})"
-            ),
-            DstEvent::ArcPartition { start_pm, span_pm, duration } => {
-                write!(
-                    f,
-                    "ArcPartition(start_pm: {start_pm}, span_pm: {span_pm}, duration: {duration})"
-                )
-            }
-            DstEvent::AdversarialJoin { jitter } => {
-                write!(f, "AdversarialJoin(jitter: {jitter})")
-            }
-            DstEvent::WorkloadBurst { origin_rank, entropy, count } => {
-                write!(
-                    f,
-                    "WorkloadBurst(origin_rank: {origin_rank}, entropy: {entropy}, count: {count})"
-                )
-            }
-            DstEvent::ChurnWindow { entropy, count } => {
-                write!(f, "ChurnWindow(entropy: {entropy}, count: {count})")
+/// Declares [`DstEvent`] from one row per variant — its docs, its share of
+/// the generator's 128 slots, and its fields, each `u64` drawn whole and
+/// each `u16` drawn from the range after its `=` — and derives from the same
+/// rows the repro line (`Display`), the generator (`random_event`: one slot
+/// draw, then each field in row order) and the repro-line parser
+/// (`parse_event`).
+macro_rules! dst_events {
+    ($(#[$meta:meta])* pub enum DstEvent {$(
+        $(#[$doc:meta])*
+        $name:ident($slots:literal) $({$(
+            $(#[$field_doc:meta])*
+            $field:ident: $ty:ty $(= $range:expr)?
+        ),* $(,)?})?
+    ),* $(,)?}) => {
+        $(#[$meta])*
+        pub enum DstEvent {$(
+            $(#[$doc])*
+            $name $({$($(#[$field_doc])* $field: $ty),*})?,
+        )*}
+
+        impl fmt::Display for DstEvent {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match *self {$(
+                    DstEvent::$name $({$($field),*})? => write_event(
+                        f,
+                        stringify!($name),
+                        &[$($((stringify!($field), u64::from($field))),*)?],
+                    ),
+                )*}
             }
         }
+
+        const _: () = assert!(0 $(+ $slots)* == 128, "generator slots must total 128");
+
+        fn random_event(rng: &mut StdRng) -> DstEvent {
+            let slot = rng.gen_range(0..128u32);
+            let mut end = 0;
+            $(
+                end += $slots;
+                if slot < end {
+                    return DstEvent::$name $({$($field: draw!(rng $(, $range)?)),*})?;
+                }
+            )*
+            unreachable!("slot {slot} lies past the table's 128")
+        }
+
+        fn parse_event(line: &str) -> Result<DstEvent, String> {
+            let (name, mut fields) = event_fields(line)?;
+            let event = match name {
+                $(stringify!($name) => DstEvent::$name $({$(
+                    $field: take_field(&mut fields, line, stringify!($field))?
+                ),*})?,)*
+                other => return Err(format!("unknown event: {other:?}")),
+            };
+            match fields.keys().next() {
+                Some(key) => Err(format!("event {line:?} has unknown field {key:?}")),
+                None => Ok(event),
+            }
+        }
+    };
+}
+
+// The event table. A row reads `Name(slots) { field: type [= fuzz range] }`;
+// rows draw in table order, so a row's slots follow the rows above it.
+dst_events! {
+    /// One fuzzed event. All parameters are concrete: peer choices are encoded
+    /// as *ranks* reduced modulo the alive-peer count at application time, so an
+    /// event stays applicable (and deterministic) no matter which other events a
+    /// shrinking pass removed around it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DstEvent {
+        /// A new peer joins through a bootstrap peer.
+        Join(10) {
+            /// Raw entropy for the joiner's ring id.
+            id_entropy: u64,
+            /// Rank (mod alive count) of the bootstrap peer.
+            bootstrap_rank: u64,
+        },
+        /// A peer leaves gracefully, handing its data to its heir.
+        Leave(8) {
+            /// Rank (mod alive count) of the departing peer.
+            victim_rank: u64,
+        },
+        /// A peer crash-fails: data lost, nobody told.
+        Crash(8) {
+            /// Rank (mod alive count) of the crashing peer.
+            victim_rank: u64,
+        },
+        /// The network settles: faults clear and stabilization runs until a
+        /// round makes zero corrections (bounded by [`MAX_HEAL_ROUNDS`]).
+        Heal(12),
+        /// A peer inserts one value through the overlay.
+        Insert(18) {
+            /// Rank (mod alive count) of the inserting peer.
+            initiator_rank: u64,
+            /// Raw entropy mapped to a value inside the data domain.
+            value_entropy: u64,
+        },
+        /// A peer probes the owner of a ring point (the estimator's primitive).
+        Probe(18) {
+            /// Rank (mod alive count) of the probing peer.
+            initiator_rank: u64,
+            /// The probed ring point.
+            point: u64,
+        },
+        /// The resident continuous estimator refreshes part of its probe window.
+        EstimateRefresh(11) {
+            /// Rank (mod alive count) of the estimating peer.
+            initiator_rank: u64,
+            /// Seed for the refresh's probe positions.
+            entropy: u64,
+        },
+        /// A fault plan (loss/reply-loss/sick windows) switches on for the next
+        /// `duration` events (or until a `Heal`).
+        FaultWindow(9) {
+            /// Seed for the plan's per-link streams.
+            entropy: u64,
+            /// Request loss probability in per-mille.
+            loss_pm: u16 = 0..=300,
+            /// Reply loss probability in per-mille.
+            reply_loss_pm: u16 = 0..=150,
+            /// Sick-peer probability in per-mille.
+            sick_pm: u16 = 0..=100,
+            /// Events the window stays installed for.
+            duration: u16 = 1..=8,
+        },
+        /// A flash crowd: several peers join back-to-back — within one
+        /// stabilization window, no repair rounds in between.
+        FlashCrowd(5) {
+            /// Raw entropy the joiners' ring ids (and bootstrap rank) derive
+            /// from.
+            id_entropy: u64,
+            /// Peers joining back-to-back.
+            count: u16 = 2..=6,
+        },
+        /// A burst of probes from one initiator, all aimed inside one narrow
+        /// hot arc (Zipf-head traffic in miniature).
+        HotspotBurst(5) {
+            /// Rank (mod alive count) of the probing peer.
+            initiator_rank: u64,
+            /// Raw entropy for the hot arc's centre and per-probe jitter.
+            entropy: u64,
+            /// Probes in the burst.
+            count: u16 = 4..=16,
+        },
+        /// A heterogeneous-capacity window: a static slow class whose outgoing
+        /// messages are delay-scaled (and may miss reply deadlines) for the
+        /// next `duration` events (or until a `Heal`).
+        CapacitySkew(6) {
+            /// Seed for the plan's decision streams.
+            entropy: u64,
+            /// Per-mille of peers in the slow class.
+            slow_pm: u16 = 100..=600,
+            /// Delay multiplier for messages sent by slow peers.
+            factor: u16 = 2..=8,
+            /// Reply deadline in delay units (0 = callers wait forever).
+            deadline: u16 = 0..=12,
+            /// Events the window stays installed for.
+            duration: u16 = 1..=8,
+        },
+        /// A spatially-correlated partition: a contiguous ring arc is cut off
+        /// from the rest for the next `duration` events (or until a `Heal`).
+        ArcPartition(5) {
+            /// Arc start in per-mille of the ring.
+            start_pm: u16 = 0..1000,
+            /// Arc span in per-mille of the ring.
+            span_pm: u16 = 50..=400,
+            /// Events the partition stays up for.
+            duration: u16 = 1..=8,
+        },
+        /// An adversarially placed joiner: lands mid-arc of the peer holding
+        /// the fewest items, maximizing arc-uniform sampling bias (the
+        /// event-level cousin of `NodeLayout::Adversarial`).
+        AdversarialJoin(3) {
+            /// Jitter entropy positioning the joiner inside the target arc.
+            jitter: u64,
+        },
+        /// A coalesced membership window: ~`count` joins, leaves, and crashes
+        /// (split 2:1:1) queued together and applied as one
+        /// [`dde_ring::ChurnBatch`] — a single column splice plus one monotone
+        /// repair sweep, the amortized mega-scale mutation path under fuzz.
+        /// On a converged ring the sweep must leave the *full* ground-truth
+        /// invariants clean, with item losses exactly the crashed primaries'.
+        ChurnWindow(7) {
+            /// Raw entropy the joiner ids and victim ranks derive from.
+            entropy: u64,
+            /// Membership events queued in the window.
+            count: u16 = 6..=24,
+        },
+        /// A same-origin burst of open-loop serving traffic: a 300/700‰
+        /// insert/lookup mix routed through one shared batch window
+        /// ([`dde_ring::BatchRouter`]), with the lookups' resolved owners
+        /// piggybacking a small probe plan ([`dde_core::ProbePlan`]) completed
+        /// by dedicated probes at burst end — the serving engine's hot path
+        /// ([`crate::workload`]) in miniature, under fuzz.
+        WorkloadBurst(3) {
+            /// Rank (mod alive count) of the burst's origin peer.
+            origin_rank: u64,
+            /// Raw entropy for the burst's op kinds, values, and probe plan.
+            entropy: u64,
+            /// Foreground ops in the burst.
+            count: u16 = 8..=32,
+        },
     }
+}
+
+/// Writes one repro event line: `Name`, or `Name(key: value, ...)`.
+fn write_event(f: &mut fmt::Formatter<'_>, name: &str, fields: &[(&str, u64)]) -> fmt::Result {
+    f.write_str(name)?;
+    for (i, (key, value)) in fields.iter().enumerate() {
+        write!(f, "{}{key}: {value}", if i == 0 { "(" } else { ", " })?;
+    }
+    f.write_str(if fields.is_empty() { "" } else { ")" })
 }
 
 /// A deliberately injected protocol bug, for validating that the oracle and
@@ -267,6 +299,27 @@ pub enum InjectedBug {
     /// reproducer is `[CapacitySkew, HotspotBurst]` (repeated deliveries on
     /// one slow initiator→owner link).
     DropCapacityFifoGuard,
+}
+
+impl InjectedBug {
+    /// Every injected bug with its repro-file name and its `expts dst --bug`
+    /// name, in drill order.
+    pub const NAMES: [(InjectedBug, &'static str, &'static str); 2] = [
+        (Self::SkipSuccessorOnHeal, "SkipSuccessorOnHeal", "skip-successor-on-heal"),
+        (Self::DropCapacityFifoGuard, "DropCapacityFifoGuard", "drop-capacity-fifo-guard"),
+    ];
+}
+
+/// Refuses an initial network the simulator cannot or should not build:
+/// zero peers or items (the scenario build would panic), or more than
+/// [`MAX_PEERS`] / [`MAX_ITEMS`] (the build would try to allocate them).
+pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
+    for (field, value, cap) in [("peers", peers, MAX_PEERS), ("items", items, MAX_ITEMS)] {
+        if !(1..=cap).contains(&value) {
+            return Err(format!("{field}: {value} is outside 1..={cap}"));
+        }
+    }
+    Ok(())
 }
 
 /// Configuration for schedule generation.
@@ -323,50 +376,6 @@ pub fn generate(cfg: &DstConfig) -> Schedule {
         replication: cfg.replication,
         bug: cfg.bug,
         events,
-    }
-}
-
-fn random_event(rng: &mut StdRng) -> DstEvent {
-    match rng.gen_range(0..128u32) {
-        0..=9 => DstEvent::Join { id_entropy: rng.gen(), bootstrap_rank: rng.gen() },
-        10..=17 => DstEvent::Leave { victim_rank: rng.gen() },
-        18..=25 => DstEvent::Crash { victim_rank: rng.gen() },
-        26..=37 => DstEvent::Heal,
-        38..=55 => DstEvent::Insert { initiator_rank: rng.gen(), value_entropy: rng.gen() },
-        56..=73 => DstEvent::Probe { initiator_rank: rng.gen(), point: rng.gen() },
-        74..=84 => DstEvent::EstimateRefresh { initiator_rank: rng.gen(), entropy: rng.gen() },
-        85..=93 => DstEvent::FaultWindow {
-            entropy: rng.gen(),
-            loss_pm: rng.gen_range(0..=300),
-            reply_loss_pm: rng.gen_range(0..=150),
-            sick_pm: rng.gen_range(0..=100),
-            duration: rng.gen_range(1..=8),
-        },
-        94..=98 => DstEvent::FlashCrowd { id_entropy: rng.gen(), count: rng.gen_range(2..=6) },
-        99..=103 => DstEvent::HotspotBurst {
-            initiator_rank: rng.gen(),
-            entropy: rng.gen(),
-            count: rng.gen_range(4..=16),
-        },
-        104..=109 => DstEvent::CapacitySkew {
-            entropy: rng.gen(),
-            slow_pm: rng.gen_range(100..=600),
-            factor: rng.gen_range(2..=8),
-            deadline: rng.gen_range(0..=12),
-            duration: rng.gen_range(1..=8),
-        },
-        110..=114 => DstEvent::ArcPartition {
-            start_pm: rng.gen_range(0..1000),
-            span_pm: rng.gen_range(50..=400),
-            duration: rng.gen_range(1..=8),
-        },
-        115..=117 => DstEvent::AdversarialJoin { jitter: rng.gen() },
-        118..=124 => DstEvent::ChurnWindow { entropy: rng.gen(), count: rng.gen_range(6..=24) },
-        _ => DstEvent::WorkloadBurst {
-            origin_rank: rng.gen(),
-            entropy: rng.gen(),
-            count: rng.gen_range(8..=32),
-        },
     }
 }
 
@@ -430,9 +439,8 @@ struct World {
     inserts_attempted: u64,
     crashes: usize,
     fault_countdown: usize,
-    prev_messages: u64,
-    prev_bytes: u64,
-    prev_delay: u64,
+    /// Message, byte and delay totals after the previous event.
+    prev_counters: [u64; 3],
     estimates: usize,
     /// Whether the ring's wiring is fully converged (perfect successors,
     /// lists, and fingers everywhere). True after the bulk build or a
@@ -449,8 +457,7 @@ impl World {
             .with_peers(schedule.peers)
             .with_items(schedule.items)
             .with_seed(schedule.seed);
-        let built = build(&scenario);
-        let mut net = built.net;
+        let mut net = build(&scenario).net;
         net.set_replication(schedule.replication);
         let initial_items = net.total_items();
         Self {
@@ -467,9 +474,7 @@ impl World {
             inserts_attempted: 0,
             crashes: 0,
             fault_countdown: 0,
-            prev_messages: 0,
-            prev_bytes: 0,
-            prev_delay: 0,
+            prev_counters: [0; 3],
             estimates: 0,
             converged: true,
         }
@@ -483,15 +488,12 @@ impl World {
 
     fn apply(&mut self, index: usize, event: DstEvent) -> Result<(), DstFailure> {
         let mut extra: Vec<String> = Vec::new();
+        // One arm per event, no wildcard: a new table row does not compile
+        // until it has a handler. Fault-window installers return early.
         match event {
             DstEvent::Join { id_entropy, bootstrap_rank } => {
-                let id = RingId(id_entropy);
-                if !self.net.is_alive(id) {
-                    let bootstrap = self.peer_at(bootstrap_rank);
-                    // Joins may legitimately fail under faults (lookup lost).
-                    let _ = self.net.join(id, bootstrap);
-                    self.converged = false;
-                }
+                let bootstrap = self.peer_at(bootstrap_rank);
+                self.join(RingId(id_entropy), bootstrap);
             }
             DstEvent::Leave { victim_rank } => {
                 if self.net.len() > MIN_PEERS {
@@ -510,14 +512,8 @@ impl World {
             }
             DstEvent::Heal => {
                 self.fault_countdown = 0;
-                self.drop_plan(&mut extra);
-                let mut quiesced = false;
-                for _ in 0..MAX_HEAL_ROUNDS {
-                    if self.net.stabilize_round() == 0 {
-                        quiesced = true;
-                        break;
-                    }
-                }
+                extra.extend(self.net.clear_fault_plan().as_ref().and_then(fifo_breach));
+                let quiesced = (0..MAX_HEAL_ROUNDS).any(|_| self.net.stabilize_round() == 0);
                 if self.bug == Some(InjectedBug::SkipSuccessorOnHeal) && self.crashes > 0 {
                     // The injected crash-heal race: the repair pass "skips"
                     // the first survivor's immediate successor entry.
@@ -532,9 +528,7 @@ impl World {
                         "stabilization failed to quiesce within {MAX_HEAL_ROUNDS} rounds"
                     ));
                 }
-                for v in self.net.check_invariants() {
-                    extra.push(format!("post-heal: {v}"));
-                }
+                extra.extend(self.net.check_invariants().iter().map(|v| format!("post-heal: {v}")));
                 self.converged = quiesced;
             }
             DstEvent::Insert { initiator_rank, value_entropy } => {
@@ -554,24 +548,9 @@ impl World {
                     if b.windows(2).any(|w| w[0] > w[1]) {
                         extra.push(format!("probe reply summary boundaries not sorted: {b:?}"));
                     }
-                    if reply.summary.total() != reply.count {
-                        extra.push(format!(
-                            "probe reply summary total {} != count {}",
-                            reply.summary.total(),
-                            reply.count
-                        ));
-                    }
-                    let (lo, hi) = self.domain;
-                    let mut prev = -1.0;
-                    for i in 0..=16 {
-                        let x = lo + (hi - lo) * i as f64 / 16.0;
-                        let c = reply.summary.count_le(x);
-                        if c < prev - 1e-9 {
-                            extra.push(format!("probe reply count_le not monotone at x = {x}"));
-                            break;
-                        }
-                        prev = c;
-                    }
+                    extra.extend(total_breach("probe reply", &reply));
+                    let count_le = |x| reply.summary.count_le(x);
+                    extra.extend(self.grid_breach("probe reply count_le", false, count_le));
                 }
             }
             DstEvent::EstimateRefresh { initiator_rank, entropy } => {
@@ -582,28 +561,12 @@ impl World {
                 if self.est.tick(&mut self.net, initiator, &mut rng).is_ok() {
                     self.estimates += 1;
                 }
-                if self.est.probes_held() > 32 {
-                    extra.push(format!(
-                        "estimator window overflow: {} probes held",
-                        self.est.probes_held()
-                    ));
+                let held = self.est.probes_held();
+                if held > 32 {
+                    extra.push(format!("estimator window overflow: {held} probes held"));
                 }
                 if let Ok(estimate) = self.est.current_estimate(self.domain) {
-                    let (lo, hi) = self.domain;
-                    let mut prev = f64::NEG_INFINITY;
-                    for i in 0..=16 {
-                        let x = lo + (hi - lo) * i as f64 / 16.0;
-                        let c = estimate.cdf(x);
-                        if !(-1e-9..=1.0 + 1e-9).contains(&c) {
-                            extra.push(format!("estimate cdf({x}) = {c} outside [0, 1]"));
-                            break;
-                        }
-                        if c < prev - 1e-9 {
-                            extra.push(format!("estimate cdf not monotone at x = {x}"));
-                            break;
-                        }
-                        prev = c;
-                    }
+                    extra.extend(self.grid_breach("estimate cdf", true, |x| estimate.cdf(x)));
                 }
             }
             DstEvent::FaultWindow { entropy, loss_pm, reply_loss_pm, sick_pm, duration } => {
@@ -611,35 +574,21 @@ impl World {
                     .with_loss(f64::from(loss_pm) / 1000.0)
                     .with_reply_loss(f64::from(reply_loss_pm) / 1000.0)
                     .with_sick(f64::from(sick_pm) / 1000.0, 8);
-                self.net.set_fault_plan(plan);
-                self.fault_countdown = usize::from(duration);
+                return self.install(index, event, plan, duration);
             }
             DstEvent::FlashCrowd { id_entropy, count } => {
                 let (items_before, peers_before) = (self.net.total_items(), self.net.len());
                 let bootstrap = self.peer_at(id_entropy);
                 for i in 0..u64::from(count) {
-                    let id = RingId(splitmix64(id_entropy.wrapping_add(i)));
-                    if !self.net.is_alive(id) {
-                        // Individual joins may fail under faults; what must
-                        // hold regardless is conservation, checked below.
-                        let _ = self.net.join(id, bootstrap);
-                        self.converged = false;
-                    }
+                    self.join(RingId(splitmix64(id_entropy.wrapping_add(i))), bootstrap);
                 }
                 // Joins move items, never mint or destroy them (DST plans
                 // never enable crash decisions, so no store can vanish
-                // mid-join).
-                let items_after = self.net.total_items();
-                if items_after != items_before {
-                    extra.push(format!(
-                        "flash crowd broke item conservation: {items_before} -> {items_after}"
-                    ));
-                }
-                if self.net.len() < peers_before {
-                    extra.push(format!(
-                        "flash crowd shrank the ring: {peers_before} -> {}",
-                        self.net.len()
-                    ));
+                // mid-join), even when individual joins fail under faults.
+                extra.extend(self.conservation_breach("flash crowd", items_before, 0));
+                let peers = self.net.len();
+                if peers < peers_before {
+                    extra.push(format!("flash crowd shrank the ring: {peers_before} -> {peers}"));
                 }
             }
             DstEvent::HotspotBurst { initiator_rank, entropy, count } => {
@@ -671,8 +620,7 @@ impl World {
                     // gone, so jittered slow links can reorder.
                     plan = plan.without_fifo_guard();
                 }
-                self.net.set_fault_plan(plan);
-                self.fault_countdown = usize::from(duration);
+                return self.install(index, event, plan, duration);
             }
             DstEvent::ArcPartition { start_pm, span_pm, duration } => {
                 let entropy = (u64::from(start_pm) << 16) | u64::from(span_pm);
@@ -680,8 +628,7 @@ impl World {
                     crate::build::pm_to_ring(u32::from(start_pm)),
                     crate::build::pm_to_ring(u32::from(span_pm)),
                 );
-                self.net.set_fault_plan(plan);
-                self.fault_countdown = usize::from(duration);
+                return self.install(index, event, plan, duration);
             }
             DstEvent::AdversarialJoin { jitter } => {
                 // Target the peer holding the fewest items: splitting its
@@ -699,19 +646,9 @@ impl World {
                 if arc >= 4 {
                     // Middle half of the arc: never collides with either end.
                     let off = arc / 4 + jitter % (arc / 2);
-                    let id = RingId(pred.0.wrapping_add(off));
                     let items_before = self.net.total_items();
-                    if !self.net.is_alive(id) {
-                        let _ = self.net.join(id, target);
-                        self.converged = false;
-                    }
-                    let items_after = self.net.total_items();
-                    if items_after != items_before {
-                        extra.push(format!(
-                            "adversarial join broke item conservation: \
-                             {items_before} -> {items_after}"
-                        ));
-                    }
+                    self.join(RingId(pred.0.wrapping_add(off)), target);
+                    extra.extend(self.conservation_breach("adversarial join", items_before, 0));
                 }
             }
             DstEvent::WorkloadBurst { origin_rank, entropy, count } => {
@@ -743,14 +680,8 @@ impl World {
                 // reply must be internally consistent whichever transport
                 // carried it.
                 if let Ok(replies) = plan.complete(&est, &mut self.net, origin, &mut rng) {
-                    for r in &replies {
-                        if r.summary.total() != r.count {
-                            extra.push(format!(
-                                "workload burst probe reply summary total {} != count {}",
-                                r.summary.total(),
-                                r.count
-                            ));
-                        }
+                    for reply in &replies {
+                        extra.extend(total_breach("workload burst probe reply", reply));
                     }
                 }
             }
@@ -774,26 +705,15 @@ impl World {
                 }
                 let applied = batch.apply(&mut self.net);
                 self.crashes += applied.crashes as usize;
-                if applied.crashes > 0 {
-                    // Crashed primaries' data is gone until a Heal promotes
-                    // replicas; the conservation oracle accounts per-event
-                    // below, but the running bound must shrink too.
-                    self.initial_items =
-                        self.initial_items.saturating_sub(applied.lost.len() as u64);
-                }
-                // Handoffs conserve: the only items a window may lose are
-                // the crashed primaries', and the batch reports each one.
-                let items_after = self.net.total_items();
-                if items_after + applied.lost.len() as u64 != items_before {
-                    extra.push(format!(
-                        "churn window broke item conservation: {items_before} -> {items_after} \
-                         with {} reported lost",
-                        applied.lost.len()
-                    ));
-                }
+                // Crashed primaries' data is gone until a Heal promotes
+                // replicas, so the running conservation bound shrinks too;
+                // the batch reports each lost item, and handoffs lose none.
+                let lost = applied.lost.len() as u64;
+                self.initial_items = self.initial_items.saturating_sub(lost);
+                extra.extend(self.conservation_breach("churn window", items_before, lost));
                 // The CoW fork path after a column splice: forking the
                 // churned ring must conserve the item total.
-                if self.net.fork().total_items() != items_after {
+                if self.net.fork().total_items() != self.net.total_items() {
                     extra.push("fork changed the item total after churn window".into());
                 }
                 // On a converged ring, one batched repair sweep must restore
@@ -802,46 +722,76 @@ impl World {
                 // already degraded by one-at-a-time churn, the sweep repairs
                 // only what it touched; the full oracle waits for Heal.)
                 if was_converged {
-                    for v in self.net.check_invariants() {
-                        extra.push(format!("post-churn-window: {v}"));
-                    }
+                    let invariants = self.net.check_invariants();
+                    extra.extend(invariants.iter().map(|v| format!("post-churn-window: {v}")));
                 }
             }
         }
 
-        // Expire an installed fault window (installer events don't tick).
-        let installer = matches!(
-            event,
-            DstEvent::FaultWindow { .. }
-                | DstEvent::CapacitySkew { .. }
-                | DstEvent::ArcPartition { .. }
-        );
-        if self.fault_countdown > 0 && !installer {
+        // Expire an installed fault window (its installer returned above).
+        if self.fault_countdown > 0 {
             self.fault_countdown -= 1;
             if self.fault_countdown == 0 {
-                self.drop_plan(&mut extra);
+                extra.extend(self.net.clear_fault_plan().as_ref().and_then(fifo_breach));
             }
         }
-
         self.oracle(index, event, extra)
     }
 
-    /// Uninstalls the fault plan, folding its terminal reordering tally into
-    /// the violation list first — the tally dies with the plan, and FIFO
-    /// delivery must hold over the plan's whole lifetime.
-    fn drop_plan(&mut self, extra: &mut Vec<String>) {
-        if let Some(plan) = self.net.clear_fault_plan() {
-            if plan.reorderings() > 0 {
-                extra.push(format!(
-                    "FIFO delivery violated: {} same-link reordering(s)",
-                    plan.reorderings()
-                ));
-            }
+    /// Joins `id` through `bootstrap` unless it is already alive. The join
+    /// may legitimately fail under faults (lookup lost).
+    fn join(&mut self, id: RingId, bootstrap: RingId) {
+        if !self.net.is_alive(id) {
+            let _ = self.net.join(id, bootstrap);
+            self.converged = false;
         }
     }
 
-    /// The always-on oracle, evaluated after every event. `extra` carries
-    /// event-specific violations found during application.
+    /// Installs a fault window's plan for the next `duration` events (the
+    /// installing event does not count), then runs the oracle.
+    fn install(
+        &mut self,
+        index: usize,
+        event: DstEvent,
+        plan: FaultPlan,
+        duration: u16,
+    ) -> Result<(), DstFailure> {
+        self.net.set_fault_plan(plan);
+        self.fault_countdown = usize::from(duration);
+        self.oracle(index, event, Vec::new())
+    }
+
+    /// Reports an item total that moved since `before` by anything but the
+    /// `lost` items an event reported: handoffs conserve.
+    fn conservation_breach(&self, what: &str, before: u64, lost: u64) -> Option<String> {
+        let after = self.net.total_items();
+        (after + lost != before).then(|| {
+            format!("{what} broke item conservation: {before} -> {after} with {lost} reported lost")
+        })
+    }
+
+    /// Evaluates `f` on a 17-point grid over the data domain and reports its
+    /// first breach: a decrease, or, for a CDF (`unit`), a value outside
+    /// `[0, 1]`.
+    fn grid_breach(&self, what: &str, unit: bool, f: impl Fn(f64) -> f64) -> Option<String> {
+        let (lo, hi) = self.domain;
+        let mut prev = f64::NEG_INFINITY;
+        for i in 0..=16 {
+            let x = lo + (hi - lo) * f64::from(i) / 16.0;
+            let c = f(x);
+            if unit && !(-1e-9..=1.0 + 1e-9).contains(&c) {
+                return Some(format!("{what}({x}) = {c} outside [0, 1]"));
+            }
+            if c < prev - 1e-9 {
+                return Some(format!("{what} not monotone at x = {x}"));
+            }
+            prev = c;
+        }
+        None
+    }
+
+    /// The always-on oracle, evaluated after every event. `violations`
+    /// carries event-specific violations found during application.
     fn oracle(
         &mut self,
         index: usize,
@@ -856,47 +806,28 @@ impl World {
 
         // Message-stat conservation: counters only ever grow.
         let stats = self.net.stats();
-        let (messages, bytes, delay) =
-            (stats.total_messages(), stats.total_bytes(), stats.total_delay());
-        if messages < self.prev_messages {
-            violations.push(format!(
-                "message counter went backwards: {messages} < {}",
-                self.prev_messages
-            ));
+        let counters = [stats.total_messages(), stats.total_bytes(), stats.total_delay()];
+        let named = ["message", "byte", "delay"].into_iter().zip(counters);
+        for ((name, now), prev) in named.zip(self.prev_counters) {
+            if now < prev {
+                violations.push(format!("{name} counter went backwards: {now} < {prev}"));
+            }
         }
-        if bytes < self.prev_bytes {
-            violations.push(format!("byte counter went backwards: {bytes} < {}", self.prev_bytes));
-        }
-        if delay < self.prev_delay {
-            violations.push(format!("delay counter went backwards: {delay} < {}", self.prev_delay));
-        }
-        self.prev_messages = messages;
-        self.prev_bytes = bytes;
-        self.prev_delay = delay;
+        self.prev_counters = counters;
 
         // Per-link FIFO delivery: the capacity axis may delay messages,
         // never reorder them on one directed link.
-        if let Some(plan) = self.net.fault_plan() {
-            if plan.reorderings() > 0 {
-                violations.push(format!(
-                    "FIFO delivery violated: {} same-link reordering(s)",
-                    plan.reorderings()
-                ));
-            }
-        }
+        violations.extend(self.net.fault_plan().and_then(fifo_breach));
 
         // Item conservation (replication off only: with replication on, a
         // promotion against adversarially stale arcs may legitimately race a
         // hand-off, so the primary-store total is not a tight invariant).
-        if self.replication == 0 {
-            let total = self.net.total_items();
-            let bound = self.initial_items + self.inserts_attempted;
-            if total > bound {
-                violations.push(format!(
-                    "item conservation broken: {total} items > {} initial + {} inserted",
-                    self.initial_items, self.inserts_attempted
-                ));
-            }
+        let total = self.net.total_items();
+        if self.replication == 0 && total > self.initial_items + self.inserts_attempted {
+            violations.push(format!(
+                "item conservation broken: {total} items > {} initial + {} inserted",
+                self.initial_items, self.inserts_attempted
+            ));
         }
 
         if violations.is_empty() {
@@ -905,6 +836,20 @@ impl World {
             Err(DstFailure { event_index: index, event: event.to_string(), violations })
         }
     }
+}
+
+/// The FIFO-delivery violation `plan` has tallied, if any. A plan's tally
+/// dies with it, so it is read both after every event and when the plan is
+/// uninstalled: FIFO delivery must hold over the plan's whole lifetime.
+fn fifo_breach(plan: &FaultPlan) -> Option<String> {
+    let n = plan.reorderings();
+    (n > 0).then(|| format!("FIFO delivery violated: {n} same-link reordering(s)"))
+}
+
+/// Reports a probe reply whose summary disagrees with its item count.
+fn total_breach(what: &str, reply: &ProbeReply) -> Option<String> {
+    let total = reply.summary.total();
+    (total != reply.count).then(|| format!("{what} summary total {total} != count {}", reply.count))
 }
 
 /// A shrunk failing schedule.
@@ -1028,18 +973,13 @@ pub fn fuzz(base: &DstConfig, schedules: usize) -> FuzzOutcome {
 
 /// Serializes a schedule as a replayable repro file.
 pub fn to_repro(schedule: &Schedule) -> String {
+    let bug = InjectedBug::NAMES.iter().find(|(bug, ..)| Some(*bug) == schedule.bug);
     let mut out = String::from("DstRepro(\n");
     out.push_str(&format!("    seed: {},\n", schedule.seed));
     out.push_str(&format!("    peers: {},\n", schedule.peers));
     out.push_str(&format!("    items: {},\n", schedule.items));
     out.push_str(&format!("    replication: {},\n", schedule.replication));
-    match schedule.bug {
-        None => out.push_str("    bug: None,\n"),
-        Some(InjectedBug::SkipSuccessorOnHeal) => out.push_str("    bug: SkipSuccessorOnHeal,\n"),
-        Some(InjectedBug::DropCapacityFifoGuard) => {
-            out.push_str("    bug: DropCapacityFifoGuard,\n");
-        }
-    }
+    out.push_str(&format!("    bug: {},\n", bug.map_or("None", |(_, name, _)| name)));
     out.push_str("    events: [\n");
     for event in &schedule.events {
         out.push_str(&format!("        {event},\n"));
@@ -1048,12 +988,10 @@ pub fn to_repro(schedule: &Schedule) -> String {
     out
 }
 
-/// Parses a repro file produced by [`to_repro`] (whitespace-tolerant).
+/// Parses a repro file produced by [`to_repro`] (whitespace-tolerant),
+/// refusing a size [`check_size`] refuses.
 pub fn parse_repro(text: &str) -> Result<Schedule, String> {
-    let mut seed = None;
-    let mut peers = None;
-    let mut items = None;
-    let mut replication = None;
+    let mut header = BTreeMap::new();
     let mut bug = None;
     let mut events = Vec::new();
     let mut in_events = false;
@@ -1080,34 +1018,26 @@ pub fn parse_repro(text: &str) -> Result<Schedule, String> {
             .map(|(k, v)| (k.trim(), v.trim()))
             .ok_or_else(|| format!("malformed line: {line:?}"))?;
         match key {
-            "seed" => seed = Some(parse_num(value, "seed")?),
-            "peers" => peers = Some(parse_num(value, "peers")? as usize),
-            "items" => items = Some(parse_num(value, "items")? as usize),
-            "replication" => replication = Some(parse_num(value, "replication")? as usize),
+            "seed" | "peers" | "items" | "replication" => {
+                header.insert(key, parse_num(value, key)?);
+            }
+            "bug" if value == "None" => bug = None,
             "bug" => {
-                bug = match value {
-                    "None" => None,
-                    "SkipSuccessorOnHeal" => Some(InjectedBug::SkipSuccessorOnHeal),
-                    "DropCapacityFifoGuard" => Some(InjectedBug::DropCapacityFifoGuard),
-                    other => return Err(format!("unknown bug: {other:?}")),
-                }
+                let known = InjectedBug::NAMES.iter().find(|(_, name, _)| *name == value);
+                bug = Some(known.ok_or_else(|| format!("unknown bug: {value:?}"))?.0);
             }
             other => return Err(format!("unknown field: {other:?}")),
         }
     }
 
-    let peers = peers.ok_or("missing peers")?;
-    let items = items.ok_or("missing items")?;
-    if peers == 0 || items == 0 {
-        return Err(format!(
-            "a schedule needs peers and items, got peers: {peers}, items: {items}"
-        ));
-    }
+    let peers = take_field(&mut header, "DstRepro", "peers")?;
+    let items = take_field(&mut header, "DstRepro", "items")?;
+    check_size(peers, items)?;
     Ok(Schedule {
-        seed: seed.ok_or("missing seed")?,
+        seed: take_field(&mut header, "DstRepro", "seed")?,
         peers,
         items,
-        replication: replication.ok_or("missing replication")?,
+        replication: take_field(&mut header, "DstRepro", "replication")?,
         bug,
         events,
     })
@@ -1117,83 +1047,38 @@ fn parse_num(value: &str, field: &str) -> Result<u64, String> {
     value.parse::<u64>().map_err(|e| format!("bad {field} {value:?}: {e}"))
 }
 
-fn parse_event(line: &str) -> Result<DstEvent, String> {
-    if line == "Heal" {
-        return Ok(DstEvent::Heal);
-    }
-    let (name, rest) = line.split_once('(').ok_or_else(|| format!("malformed event: {line:?}"))?;
+/// Splits a repro event line, `Name` or `Name(key: value, ...)`, into its
+/// name and fields, refusing a malformed or repeated field.
+fn event_fields(line: &str) -> Result<(&str, BTreeMap<&str, u64>), String> {
+    let mut fields = BTreeMap::new();
+    let Some((name, rest)) = line.split_once('(') else {
+        return Ok((line, fields));
+    };
     let args = rest.strip_suffix(')').ok_or_else(|| format!("unclosed event: {line:?}"))?;
-    let mut fields = std::collections::BTreeMap::new();
     for pair in args.split(',') {
-        let (k, v) = pair
+        let (key, value) = pair
             .split_once(':')
             .map(|(k, v)| (k.trim(), v.trim()))
             .ok_or_else(|| format!("malformed event field {pair:?} in {line:?}"))?;
-        fields.insert(k.to_string(), parse_num(v, k)?);
+        if fields.insert(key, parse_num(value, key)?).is_some() {
+            return Err(format!("event {line:?} repeats field {key:?}"));
+        }
     }
-    let get = |key: &str| -> Result<u64, String> {
-        fields.get(key).copied().ok_or_else(|| format!("event {line:?} missing field {key:?}"))
-    };
-    let get16 = |key: &str| -> Result<u16, String> {
-        let v = get(key)?;
-        u16::try_from(v).map_err(|_| format!("event {line:?} field {key:?} = {v} overflows u16"))
-    };
-    match name {
-        "Join" => Ok(DstEvent::Join {
-            id_entropy: get("id_entropy")?,
-            bootstrap_rank: get("bootstrap_rank")?,
-        }),
-        "Leave" => Ok(DstEvent::Leave { victim_rank: get("victim_rank")? }),
-        "Crash" => Ok(DstEvent::Crash { victim_rank: get("victim_rank")? }),
-        "Insert" => Ok(DstEvent::Insert {
-            initiator_rank: get("initiator_rank")?,
-            value_entropy: get("value_entropy")?,
-        }),
-        "Probe" => {
-            Ok(DstEvent::Probe { initiator_rank: get("initiator_rank")?, point: get("point")? })
-        }
-        "EstimateRefresh" => Ok(DstEvent::EstimateRefresh {
-            initiator_rank: get("initiator_rank")?,
-            entropy: get("entropy")?,
-        }),
-        "FaultWindow" => Ok(DstEvent::FaultWindow {
-            entropy: get("entropy")?,
-            loss_pm: get16("loss_pm")?,
-            reply_loss_pm: get16("reply_loss_pm")?,
-            sick_pm: get16("sick_pm")?,
-            duration: get16("duration")?,
-        }),
-        "FlashCrowd" => {
-            Ok(DstEvent::FlashCrowd { id_entropy: get("id_entropy")?, count: get16("count")? })
-        }
-        "HotspotBurst" => Ok(DstEvent::HotspotBurst {
-            initiator_rank: get("initiator_rank")?,
-            entropy: get("entropy")?,
-            count: get16("count")?,
-        }),
-        "CapacitySkew" => Ok(DstEvent::CapacitySkew {
-            entropy: get("entropy")?,
-            slow_pm: get16("slow_pm")?,
-            factor: get16("factor")?,
-            deadline: get16("deadline")?,
-            duration: get16("duration")?,
-        }),
-        "ArcPartition" => Ok(DstEvent::ArcPartition {
-            start_pm: get16("start_pm")?,
-            span_pm: get16("span_pm")?,
-            duration: get16("duration")?,
-        }),
-        "AdversarialJoin" => Ok(DstEvent::AdversarialJoin { jitter: get("jitter")? }),
-        "WorkloadBurst" => Ok(DstEvent::WorkloadBurst {
-            origin_rank: get("origin_rank")?,
-            entropy: get("entropy")?,
-            count: get16("count")?,
-        }),
-        "ChurnWindow" => {
-            Ok(DstEvent::ChurnWindow { entropy: get("entropy")?, count: get16("count")? })
-        }
-        other => Err(format!("unknown event: {other:?}")),
-    }
+    Ok((name, fields))
+}
+
+/// Takes field `key` of `item` (an event line, or the repro header) out of
+/// its parsed fields, refusing a missing field or a value its type cannot
+/// hold (`count: 65537` is refused, not wrapped).
+fn take_field<T: TryFrom<u64>>(
+    fields: &mut BTreeMap<&str, u64>,
+    item: &str,
+    key: &str,
+) -> Result<T, String> {
+    let value = fields.remove(key).ok_or_else(|| format!("{item:?} is missing field {key:?}"))?;
+    T::try_from(value).map_err(|_| {
+        format!("{item:?} field {key:?} = {value} overflows {}", std::any::type_name::<T>())
+    })
 }
 
 #[cfg(test)]
@@ -1250,7 +1135,9 @@ mod tests {
 
         // Out-of-range fields are refused, never wrapped (`count: 65537`
         // would replay as 1), and so is a schedule without peers or items
-        // (its replay would panic in the scenario build).
+        // (its replay would panic in the scenario build) or past the size
+        // caps (its replay would try to allocate them). Fields an event does
+        // not declare are refused too, even on a field-less event.
         let base = Schedule {
             seed: 1,
             peers: 8,
@@ -1270,9 +1157,20 @@ mod tests {
             ),
             text.replace("peers: 8", "peers: 0"),
             text.replace("items: 100", "items: 0"),
+            text.replace("peers: 8", "peers: 4000000000"),
+            text.replace("peers: 8", &format!("peers: {}", MAX_PEERS + 1)),
+            text.replace("items: 100", &format!("items: {}", MAX_ITEMS + 1)),
+            text.replace("Heal", "Heal(x: 1)"),
+            text.replace("Heal", "Heal()"),
+            text.replace("Heal", "Leave(victim_rank: 1, x: 2)"),
+            text.replace("Heal", "Leave(victim_rank: 1, victim_rank: 2)"),
         ] {
             assert!(parse_repro(&bad).is_err(), "accepted:\n{bad}");
         }
+        let largest = text
+            .replace("peers: 8", &format!("peers: {MAX_PEERS}"))
+            .replace("items: 100", &format!("items: {MAX_ITEMS}"));
+        assert!(parse_repro(&largest).is_ok(), "F12's largest point must stay replayable");
     }
 
     #[test]

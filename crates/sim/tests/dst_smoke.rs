@@ -6,16 +6,21 @@
 //! the oracle catches a planted crash-heal race, the shrinker reduces it to
 //! a handful of events, and the repro file replays byte-identically.
 
+mod support;
+
 use dde_sim::dst::{self, DstConfig, InjectedBug};
 
 /// Schedules per corpus seed. Small on purpose: the clean corpus is a smoke
 /// signal, not the fuzz budget.
 const SMOKE_SCHEDULES: usize = 4;
 
+/// The fixed seed corpus.
+const CORPUS: [u64; 3] = [0xD57, 0xBEEF, 2026];
+
 /// The fixed corpus, plus the CI-rotated seed when `DST_ROTATE_SEED` is set
 /// (the nightly job injects a fresh value so coverage widens over time).
 fn corpus_seeds() -> Vec<u64> {
-    let mut seeds = vec![0xD57, 0xBEEF, 2026];
+    let mut seeds = CORPUS.to_vec();
     if let Ok(raw) = std::env::var("DST_ROTATE_SEED") {
         match raw.trim().parse::<u64>() {
             Ok(seed) => seeds.push(seed),
@@ -23,6 +28,31 @@ fn corpus_seeds() -> Vec<u64> {
         }
     }
     seeds
+}
+
+/// The generator and repro format's contract: every RNG draw and every
+/// repro line of 256-event schedules for the fixed corpus, one injected-bug
+/// setting per seed, pinned in `tests/golden/dst_schedules.ron`. Re-bless
+/// only for an intended change to the schedule stream or the repro text:
+/// `GOLDEN_UPDATE=1 cargo test -p dde-sim --test dst_smoke`.
+#[test]
+fn corpus_schedules_match_their_golden_repros() {
+    let bugs =
+        [None, Some(InjectedBug::SkipSuccessorOnHeal), Some(InjectedBug::DropCapacityFifoGuard)];
+    let mut text = String::new();
+    let mut kinds = Vec::new();
+    for (seed, bug) in CORPUS.into_iter().zip(bugs) {
+        let schedule = dst::generate(&DstConfig { seed, events: 256, bug, ..DstConfig::default() });
+        for event in &schedule.events {
+            let kind = std::mem::discriminant(event);
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
+        }
+        text.push_str(&dst::to_repro(&schedule));
+    }
+    assert_eq!(kinds.len(), 15, "the golden corpus must exercise every DstEvent variant");
+    support::check("dst_schedules.ron", &text);
 }
 
 #[test]

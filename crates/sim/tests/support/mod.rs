@@ -1,9 +1,13 @@
 //! Golden-fixture checks shared by the experiment test binaries
-//! (`golden_experiments.rs`, `determinism.rs`).
+//! (`golden_experiments.rs`, `determinism.rs`) and the DST contract in
+//! `dst_smoke.rs`.
 //!
-//! Fixtures live under `tests/golden/`, one `{id}_{i}.txt` and one
-//! `{id}_{i}.csv` per rendered table. Setting `GOLDEN_UPDATE=1` rewrites
-//! them instead of comparing.
+//! Fixtures live under `tests/golden/`: one `{id}_{i}.txt` and one
+//! `{id}_{i}.csv` per rendered table, plus `dst_schedules.ron`. Setting
+//! `GOLDEN_UPDATE=1` rewrites them instead of comparing.
+
+// Each test binary uses a subset of these helpers.
+#![allow(dead_code)]
 
 use dde_sim::report::Table;
 use std::path::PathBuf;
@@ -12,7 +16,9 @@ fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-fn check(name: &str, rendered: &str) {
+/// Compares `rendered` with fixture `name`, or rewrites the fixture under
+/// `GOLDEN_UPDATE`.
+pub fn check(name: &str, rendered: &str) {
     let path = fixture(name);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
