@@ -82,15 +82,12 @@ fn global_values(c: &mut Criterion) {
     let mut rng = SeedSequence::new(12).stream(Component::Workload, 0);
     let from = net.random_peer(&mut rng).expect("nonempty");
     let mut g = c.benchmark_group("micro/global_values");
-    // Steady state: the epoch cache absorbs every call after the first.
-    let _ = net.global_values();
-    g.bench_function("cached", |b| b.iter(|| net.global_values_arc().len()));
-    // Every iteration mutates the data, so every call re-collects and
-    // re-sorts the 100k values — the cost the cache removes.
-    g.bench_function("invalidated", |b| {
+    // A truth read after a write: every call collects and sorts the 100k
+    // values afresh.
+    g.bench_function("insert_collect_delete", |b| {
         b.iter(|| {
             net.insert(from, black_box(123.456)).expect("routes");
-            let n = net.global_values_arc().len();
+            let n = net.global_values().len();
             net.delete(from, 123.456).expect("routes");
             n
         });

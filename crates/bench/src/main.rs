@@ -17,7 +17,7 @@
 //!   --bug takes an optional drill name: `skip-successor-on-heal` (default,
 //!   the crash-heal membership race) or `drop-capacity-fifo-guard` (the
 //!   capacity axis's per-link FIFO clamp dropped); `InjectedBug::NAMES`
-//!   lists them. --peers and --items must lie within `dst::check_size`'s
+//!   lists them. --peers and --items must lie within `scenario::check_size`'s
 //!   caps.
 //!
 //!   Deterministic simulation testing (see TESTING.md). The fuzz form runs N
@@ -32,8 +32,8 @@
 //! the property CI's determinism job diffs.
 
 use dde_sim::dst::{self, DstConfig, InjectedBug};
-use dde_sim::exec;
 use dde_sim::experiments::{run_by_id, Scale, ALL_IDS};
+use dde_sim::{exec, scenario};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -249,7 +249,7 @@ fn dst_main(raw: Vec<String>) {
         return;
     }
 
-    if let Err(e) = dst::check_size(cfg.peers, cfg.items) {
+    if let Err(e) = scenario::check_size(cfg.peers, cfg.items) {
         eprintln!("bad dst size: {e}");
         std::process::exit(2);
     }

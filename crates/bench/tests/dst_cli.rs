@@ -4,6 +4,7 @@
 //! error.
 
 use dde_sim::dst::{self, InjectedBug};
+use dde_sim::scenario::MAX_PEERS;
 use std::process::{Command, Output};
 
 fn expts_dst(args: &[&str]) -> Output {
@@ -51,7 +52,7 @@ fn an_unknown_bug_exits_2_and_lists_the_known_names() {
 
 #[test]
 fn sizes_outside_the_caps_exit_2_with_a_named_error() {
-    let too_many = (dst::MAX_PEERS + 1).to_string();
+    let too_many = (MAX_PEERS + 1).to_string();
     for (flag, value) in [("--peers", "0"), ("--items", "0"), ("--peers", too_many.as_str())] {
         let run = expts_dst(&[flag, value]);
         assert_eq!(run.status.code(), Some(2), "{flag} {value}");

@@ -7,6 +7,7 @@ use dde_core::{
     GossipConfig, UniformPeerConfig, UniformPeerSampling,
 };
 use dde_ring::{ChurnConfig, ChurnProcess};
+use dde_sim::scenario::check_size;
 use dde_sim::{build, run_workload, BuiltScenario, OpMix, PlacementMode, Scenario, WorkloadSpec};
 use dde_stats::dist::DistributionKind;
 use dde_stats::rng::{Component, SeedSequence};
@@ -75,9 +76,7 @@ fn scenario_of(args: &Args) -> Result<Scenario, String> {
     };
     let peers = args.get_or("peers", 256usize)?;
     let items = args.get_or("items", 50_000usize)?;
-    if peers == 0 || items == 0 {
-        return Err(format!("--peers and --items must be at least 1, got {peers} and {items}"));
-    }
+    check_size(peers, items)?;
     Ok(Scenario::default()
         .with_peers(peers)
         .with_items(items)
@@ -574,7 +573,7 @@ mod tests {
         for (name, run) in commands {
             for bad in ["--peers 0", "--items 0", "--peers 0 --items 0"] {
                 let err = run(&parse(&format!("{name} {bad}"))).unwrap_err();
-                assert!(err.contains("must be at least 1"), "{name} {bad}: {err}");
+                assert!(err.contains("is outside 1..="), "{name} {bad}: {err}");
             }
         }
     }

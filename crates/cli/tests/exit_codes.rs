@@ -14,10 +14,11 @@ fn run(args: &str) -> (Option<i32>, String) {
 #[test]
 fn bad_values_exit_1_with_a_named_error() {
     for (args, needle) in [
-        ("estimate --peers 0", "must be at least 1"),
-        ("aggregate --items 0", "must be at least 1"),
-        ("churn --peers 0", "must be at least 1"),
-        ("topology --items 0", "must be at least 1"),
+        ("estimate --peers 0", "is outside 1..="),
+        ("aggregate --items 0", "is outside 1..="),
+        ("churn --peers 0", "is outside 1..="),
+        ("topology --items 0", "is outside 1..="),
+        ("estimate --peers 18446744073709551615", "is outside 1..="),
         ("query --peers 16 --items 100 --lo NaN", "must be finite"),
         ("query --peers 16 --items 100 --hi inf", "must be finite"),
         ("estimate --peers 16 --items 100 --loss 1.5", "must be in [0, 1]"),

@@ -119,7 +119,7 @@ impl AggregateEstimator {
 /// `(count, sum, mean, variance)`, or `None` with <2 usable replies.
 ///
 /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-pub fn estimate_aggregates(
+fn estimate_aggregates(
     replies: &[ProbeReply],
     weighting: Weighting,
 ) -> Option<(f64, f64, f64, f64)> {

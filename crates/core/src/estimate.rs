@@ -159,12 +159,6 @@ impl DensityEstimate {
     pub fn wasserstein_to<C: CdfFn + ?Sized>(&self, reference: &C) -> f64 {
         metrics::wasserstein1(&self.cdf, reference, metrics::DEFAULT_GRID)
     }
-
-    /// Integrated absolute density error against a reference density.
-    pub fn l1_density_to(&self, reference_pdf: impl Fn(f64) -> f64) -> f64 {
-        let domain = self.cdf.domain();
-        metrics::l1_density_error(|x| self.pdf(x), reference_pdf, domain, metrics::DEFAULT_GRID)
-    }
 }
 
 impl CdfFn for DensityEstimate {

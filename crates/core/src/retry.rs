@@ -39,7 +39,7 @@ impl RetryPolicy {
 
     /// Backoff before retry number `retry` (1-based): exponential in the
     /// retry index, capped to avoid shifting into oblivion.
-    pub fn backoff(&self, retry: usize) -> u64 {
+    fn backoff(&self, retry: usize) -> u64 {
         self.base_backoff << retry.saturating_sub(1).min(16)
     }
 

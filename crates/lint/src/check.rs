@@ -1,7 +1,8 @@
 //! Rule checking: the per-file passes (needle scan, `#[cfg(test)]` regions,
 //! the `ddelint::allow` grammar, D3 alias resolution, the D6 doc-contract
 //! rule) and the workspace-level orchestration that layers the cross-file
-//! rules (D8 taint, D9 exhaustiveness, D10 sans-IO) on top.
+//! rules (D8 taint, D9 exhaustiveness, D10 sans-IO, D11 dead public API) on
+//! top.
 //!
 //! A [`FileCheck`] holds one file's lexed mask, parsed items, allows, and
 //! accumulated raw violations. [`check_workspace`] builds one per file,
@@ -14,7 +15,7 @@ use crate::lexer::{lex, Lexed};
 use crate::parse::{in_regions, parse, test_regions, ParsedFile};
 use crate::policy;
 use crate::rules::{Boundary, RuleId, NEEDLES};
-use crate::{proto, taint};
+use crate::{dead, proto, taint};
 
 use std::collections::BTreeSet;
 
@@ -436,14 +437,14 @@ impl FileCheck {
 /// `path` must be workspace-relative with `/` separators — rule scoping is
 /// path-driven, so the same contents lint differently under different paths
 /// (which is what the fixture tests exploit). The cross-file rules (D8, D9,
-/// D10) need the whole corpus; use [`check_workspace`] for those.
+/// D10, D11) need the whole corpus; use [`check_workspace`] for those.
 pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
     FileCheck::new(path, src).finish()
 }
 
 /// Checks a whole corpus of files: per-file rules, then the symbol-graph
-/// passes (D8 taint, D9 exhaustiveness, D10 sans-IO), then allow
-/// application. Violations come back grouped per file in input order, each
+/// passes (D8 taint, D9 exhaustiveness, D10 sans-IO, D11 dead-pub), then
+/// allow application. Violations come back grouped per file in input order, each
 /// file's sorted by position — deterministic in the input.
 pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Violation> {
     let mut files: Vec<FileCheck> =
@@ -452,5 +453,6 @@ pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Violation> {
     taint::check_d8(&mut files, &graph);
     proto::check_d9(&mut files);
     proto::check_d10(&mut files);
+    dead::check_d11(&mut files);
     files.into_iter().flat_map(FileCheck::finish).collect()
 }

@@ -1,0 +1,66 @@
+//! D11 (`dead-pub`) — public functions that nothing outside their file names.
+//!
+//! A bare-`pub` fn in library src, outside `#[cfg(test)]`, must be named in
+//! the code mask of at least one *other* linted file: a sibling module, a
+//! dependent crate, a test, a bench, an example or the benchmark harness.
+//! Otherwise it is dead, or private in all but name, and the `pub` hides it
+//! from rustc's `dead_code` lint. Mentions in comments and string literals
+//! do not count (the mask blanks them). `pub(crate)` fns are rustc's to
+//! guard and are not reported.
+//!
+//! The check is by name alone, so it cannot see a method whose name another
+//! type's method shares: any mention of the name counts as a use.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::check::{snippet_at, FileCheck, Violation};
+use crate::parse::FnItem;
+use crate::policy;
+use crate::rules::RuleId;
+
+/// The fns D11 polices in `file`: bare `pub`, outside `#[cfg(test)]`, in
+/// library src.
+fn policed(file: &FileCheck) -> impl Iterator<Item = &FnItem> {
+    let applies = policy::applies(RuleId::D11, &file.path);
+    file.parsed.fns.iter().filter(move |f| applies && f.is_pub && !file.in_test_region(f.at))
+}
+
+/// Runs the D11 pass, appending a violation at the name of each policed fn
+/// that no other linted file names.
+pub fn check_d11(files: &mut [FileCheck]) {
+    // How many files name each policed fn. The defining file always names
+    // its fn (the declaration), so a fn is used elsewhere exactly when at
+    // least two files name it.
+    let mut naming_files: BTreeMap<String, usize> =
+        files.iter().flat_map(policed).map(|f| (f.name.clone(), 0)).collect();
+    for file in files.iter() {
+        let mut seen = BTreeSet::new();
+        for word in file.lexed.mask.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            if let Some(count) = naming_files.get_mut(word) {
+                if seen.insert(word) {
+                    *count += 1;
+                }
+            }
+        }
+    }
+    for file in files.iter_mut() {
+        let dead: Vec<(usize, String)> = policed(file)
+            .filter(|f| naming_files[&f.name] < 2)
+            .map(|f| {
+                // Report at the name: skip `fn` and the whitespace after it.
+                let rest = &file.lexed.mask[f.at + 2..];
+                (f.at + 2 + (rest.len() - rest.trim_start().len()), f.name.clone())
+            })
+            .collect();
+        for (at, name) in dead {
+            let (line, col) = file.lexed.pos(at);
+            let message = format!(
+                "`pub fn {name}` is named by no other file — delete it, or drop the `pub` \
+                 so rustc's dead_code lint guards it"
+            );
+            let snippet = snippet_at(&file.src, &file.lexed, at);
+            let path = file.path.clone();
+            file.push(Violation { path, line, col, rule: RuleId::D11, message, snippet });
+        }
+    }
+}

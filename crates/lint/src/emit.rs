@@ -20,6 +20,7 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::D8,
     RuleId::D9,
     RuleId::D10,
+    RuleId::D11,
     RuleId::A0,
     RuleId::A1,
 ];

@@ -11,15 +11,17 @@
 //! builds the workspace symbol graph, [`rules`] defines the rule set,
 //! [`policy`] scopes each rule to paths, and [`check`] applies the per-file
 //! rules (D1–D7) plus the cross-file passes — [`taint`] (D8 determinism
-//! taint), [`proto`] (D9 message-exhaustiveness, D10 sans-IO boundary) —
-//! with inline `// ddelint::allow(rule, reason)` escapes. [`emit`] renders
-//! JSON and SARIF for CI code scanning.
+//! taint), [`proto`] (D9 message-exhaustiveness, D10 sans-IO boundary),
+//! [`dead`] (D11 dead public API) — with inline
+//! `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON and
+//! SARIF for CI code scanning.
 //!
 //! Run it as `cargo run -p lint -- check`. The rule set, the allow grammar,
 //! and the procedure for adding a rule are documented in TESTING.md
 //! §"Tier 0 — static analysis".
 
 pub mod check;
+pub mod dead;
 pub mod emit;
 pub mod graph;
 pub mod lexer;

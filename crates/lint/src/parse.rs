@@ -55,7 +55,8 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     /// Enclosing in-file module path (`["tests"]` for `mod tests`).
     pub modules: Vec<String>,
-    /// Whether the declaration starts with `pub`.
+    /// Whether the declaration is bare `pub` (`pub(crate)`, `pub(super)`
+    /// and private fns are not).
     pub is_pub: bool,
     /// Signature text *after* the name (generics, params, return type) up to
     /// the body brace — what D8's seed-threading absolution inspects.
@@ -507,17 +508,18 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 // `pub` / `pub(crate)` lookback (attributes may intervene but
                 // visibility sits directly in the keyword run before `fn`).
                 let mut is_pub = false;
+                let mut restricted = false;
                 let mut back = i;
                 while back > 0 {
                     back -= 1;
                     match toks[back].0 {
                         Tok::Ident("pub") => {
-                            is_pub = true;
+                            is_pub = !restricted;
                             break;
                         }
+                        Tok::Punct(b')') => restricted = true,
                         Tok::Ident("const" | "unsafe" | "async" | "extern" | "crate")
-                        | Tok::Punct(b'(')
-                        | Tok::Punct(b')') => {}
+                        | Tok::Punct(b'(') => {}
                         _ => break,
                     }
                 }

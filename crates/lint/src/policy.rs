@@ -55,39 +55,32 @@ pub const D7_FILES: &[&str] = &[
 /// and bill message stats, but direct topology/data mutation belongs to the
 /// drivers (`sim` and the CLI) — keeping the policy layer a pure
 /// `(incoming message, state) → outgoing messages` state machine, the shape
-/// a sans-IO probe round (ROADMAP item 3) needs.
+/// a sans-IO probe round (ROADMAP item 3) needs. Nor may they read the
+/// ground truth their estimates are scored against.
 pub fn d10_file(path: &str) -> bool {
     path.starts_with("crates/core/src/")
 }
 
-/// `Network` methods the sans-IO layer may call (rule D10): reads, probe /
-/// lookup message exchanges (the simulated transport), and stats billing.
-/// Everything else — membership, builds, rewiring, data mutation, fault-plan
-/// edits — is driver territory.
+/// `Network` methods the sans-IO layer may call (rule D10): probe message
+/// exchanges (the simulated transport), the reads a peer could make of its
+/// own view, and stats billing. Everything else — membership, builds,
+/// rewiring, data mutation, fault-plan edits, and ground-truth reads such as
+/// `total_items`, `true_owner` or `global_values` — is driver territory.
 pub const NETWORK_READ_WHITELIST: &[&str] = &[
     // Message exchanges: the simulated transport surface.
-    "lookup",
-    "lookup_batched",
     "probe",
     "piggyback_probe",
     "sample_tuple",
     "message_lost",
     "reply_lost",
-    // Pure reads.
+    // Reads.
     "len",
-    "is_empty",
     "placement",
     "ids",
     "is_alive",
     "node",
     "summary_buckets",
-    "replication",
-    "true_owner",
     "random_peer",
-    "total_items",
-    "global_values",
-    "global_values_arc",
-    "mutation_epoch",
     // Stats billing.
     "stats",
     "stats_mut",
@@ -149,7 +142,7 @@ pub const EXHAUSTIVE_ENUMS: &[ExhaustiveEnum] = &[ExhaustiveEnum {
         Requirement::ListedIn {
             file: "crates/ring/src/messages.rs",
             const_name: "ALL",
-            what: "an entry in `MessageKind::ALL` (breakdown/registry order)",
+            what: "an entry in `MessageKind::ALL` (registry order)",
         },
         Requirement::Billed {
             fns: &["record", "observe_timeout"],
@@ -218,6 +211,9 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
         // D9 reports at the protocol enum's defining file.
         RuleId::D9 => EXHAUSTIVE_ENUMS.iter().any(|e| e.file == path),
         RuleId::D10 => d10_file(path),
+        // D11 reports in library src, where a `pub` is a promise to other
+        // crates; binaries, tests and benches have no public API to rot.
+        RuleId::D11 => in_det_src(path),
         RuleId::A0 | RuleId::A1 => true,
     }
 }
@@ -225,10 +221,10 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
 /// Whether violations of `rule` are exempt inside `#[cfg(test)]` regions.
 ///
 /// D5 (unwrap hygiene), D6 (public-API docs), D7 (hot-path clones), D8
-/// (taint — in-file unit tests drive helpers off arbitrary state), and D10
-/// (tests exercise mutation deliberately) are test-exempt; ambient entropy,
-/// wall-clock, unordered maps, and unsafe would break deterministic replay
-/// of the test suite itself.
+/// (taint — in-file unit tests drive helpers off arbitrary state), D10
+/// (tests exercise mutation deliberately) and D11 (a test helper is no
+/// public API) are test-exempt; ambient entropy, wall-clock, unordered maps,
+/// and unsafe would break deterministic replay of the test suite itself.
 pub fn test_exempt(rule: RuleId) -> bool {
-    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D7 | RuleId::D8 | RuleId::D10)
+    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D7 | RuleId::D8 | RuleId::D10 | RuleId::D11)
 }

@@ -13,10 +13,12 @@
 //! enum is gone, empty, or declared inside a macro) would pass while
 //! checking nothing, so it is itself a violation, reported at the file.
 //!
-//! **D10.** Estimator/probe/routing-policy modules ([`policy::D10_FILES`])
-//! must stay sans-IO: they may interrogate the [`Network`] and bill stats,
-//! but direct topology/data mutation (`net.insert(...)`, `net.build(...)`,
-//! `net.join(...)`) is left to the simulation layer. Method calls on a `net` /
+//! **D10.** Estimator/probe/routing-policy modules ([`policy::d10_file`])
+//! must stay sans-IO: they may probe the `Network`, read what a peer could
+//! see, and bill stats, but direct topology/data mutation
+//! (`net.insert(...)`, `net.build(...)`, `net.join(...)`) is left to the
+//! simulation layer, and so is the ground truth estimates are scored against
+//! (`net.total_items()`, `net.true_owner(...)`). Method calls on a `net` /
 //! `network` receiver (and `Network::` paths) outside
 //! [`policy::NETWORK_READ_WHITELIST`] are violations — the static
 //! pre-enforcement of a `(incoming message, state) → outgoing messages`
@@ -244,9 +246,9 @@ pub fn check_d10(files: &mut [FileCheck]) {
                     found.push((
                         call.at,
                         format!(
-                            "direct `Network` mutation `{name}` in a sans-IO module — \
-                             return an intent and let the driver apply it \
-                             (see DESIGN.md §7 / ROADMAP item 1)"
+                            "`Network` call `{name}` outside the sans-IO probe/read/billing \
+                             whitelist — mutation and ground truth belong to the driver \
+                             (see DESIGN.md §7)"
                         ),
                     ));
                 }

@@ -41,10 +41,15 @@ pub enum RuleId {
     /// (`MessageKind`) must be wired everywhere the policy says — handler
     /// arm, registry listing, stats billing.
     D9,
-    /// Sans-IO boundary: estimator/probe/routing-policy modules may not
-    /// directly mutate the `Network` outside the read/probe/billing
-    /// whitelist — drivers own mutation.
+    /// Sans-IO boundary: estimator/probe/routing-policy modules may call
+    /// the `Network` only through the probe/read/billing whitelist — drivers
+    /// own mutation, and the ground truth estimates are scored against stays
+    /// out of the estimator's reach.
     D10,
+    /// Dead public API: a bare-`pub` fn in library src that no other file
+    /// names — delete it, or drop the `pub` and let rustc's `dead_code`
+    /// guard it.
+    D11,
     /// Malformed `ddelint::allow` (unknown rule id or missing/empty reason).
     A0,
     /// An allow that suppressed nothing — stale escapes must be removed.
@@ -88,6 +93,7 @@ impl RuleId {
             Self::D8 => "det-taint",
             Self::D9 => "message-exhaustive",
             Self::D10 => "sans-io",
+            Self::D11 => "dead-pub",
             Self::A0 => "bad-allow",
             Self::A1 => "unused-allow",
         }
@@ -106,6 +112,7 @@ impl RuleId {
             Self::D8 => "D8",
             Self::D9 => "D9",
             Self::D10 => "D10",
+            Self::D11 => "D11",
             Self::A0 => "A0",
             Self::A1 => "A1",
         }
@@ -123,7 +130,8 @@ impl RuleId {
             Self::D7 => "successor-list/sorted-store clone on a ring hot path (snapshot or Arc-share instead)",
             Self::D8 => "fn transitively reaches ambient entropy/wall-clock without threading a seed parameter",
             Self::D9 => "protocol enum variant missing a handler arm, registry entry, or billing call",
-            Self::D10 => "direct Network mutation in a sans-IO module (outside the read/probe/billing whitelist)",
+            Self::D10 => "Network call outside the probe/read/billing whitelist (mutation or ground-truth read) in a sans-IO module",
+            Self::D11 => "pub fn in library src that no other file names (delete it or drop the pub)",
             Self::A0 => "malformed ddelint::allow (unknown rule or missing/empty reason)",
             Self::A1 => "ddelint::allow that suppressed no violation",
         }
@@ -142,6 +150,7 @@ impl RuleId {
             Self::D8,
             Self::D9,
             Self::D10,
+            Self::D11,
             Self::A0,
             Self::A1,
         ];

@@ -1,6 +1,6 @@
 // Fixture: D10 clean — whitelisted reads/probes plus one reviewed mutation
 // behind a reasoned allow.
-pub fn survey(net: &mut Network, origin: RingId) -> usize {
+pub(crate) fn survey(net: &mut Network, origin: RingId) -> usize {
     let mut seen = net.len();
     if net.is_alive(origin) {
         seen += 1;

@@ -6,6 +6,6 @@ fn laundered_tag() -> u64 {
 }
 
 /// Deterministic in results: the jitter tag is debug-only (see allow above).
-pub fn tagged(x: u64) -> u64 {
+pub(crate) fn tagged(x: u64) -> u64 {
     x ^ laundered_tag()
 }

@@ -6,11 +6,11 @@ fn laundered() -> u64 {
 }
 
 /// Nondeterministic on purpose (fixture): the D8 drill target.
-pub fn perturb(x: u64) -> u64 {
+pub(crate) fn perturb(x: u64) -> u64 {
     x ^ laundered()
 }
 
 /// Deterministic: pure fn of `seed` and `x` once the chain is absolved.
-pub fn stream_blend(seed: u64, x: u64) -> u64 {
+pub(crate) fn stream_blend(seed: u64, x: u64) -> u64 {
     x ^ laundered() ^ seed
 }

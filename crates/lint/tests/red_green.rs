@@ -5,8 +5,9 @@
 //!
 //! The cross-file rules get the same treatment against the *whole* workspace
 //! (`read_tree` + one in-memory plant): D8 catches entropy laundered through
-//! the exempt RNG module, D9 catches an unwired `MessageKind` variant, and
-//! D10 catches a direct `Network` mutation inside an estimator module.
+//! the exempt RNG module, D9 catches an unwired `MessageKind` variant, D10
+//! catches a direct `Network` mutation inside an estimator module, and D11
+//! catches a `pub fn` that nothing calls.
 
 use std::path::Path;
 
@@ -93,7 +94,7 @@ fn red_d8_catches_entropy_laundered_through_the_exempt_rng_module() {
         "crates/stats/src/ecdf.rs",
         "\nfn drill_launder() -> u64 {\n    crate::rng::drill_jitter()\n}\n\n\
          /// Nondeterministic on purpose: the D8 drill target.\n\
-         pub fn drill_perturb(x: u64) -> u64 {\n    x ^ drill_launder()\n}\n",
+         pub(crate) fn drill_perturb(x: u64) -> u64 {\n    x ^ drill_launder()\n}\n",
     );
     let v = check_workspace(&tree);
     assert_eq!(rules_of(&v), vec![RuleId::D8, RuleId::D8], "{v:?}");
@@ -142,7 +143,7 @@ fn red_d10_catches_a_direct_network_mutation_in_an_estimator() {
         &mut tree,
         "crates/core/src/dfdde.rs",
         "\n/// Deterministic: drill-only; never merged.\n\
-         pub fn drill_repair(net: &mut Network) {\n    net.set_replication(3);\n}\n",
+         pub(crate) fn drill_repair(net: &mut Network) {\n    net.set_replication(3);\n}\n",
     );
     let v = check_workspace(&tree);
     assert_eq!(rules_of(&v), vec![RuleId::D10], "{v:?}");
@@ -158,10 +159,50 @@ fn red_d10_goes_green_with_a_reasoned_allow() {
         &mut tree,
         "crates/core/src/dfdde.rs",
         "\n/// Deterministic: drill-only; never merged.\n\
-         pub fn drill_repair(net: &mut Network) {\n    \
+         pub(crate) fn drill_repair(net: &mut Network) {\n    \
          // ddelint::allow(sans-io, \"demo: red/green round-trip for the boundary rule\")\n    \
          net.set_replication(3);\n}\n",
     );
     let v = check_workspace(&tree);
     assert!(v.is_empty(), "allow must restore green: {v:?}");
+}
+
+/// A `pub fn` nothing calls, planted at the end of the real `ecdf.rs`, with
+/// `allow` as its first line.
+fn dead_pub_plant(allow: &str, visibility: &str) -> String {
+    format!(
+        "\n{allow}/// Deterministic: drill-only; never merged.\n\
+         {visibility} fn drill_unused() -> u64 {{\n    7\n}}\n"
+    )
+}
+
+#[test]
+fn red_d11_catches_a_pub_fn_nothing_calls() {
+    let mut tree = real_tree();
+    plant(&mut tree, ECDF_PATH, &dead_pub_plant("", "pub"));
+    let v = check_workspace(&tree);
+    assert_eq!(rules_of(&v), vec![RuleId::D11], "{v:?}");
+    assert_eq!(v[0].path, ECDF_PATH);
+    assert!(v[0].message.contains("drill_unused"), "{}", v[0].message);
+    let src = &tree.iter().find(|(p, _)| p == ECDF_PATH).expect("ecdf.rs in tree").1;
+    let line_text = src.lines().nth(v[0].line - 1).expect("reported line exists");
+    assert_eq!(line_text, "pub fn drill_unused() -> u64 {");
+    assert_eq!(v[0].col, "pub fn ".len() + 1);
+}
+
+#[test]
+fn red_d11_goes_green_with_a_reasoned_allow_and_a1_catches_a_stale_one() {
+    let allow =
+        "// ddelint::allow(dead-pub, \"demo: red/green round-trip for the dead-pub rule\")\n";
+    let mut tree = real_tree();
+    plant(&mut tree, ECDF_PATH, &dead_pub_plant(allow, "pub"));
+    let v = check_workspace(&tree);
+    assert!(v.is_empty(), "allow must restore green: {v:?}");
+
+    // The same allow over a `pub(crate)` fn suppresses nothing.
+    let mut tree = real_tree();
+    plant(&mut tree, ECDF_PATH, &dead_pub_plant(allow, "pub(crate)"));
+    let v = check_workspace(&tree);
+    assert_eq!(rules_of(&v), vec![RuleId::A1], "{v:?}");
+    assert!(v[0].message.contains("D11[dead-pub]"), "{}", v[0].message);
 }

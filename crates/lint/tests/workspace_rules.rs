@@ -1,7 +1,7 @@
-//! Cross-file rule behaviour (D8 taint, D9 exhaustiveness, D10 sans-IO)
-//! plus the D3 alias-resolution fix, driven through `check_workspace` over
-//! fixture corpora with synthetic workspace paths (rule scoping is
-//! path-driven, so the paths choose which rules are live).
+//! Cross-file rule behaviour (D8 taint, D9 exhaustiveness, D10 sans-IO, D11
+//! dead public API) plus the D3 alias-resolution fix, driven through
+//! `check_workspace` over fixture corpora with synthetic workspace paths
+//! (rule scoping is path-driven, so the paths choose which rules are live).
 
 use lint::rules::RuleId;
 use lint::{check_source, check_workspace, Violation};
@@ -171,7 +171,67 @@ fn d10_whitelisted_reads_and_reasoned_allow_are_clean() {
 }
 
 #[test]
+fn d10_flags_ground_truth_reads_outside_tests() {
+    let src = "fn peek(net: &Network, t: f64) -> u64 {\n    \
+               net.total_items() + net.true_owner(t).0\n}\n\n\
+               #[cfg(test)]\nmod tests {\n    \
+               fn oracle(net: &Network, t: f64) -> u64 {\n        \
+               net.total_items() + net.true_owner(t).0\n    }\n}\n";
+    let v = check_workspace(&[("crates/core/src/fixture.rs".to_string(), src.to_string())]);
+    assert_eq!(rules_of(&v), vec![RuleId::D10, RuleId::D10], "only the non-test reads: {v:?}");
+    let line_text = src.lines().nth(1).expect("call line");
+    for (violation, name) in v.iter().zip(["total_items", "true_owner"]) {
+        assert!(violation.message.contains(name), "{}", violation.message);
+        assert_eq!(violation.line, 2, "{violation:?}");
+        assert_eq!(violation.col, line_text.find(name).expect("name on line") + 1);
+    }
+}
+
+#[test]
 fn d10_does_not_apply_outside_the_sans_io_layer() {
     let v = check_corpus(&[("crates/sim/src/fixture.rs", "d10_violation.rs")]);
     assert!(v.is_empty(), "drivers own mutation: {v:?}");
+}
+
+/// The names of the fns D11 reports, in report order.
+fn dead_names(violations: &[Violation]) -> Vec<&str> {
+    violations
+        .iter()
+        .map(|v| {
+            assert_eq!(v.rule, RuleId::D11, "{v:?}");
+            v.message.split('`').nth(1).expect("quoted fn").trim_start_matches("pub fn ")
+        })
+        .collect()
+}
+
+#[test]
+fn d11_flags_pub_fns_named_elsewhere_only_in_comments_or_strings() {
+    // A name used only by the benchmark harness or an example is used.
+    for user in ["ringbench/src/main.rs", "examples/demo.rs"] {
+        let v = check_corpus(&[
+            ("crates/stats/src/fixture.rs", "d11_violation.rs"),
+            (user, "d11_user.rs"),
+        ]);
+        let dead = ["mentioned_only", "called_here_only"];
+        assert_eq!(dead_names(&v), dead, "{user}: {v:?}");
+        // Reported at the fn's name.
+        let src = fixture("d11_violation.rs");
+        for (violation, name) in v.iter().zip(dead) {
+            assert_eq!(violation.path, "crates/stats/src/fixture.rs");
+            let line_text = src.lines().nth(violation.line - 1).expect("line exists");
+            assert_eq!(line_text, format!("pub fn {name}() -> u64 {{"));
+            assert_eq!(violation.col, line_text.find(name).expect("name on line") + 1);
+        }
+    }
+}
+
+#[test]
+fn d11_skips_restricted_and_test_fns_and_needs_another_file() {
+    // Without the user file, `called_elsewhere` is dead too; the
+    // `pub(crate)` fn and the `#[cfg(test)]` helper are never reported.
+    let v = check_corpus(&[("crates/stats/src/fixture.rs", "d11_violation.rs")]);
+    assert_eq!(dead_names(&v), vec!["mentioned_only", "called_elsewhere", "called_here_only"]);
+    // Binaries, tests and benches have no public API.
+    let v = check_corpus(&[("crates/bench/src/fixture.rs", "d11_violation.rs")]);
+    assert!(v.is_empty(), "{v:?}");
 }

@@ -12,7 +12,7 @@
 //! * **Amortized arena churn** ([`ChurnBatch`]) — the mega-scale mutation
 //!   path: membership events splice the columnar state directly and
 //!   restore *perfect* routing via `O(log P)` locality repair
-//!   ([`crate::index::NodeIndex::repair_positions`]), skipping the
+//!   (`NodeIndex::repair_positions`), skipping the
 //!   stabilization storm a 10⁶-peer network cannot afford. Data handoff and
 //!   the stabilization traffic a real join/leave would cost are still
 //!   charged to the message counters. A batch coalesces a window of events
@@ -221,7 +221,6 @@ impl Network {
         if self.nodes.is_empty() {
             return;
         }
-        self.bump_epoch();
         let pos = self.nodes.owner_position(self.placement.place(x));
         self.nodes.node_at_mut(pos).store.insert(x);
         self.stats.record(MessageKind::Handoff, 8);
@@ -241,7 +240,6 @@ impl Network {
             let node = self.nodes.node_at_mut((start + k) % p);
             if let Some(x) = node.store.sample_uniform(rng) {
                 node.store.remove(x);
-                self.bump_epoch();
                 self.stats.record(MessageKind::Handoff, 8);
                 return Some(x);
             }
@@ -343,7 +341,6 @@ impl ChurnBatch {
             self.events.clear();
             return out;
         }
-        net.bump_epoch();
         net.nodes.reserve(self.events.len());
         let p0 = net.nodes.len();
 

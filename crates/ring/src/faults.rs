@@ -174,12 +174,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the delivered-message delay distribution.
-    pub fn with_delay(mut self, delay: DelayDist) -> Self {
-        self.delay = delay;
-        self
-    }
-
     /// Puts a `slow` fraction of peers in a static low-capacity class:
     /// every message they send takes `factor`× the drawn delay, and a reply
     /// whose scaled delay draw exceeds `deadline` misses the caller's
@@ -194,15 +188,10 @@ impl FaultPlan {
 
     /// Cuts the contiguous id arc `[start, start + span)` (wrap-around) off
     /// from the rest of the ring: no message crosses the cut, in either
-    /// direction, until [`FaultPlan::heal_partition`] is called.
+    /// direction.
     pub fn with_partition(mut self, start: u64, span: u64) -> Self {
         self.partition = if span == 0 { None } else { Some((start, span)) };
         self
-    }
-
-    /// Heals the arc partition (if any).
-    pub fn heal_partition(&mut self) {
-        self.partition = None;
     }
 
     /// Disables the per-link FIFO clamp in [`FaultPlan::deliver`]. This is
@@ -284,7 +273,7 @@ impl FaultPlan {
     /// Whether `peer` is inside a sick window *right now*. Pure in the
     /// clock: the same peer stays sick for the whole window and the sick
     /// set is re-drawn when the window rolls over.
-    pub fn is_sick(&self, peer: RingId) -> bool {
+    fn is_sick(&self, peer: RingId) -> bool {
         if self.sick <= 0.0 {
             return false;
         }
@@ -293,7 +282,7 @@ impl FaultPlan {
 
     /// Whether `peer` is in the static low-capacity class. Pure; the class
     /// never rotates (capacity is a property of the peer, not a window).
-    pub fn is_slow(&self, peer: RingId) -> bool {
+    fn is_slow(&self, peer: RingId) -> bool {
         if self.capacity_slow <= 0.0 {
             return false;
         }
@@ -313,7 +302,7 @@ impl FaultPlan {
     }
 
     /// Draws one delivered-message delay in cost units.
-    pub fn message_delay(&mut self) -> u64 {
+    fn message_delay(&mut self) -> u64 {
         let d = self.delay;
         if d.jitter == 0 {
             return d.base;
@@ -323,7 +312,7 @@ impl FaultPlan {
     }
 
     /// Draws the delivery delay for one `from → to` message. Without the
-    /// capacity axis this is exactly [`FaultPlan::message_delay`] — same
+    /// capacity axis this is exactly `FaultPlan::message_delay` — same
     /// draw, same stream position. With it, a message sent by a slow-class
     /// peer takes `capacity_factor`× the drawn delay, and the per-link FIFO
     /// clamp raises the result to the link's front so a later send never
@@ -452,7 +441,8 @@ mod tests {
     fn deliver_matches_message_delay_when_capacity_inactive() {
         // The default path must be byte-identical whether a call site uses
         // `deliver` or the legacy `message_delay` — same draws, same stream.
-        let mut a = FaultPlan::new(9).with_delay(DelayDist { base: 1, jitter: 7 });
+        let mut a = FaultPlan::new(9);
+        a.delay = DelayDist { base: 1, jitter: 7 };
         let mut b = a.clone();
         for i in 0..200u64 {
             let d = a.deliver(RingId(mix(i)), RingId(mix(!i)));
@@ -485,9 +475,8 @@ mod tests {
         let slow_sender = |plan: &FaultPlan| {
             (0..u64::MAX).map(|i| RingId(mix(i))).find(|&p| plan.is_slow(p)).expect("slow peer")
         };
-        let mut guarded = FaultPlan::new(77)
-            .with_capacity(0.5, 6, 0)
-            .with_delay(DelayDist { base: 1, jitter: 9 });
+        let mut guarded = FaultPlan::new(77).with_capacity(0.5, 6, 0);
+        guarded.delay = DelayDist { base: 1, jitter: 9 };
         let from = slow_sender(&guarded);
         let to = RingId(0xDEAD_BEEF);
         let mut prev = 0;
@@ -499,10 +488,8 @@ mod tests {
         assert_eq!(guarded.reorderings(), 0);
         // Same draws with the guard dropped: reorderings happen and are
         // tallied — this is what the DST drill relies on.
-        let mut buggy = FaultPlan::new(77)
-            .with_capacity(0.5, 6, 0)
-            .with_delay(DelayDist { base: 1, jitter: 9 })
-            .without_fifo_guard();
+        let mut buggy = FaultPlan::new(77).with_capacity(0.5, 6, 0).without_fifo_guard();
+        buggy.delay = DelayDist { base: 1, jitter: 9 };
         for _ in 0..100 {
             buggy.deliver(from, to);
         }
@@ -521,8 +508,6 @@ mod tests {
         assert!(!plan.partitioned(outside, RingId(99)));
         assert_eq!(plan.decide_rpc(inside, outside), FaultDecision::Partitioned);
         assert_eq!(plan.decide_rpc(inside, inside2), FaultDecision::Clean);
-        plan.heal_partition();
-        assert!(!plan.partitioned(inside, outside));
         // Wrap-around arc: [u64::MAX - 10, u64::MAX - 10 + 20) spans zero.
         let wrapped = FaultPlan::new(3).with_partition(u64::MAX - 10, 20);
         assert!(wrapped.partitioned(RingId(u64::MAX - 5), RingId(1000)));
@@ -533,9 +518,8 @@ mod tests {
     fn overloaded_replies_miss_tight_deadlines() {
         // Deadline below the scaled minimum: every RPC to a slow peer is
         // Slow; fast peers are untouched.
-        let mut plan = FaultPlan::new(21)
-            .with_capacity(0.5, 8, 4)
-            .with_delay(DelayDist { base: 1, jitter: 0 });
+        let mut plan = FaultPlan::new(21).with_capacity(0.5, 8, 4);
+        plan.delay = DelayDist { base: 1, jitter: 0 };
         let peers: Vec<RingId> = (0..64).map(|i| RingId(mix(i))).collect();
         let from = RingId(1);
         for &p in &peers {
@@ -543,9 +527,8 @@ mod tests {
             assert_eq!(plan.decide_rpc(from, p), want);
         }
         // A generous deadline lets every reply through.
-        let mut lax = FaultPlan::new(21)
-            .with_capacity(0.5, 8, 1000)
-            .with_delay(DelayDist { base: 1, jitter: 0 });
+        let mut lax = FaultPlan::new(21).with_capacity(0.5, 8, 1000);
+        lax.delay = DelayDist { base: 1, jitter: 0 };
         for &p in &peers {
             assert_eq!(lax.decide_rpc(from, p), FaultDecision::Clean);
         }
@@ -553,12 +536,14 @@ mod tests {
 
     #[test]
     fn delays_stay_in_range() {
-        let mut plan = FaultPlan::new(3).with_delay(DelayDist { base: 2, jitter: 5 });
+        let mut plan = FaultPlan::new(3);
+        plan.delay = DelayDist { base: 2, jitter: 5 };
         for _ in 0..500 {
             let d = plan.message_delay();
             assert!((2..=7).contains(&d), "delay {d} outside [2, 7]");
         }
-        let mut flat = FaultPlan::new(3).with_delay(DelayDist { base: 4, jitter: 0 });
+        let mut flat = FaultPlan::new(3);
+        flat.delay = DelayDist { base: 4, jitter: 0 };
         assert_eq!(flat.message_delay(), 4);
     }
 }

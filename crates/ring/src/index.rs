@@ -12,7 +12,7 @@
 //! `order[i]` — the permutation column decouples ring order from record
 //! placement, so a membership change splices the two 12-byte-per-position
 //! columns and recycles one slot, never memmoving the ~650-byte records.
-//! [`NodeIndex::repair_positions`] then restores perfect routing state
+//! `NodeIndex::repair_positions` then restores perfect routing state
 //! around the changed arcs in `O(log P)` per event (amortized over the
 //! finger-density argument below) instead of the `O(P · RING_BITS)` full
 //! rewire, bit-identical to [`RingArena::wire_perfect`] on the final column.

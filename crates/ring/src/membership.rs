@@ -54,7 +54,6 @@ impl Network {
         if !self.is_alive(bootstrap) {
             return Err(MembershipError::UnknownPeer);
         }
-        self.bump_epoch();
         // Find the successor of the new id.
         let succ_id = self.lookup(bootstrap, new_id)?.owner;
         let succ = self
@@ -119,7 +118,6 @@ impl Network {
         let node = self.nodes.get(&id).ok_or(MembershipError::UnknownPeer)?;
         let pred = node.predecessor;
         let (succs, succ_len) = node.successors_snapshot();
-        self.bump_epoch();
         // First alive successor (the leaving node pings down its list).
         let mut heir = None;
         for &s in &succs[..succ_len] {
@@ -166,7 +164,6 @@ impl Network {
     /// told (neighbors discover via timeouts and stabilization).
     pub fn fail(&mut self, id: RingId) -> Result<(), MembershipError> {
         self.nodes.remove(&id).ok_or(MembershipError::UnknownPeer)?;
-        self.bump_epoch();
         self.finger_cursor.remove(&id);
         Ok(())
     }
@@ -189,7 +186,7 @@ impl Network {
     }
 
     /// Stabilizes one node; returns corrections made.
-    pub fn stabilize_node(&mut self, id: RingId) -> usize {
+    fn stabilize_node(&mut self, id: RingId) -> usize {
         let mut corrections = 0;
         let Some(node) = self.nodes.get(&id) else { return 0 };
         let (snap, snap_len) = node.successors_snapshot();
@@ -443,9 +440,6 @@ impl Network {
         if misplaced.is_empty() {
             return 0;
         }
-        // Items are leaving this store (and may land elsewhere or come back):
-        // the global multiset is in flux either way.
-        self.bump_epoch();
         let mut moved = 0;
         let mut keep = Vec::new();
         let mut remaining: Vec<f64> = misplaced;

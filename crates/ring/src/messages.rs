@@ -214,16 +214,6 @@ impl MessageStats {
             delay_units: self.delay_units - earlier.delay_units,
         }
     }
-
-    /// Per-kind counts, for reports: kinds with a nonzero count, in
-    /// declaration (= `Ord`) order.
-    pub fn breakdown(&self) -> impl Iterator<Item = (MessageKind, u64)> + '_ {
-        MessageKind::ALL
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(_, &v)| v > 0)
-            .map(|(&k, &v)| (k, v))
-    }
 }
 
 #[cfg(test)]

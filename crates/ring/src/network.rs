@@ -16,7 +16,6 @@ use crate::placement::Placement;
 use dde_stats::equidepth::EquiDepthSummary;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Hard hop limit per lookup; exceeding it indicates a broken ring.
 pub const MAX_HOPS: u32 = 512;
@@ -81,7 +80,7 @@ pub struct ProbeReply {
 }
 
 /// The simulated ring overlay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Network {
     pub(crate) nodes: NodeIndex,
     pub(crate) placement: Placement,
@@ -99,40 +98,6 @@ pub struct Network {
     pub(crate) maint_counter: u64,
     /// Installed fault plan; `None` injects nothing.
     pub(crate) faults: Option<FaultPlan>,
-    /// Data-mutation epoch: bumped by every operation that can change the
-    /// global multiset of stored primaries (bulk load, insert/delete, churn,
-    /// data repair). Guards the ground-truth cache below.
-    pub(crate) epoch: u64,
-    /// Cached sorted global value vector, valid for the epoch it was built
-    /// at. Interior mutability so [`Network::global_values`] stays `&self`.
-    truth_cache: Mutex<TruthCache>,
-}
-
-/// The memoized [`Network::global_values`] result and the epoch it is
-/// valid for.
-#[derive(Debug, Clone, Default)]
-struct TruthCache {
-    epoch: u64,
-    values: Option<Arc<Vec<f64>>>,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        let cache = self.truth_cache.lock().expect("truth cache poisoned").clone();
-        Self {
-            nodes: self.nodes.clone(),
-            placement: self.placement,
-            stats: self.stats.clone(),
-            summary_buckets: self.summary_buckets,
-            fingers_per_round: self.fingers_per_round,
-            finger_cursor: self.finger_cursor.clone(),
-            replication: self.replication,
-            maint_counter: self.maint_counter,
-            faults: self.faults.clone(),
-            epoch: self.epoch,
-            truth_cache: Mutex::new(cache),
-        }
-    }
 }
 
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
@@ -163,8 +128,6 @@ impl Network {
             replication: 0,
             maint_counter: 0,
             faults: None,
-            epoch: 0,
-            truth_cache: Mutex::new(TruthCache::default()),
         }
     }
 
@@ -175,19 +138,6 @@ impl Network {
     /// forked cells being byte-identical to freshly built ones.
     pub fn fork(&self) -> Self {
         self.clone()
-    }
-
-    /// The data-mutation epoch: changes whenever the global multiset of
-    /// stored primary values may have changed. Exposed for cache-invalidation
-    /// tests.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Marks the global data multiset as (possibly) changed, invalidating
-    /// the [`Network::global_values`] cache.
-    pub(crate) fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Installs a fault plan; all subsequent lookup/probe/insert traffic is
@@ -319,11 +269,7 @@ impl Network {
     }
 
     /// Mutable access to a peer (tests and protocol internals).
-    ///
-    /// Conservatively bumps the data-mutation epoch — the caller may mutate
-    /// the store through the returned reference.
     pub fn node_mut(&mut self, id: RingId) -> Option<&mut Node> {
-        self.bump_epoch();
         self.nodes.get_mut(&id)
     }
 
@@ -385,7 +331,6 @@ impl Network {
     /// (construction-time; free of message charges).
     pub fn bulk_load(&mut self, items: &[f64]) {
         assert!(!self.nodes.is_empty(), "bulk_load on empty network");
-        self.bump_epoch();
         // Two passes: count each owner's share, then fill exactly-sized
         // buckets — no reallocation during the distribution.
         let mut owners: Vec<usize> = Vec::with_capacity(items.len());
@@ -411,30 +356,13 @@ impl Network {
         self.nodes.values().map(|n| n.store.len() as u64).sum()
     }
 
-    /// Every stored value, across all peers (ground truth for metrics).
-    ///
-    /// Memoized: the sorted vector is recomputed only when the data-mutation
-    /// epoch has moved since the last call (see [`Network::mutation_epoch`]).
+    /// Every stored value across all peers, sorted by `total_cmp` (ground
+    /// truth for metrics), collected afresh on every call.
     pub fn global_values(&self) -> Vec<f64> {
-        self.global_values_arc().as_ref().clone()
-    }
-
-    /// Shared-ownership form of [`Network::global_values`]: repeated calls
-    /// at the same epoch return the same allocation.
-    pub fn global_values_arc(&self) -> Arc<Vec<f64>> {
-        let mut cache = self.truth_cache.lock().expect("truth cache poisoned");
-        if cache.epoch == self.epoch {
-            if let Some(values) = &cache.values {
-                return Arc::clone(values);
-            }
-        }
         let mut all: Vec<f64> =
             self.nodes.values().flat_map(|n| n.store.values().iter().copied()).collect();
         all.sort_by(f64::total_cmp);
-        let values = Arc::new(all);
-        cache.epoch = self.epoch;
-        cache.values = Some(Arc::clone(&values));
-        values
+        all
     }
 
     /// The single timeout cost path: one timeout-marker message (header +
@@ -534,7 +462,7 @@ impl Network {
 
     /// [`Network::lookup`] inside a same-origin arrival window: routing
     /// decisions, owners, and hop counts are **identical** to the per-op
-    /// path (both run [`Network::lookup_impl`] with the same state
+    /// path (both run `Network::lookup_impl` with the same state
     /// mutations), but hop exchanges already paid in `batch`'s current
     /// window are not charged again — the batch shares route prefixes.
     ///
@@ -786,7 +714,6 @@ impl Network {
     /// placement position and stores it there (one request + ack on top of
     /// the routing hops). This is the write path dynamic workloads use.
     pub fn insert(&mut self, initiator: RingId, x: f64) -> Result<u32, LookupError> {
-        self.bump_epoch();
         let (res, owner_pos) = self.lookup_impl(initiator, self.placement.place(x), None)?;
         // The handoff RPC (initiator → owner) is subject to the fault plan
         // unless the write is local.
@@ -810,7 +737,6 @@ impl Network {
     /// Deletes one occurrence of `x` through the overlay; returns whether an
     /// item was found (plus the routing hops spent).
     pub fn delete(&mut self, initiator: RingId, x: f64) -> Result<(bool, u32), LookupError> {
-        self.bump_epoch();
         let (res, owner_pos) = self.lookup_impl(initiator, self.placement.place(x), None)?;
         let removed = self.nodes.node_at_mut(owner_pos).store.remove(x);
         self.stats.record(MessageKind::Handoff, 8);

@@ -48,12 +48,6 @@ impl DomainMap {
         let pos = frac * 2f64.powi(64);
         RingId(if pos >= 2f64.powi(64) { u64::MAX } else { pos as u64 })
     }
-
-    /// Data value at ring position `p` (the inverse map).
-    pub fn to_domain(&self, p: RingId) -> f64 {
-        let frac = p.0 as f64 / 2f64.powi(64);
-        self.lo + frac * (self.hi - self.lo)
-    }
 }
 
 /// How items are assigned ring positions.
@@ -87,11 +81,6 @@ impl Placement {
         match self {
             Placement::Hashed { map } | Placement::Range { map } => map.domain(),
         }
-    }
-
-    /// Whether this placement preserves domain order on the ring.
-    pub fn is_order_preserving(&self) -> bool {
-        matches!(self, Placement::Range { .. })
     }
 
     /// Ring position where item `x` is stored.
@@ -130,15 +119,6 @@ mod tests {
         let m = DomainMap::new(0.0, 100.0);
         let mid = m.to_ring(50.0);
         assert!((mid.0 as f64 / 2f64.powi(64) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_trip_accuracy() {
-        let m = DomainMap::new(-500.0, 1500.0);
-        for x in [-500.0, -123.456, 0.0, 777.0, 1499.999] {
-            let back = m.to_domain(m.to_ring(x));
-            assert!((back - x).abs() < 1e-9, "x={x} back={back}");
-        }
     }
 
     #[test]
@@ -190,13 +170,6 @@ mod tests {
             } else {
                 prop_assert!(p.place(a).0 >= p.place(b).0);
             }
-        }
-
-        #[test]
-        fn round_trip_prop(x in -1000.0f64..1000.0) {
-            let m = DomainMap::new(-1000.0, 1000.0);
-            let back = m.to_domain(m.to_ring(x));
-            prop_assert!((back - x).abs() < 1e-9);
         }
     }
 }

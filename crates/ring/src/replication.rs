@@ -101,10 +101,6 @@ impl Network {
             }
         }
 
-        if promoted > 0 {
-            self.bump_epoch();
-        }
-
         // 2. Refresh our own replicas on the first r alive successors.
         let (store, succs, succ_len) = {
             let Some(node) = self.nodes.get(&id) else { return promoted };

@@ -109,18 +109,6 @@ impl LocalStore {
         &self.sorted
     }
 
-    /// Removes and returns every item strictly greater than `split_lo` and
-    /// `<= split_hi` — the handoff set when a new peer takes over the data
-    /// arc `(split_lo, split_hi]` in value space.
-    pub fn drain_range(&mut self, split_lo: f64, split_hi: f64) -> Vec<f64> {
-        let a = self.sorted.partition_point(|&v| v <= split_lo);
-        let b = self.sorted.partition_point(|&v| v <= split_hi);
-        if a >= b {
-            return Vec::new();
-        }
-        Arc::make_mut(&mut self.sorted).drain(a..b).collect()
-    }
-
     /// Removes and returns all items (graceful-leave handoff). Guaranteed
     /// not to allocate (or detach a shared backing) when already empty.
     pub fn drain_all(&mut self) -> Vec<f64> {
@@ -241,17 +229,6 @@ mod tests {
         assert_eq!(s.count_range(2.0, 5.0), 3);
         assert_eq!(s.count_range(3.0, 4.0), 0);
         assert_eq!(s.count_range(5.0, 1.0), 0); // inverted
-    }
-
-    #[test]
-    fn drain_range_is_half_open() {
-        let mut s = LocalStore::from_values((1..=10).map(f64::from).collect());
-        // (3, 7]: items 4, 5, 6, 7.
-        let moved = s.drain_range(3.0, 7.0);
-        assert_eq!(moved, vec![4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(s.values(), &[1.0, 2.0, 3.0, 8.0, 9.0, 10.0]);
-        // Draining again is a no-op.
-        assert!(s.drain_range(3.0, 7.0).is_empty());
     }
 
     #[test]

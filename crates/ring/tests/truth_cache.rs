@@ -1,14 +1,13 @@
-//! Regression tests for the epoch-invalidated ground-truth cache.
+//! Ground-truth freshness and conservation.
 //!
-//! [`Network::global_values`] memoizes the collected-and-sorted global
-//! multiset behind a mutation epoch. These tests pin the two ways that can
-//! go wrong: serving a *stale* snapshot after a mutation (correctness), and
-//! recomputing on every read (the perf property the cache exists for).
+//! [`Network::global_values`] is the sorted global multiset every accuracy
+//! number is scored against. These tests pin that it never serves a *stale*
+//! snapshot after a write, a leave, a crash or stabilization, and that it
+//! agrees with the item counters throughout.
 
 use dde_ring::{Network, Placement, RingId};
 use dde_stats::rng::{Component, SeedSequence};
 use rand::Rng;
-use std::sync::Arc;
 
 fn net_with_data(peers: usize, items: usize, seed: u64) -> Network {
     let seq = SeedSequence::new(seed);
@@ -23,7 +22,7 @@ fn net_with_data(peers: usize, items: usize, seed: u64) -> Network {
     net
 }
 
-/// The cache-independent oracle: walk every store directly.
+/// The oracle: walk every store directly.
 fn collected_truth(net: &Network) -> Vec<f64> {
     let mut all: Vec<f64> =
         net.ids().flat_map(|id| net.node(id).unwrap().store.values().to_vec()).collect();
@@ -32,45 +31,33 @@ fn collected_truth(net: &Network) -> Vec<f64> {
 }
 
 #[test]
-fn same_epoch_reads_share_one_computation() {
-    let net = net_with_data(32, 3_200, 1);
-    let a = net.global_values_arc();
-    let b = net.global_values_arc();
-    assert!(Arc::ptr_eq(&a, &b), "a second same-epoch read must hit the cache");
-    assert_eq!(*a, collected_truth(&net));
-}
-
-#[test]
 fn insert_evaluate_delete_evaluate_never_sees_stale_truth() {
     let mut net = net_with_data(32, 3_200, 2);
     let initiator = net.ids().next().unwrap();
     let before = net.global_values();
-    let epoch0 = net.mutation_epoch();
 
     // Insert → evaluate: the inserted value must be visible immediately.
     net.insert(initiator, 123.25).unwrap();
-    assert_ne!(net.mutation_epoch(), epoch0, "insert must bump the epoch");
     let with = net.global_values();
     assert_eq!(with.len(), before.len() + 1);
     assert!(with.binary_search_by(|v| v.total_cmp(&123.25)).is_ok());
     assert_eq!(with, collected_truth(&net));
 
-    // Delete → evaluate: back to the original multiset, not the cached one.
+    // Delete → evaluate: back to the original multiset.
     let (removed, _) = net.delete(initiator, 123.25).unwrap();
     assert!(removed);
     let after = net.global_values();
-    assert_eq!(after, before, "delete must invalidate the insert-epoch cache");
+    assert_eq!(after, before, "stale truth after delete");
     assert_eq!(after, collected_truth(&net));
 }
 
 #[test]
 fn membership_churn_invalidates_the_cache() {
     let mut net = net_with_data(64, 6_400, 3);
-    let _ = net.global_values(); // warm the cache
     let ids: Vec<RingId> = net.ids().collect();
 
     // A graceful leave hands data off (multiset preserved), a crash loses
-    // the victim's primaries; either way cached truth must track the oracle.
+    // the victim's primaries; either way the truth must track the oracle.
     net.leave(ids[5]).unwrap();
     assert_eq!(net.global_values(), collected_truth(&net), "stale truth after leave");
 
@@ -86,7 +73,7 @@ fn membership_churn_invalidates_the_cache() {
 }
 
 /// The exact-aggregation estimator consumes `global_values()`-style state
-/// after churn; a stale cache shows up as an N mismatch there. Pin the raw
+/// after churn; stale truth shows up as an N mismatch there. Pin the raw
 /// count instead, through the same mutation sequence.
 #[test]
 fn total_items_and_truth_agree_through_churn() {
@@ -100,7 +87,7 @@ fn total_items_and_truth_agree_through_churn() {
         }
         net.stabilize_round();
         let truth = net.global_values();
-        assert_eq!(truth.len() as u64, net.total_items(), "cache and counters diverged");
+        assert_eq!(truth.len() as u64, net.total_items(), "truth and counters diverged");
         assert_eq!(truth, collected_truth(&net));
     }
 }

@@ -39,7 +39,7 @@ fn window_counts(sorted: &[f64], lo: f64, hi: f64) -> [usize; WINDOWS] {
 }
 
 /// Index of the window holding the *fewest* items (ties → lowest index).
-pub fn sparsest_window(sorted: &[f64], lo: f64, hi: f64) -> usize {
+fn sparsest_window(sorted: &[f64], lo: f64, hi: f64) -> usize {
     let counts = window_counts(sorted, lo, hi);
     counts.iter().enumerate().min_by_key(|&(_, c)| *c).map(|(w, _)| w).expect("WINDOWS > 0")
 }

@@ -47,11 +47,6 @@ impl DataTruth {
             DataTruth::Analytic(_) => None,
         }
     }
-
-    /// Whether this truth is the analytic (streamed) flavour.
-    pub fn is_analytic(&self) -> bool {
-        matches!(self, DataTruth::Analytic(_))
-    }
 }
 
 impl CdfFn for DataTruth {

@@ -23,7 +23,7 @@
 //!   after every `ChurnWindow` applied to a converged ring, the
 //!   ground-truth ring+data invariants
 //!   ([`dde_ring::Network::check_invariants`]) must be empty.
-//! * **Shrinker** — [`shrink`] ddmin-reduces a failing schedule to a
+//! * **Shrinker** — `shrink` ddmin-reduces a failing schedule to a
 //!   1-minimal reproducer by re-running candidate sub-schedules.
 //! * **Replayable repro** — [`to_repro`] / [`parse_repro`] round-trip a
 //!   schedule through a human-readable RON-like text file, replayed with
@@ -36,7 +36,7 @@
 
 use crate::build::build;
 use crate::exec::ExecPlan;
-use crate::scenario::Scenario;
+use crate::scenario::{check_size, Scenario};
 use dde_core::{ContinuousConfig, ContinuousEstimator, DfDde, DfDdeConfig, ProbePlan};
 use dde_ring::{BatchRouter, ChurnBatch, FaultPlan, Network, ProbeReply, RingId};
 use dde_stats::rng::{splitmix64, Component, SeedSequence};
@@ -51,12 +51,6 @@ pub const MAX_HEAL_ROUNDS: usize = 64;
 
 /// Churn events never shrink the network below this many peers.
 const MIN_PEERS: usize = 5;
-
-/// The most initial peers a schedule may ask for: F12's largest point.
-pub const MAX_PEERS: usize = 1_000_000;
-
-/// The most initial items a schedule may ask for: F12's largest point.
-pub const MAX_ITEMS: usize = 20_000_000;
 
 /// One generator draw: a whole word, or a value in the field's fuzz range.
 macro_rules! draw {
@@ -308,18 +302,6 @@ impl InjectedBug {
         (Self::SkipSuccessorOnHeal, "SkipSuccessorOnHeal", "skip-successor-on-heal"),
         (Self::DropCapacityFifoGuard, "DropCapacityFifoGuard", "drop-capacity-fifo-guard"),
     ];
-}
-
-/// Refuses an initial network the simulator cannot or should not build:
-/// zero peers or items (the scenario build would panic), or more than
-/// [`MAX_PEERS`] / [`MAX_ITEMS`] (the build would try to allocate them).
-pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
-    for (field, value, cap) in [("peers", peers, MAX_PEERS), ("items", items, MAX_ITEMS)] {
-        if !(1..=cap).contains(&value) {
-            return Err(format!("{field}: {value} is outside 1..={cap}"));
-        }
-    }
-    Ok(())
 }
 
 /// Configuration for schedule generation.
@@ -867,7 +849,7 @@ pub struct Shrunk {
 /// removes event chunks (halving granularity) while the remainder still
 /// fails. Returns `None` if the schedule does not fail at all. Deterministic:
 /// the candidate order is fixed, and candidate runs share nothing.
-pub fn shrink(schedule: &Schedule) -> Option<Shrunk> {
+fn shrink(schedule: &Schedule) -> Option<Shrunk> {
     let mut failure = run_schedule(schedule).err()?;
     let mut best = schedule.clone();
     let mut runs = 1;
@@ -906,7 +888,7 @@ pub fn shrink(schedule: &Schedule) -> Option<Shrunk> {
 }
 
 /// The seed of fuzz schedule `index` under master seed `master`.
-pub fn schedule_seed(master: u64, index: usize) -> u64 {
+fn schedule_seed(master: u64, index: usize) -> u64 {
     splitmix64(master.wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
@@ -935,7 +917,7 @@ pub struct FuzzOutcome {
 }
 
 /// Runs `schedules` generated schedules (seeds derived from `base.seed` via
-/// [`schedule_seed`]) through the parallel cell runner, then shrinks the
+/// `schedule_seed`) through the parallel cell runner, then shrinks the
 /// first failure. The outcome is byte-identical for every worker count:
 /// results come back in push order and shrinking is serial.
 pub fn fuzz(base: &DstConfig, schedules: usize) -> FuzzOutcome {
@@ -1084,6 +1066,7 @@ fn take_field<T: TryFrom<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{MAX_ITEMS, MAX_PEERS};
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {

@@ -45,7 +45,7 @@ thread_local! {
 }
 
 /// Credits `d` to the current thread's scenario-build time. Called by
-/// [`crate::build`]; the surrounding cell (if any) attributes the delta to
+/// [`crate::build()`]; the surrounding cell (if any) attributes the delta to
 /// its own build-vs-run split.
 pub fn note_build(d: Duration) {
     // `try_with`: fine to drop the credit during thread teardown. Saturating
@@ -158,7 +158,7 @@ impl<'a, T: Send> ExecPlan<'a, T> {
     ///
     /// `jobs <= 1` executes inline (no threads); either path produces the
     /// same values because cells share no state.
-    pub fn run_with(self, jobs: usize) -> Vec<CellResult<T>> {
+    fn run_with(self, jobs: usize) -> Vec<CellResult<T>> {
         let n = self.cells.len();
         let jobs = jobs.max(1).min(n.max(1));
         if jobs <= 1 {

@@ -17,7 +17,7 @@ use dde_ring::{ChurnConfig, ChurnProcess, MessageKind};
 use dde_stats::rng::{Component, SeedSequence};
 
 /// Replication factors swept.
-pub fn replication_sweep(scale: Scale) -> Vec<usize> {
+fn replication_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![0, 2],
         Scale::Full => vec![0, 1, 2, 3],

@@ -3,7 +3,7 @@
 //! Protocol: install a seeded [`FaultPlan`] on the default network (request
 //! loss swept 0–30%, reply loss at half the request rate, no crashes so the
 //! membership stays fixed and rows are comparable), then estimate. DF-DDE
-//! runs with its default [`RetryPolicy`] — lost probes are re-issued against
+//! runs with its default [`dde_core::RetryPolicy`] — lost probes are re-issued against
 //! fresh ring positions — while gossip and the random walk take losses as
 //! the raw protocols do: Push-Sum loses mass (drift), the walk loses samples
 //! and stalls.
@@ -25,7 +25,7 @@ use dde_core::{
 use dde_ring::FaultPlan;
 
 /// Message-loss probabilities swept.
-pub fn loss_sweep(scale: Scale) -> Vec<f64> {
+fn loss_sweep(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Quick => vec![0.0, 0.1, 0.3],
         Scale::Full => vec![0.0, 0.05, 0.1, 0.2, 0.3],
@@ -35,7 +35,7 @@ pub fn loss_sweep(scale: Scale) -> Vec<f64> {
 /// The fault plan used for one sweep point: request loss `loss`, reply loss
 /// at half that, deterministic in the scenario seed. No crashes — F11
 /// isolates message faults from membership change (F5 covers churn).
-pub fn sweep_plan(scenario: &Scenario, loss: f64) -> FaultPlan {
+fn sweep_plan(scenario: &Scenario, loss: f64) -> FaultPlan {
     FaultPlan::new(scenario.seed ^ 0xFA17).with_loss(loss).with_reply_loss(loss / 2.0)
 }
 

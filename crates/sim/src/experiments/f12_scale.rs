@@ -37,7 +37,7 @@ pub const PROBES: usize = 64;
 /// per repeat — the infeasibility this figure documents. Rows above the cap
 /// print a `skipped` marker with the modeled cost. The quick suite caps at
 /// 10³ so smoke tests stay in seconds; the full sweep measures through 10⁵.
-pub fn gossip_cap(scale: Scale) -> usize {
+fn gossip_cap(scale: Scale) -> usize {
     match scale {
         Scale::Quick => 1_000,
         Scale::Full => 100_000,
@@ -49,7 +49,7 @@ pub fn gossip_cap(scale: Scale) -> usize {
 const REPEATS: usize = 3;
 
 /// Network sizes swept: three decades at full scale.
-pub fn scale_sweep(scale: Scale) -> Vec<usize> {
+fn scale_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![1_000, 10_000],
         Scale::Full => vec![1_000, 10_000, 100_000, 1_000_000],

@@ -91,7 +91,7 @@ pub struct ChurnPhaseStats {
 
 impl ChurnPhaseStats {
     /// Finger writes per applied membership event — the sublinearity metric.
-    pub fn writes_per_event(&self) -> f64 {
+    fn writes_per_event(&self) -> f64 {
         if self.events == 0 {
             return 0.0;
         }

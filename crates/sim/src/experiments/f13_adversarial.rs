@@ -30,7 +30,7 @@ use dde_core::{
 use dde_stats::dist::DistributionKind;
 
 /// The axis cells swept: `(label, scenario)` pairs, baseline first.
-pub fn axis_sweep(scale: Scale) -> Vec<(&'static str, Scenario)> {
+fn axis_sweep(scale: Scale) -> Vec<(&'static str, Scenario)> {
     let base = default_scenario(scale);
     vec![
         ("baseline", base.clone()),

@@ -42,7 +42,7 @@ pub fn duration(scale: Scale) -> f64 {
 }
 
 /// The open-loop arrival rates swept (ops per virtual second).
-pub fn rate_sweep(scale: Scale) -> Vec<f64> {
+fn rate_sweep(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Quick => vec![50.0, 200.0, 800.0],
         Scale::Full => vec![100.0, 400.0, 1600.0],
@@ -59,7 +59,7 @@ pub fn mid_rate(scale: Scale) -> f64 {
 /// Foreground mixes swept at the mid rate: insert-heavy ingest, the
 /// lookup-heavy serving default, and a read-heavy mix where half the ops
 /// consult the estimate.
-pub fn mix_sweep() -> Vec<OpMix> {
+fn mix_sweep() -> Vec<OpMix> {
     vec![OpMix::new(600, 300), OpMix::new(200, 700), OpMix::new(50, 450)]
 }
 

@@ -60,7 +60,7 @@ pub fn f1_accuracy_vs_probes(scale: Scale) -> Vec<Table> {
 }
 
 /// The estimators compared in F1/F4, at probe budget `k` (shared helper).
-pub fn sampling_estimators(k: usize) -> Vec<Box<dyn DensityEstimator>> {
+fn sampling_estimators(k: usize) -> Vec<Box<dyn DensityEstimator>> {
     vec![
         Box::new(DfDde::new(DfDdeConfig::with_probes(k))),
         Box::new(UniformPeerSampling::new(UniformPeerConfig {

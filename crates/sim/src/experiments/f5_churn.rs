@@ -30,7 +30,7 @@ pub fn churn_sweep(scale: Scale) -> Vec<f64> {
 
 /// One churned estimation run; returns `(ks_vs_surviving, timeouts,
 /// probe_failures)`.
-pub fn churned_run(
+fn churned_run(
     scenario: &Scenario,
     rate: f64,
     probes: usize,

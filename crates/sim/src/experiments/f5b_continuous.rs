@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Refresh rates (probes per tick) swept.
-pub fn refresh_sweep(scale: Scale) -> Vec<usize> {
+fn refresh_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         // 0 = never refresh after warm-up: the pure-staleness anchor.
         Scale::Quick => vec![0, 16],

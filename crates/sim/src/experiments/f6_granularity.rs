@@ -20,7 +20,7 @@ use dde_core::{DfDde, DfDdeConfig};
 use dde_stats::dist::DistributionKind;
 
 /// Bucket counts swept.
-pub fn bucket_sweep(scale: Scale) -> Vec<usize> {
+fn bucket_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![1, 8, 32],
         Scale::Full => vec![1, 2, 4, 8, 16, 32, 64],

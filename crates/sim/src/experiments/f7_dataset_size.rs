@@ -13,7 +13,7 @@ use crate::runner::aggregate_cell;
 use dde_core::{DfDde, DfDdeConfig};
 
 /// Dataset sizes swept.
-pub fn dataset_sweep(scale: Scale) -> Vec<usize> {
+fn dataset_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![5_000, 50_000],
         Scale::Full => vec![10_000, 100_000, 1_000_000],

@@ -24,7 +24,7 @@ use dde_stats::rng::{Component, SeedSequence};
 use dde_stats::Ecdf;
 
 /// Sample counts swept.
-pub fn sample_sweep(scale: Scale) -> Vec<usize> {
+fn sample_sweep(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Quick => vec![50, 400],
         Scale::Full => vec![50, 100, 200, 400, 800],

@@ -18,7 +18,7 @@ use dde_core::{
 };
 
 /// The KS target per scale (looser at quick scale: fewer repeats).
-pub fn ks_target(scale: Scale) -> f64 {
+fn ks_target(scale: Scale) -> f64 {
     match scale {
         Scale::Quick => 0.08,
         Scale::Full => 0.05,

@@ -36,7 +36,7 @@ pub struct RunResult {
 
 impl RunResult {
     /// Relative error of the global-count estimate, if available.
-    pub fn count_error(&self) -> Option<f64> {
+    fn count_error(&self) -> Option<f64> {
         self.n_hat.map(|n| metrics::relative_error(n, self.n_true as f64))
     }
 }

@@ -2,6 +2,26 @@
 
 use dde_stats::dist::DistributionKind;
 
+/// The most initial peers a scenario may ask for: F12's largest point.
+pub const MAX_PEERS: usize = 1_000_000;
+
+/// The most initial items a scenario may ask for: F12's largest point.
+pub const MAX_ITEMS: usize = 20_000_000;
+
+/// Refuses an initial network the simulator cannot or should not build:
+/// zero peers or items (the scenario build would panic), or more than
+/// [`MAX_PEERS`] / [`MAX_ITEMS`] (the build would try to allocate them).
+/// Every entry point that takes a size from outside the program — a DST
+/// repro file, `expts dst`, the `ring-dde` CLI — checks it here first.
+pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
+    for (field, value, cap) in [("peers", peers, MAX_PEERS), ("items", items, MAX_ITEMS)] {
+        if !(1..=cap).contains(&value) {
+            return Err(format!("{field}: {value} is outside 1..={cap}"));
+        }
+    }
+    Ok(())
+}
+
 /// How items map to ring positions (see [`dde_ring::Placement`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementMode {

@@ -2,18 +2,15 @@
 //! allocation counts of the `ringbench` harness.
 //!
 //! [`CountingAlloc`] delegates every operation to the [`System`] allocator
-//! and additionally bumps two counters per *allocation* (deallocations are
-//! not counted — the interesting regression signal is "how many times did
-//! this hot path hit the heap", and frees mirror allocs):
+//! and additionally bumps a per-thread counter per *allocation*, read by
+//! [`thread_allocations`] (deallocations are not counted — the interesting
+//! regression signal is "how many times did this hot path hit the heap", and
+//! frees mirror allocs). The count is per thread so that the per-cell
+//! allocation accounting in `dde-sim` is not polluted by concurrently
+//! running cells.
 //!
-//! * a process-wide total, read by [`total_allocations`];
-//! * a per-thread count, read by [`thread_allocations`] — this is what the
-//!   per-cell allocation accounting in `dde-sim` samples, so concurrently
-//!   running cells do not pollute each other's numbers.
-//!
-//! The counters are plain relaxed atomics / const-initialized thread-locals,
-//! so the hooks themselves never allocate (no reentrancy) and cost two
-//! uncontended writes per allocation.
+//! The counter is a const-initialized thread-local, so the hook itself never
+//! allocates (no reentrancy) and costs one uncontended write per allocation.
 //!
 //! Registering it is the binary's choice:
 //!
@@ -27,10 +24,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide number of allocations since program start.
-static TOTAL: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// This thread's number of allocations since it started. Const-init so
@@ -40,16 +33,9 @@ thread_local! {
 
 #[inline]
 fn note_alloc() {
-    TOTAL.fetch_add(1, Ordering::Relaxed);
     // `try_with`: the thread-local may already be torn down during thread
     // exit while late frees/allocs still happen; those just go uncounted.
     let _ = THREAD.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Allocations made by the whole process so far (0 unless a binary installed
-/// [`CountingAlloc`] as its `#[global_allocator]`).
-pub fn total_allocations() -> u64 {
-    TOTAL.load(Ordering::Relaxed)
 }
 
 /// Allocations made by the *calling thread* so far (0 unless a binary
@@ -89,14 +75,13 @@ mod tests {
     #[test]
     fn hooks_bump_both_counters() {
         let layout = Layout::from_size_align(64, 8).unwrap();
-        let (thread_before, total_before) = (thread_allocations(), total_allocations());
+        let thread_before = thread_allocations();
         // ddelint::allow(unsafe, "test drives the allocator hooks directly with a valid layout")
         let p = unsafe { CountingAlloc.alloc(layout) };
         assert!(!p.is_null());
         // ddelint::allow(unsafe, "pointer and layout come from the paired alloc above")
         unsafe { CountingAlloc.dealloc(p, layout) };
         assert_eq!(thread_allocations(), thread_before + 1, "alloc counted once on this thread");
-        assert!(total_allocations() > total_before, "process total is monotone");
     }
 
     #[test]

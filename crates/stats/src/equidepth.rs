@@ -6,7 +6,6 @@
 //! experiment F6 sweeps the bucket count `b` to measure the accuracy /
 //! message-size trade-off.
 
-use crate::piecewise::PiecewiseCdf;
 use crate::CdfFn;
 
 /// An equi-depth summary of a (local) dataset: bucket boundaries plus exact
@@ -171,25 +170,6 @@ impl EquiDepthSummary {
             acc = next;
         }
         self.bounds().map(|(_, hi)| hi)
-    }
-
-    /// Converts to a piecewise-linear CDF (probability scale), or `None` if
-    /// empty.
-    ///
-    /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
-    pub fn to_piecewise_cdf(&self) -> Option<PiecewiseCdf> {
-        if self.boundaries.is_empty() || self.total() == 0 {
-            return None;
-        }
-        let total = self.total() as f64;
-        let mut pts = Vec::with_capacity(self.boundaries.len());
-        let mut acc = 0.0;
-        pts.push((self.boundaries[0], 0.0));
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c as f64;
-            pts.push((self.boundaries[i + 1], acc / total));
-        }
-        Some(PiecewiseCdf::from_points(pts))
     }
 
     /// The serialized size of this summary on the wire, in bytes, as
@@ -479,16 +459,6 @@ mod tests {
             let x = s.quantile(q).unwrap();
             let back = s.count_le(x) / s.total() as f64;
             assert!((back - q).abs() < 0.01, "q={q} x={x} back={back}");
-        }
-    }
-
-    #[test]
-    fn piecewise_conversion_preserves_cdf() {
-        let mut data: Vec<f64> = (0..256).map(|i| (i * i) as f64).collect();
-        let s = summary_of(&mut data, 8);
-        let pw = s.to_piecewise_cdf().unwrap();
-        for x in [0.0, 100.0, 5000.0, 30000.0, 65025.0] {
-            assert!((pw.cdf(x) - s.cdf(x)).abs() < 1e-9, "x={x}: pw={} s={}", pw.cdf(x), s.cdf(x));
         }
     }
 

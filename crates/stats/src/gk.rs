@@ -5,8 +5,6 @@
 //! The sketch answers any quantile query within rank error `ε·n` using
 //! `O((1/ε)·log(εn))` space (Greenwald & Khanna, SIGMOD 2001).
 
-use crate::equidepth::EquiDepthSummary;
-
 /// One sketch tuple `(v, g, Δ)`: `g` = gap in min-rank to the predecessor,
 /// `Δ` = uncertainty of the rank of `v`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,28 +167,6 @@ impl GkSketch {
         self.compress();
         self.inserts_since_compress = 0;
     }
-
-    /// Builds an equi-depth summary with `buckets` buckets from the sketch's
-    /// quantiles — the bridge from streaming peers to probe replies.
-    ///
-    /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
-    pub fn to_equidepth(&self, buckets: usize) -> EquiDepthSummary {
-        if self.count == 0 {
-            return EquiDepthSummary::empty();
-        }
-        let b = buckets.max(1).min(self.count as usize);
-        // Approximate sorted data by its b+1 quantile points, then weight the
-        // buckets evenly — exactly what an equi-depth summary means.
-        let mut approx_sorted = Vec::with_capacity(b + 1);
-        for i in 0..=b {
-            let q = i as f64 / b as f64;
-            approx_sorted.push(self.quantile(q).expect("nonempty"));
-        }
-        // Represent each bucket by interpolating n/b items between its
-        // boundaries; from_sorted on the boundary multiset reproduces the
-        // boundaries with even counts.
-        EquiDepthSummary::from_quantiles(&approx_sorted, self.count)
-    }
 }
 
 #[cfg(test)]
@@ -293,19 +269,5 @@ mod tests {
         let sketch = GkSketch::new(0.1);
         assert!(sketch.quantile(0.5).is_none());
         assert_eq!(sketch.count(), 0);
-    }
-
-    #[test]
-    fn equidepth_bridge_roughly_uniform() {
-        let mut sketch = GkSketch::new(0.01);
-        let n = 10_000u64;
-        for i in 0..n {
-            sketch.insert(i as f64);
-        }
-        let s = sketch.to_equidepth(8);
-        assert_eq!(s.total(), n);
-        // Median of the summary should be near n/2.
-        let med = s.quantile(0.5).unwrap();
-        assert!((med - n as f64 / 2.0).abs() < 0.05 * n as f64, "median {med}");
     }
 }

@@ -43,17 +43,6 @@ impl Histogram {
         Self { lo, hi, bins: masses }
     }
 
-    /// Builds a histogram of `samples` with unit weight each.
-    ///
-    /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-    pub fn from_samples(lo: f64, hi: f64, bins: usize, samples: &[f64]) -> Self {
-        let mut h = Self::new(lo, hi, bins);
-        for &x in samples {
-            h.add(x, 1.0);
-        }
-        h
-    }
-
     /// Builds a histogram whose bin masses are exact under a known CDF —
     /// the ground-truth histogram used in accuracy metrics.
     ///
@@ -128,7 +117,7 @@ impl Histogram {
     /// Bin width.
     ///
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.bins.len() as f64
     }
 
@@ -224,6 +213,15 @@ mod tests {
     use super::*;
     use crate::dist::Uniform;
 
+    /// A 4-bin histogram of `samples` on `[0, 1]`, unit weight each.
+    fn of_samples(samples: &[f64]) -> Histogram {
+        let mut h = Histogram::new(0.0, 1.0, 4);
+        for &x in samples {
+            h.add(x, 1.0);
+        }
+        h
+    }
+
     #[test]
     fn add_and_density() {
         let mut h = Histogram::new(0.0, 10.0, 10);
@@ -267,8 +265,8 @@ mod tests {
 
     #[test]
     fn merge_and_scale() {
-        let mut a = Histogram::from_samples(0.0, 1.0, 4, &[0.1, 0.9]);
-        let b = Histogram::from_samples(0.0, 1.0, 4, &[0.1]);
+        let mut a = of_samples(&[0.1, 0.9]);
+        let b = of_samples(&[0.1]);
         a.merge(&b);
         assert_eq!(a.total(), 3.0);
         assert_eq!(a.mass(0), 2.0);
@@ -286,7 +284,7 @@ mod tests {
 
     #[test]
     fn normalized_total_is_one() {
-        let h = Histogram::from_samples(0.0, 1.0, 4, &[0.1, 0.2, 0.3]).normalized();
+        let h = of_samples(&[0.1, 0.2, 0.3]).normalized();
         assert!((h.total() - 1.0).abs() < 1e-12);
     }
 }

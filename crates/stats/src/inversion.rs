@@ -9,17 +9,6 @@
 use crate::CdfFn;
 use rand::Rng;
 
-/// Draws one sample from `cdf` by inversion.
-pub fn sample_one<C: CdfFn + ?Sized, R: Rng + ?Sized>(cdf: &C, rng: &mut R) -> f64 {
-    // gen::<f64>() is in [0, 1); inv_cdf clamps, so the endpoint bias is nil.
-    cdf.inv_cdf(rng.gen::<f64>())
-}
-
-/// Draws `n` samples from `cdf` by inversion.
-pub fn sample_many<C: CdfFn + ?Sized, R: Rng + ?Sized>(cdf: &C, n: usize, rng: &mut R) -> Vec<f64> {
-    (0..n).map(|_| sample_one(cdf, rng)).collect()
-}
-
 /// Draws `n` *stratified* samples: one inversion per equal-probability
 /// stratum, `uᵢ ~ U(i/n, (i+1)/n)`.
 ///
@@ -47,11 +36,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `n` i.i.d. draws by plain inversion, `x = F⁻¹(u)` with `u ~ U[0, 1)`.
+    fn sample_iid<C: CdfFn + ?Sized>(cdf: &C, n: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..n).map(|_| cdf.inv_cdf(rng.gen::<f64>())).collect()
+    }
+
     #[test]
     fn inversion_samples_match_cdf() {
         let d = Truncated::new(Normal::new(50.0, 10.0), 0.0, 100.0);
         let mut rng = StdRng::seed_from_u64(5);
-        let xs = sample_many(&d, 5000, &mut rng);
+        let xs = sample_iid(&d, 5000, &mut rng);
         let ks = Ecdf::new(xs).ks_distance_to(&d);
         assert!(ks < 0.03, "ks = {ks}");
     }
@@ -62,7 +56,7 @@ mod tests {
         let n = 2000;
         let mut r1 = StdRng::seed_from_u64(9);
         let mut r2 = StdRng::seed_from_u64(9);
-        let iid = Ecdf::new(sample_many(&d, n, &mut r1)).ks_distance_to(&d);
+        let iid = Ecdf::new(sample_iid(&d, n, &mut r1)).ks_distance_to(&d);
         let strat = Ecdf::new(sample_stratified(&d, n, &mut r2)).ks_distance_to(&d);
         assert!(strat <= iid, "stratified {strat} vs iid {iid}");
         // Stratified KS is bounded by 1/n deterministically.
@@ -73,7 +67,7 @@ mod tests {
     fn samples_stay_in_domain() {
         let d = BoundedPareto::new(10.0, 20.0, 0.7);
         let mut rng = StdRng::seed_from_u64(1);
-        for x in sample_many(&d, 1000, &mut rng) {
+        for x in sample_iid(&d, 1000, &mut rng) {
             assert!((10.0..=20.0).contains(&x), "{x} escaped the domain");
         }
     }

@@ -19,12 +19,12 @@
 //! * [`inversion`] — the inversion method for random variate generation, the
 //!   idea the paper's estimator is built on;
 //! * [`kde`] — Gaussian kernel density estimation;
-//! * [`metrics`] — distribution distance metrics (Kolmogorov–Smirnov, L1/L2,
-//!   1-D Wasserstein, χ²);
+//! * [`metrics`] — distribution distance metrics (Kolmogorov–Smirnov, 1-D
+//!   Wasserstein) and the relative error of scalar aggregates;
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
-//! * [`assert`] — DKW-derived confidence-band assertions for estimator
-//!   accuracy tests (KS and Wasserstein bands, per-seed repeat control).
+//! * [`assert`](mod@assert) — DKW-derived confidence-band assertions for
+//!   estimator accuracy tests (KS and Wasserstein bands).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

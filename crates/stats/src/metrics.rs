@@ -1,11 +1,10 @@
 //! Distance metrics between distributions.
 //!
 //! Every experiment reports estimation error through these: the
-//! Kolmogorov–Smirnov statistic on CDFs (the headline accuracy number),
-//! integrated L1/L2 density error, the 1-D Wasserstein (earth mover's)
-//! distance, and χ² on histograms.
+//! Kolmogorov–Smirnov statistic on CDFs (the headline accuracy number), the
+//! 1-D Wasserstein (earth mover's) distance, and the relative error of
+//! scalar aggregates.
 
-use crate::histogram::Histogram;
 use crate::CdfFn;
 
 /// Default grid resolution for numeric metrics.
@@ -38,57 +37,6 @@ pub fn wasserstein1<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: us
     sum
 }
 
-/// Integrated absolute density error `∫ |f(x) − g(x)| dx ∈ [0, 2]`, where
-/// both densities are supplied as closures (so histogram densities, KDE
-/// densities, and analytic PDFs all fit).
-pub fn l1_density_error(
-    f: impl Fn(f64) -> f64,
-    g: impl Fn(f64) -> f64,
-    domain: (f64, f64),
-    grid: usize,
-) -> f64 {
-    let (lo, hi) = domain;
-    let step = (hi - lo) / grid as f64;
-    (0..grid)
-        .map(|i| {
-            let x = lo + (i as f64 + 0.5) * step;
-            (f(x) - g(x)).abs() * step
-        })
-        .sum()
-}
-
-/// Integrated squared density error `∫ (f(x) − g(x))² dx`.
-pub fn l2_density_error(
-    f: impl Fn(f64) -> f64,
-    g: impl Fn(f64) -> f64,
-    domain: (f64, f64),
-    grid: usize,
-) -> f64 {
-    let (lo, hi) = domain;
-    let step = (hi - lo) / grid as f64;
-    (0..grid)
-        .map(|i| {
-            let x = lo + (i as f64 + 0.5) * step;
-            (f(x) - g(x)).powi(2) * step
-        })
-        .sum()
-}
-
-/// χ² divergence between two histograms with matching shape, on normalized
-/// masses: `Σ (pᵢ − qᵢ)² / qᵢ` over bins where `qᵢ > 0`.
-///
-/// # Panics
-/// Panics if the histograms have different bin counts.
-pub fn chi_squared(p: &Histogram, q: &Histogram) -> f64 {
-    assert_eq!(p.bins(), q.bins(), "bin count mismatch");
-    let pn = p.normalized();
-    let qn = q.normalized();
-    (0..p.bins())
-        .filter(|&i| qn.mass(i) > 0.0)
-        .map(|i| (pn.mass(i) - qn.mass(i)).powi(2) / qn.mass(i))
-        .sum()
-}
-
 /// Relative error `|est − truth| / truth` (`truth != 0`).
 pub fn relative_error(est: f64, truth: f64) -> f64 {
     debug_assert!(truth != 0.0);
@@ -104,7 +52,7 @@ fn union_domain<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B) -> (f64, f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Normal, Truncated, Uniform};
+    use crate::dist::Uniform;
 
     #[test]
     fn ks_of_identical_is_zero() {
@@ -127,34 +75,6 @@ mod tests {
         let b = Uniform::new(0.25, 1.25);
         let w = wasserstein1(&a, &b, 4096);
         assert!((w - 0.25).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn l1_error_of_disjoint_densities_is_two() {
-        let a = Uniform::new(0.0, 1.0);
-        let b = Uniform::new(2.0, 3.0);
-        let err = l1_density_error(|x| a.pdf(x), |x| b.pdf(x), (0.0, 3.0), 4096);
-        assert!((err - 2.0).abs() < 1e-2, "err = {err}");
-    }
-
-    #[test]
-    fn l2_error_zero_for_identical() {
-        let n = Truncated::new(Normal::new(0.5, 0.1), 0.0, 1.0);
-        let err = l2_density_error(|x| n.pdf(x), |x| n.pdf(x), (0.0, 1.0), 512);
-        assert_eq!(err, 0.0);
-    }
-
-    #[test]
-    fn chi_squared_zero_for_identical() {
-        let h = Histogram::from_samples(0.0, 1.0, 8, &[0.1, 0.2, 0.7, 0.9]);
-        assert_eq!(chi_squared(&h, &h), 0.0);
-    }
-
-    #[test]
-    fn chi_squared_detects_shift() {
-        let p = Histogram::from_samples(0.0, 1.0, 4, &[0.1, 0.1, 0.1]);
-        let q = Histogram::from_samples(0.0, 1.0, 4, &[0.9, 0.9, 0.9]);
-        assert!(chi_squared(&p, &q) > 0.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streamed ground truth for the mega-scale regime.
 //!
 //! Quick-suite scales materialize every stored value into one sorted vector
-//! (`Network::global_values_arc`) and evaluate KS statistics against that
+//! (`Network::global_values`) and evaluate KS statistics against that
 //! empirical CDF. At 10⁶ peers with items ∝ P that vector is 10⁷–10⁸
 //! doubles per cell — most of the build budget and a large slice of memory,
 //! spent re-deriving something the scenario already knows analytically: the
@@ -16,7 +16,6 @@
 //! path is exact (property-tested to < 1e-9 in
 //! `crates/stats/tests/streaming_truth.rs` and the `dde-sim` suite).
 
-use crate::assert::KsBand;
 use crate::dist::Distribution;
 use crate::CdfFn;
 use std::cmp::Reverse;
@@ -97,28 +96,9 @@ impl StreamingTruth {
         self.removes.sort_by(f64::total_cmp);
     }
 
-    /// Drops both delta journals without touching the item count — call
-    /// after re-freezing parts that now include the journaled changes.
-    pub fn clear_journals(&mut self) {
-        self.adds.clear();
-        self.removes.clear();
-    }
-
-    /// Outstanding journaled `(adds, removes)` counts.
-    pub fn pending_deltas(&self) -> (usize, usize) {
-        (self.adds.len(), self.removes.len())
-    }
-
     /// The generating distribution.
     pub fn distribution(&self) -> &dyn Distribution {
         self.dist.as_ref()
-    }
-
-    /// The DKW confidence band for an empirical CDF of `items` samples from
-    /// this generator at level `alpha`: any statistic of the realized data
-    /// is within `ε(n, α)` of the analytic CDF with probability `1 − α`.
-    pub fn dkw_band(&self, alpha: f64) -> KsBand {
-        KsBand::new(self.items as usize, alpha)
     }
 
     /// The exact KS distance between the empirical CDF of the union of
@@ -243,8 +223,7 @@ mod tests {
         t.journal_adds([0.42, 0.07]);
         t.journal_removes([0.5, 0.1]);
         assert_eq!(t.items(), 6); // 6 + 2 − 2
-        assert_eq!(t.pending_deltas(), (2, 2));
-        // Full recompute over the mutated multiset.
+                                  // Full recompute over the mutated multiset.
         let mut mutated: Vec<f64> = parts.iter().flatten().copied().collect();
         mutated.extend([0.42, 0.07]);
         for r in [0.5, 0.1] {
@@ -255,11 +234,6 @@ mod tests {
         let expected = Ecdf::new(mutated).ks_distance_to(&Uniform::new(0.0, 1.0));
         let got = t.ks_of_parts(parts.iter().map(Vec::as_slice));
         assert_eq!(got, expected, "delta fold must be bit-identical");
-        // Clearing journals restores the plain streamed path.
-        t.clear_journals();
-        assert_eq!(t.pending_deltas(), (0, 0));
-        let plain = truth().ks_of_parts(parts.iter().map(Vec::as_slice));
-        assert_eq!(t.ks_of_parts(parts.iter().map(Vec::as_slice)), plain);
     }
 
     #[test]
@@ -276,7 +250,5 @@ mod tests {
         assert_eq!(t.cdf(0.5), 0.5);
         assert_eq!(t.domain(), (0.0, 1.0));
         assert_eq!(t.items(), 6);
-        let band = t.dkw_band(0.01);
-        assert!((band.tolerance() - crate::assert::dkw_epsilon(6, 0.01)).abs() < 1e-12);
     }
 }
