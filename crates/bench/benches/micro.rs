@@ -7,7 +7,7 @@ use dde_core::{
     CdfSkeleton, DensityEstimator, DfDde, DfDdeConfig, ExactAggregation, GossipAggregation,
     GossipConfig, RandomWalkConfig, RandomWalkSampling, Weighting,
 };
-use dde_ring::{BatchRouter, ChurnBatch, LocalStore, Network, Placement, RingId};
+use dde_ring::{BatchRouter, ChurnBatch, FingerTable, LocalStore, Network, Placement, RingId};
 use dde_stats::dist::{BoundedPareto, Distribution, Normal, Truncated};
 use dde_stats::equidepth::EquiDepthSummary;
 use dde_stats::gk::GkSketch;
@@ -25,9 +25,11 @@ fn ring_net(p: usize, seed: u64) -> Network {
     Network::build(ids, Placement::range(0.0, 1000.0))
 }
 
+/// Random lookups from one peer. 10⁵ peers is the memory-bound regime the
+/// `static` workload runs; the smaller rings stay cache-resident.
 fn lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/lookup");
-    for p in [256usize, 4096] {
+    for p in [256usize, 4096, 100_000] {
         let mut net = ring_net(p, 1);
         let mut rng = SeedSequence::new(2).stream(Component::Workload, p as u64);
         let from = net.random_peer(&mut rng).expect("nonempty");
@@ -35,6 +37,45 @@ fn lookup(c: &mut Criterion) {
             b.iter(|| net.lookup(from, RingId(rng.gen())).expect("routes"));
         });
     }
+    g.finish();
+}
+
+/// Both sides of the run-length finger table's trade: the writes that
+/// churn repair makes, on a table shaped like a wired one at 10⁵ peers
+/// (levels 0..47 name the successor, the 17 above each a distinct peer).
+fn finger_write(c: &mut Criterion) {
+    let levels: Vec<Option<RingId>> =
+        (0..64u64).map(|f| Some(RingId(if f < 47 { 1 } else { f << 40 }))).collect();
+    let wired = FingerTable::from_levels(levels.iter().copied());
+    let joiner = Some(RingId(7));
+    let mut g = c.benchmark_group("micro/finger_write");
+    // A leave hands one single-level run to the heir: renamed in place.
+    g.bench_function("rename", |b| {
+        b.iter(|| {
+            let mut t = black_box(wired);
+            t.set(50, joiner);
+            t
+        });
+    });
+    // A join inside the successor run splits it in three.
+    g.bench_function("split", |b| {
+        b.iter(|| {
+            let mut t = black_box(wired);
+            t.set(20, joiner);
+            t
+        });
+    });
+    // A joiner's predecessor: every successor level moves to the joiner.
+    g.bench_function("predecessor_47_levels", |b| {
+        b.iter(|| {
+            let mut t = black_box(wired);
+            t.set_range(0..47, joiner);
+            t
+        });
+    });
+    g.bench_function("from_levels", |b| {
+        b.iter(|| FingerTable::from_levels(black_box(&levels).iter().copied()));
+    });
     g.finish();
 }
 
@@ -279,6 +320,7 @@ fn range_query(c: &mut Criterion) {
 criterion_group!(
     micro,
     lookup,
+    finger_write,
     lookup_batched,
     probe,
     global_values,

@@ -7,7 +7,7 @@ use dde_core::{
     GossipConfig, UniformPeerConfig, UniformPeerSampling,
 };
 use dde_ring::{ChurnConfig, ChurnProcess};
-use dde_sim::scenario::check_size;
+use dde_sim::scenario::{check_events, check_size};
 use dde_sim::{build, run_workload, BuiltScenario, OpMix, PlacementMode, Scenario, WorkloadSpec};
 use dde_stats::dist::DistributionKind;
 use dde_stats::rng::{Component, SeedSequence};
@@ -77,13 +77,28 @@ fn scenario_of(args: &Args) -> Result<Scenario, String> {
     let peers = args.get_or("peers", 256usize)?;
     let items = args.get_or("items", 50_000usize)?;
     check_size(peers, items)?;
+    let buckets = args.get_or("buckets", 8usize)?;
+    if buckets == 0 {
+        return Err("--buckets must be at least 1, got 0".into());
+    }
     Ok(Scenario::default()
         .with_peers(peers)
         .with_items(items)
         .with_distribution(dist_of(args.get("dist").unwrap_or("zipf"))?)
-        .with_summary_buckets(args.get_or("buckets", 8usize)?)
+        .with_summary_buckets(buckets)
         .with_placement(placement)
         .with_seed(args.get_or("seed", 42u64)?))
+}
+
+/// A rate, duration or interval: `--key`'s value, which must be a positive,
+/// finite number.
+fn positive(args: &Args, key: &str, default: f64) -> Result<f64, String> {
+    let value = args.get_or(key, default)?;
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("--{key} must be positive and finite, got {value}"))
+    }
 }
 
 fn setup(args: &Args) -> Result<(BuiltScenario, StdRng, dde_ring::RingId), String> {
@@ -148,11 +163,11 @@ pub fn estimate(args: &Args) -> Result<(), String> {
             ("mode", report.estimate.mode().into()),
             ("quantiles", Json::Arr(quantiles)),
         ]);
-        println!("{}", out.pretty());
+        outln!("{}", out.pretty());
         return Ok(());
     }
 
-    println!(
+    outln!(
         "{} on {} peers / {} items: {} messages, {:.1} KB, {} peers contacted",
         estimator.name(),
         built.net.len(),
@@ -163,26 +178,27 @@ pub fn estimate(args: &Args) -> Result<(), String> {
     );
     let faults = report.cost.total_faults();
     if faults > 0 || report.probes_succeeded < report.probes_requested {
-        println!(
+        outln!(
             "faults: {faults} injected, {}/{} probes succeeded",
-            report.probes_succeeded, report.probes_requested
+            report.probes_succeeded,
+            report.probes_requested
         );
     }
     if let Some(n) = report.estimated_total {
-        println!("estimated item count: {n:.0}");
+        outln!("estimated item count: {n:.0}");
     }
-    println!(
+    outln!(
         "moments: mean {:.2}, std {:.2}, mode {:.2}, entropy {:.3} nats",
         report.estimate.mean(),
         report.estimate.std_dev(),
         report.estimate.mode(),
         report.estimate.entropy()
     );
-    println!("quantiles:");
+    outln!("quantiles:");
     for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-        println!("  q={q:<5} {:>12.3}", report.estimate.quantile(q));
+        outln!("  q={q:<5} {:>12.3}", report.estimate.quantile(q));
     }
-    println!("accuracy: KS vs generator {ks_gen:.4}, vs realized data {ks_data:.4}");
+    outln!("accuracy: KS vs generator {ks_gen:.4}, vs realized data {ks_data:.4}");
     Ok(())
 }
 
@@ -225,18 +241,18 @@ pub fn aggregate(args: &Args) -> Result<(), String> {
             ("messages", rep.cost.total_messages().into()),
             ("probes_used", rep.probes_used.into()),
         ]);
-        println!("{}", out.pretty());
+        outln!("{}", out.pretty());
         return Ok(());
     }
-    println!(
+    outln!(
         "aggregate estimates from {} probes ({} messages):",
         rep.probes_used,
         rep.cost.total_messages()
     );
-    println!("  COUNT {:>14.0}   (exact {:>14.0})", rep.count, n);
-    println!("  SUM   {:>14.0}   (exact {:>14.0})", rep.sum, sum);
-    println!("  AVG   {:>14.3}   (exact {:>14.3})", rep.mean, mean);
-    println!("  VAR   {:>14.1}   (exact {:>14.1})", rep.variance, var);
+    outln!("  COUNT {:>14.0}   (exact {:>14.0})", rep.count, n);
+    outln!("  SUM   {:>14.0}   (exact {:>14.0})", rep.sum, sum);
+    outln!("  AVG   {:>14.3}   (exact {:>14.3})", rep.mean, mean);
+    outln!("  VAR   {:>14.1}   (exact {:>14.1})", rep.variance, var);
     Ok(())
 }
 
@@ -256,7 +272,7 @@ pub fn query(args: &Args) -> Result<(), String> {
     let before = built.net.stats().clone();
     let result = built.net.range_query(initiator, lo, hi).map_err(|e| e.to_string())?;
     let cost = built.net.stats().since(&before);
-    println!(
+    outln!(
         "range [{lo}, {hi}]: predicted {predicted:.0} rows, actual {} \
          ({} peers scanned, {} routing hops, {} messages, {:.1} KB)",
         result.items.len(),
@@ -270,9 +286,14 @@ pub fn query(args: &Args) -> Result<(), String> {
 
 /// `ring-dde churn`
 pub fn churn(args: &Args) -> Result<(), String> {
-    let rate = args.get_or("rate", 0.1f64)?;
-    let duration = args.get_or("duration", 10.0f64)?;
+    const STABILIZE_PERIOD: f64 = 0.5;
+    let rate = positive(args, "rate", 0.1)?;
+    let duration = positive(args, "duration", 10.0)?;
     let replication = args.get_or("replication", 0usize)?;
+    // Per peer and time unit: `2 · rate` joins and departures, and one
+    // stabilization step every period.
+    let peers = scenario_of(args)?.peers as f64;
+    check_events(duration * peers * (2.0 * rate + 1.0 / STABILIZE_PERIOD))?;
     let (mut built, mut rng, _) = setup(args)?;
     built.net.set_replication(replication);
 
@@ -280,32 +301,35 @@ pub fn churn(args: &Args) -> Result<(), String> {
     let items_before = built.net.total_items();
     let seq = SeedSequence::new(built.scenario.seed ^ 0xC11);
     let mut churn_rng = seq.stream(Component::Churn, 0);
-    let mut process = ChurnProcess::new(ChurnConfig::symmetric(rate, 0.5));
+    let mut process = ChurnProcess::new(ChurnConfig::symmetric(rate, STABILIZE_PERIOD));
     let outcome = process.run(&mut built.net, duration, &mut churn_rng);
     for _ in 0..8 {
         built.net.stabilize_round();
     }
     let violations = built.net.check_invariants();
 
-    println!("churn {rate}/peer/unit for {duration} units (replication {replication}):");
-    println!(
+    outln!("churn {rate}/peer/unit for {duration} units (replication {replication}):");
+    outln!(
         "  events: {} joins, {} leaves, {} crashes, {} stabilize rounds",
-        outcome.joins, outcome.leaves, outcome.fails, outcome.stabilize_rounds
+        outcome.joins,
+        outcome.leaves,
+        outcome.fails,
+        outcome.stabilize_rounds
     );
-    println!("  peers: {peers_before} -> {}", built.net.len());
-    println!(
+    outln!("  peers: {peers_before} -> {}", built.net.len());
+    outln!(
         "  items: {items_before} -> {} ({:.1}% survived)",
         built.net.total_items(),
         built.net.total_items() as f64 / items_before as f64 * 100.0
     );
-    println!("  ring consistency after settling: {} violations", violations.len());
+    outln!("  ring consistency after settling: {} violations", violations.len());
     // Estimation still works on the survivor.
     let initiator = built.net.random_peer(&mut rng).ok_or("network emptied out")?;
     let report = DfDde::new(DfDdeConfig::with_probes(96))
         .estimate(&mut built.net, initiator, &mut rng)
         .map_err(|e| e.to_string())?;
     let surviving = Ecdf::new(built.net.global_values());
-    println!(
+    outln!(
         "  post-churn estimate: KS vs surviving data {:.4} ({} messages)",
         report.estimate.ks_to(&surviving),
         report.messages()
@@ -321,18 +345,18 @@ pub fn workload(args: &Args) -> Result<(), String> {
         return Err(format!("--insert-pm {insert_pm} + --lookup-pm {lookup_pm} exceeds 1000‰"));
     }
     let spec = WorkloadSpec {
-        rate: args.get_or("rate", 200.0f64)?,
-        duration: args.get_or("duration", 10.0f64)?,
+        rate: positive(args, "rate", 200.0)?,
+        duration: positive(args, "duration", 10.0)?,
         mix: OpMix::new(insert_pm, lookup_pm),
         probes: args.get_or("probes", 48usize)?,
-        refresh_interval: args.get_or("refresh", 2.0f64)?,
+        refresh_interval: positive(args, "refresh", 2.0)?,
         batch: !args.has_flag("no-batch"),
         piggyback: !args.has_flag("no-piggyback"),
         ..WorkloadSpec::default()
     };
-    if spec.rate <= 0.0 || spec.duration <= 0.0 || spec.refresh_interval <= 0.0 {
-        return Err("--rate, --duration and --refresh must be positive".into());
-    }
+    // Each refresh schedules one probe per stratum.
+    let refreshes = spec.duration / spec.refresh_interval;
+    check_events(spec.rate * spec.duration + refreshes * spec.probes as f64)?;
     let (built, _, _) = setup(args)?;
     let report = run_workload(&built, &spec, 0);
 
@@ -363,11 +387,11 @@ pub fn workload(args: &Args) -> Result<(), String> {
             ("mean_staleness", report.mean_staleness.into()),
             ("est_ks", report.est_ks.into()),
         ]);
-        println!("{}", out.pretty());
+        outln!("{}", out.pretty());
         return Ok(());
     }
 
-    println!(
+    outln!(
         "workload {} ops/s for {}s on {} peers ({}‰ insert / {}‰ lookup / {}‰ estimate, \
          batch {}, piggyback {}):",
         spec.rate,
@@ -379,7 +403,7 @@ pub fn workload(args: &Args) -> Result<(), String> {
         if spec.batch { "on" } else { "off" },
         if spec.piggyback { "on" } else { "off" },
     );
-    println!(
+    outln!(
         "  ops: {} scheduled, {} completed, {} failed ({} inserts, {} lookups, {} reads)",
         report.ops_scheduled,
         report.ops_completed,
@@ -388,11 +412,14 @@ pub fn workload(args: &Args) -> Result<(), String> {
         report.lookups,
         report.estimate_reads
     );
-    println!(
+    outln!(
         "  throughput: {:.1} ops/s; hop latency p50 {:.1}, p95 {:.1}, p99 {:.1}",
-        report.throughput, report.hop_p50, report.hop_p95, report.hop_p99
+        report.throughput,
+        report.hop_p50,
+        report.hop_p95,
+        report.hop_p99
     );
-    println!(
+    outln!(
         "  probes: {} refreshes ({} failed), {} points piggybacked, \
          {} dedicated probe msgs, {} piggyback msgs",
         report.refreshes,
@@ -401,15 +428,16 @@ pub fn workload(args: &Args) -> Result<(), String> {
         report.dedicated_probes,
         report.piggyback_msgs
     );
-    println!(
+    outln!(
         "  cost: {} messages, {:.1} KB ({} lookup-hop msgs)",
         report.messages,
         report.bytes as f64 / 1024.0,
         report.lookup_hop_msgs
     );
-    println!(
+    outln!(
         "  estimate: mean staleness {:.2}s, final KS vs live data {:.4}",
-        report.mean_staleness, report.est_ks
+        report.mean_staleness,
+        report.est_ks
     );
     Ok(())
 }
@@ -425,12 +453,12 @@ pub fn topology(args: &Args) -> Result<(), String> {
     let max_load = *loads.iter().max().expect("nonempty");
     let gini = gini(&loads.iter().map(|&l| l as f64).collect::<Vec<_>>());
 
-    println!("topology: {} peers, {} items", net.len(), net.total_items());
-    println!(
+    outln!("topology: {} peers, {} items", net.len(), net.total_items());
+    outln!(
         "  load: mean {mean_load:.1}, max {max_load} ({:.1}x mean), gini {gini:.3}",
         max_load as f64 / mean_load
     );
-    println!(
+    outln!(
         "  arcs: min {:.2e}, max {:.2e} (of the ring)",
         arcs.iter().cloned().fold(f64::INFINITY, f64::min),
         arcs.iter().cloned().fold(0.0, f64::max)
@@ -444,7 +472,7 @@ pub fn topology(args: &Args) -> Result<(), String> {
         let t = dde_ring::RingId(rng.gen());
         hops += u64::from(built.net.lookup(from, t).map_err(|e| e.to_string())?.hops);
     }
-    println!(
+    outln!(
         "  routing: {:.2} mean hops over {lookups} lookups (log2 P = {:.1})",
         hops as f64 / f64::from(lookups),
         (built.net.len() as f64).log2()

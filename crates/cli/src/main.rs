@@ -19,9 +19,31 @@
 //! Distributions: uniform, normal, exponential, pareto, zipf, bimodal,
 //! trimodal, lognormal.
 
+/// `println!` through [`emit`], the one writer for stdout.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
 mod args;
 mod commands;
 mod json;
+
+/// Writes one line to stdout. A closed stdout means the reader (say,
+/// `head`) has all it wants, so the run ends there with status 0; any other
+/// write error ends it with status 1.
+fn emit(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 use args::Args;
 
@@ -74,7 +96,7 @@ fn main() {
         "workload" => commands::workload(&parsed),
         "topology" => commands::topology(&parsed),
         "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
+            outln!("{}", commands::USAGE);
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{}", commands::USAGE)),

@@ -55,23 +55,31 @@ impl GossipAggregation {
     }
 
     /// Runs `rounds` synchronous Push-Sum rounds from every peer's local
-    /// histogram and returns the initiator's final `(value, weight)`.
+    /// histogram and returns the initiator's final `(value, weight)`, or
+    /// [`EstimateError::InitiatorDead`] when the initiator is not a peer.
     ///
     /// State lives in flat buffers indexed by ring position, and each round
     /// pushes from one halved snapshot: receivers add their deliveries in
     /// sender (ring) order, the order a per-receiver inbox would hold them,
     /// so every bin sums the same terms in the same order.
-    fn push_sum(&self, net: &mut Network, initiator: RingId, rng: &mut StdRng) -> (Histogram, f64) {
+    fn push_sum(
+        &self,
+        net: &mut Network,
+        initiator: RingId,
+        rng: &mut StdRng,
+    ) -> Result<(Histogram, f64), EstimateError> {
         let (lo, hi) = net.placement().domain();
         let GossipConfig { rounds, bins } = self.config;
         // Peer `i` (in ring order) owns `state[i*stride..(i+1)*stride]`:
         // its histogram's bin masses, then its weight.
         let stride = bins + 1;
         let ids: Vec<RingId> = net.ids().collect();
+        let at = ids.binary_search(&initiator).map_err(|_| EstimateError::InitiatorDead)?;
         let grid = Histogram::new(lo, hi, bins);
         let mut state = vec![0.0; ids.len() * stride];
         for (own, &id) in state.chunks_exact_mut(stride).zip(&ids) {
-            for &x in net.node(id).expect("alive").store.values() {
+            let node = net.node(id).expect("invariant: `ids` is this network's id column");
+            for &x in node.store.values() {
                 own[grid.bin_of(x)] += 1.0;
             }
             // Sum variant of Push-Sum: only the initiator carries weight, so
@@ -115,9 +123,8 @@ impl GossipAggregation {
                 }
             }
         }
-        let at = ids.binary_search(&initiator).expect("initiator alive");
         let own = &state[at * stride..(at + 1) * stride];
-        (Histogram::from_masses(lo, hi, own[..bins].to_vec()), own[bins])
+        Ok((Histogram::from_masses(lo, hi, own[..bins].to_vec()), own[bins]))
     }
 }
 
@@ -136,7 +143,7 @@ impl Neighbours {
         let mut list = Vec::new();
         let mut candidates = Vec::new();
         for &id in ids {
-            let node = net.node(id).expect("alive");
+            let node = net.node(id).expect("invariant: `ids` is this network's id column");
             candidates.clear();
             candidates.extend(
                 node.successors.iter().copied().chain(node.fingers.present()).filter(|&n| n != id),
@@ -170,12 +177,9 @@ impl DensityEstimator for GossipAggregation {
         initiator: RingId,
         rng: &mut StdRng,
     ) -> Result<EstimationReport, EstimateError> {
-        if !net.is_alive(initiator) {
-            return Err(EstimateError::InitiatorDead);
-        }
         let (lo, hi) = net.placement().domain();
         let GossipConfig { rounds, bins } = self.config;
-        let ((hist, weight), cost) = with_cost(net, |net| Ok(self.push_sum(net, initiator, rng)))?;
+        let ((hist, weight), cost) = with_cost(net, |net| self.push_sum(net, initiator, rng))?;
 
         if weight <= 0.0 || hist.total() <= 0.0 {
             return Err(EstimateError::NoData);
@@ -309,7 +313,7 @@ mod tests {
             let (mut flat_rng, mut ref_rng) = (rng.clone(), rng.clone());
 
             let gossip = GossipAggregation::new(cfg);
-            let (hist, weight) = gossip.push_sum(&mut flat_net, initiator, &mut flat_rng);
+            let (hist, weight) = gossip.push_sum(&mut flat_net, initiator, &mut flat_rng).unwrap();
             let (ref_hist, ref_weight) =
                 push_sum_reference(&mut ref_net, initiator, cfg, &mut ref_rng);
 
@@ -352,6 +356,11 @@ mod tests {
         assert_eq!(est.cost.count(MessageKind::Gossip), 10 * 64);
         // Orders of magnitude more than a probing estimator would use.
         assert!(est.messages() >= 640);
+        // An initiator that is not a peer costs nothing and names itself.
+        let before = net.stats().total_messages();
+        let dead = GossipAggregation::new(cfg).estimate(&mut net, RingId(77), &mut rng);
+        assert!(matches!(dead, Err(EstimateError::InitiatorDead)));
+        assert_eq!(net.stats().total_messages(), before);
     }
 
     #[test]

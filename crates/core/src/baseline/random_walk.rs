@@ -109,7 +109,10 @@ impl RandomWalkSampling {
             // — that sample is simply gone (the walk has no retry protocol).
             net.stats_mut().record(MessageKind::Probe, 8);
             if !net.message_lost(initiator, cur) {
-                let node = net.node(cur).expect("walk stays on alive peers");
+                // The walk starts at the live initiator and moves only to
+                // neighbours listed alive, and nothing in an estimate
+                // changes membership.
+                let node = net.node(cur).expect("invariant: the walk stays on live peers");
                 let summary = node.store.summary(net.summary_buckets());
                 let reply = ProbeReply {
                     peer: cur,

@@ -146,7 +146,7 @@ impl DensityEstimate {
                 da.total_cmp(&db)
             })
             .map(|w| 0.5 * (w[0].0 + w[1].0))
-            .expect("skeleton has ≥1 segment")
+            .expect("invariant: a PiecewiseCdf holds at least two points, so one segment")
     }
 
     /// Kolmogorov–Smirnov distance to a reference CDF (the headline accuracy

@@ -47,7 +47,9 @@ impl DensityEstimator for ExactAggregation {
             let limit = net.len() * 2 + 8;
             let mut visited = 0usize;
             loop {
-                let node = net.node(cur).expect("walk reached dead node");
+                // `cur` is the live initiator or a successor found alive
+                // below, and nothing in an estimate changes membership.
+                let node = net.node(cur).expect("invariant: the walk stays on live peers");
                 let summary = node.store.summary(net.summary_buckets());
                 let succs = node.successors;
                 if cur != initiator {

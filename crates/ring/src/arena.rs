@@ -9,8 +9,14 @@
 //!
 //! * [`SuccessorList`] — the successor list as an inline
 //!   `[RingId; SUCCESSOR_LIST_LEN]` plus a length, heap-free;
-//! * [`FingerTable`] — the finger table as an inline
-//!   `[RingId; RING_BITS]` plus a presence bitmask, heap-free;
+//! * [`FingerTable`] — the finger table, heap-free and run-length encoded:
+//!   a presence mask, a run-start mask, and each *run*'s target once,
+//!   packed at the front of an inline `[RingId; RING_BITS]`. A run is a
+//!   maximal stretch of present levels naming the same peer; every level
+//!   below about `64 − log₂ P` names the successor, so a wired table holds
+//!   about 17 runs at 10⁵ peers (8 at 256). A routing hop scans the runs,
+//!   not the 64 levels, and so reads a record's first ~260 bytes, not its
+//!   first ~620;
 //! * [`RingArena`] — the slab that owns every node record. Together with the
 //!   id and order columns kept by [`crate::index::NodeIndex`] this is the
 //!   network's columnar store: a dense sorted `Vec<RingId>` for search, a
@@ -24,8 +30,11 @@
 //! [`RingArena::wire_perfect`] rebuilds *perfect* routing state in
 //! `O(P · RING_BITS)`: for a fixed finger level `f`, the targets
 //! `ids[i] + 2^f` are strictly increasing in `i`, so their owners are found
-//! with one monotone sweep over the (virtually doubled) id column instead of
-//! a binary search per finger.
+//! with one monotone cursor per level over the (virtually doubled) id column
+//! instead of a binary search per finger. The sweep goes record by record,
+//! so each record is written once, its table built whole by
+//! [`FingerTable::from_levels`]; later edits (churn repair, stabilization)
+//! splice level ranges with [`FingerTable::set_range`].
 
 use crate::id::{RingId, RING_BITS};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
@@ -207,95 +216,209 @@ impl std::fmt::Debug for SuccessorList {
     }
 }
 
-/// A heap-free finger table: [`RING_BITS`] inline targets plus a presence
-/// bitmask (`fingers[i] ≈ successor(id + 2^i)`, absent when the last refresh
-/// failed).
+/// A heap-free finger table (`get(i) ≈ successor(id + 2^i)`, absent when
+/// the last refresh failed), stored run-length encoded.
 ///
-/// Absent slots keep their target normalized to `RingId(0)` so the derived
-/// `PartialEq` compares logical contents and [`RingArena::check_columns`]
-/// can detect a target/bitmask desync.
+/// A *run* is a maximal stretch of present levels, taken in level order and
+/// skipping absent ones, that name the same target. Every level below about
+/// `64 − log₂ P` names the successor, so a perfectly wired table at 10⁵
+/// peers holds about 17 runs, not 64 distinct targets. The table keeps a
+/// presence mask, a run-start mask (bit `i` set when level `i` opens a run)
+/// and each run's target once, packed at the front of `targets`; level `i`'s
+/// target is `targets[r]` for the run `r` that covers it. The masks come
+/// first, so a routing hop reads the 16-byte header and `8 · runs` bytes of
+/// targets instead of the whole 512-byte array.
+///
+/// The form is canonical — the lowest present level opens a run, runs open
+/// only on present levels, adjacent runs differ, and slots past the run
+/// count hold `RingId(0)` — so the derived `PartialEq` compares logical
+/// contents and [`RingArena::check_columns`] can detect a corrupted table.
 #[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct FingerTable {
+    present: u64,
+    starts: u64,
     targets: [RingId; RING_BITS as usize],
-    mask: u64,
+}
+
+// Size fences: the run-length header costs one word over the flat table's
+// 520 bytes, and a record, which sets the slab's size (656 MB at 10⁶
+// peers), stays within 656 bytes.
+const _: () = assert!(std::mem::size_of::<FingerTable>() <= 528);
+const _: () = assert!(std::mem::size_of::<Node>() <= 656);
+
+/// The number of finger levels `f` with `2^f ≤ gap`. When `gap` is the
+/// distance from a peer to its successor, every start `id + 2^f` of those
+/// levels falls in `(id, successor]`: they all name the successor.
+#[inline]
+pub(crate) fn levels_within(gap: u64) -> u32 {
+    u64::BITS - gap.leading_zeros()
+}
+
+/// The mask of levels below `i` (all 64 when `i == RING_BITS`).
+#[inline]
+fn below(i: usize) -> u64 {
+    1u64.checked_shl(i as u32).map_or(u64::MAX, |bit| bit - 1)
 }
 
 impl FingerTable {
     /// An empty table (every finger absent).
     /// Deterministic: constructs fixed, zeroed contents.
     pub fn new() -> Self {
-        Self { targets: [RingId(0); RING_BITS as usize], mask: 0 }
+        Self { present: 0, starts: 0, targets: [RingId(0); RING_BITS as usize] }
+    }
+
+    /// Builds a whole table from its levels in order: item `i` is level
+    /// `i`'s finger. Each run's target is written once, so wiring a record
+    /// this way costs one pass over its levels, not one splice per level.
+    ///
+    /// # Panics
+    /// Panics if `levels` yields more than [`RING_BITS`] items.
+    /// Deterministic: a pure function of the level sequence.
+    pub fn from_levels(levels: impl IntoIterator<Item = Option<RingId>>) -> Self {
+        let mut table = Self::new();
+        let mut runs = 0;
+        for (i, level) in levels.into_iter().enumerate() {
+            assert!(i < RING_BITS as usize, "more than {RING_BITS} finger levels");
+            let Some(t) = level else { continue };
+            table.present |= 1 << i;
+            if runs == 0 || table.targets[runs - 1] != t {
+                table.starts |= 1 << i;
+                table.targets[runs] = t;
+                runs += 1;
+            }
+        }
+        table
+    }
+
+    /// The number of runs (distinct targets in level order).
+    #[inline]
+    fn runs(&self) -> usize {
+        self.starts.count_ones() as usize
     }
 
     /// The finger at level `i`, if set.
     #[inline]
-    /// Deterministic: reads the indexed slot.
+    /// Deterministic: reads the run covering the level.
     pub fn get(&self, i: usize) -> Option<RingId> {
-        if self.mask & (1u64 << i) != 0 {
-            Some(self.targets[i])
-        } else {
-            None
-        }
+        let bit = 1u64 << i;
+        (self.present & bit != 0)
+            .then(|| self.targets[(self.starts & (bit | (bit - 1))).count_ones() as usize - 1])
     }
 
     /// Sets or clears the finger at level `i`.
     #[inline]
-    /// Deterministic: writes the indexed slot.
+    /// Deterministic: splices the one level (see [`FingerTable::set_range`]).
     pub fn set(&mut self, i: usize, target: Option<RingId>) {
-        match target {
-            Some(t) => {
-                self.targets[i] = t;
-                self.mask |= 1u64 << i;
-            }
-            None => {
-                self.targets[i] = RingId(0);
-                self.mask &= !(1u64 << i);
-            }
-        }
+        self.set_range(i..i + 1, target);
     }
 
-    /// The set fingers in level order (the replacement for the old
-    /// `fingers.iter().flatten()`); allocation-free.
+    /// Points every level in `levels` at `target`, or clears them all, as
+    /// one splice of the run list: the runs left of the range keep their
+    /// slots, the range becomes one run (or merges into its left
+    /// neighbour), and the runs right of it shift once, merging at either
+    /// seam when the targets meet. A range that is exactly one run is
+    /// renamed in place, with nothing shifted.
+    ///
+    /// # Panics
+    /// Panics if the range is decreasing or reaches past [`RING_BITS`].
+    /// Deterministic: a pure function of the table, range and target.
+    pub fn set_range(&mut self, levels: std::ops::Range<usize>, target: Option<RingId>) {
+        let std::ops::Range { start: lo, end: hi } = levels;
+        assert!(lo <= hi && hi <= RING_BITS as usize, "finger levels {lo}..{hi} out of range");
+        if lo == hi {
+            return;
+        }
+        let n = self.runs();
+        // Runs opening left of the range keep their slots `0..left`.
+        let left = (self.starts & below(lo)).count_ones() as usize;
+        // The first present level right of the range, and the run covering
+        // it, whose slot `right` opens the kept right part `right..n`.
+        let tail = self.present & !below(hi);
+        let first = (tail != 0).then(|| tail.trailing_zeros() as usize);
+        let right = first.map_or(n, |r| (self.starts & below(r + 1)).count_ones() as usize - 1);
+        let before = left.checked_sub(1).map(|r| self.targets[r]);
+        let opened = target.filter(|&t| before != Some(t));
+        let merged = first.is_some() && target.or(before) == Some(self.targets[right]);
+        let src = right + usize::from(merged);
+        let dst = left + usize::from(opened.is_some());
+        if src != dst {
+            self.targets.copy_within(src..n, dst);
+        }
+        if let Some(t) = opened {
+            self.targets[left] = t;
+        }
+        let runs = dst + (n - src);
+        if runs < n {
+            self.targets[runs..n].fill(RingId(0));
+        }
+        let mut starts = self.starts & below(lo);
+        if opened.is_some() {
+            starts |= 1 << lo;
+        }
+        if let Some(r) = first {
+            starts |= (self.starts & !below(r + 1)) | (u64::from(!merged) << r);
+        }
+        self.starts = starts;
+        let range = below(hi) & !below(lo);
+        self.present = if target.is_some() { self.present | range } else { self.present & !range };
+    }
+
+    /// The set fingers in level order, one item per present level (repeats
+    /// included, as the flat table yielded them); allocation-free.
     /// Deterministic: yields targets in fixed finger-index order.
     pub fn present(&self) -> impl Iterator<Item = RingId> + '_ {
-        let mask = self.mask;
-        (0..RING_BITS as usize)
-            .filter(move |i| mask & (1u64 << i) != 0)
-            .map(move |i| self.targets[i])
+        let (present, starts) = (self.present, self.starts);
+        let mut run = 0;
+        (0..RING_BITS as usize).filter(move |i| present & (1u64 << i) != 0).map(move |i| {
+            run += (starts >> i & 1) as usize;
+            self.targets[run - 1]
+        })
     }
 
     /// The largest clockwise progress `distance(me, finger)` among set
     /// fingers that does not exceed `ceiling`, or 0 when none qualifies.
-    /// Branch-free over all [`RING_BITS`] slots (a fixed-trip loop the
-    /// compiler can unroll), since routing calls it on every hop.
-    /// Deterministic: a pure max over the slots.
+    /// Scans each run's target once (about 17 at 10⁵ peers, against the
+    /// flat table's 64 slots), since routing calls it on every hop.
+    /// Deterministic: a pure max over the runs.
     #[inline]
     pub(crate) fn best_progress(&self, me: RingId, ceiling: u64) -> u64 {
         let mut best = 0u64;
-        for (i, t) in self.targets.iter().enumerate() {
+        for t in &self.targets[..self.runs()] {
             let d = me.distance_to(*t);
-            let ok = (self.mask >> i) & 1 == 1 && d <= ceiling;
-            best = best.max(if ok { d } else { 0 });
+            best = best.max(if d <= ceiling { d } else { 0 });
         }
         best
     }
 
     /// Clears every finger pointing at `dead`.
-    /// Deterministic: clears matching slots in index order.
+    /// Deterministic: rebuilds the levels in index order.
     pub fn forget(&mut self, dead: RingId) {
-        for i in 0..RING_BITS as usize {
-            if self.mask & (1u64 << i) != 0 && self.targets[i] == dead {
-                self.set(i, None);
-            }
+        if self.targets[..self.runs()].contains(&dead) {
+            let old = *self;
+            *self = Self::from_levels(
+                (0..RING_BITS as usize).map(|i| old.get(i).filter(|&t| t != dead)),
+            );
         }
     }
 
-    /// Internal invariant check: absent slots normalized to `RingId(0)`.
+    /// Internal invariant check: the canonical run-length form.
     fn check_shape(&self) -> Result<(), String> {
-        for i in 0..RING_BITS as usize {
-            if self.mask & (1u64 << i) == 0 && self.targets[i] != RingId(0) {
-                return Err(format!("finger {i} absent in mask but targets {}", self.targets[i]));
-            }
+        let stray = self.starts & !self.present;
+        if stray != 0 {
+            return Err(format!("finger run starts at absent level {}", stray.trailing_zeros()));
+        }
+        let lowest = self.present & self.present.wrapping_neg();
+        if self.starts & lowest != lowest {
+            let i = self.present.trailing_zeros();
+            return Err(format!("lowest present finger level {i} does not start a run"));
+        }
+        let n = self.runs();
+        if let Some(r) = (1..n).find(|&r| self.targets[r] == self.targets[r - 1]) {
+            return Err(format!("finger runs {} and {r} both target {}", r - 1, self.targets[r]));
+        }
+        if let Some(junk) = self.targets[n..].iter().find(|&&t| t != RingId(0)) {
+            return Err(format!("finger slot beyond {n} runs holds {junk}"));
         }
         Ok(())
     }
@@ -431,11 +554,14 @@ impl RingArena {
     /// in `O(P · RING_BITS)`.
     ///
     /// Successors and predecessors read straight off ring order. Fingers use
-    /// a monotone sweep per level: for fixed `f` the (un-wrapped) targets
-    /// `keys[i] + 2^f` are strictly increasing, so the owning position in
-    /// the virtually doubled column `[keys[0], …, keys[p-1], keys[0]+2^64, …]`
-    /// only ever advances. Output is bit-identical to the per-finger
-    /// `true_owner` binary search it replaced.
+    /// a monotone cursor per level: for fixed `f` the (un-wrapped) targets
+    /// `keys[i] + 2^f` are strictly increasing in `i`, so the owning
+    /// position in the virtually doubled column
+    /// `[keys[0], …, keys[p-1], keys[0]+2^64, …]` only ever advances. The
+    /// sweep goes node-major with all [`RING_BITS`] cursors side by side, so
+    /// each record is written once, its table built whole by
+    /// [`FingerTable::from_levels`]. Output is bit-identical to the
+    /// per-finger `true_owner` binary search it replaced.
     ///
     /// # Panics
     /// Panics if `keys` and `order` disagree in length (the columns are
@@ -448,16 +574,6 @@ impl RingArena {
         if p == 0 {
             return;
         }
-        for i in 0..p {
-            let node = &mut self.slots[order[i] as usize];
-            node.predecessor = Some(keys[(i + p - 1) % p]);
-            let mut succs = SuccessorList::new();
-            for k in 1..=SUCCESSOR_LIST_LEN.min(p - 1).max(1) {
-                succs.push(keys[(i + k) % p]);
-            }
-            node.successors = succs;
-            node.fingers = FingerTable::new();
-        }
         let wrap = 1u128 << RING_BITS;
         let virt = |j: usize| -> u128 {
             if j < p {
@@ -466,19 +582,39 @@ impl RingArena {
                 u128::from(keys[j - p].0) + wrap
             }
         };
-        for f in 0..RING_BITS as usize {
-            let step = 1u128 << f;
-            let mut j = 0usize;
-            for i in 0..p {
-                let target = u128::from(keys[i].0) + step;
-                while j < 2 * p && virt(j) < target {
-                    j += 1;
+        let mut cursors = [0usize; RING_BITS as usize];
+        for i in 0..p {
+            let base = u128::from(keys[i].0);
+            let succ = keys[(i + 1) % p];
+            // The levels within the successor's gap skip their cursors,
+            // which catch up whenever a later, tighter gap needs them.
+            let near = levels_within(keys[i].distance_to(succ)) as usize;
+            let fingers = FingerTable::from_levels(cursors.iter_mut().enumerate().map(|(f, j)| {
+                if f < near {
+                    return Some(succ);
+                }
+                let target = base + (1u128 << f);
+                while *j < 2 * p && virt(*j) < target {
+                    *j += 1;
                 }
                 // j == 2p can only mean the target wrapped past the top of
                 // the doubled column; ownership wraps to the first peer.
-                let owner = keys[if j < 2 * p { j % p } else { 0 }];
-                self.slots[order[i] as usize].fingers.set(f, Some(owner));
+                Some(
+                    keys[match *j {
+                        j if j < p => j,
+                        j if j < 2 * p => j - p,
+                        _ => 0,
+                    }],
+                )
+            }));
+            let mut succs = SuccessorList::new();
+            for k in 1..=SUCCESSOR_LIST_LEN.min(p - 1).max(1) {
+                succs.push(keys[(i + k) % p]);
             }
+            let node = &mut self.slots[order[i] as usize];
+            node.predecessor = Some(keys[(i + p - 1) % p]);
+            node.successors = succs;
+            node.fingers = fingers;
         }
     }
 
@@ -608,6 +744,214 @@ mod tests {
             reference.truncate(SUCCESSOR_LIST_LEN);
             assert_eq!(list, reference, "after offering {peer}");
         }
+    }
+
+    /// The flat finger table the run-length one replaced, verbatim: one
+    /// slot per level plus a presence mask. The reference model below holds
+    /// [`FingerTable`] to it.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct FlatFingers {
+        targets: [RingId; RING_BITS as usize],
+        mask: u64,
+    }
+
+    impl FlatFingers {
+        fn new() -> Self {
+            Self { targets: [RingId(0); RING_BITS as usize], mask: 0 }
+        }
+
+        fn get(&self, i: usize) -> Option<RingId> {
+            if self.mask & (1u64 << i) != 0 {
+                Some(self.targets[i])
+            } else {
+                None
+            }
+        }
+
+        fn set(&mut self, i: usize, target: Option<RingId>) {
+            match target {
+                Some(t) => {
+                    self.targets[i] = t;
+                    self.mask |= 1u64 << i;
+                }
+                None => {
+                    self.targets[i] = RingId(0);
+                    self.mask &= !(1u64 << i);
+                }
+            }
+        }
+
+        fn present(&self) -> impl Iterator<Item = RingId> + '_ {
+            let mask = self.mask;
+            (0..RING_BITS as usize)
+                .filter(move |i| mask & (1u64 << i) != 0)
+                .map(move |i| self.targets[i])
+        }
+
+        fn best_progress(&self, me: RingId, ceiling: u64) -> u64 {
+            let mut best = 0u64;
+            for (i, t) in self.targets.iter().enumerate() {
+                let d = me.distance_to(*t);
+                let ok = (self.mask >> i) & 1 == 1 && d <= ceiling;
+                best = best.max(if ok { d } else { 0 });
+            }
+            best
+        }
+
+        fn forget(&mut self, dead: RingId) {
+            for i in 0..RING_BITS as usize {
+                if self.mask & (1u64 << i) != 0 && self.targets[i] == dead {
+                    self.set(i, None);
+                }
+            }
+        }
+    }
+
+    impl std::fmt::Debug for FlatFingers {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_map()
+                .entries((0..RING_BITS as usize).filter_map(|i| self.get(i).map(|t| (i, t))))
+                .finish()
+        }
+    }
+
+    /// Every read of the run-length table agrees with the flat reference.
+    fn assert_matches_flat(
+        table: &FingerTable,
+        flat: &FlatFingers,
+        me: RingId,
+        pool: &[RingId],
+        rng: &mut rand::rngs::StdRng,
+        step: &str,
+    ) {
+        use rand::Rng;
+        for i in 0..RING_BITS as usize {
+            assert_eq!(table.get(i), flat.get(i), "{step}: level {i}");
+        }
+        assert_eq!(
+            table.present().collect::<Vec<_>>(),
+            flat.present().collect::<Vec<_>>(),
+            "{step}: present()"
+        );
+        let mut ceilings = vec![0, u64::MAX, rng.gen(), rng.gen()];
+        for &t in pool {
+            let d = me.distance_to(t);
+            ceilings.extend([d, d.wrapping_sub(1), d.wrapping_add(1)]);
+        }
+        for ceiling in ceilings {
+            assert_eq!(
+                table.best_progress(me, ceiling),
+                flat.best_progress(me, ceiling),
+                "{step}: best_progress at ceiling {ceiling}"
+            );
+        }
+        assert_eq!(format!("{table:?}"), format!("{flat:?}"), "{step}: Debug");
+        let rebuilt = FingerTable::from_levels((0..RING_BITS as usize).map(|i| flat.get(i)));
+        assert_eq!(*table, rebuilt, "{step}: equality with the table rebuilt from its levels");
+        table.check_shape().unwrap_or_else(|e| panic!("{step}: {e}"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The run-length table ≡ the flat table under 200 random writes:
+        /// single levels, ranges, clears, `forget` and whole rebuilds, over
+        /// a small id pool so equal neighbours, self ids and wraparound
+        /// distances all occur.
+        #[test]
+        fn run_length_table_matches_flat_reference(me: u64, seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let me = RingId(me);
+            let pool = [
+                me,
+                RingId(me.0.wrapping_add(1)),
+                RingId(me.0.wrapping_sub(1)),
+                RingId(0),
+                RingId(u64::MAX),
+                RingId(rng.gen()),
+                RingId(rng.gen()),
+            ];
+            let mut table = FingerTable::new();
+            let mut flat = FlatFingers::new();
+            for op in 0..200 {
+                let pick = |rng: &mut rand::rngs::StdRng| pool[rng.gen_range(0..pool.len())];
+                let target = |rng: &mut rand::rngs::StdRng| {
+                    (rng.gen_range(0..4) != 0).then(|| pick(rng))
+                };
+                let step = match rng.gen_range(0..8) {
+                    0..=2 => {
+                        let (i, t) = (rng.gen_range(0..RING_BITS as usize), target(&mut rng));
+                        table.set(i, t);
+                        flat.set(i, t);
+                        format!("op {op}: set({i}, {t:?})")
+                    }
+                    3..=5 => {
+                        let lo = rng.gen_range(0..=RING_BITS as usize);
+                        let hi = rng.gen_range(lo..=RING_BITS as usize);
+                        let t = target(&mut rng);
+                        table.set_range(lo..hi, t);
+                        (lo..hi).for_each(|i| flat.set(i, t));
+                        format!("op {op}: set_range({lo}..{hi}, {t:?})")
+                    }
+                    6 => {
+                        let dead = pick(&mut rng);
+                        table.forget(dead);
+                        flat.forget(dead);
+                        format!("op {op}: forget({dead})")
+                    }
+                    _ => {
+                        let mut levels = [None; RING_BITS as usize];
+                        for i in 0..RING_BITS as usize {
+                            levels[i] = match rng.gen_range(0..8) {
+                                0 => None,
+                                1..=5 if i > 0 => levels[i - 1],
+                                _ => Some(pick(&mut rng)),
+                            };
+                        }
+                        table = FingerTable::from_levels(levels);
+                        flat = FlatFingers::new();
+                        levels.iter().enumerate().for_each(|(i, &t)| flat.set(i, t));
+                        format!("op {op}: from_levels({levels:?})")
+                    }
+                };
+                assert_matches_flat(&table, &flat, me, &pool, &mut rng, &step);
+            }
+        }
+    }
+
+    #[test]
+    fn check_columns_flags_non_canonical_finger_tables() {
+        let keys = vec![RingId(10)];
+        let canonical = FingerTable::from_levels(
+            (0..RING_BITS as usize).map(|i| (i % 8 != 0).then_some(RingId(1 + i as u64 / 16))),
+        );
+        let mut equal_runs = canonical;
+        equal_runs.targets[1] = equal_runs.targets[0];
+        let mut stray_start = canonical;
+        stray_start.starts |= 1 << 8;
+        let mut junk_slot = canonical;
+        junk_slot.targets[canonical.runs()] = RingId(7);
+        let mut headless = canonical;
+        headless.starts &= !(1 << 1);
+        for (table, needle) in [
+            (equal_runs, "both target"),
+            (stray_start, "starts at absent level 8"),
+            (junk_slot, "beyond 4 runs"),
+            (headless, "lowest present finger level 1 does not start a run"),
+        ] {
+            let mut arena = RingArena::new();
+            let mut node = Node::new(RingId(10));
+            node.fingers = table;
+            arena.push(node);
+            let violations = arena.check_columns(&keys, &[0]);
+            assert!(violations.iter().any(|v| v.contains(needle)), "{needle}: {violations:?}");
+        }
+        let mut arena = RingArena::new();
+        let mut node = Node::new(RingId(10));
+        node.fingers = canonical;
+        arena.push(node);
+        assert!(arena.check_columns(&keys, &[0]).is_empty());
     }
 
     #[test]

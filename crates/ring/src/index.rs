@@ -17,7 +17,7 @@
 //! finger-density argument below) instead of the `O(P · RING_BITS)` full
 //! rewire, bit-identical to [`RingArena::wire_perfect`] on the final column.
 
-use crate::arena::{FingerTable, RingArena, SuccessorList};
+use crate::arena::{levels_within, FingerTable, RingArena, SuccessorList};
 use crate::id::{RingId, RING_BITS};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
 
@@ -29,8 +29,9 @@ pub struct RepairStats {
     /// Node records whose routing state was written (full rewires plus
     /// neighborhood stitches).
     pub nodes_rewired: u64,
-    /// Individual finger-slot writes (full-table rebuilds count
-    /// [`RING_BITS`] each; retargets count one per redirected finger).
+    /// Finger levels written (full-table rebuilds count [`RING_BITS`] each;
+    /// retargets count one per redirected level, however many levels one
+    /// range write covers).
     pub finger_writes: u64,
 }
 
@@ -344,12 +345,16 @@ impl NodeIndex {
 fn rewire_position(keys: &[RingId], order: &[u32], arena: &mut RingArena, i: usize) {
     let p = keys.len();
     let id = keys[i];
-    let mut fingers = FingerTable::new();
-    for f in 0..RING_BITS {
+    let succ = keys[(i + 1) % p];
+    let near = levels_within(id.distance_to(succ));
+    let fingers = FingerTable::from_levels((0..RING_BITS).map(|f| {
+        if f < near {
+            return Some(succ);
+        }
         let start = id.finger_start(f);
         let pos = keys.partition_point(|&k| k < start);
-        fingers.set(f as usize, Some(keys[if pos == p { 0 } else { pos }]));
-    }
+        Some(keys[if pos == p { 0 } else { pos }])
+    }));
     let mut succs = SuccessorList::new();
     for k in 1..=SUCCESSOR_LIST_LEN.min(p - 1).max(1) {
         succs.push(keys[(i + k) % p]);
@@ -376,30 +381,50 @@ fn rebuild_successors(keys: &[RingId], order: &[u32], arena: &mut RingArena, pos
 /// landing in that arc belong to exactly the keys in the (wrapped) arc
 /// `(pred − 2^f, keys[i] − 2^f]`, found with two binary searches. Covers
 /// both directions of change: fingers stolen from the old owner by a join,
-/// and fingers inherited by an heir from a departed peer. Returns the
-/// number of finger writes.
+/// and fingers inherited by an heir from a departed peer.
+///
+/// A node's starts `keys[j] + 2^f` grow with `f`, and only `keys[i]` itself
+/// lies in the arc, so the levels at which one node's starts land there are
+/// consecutive. Each node is therefore written once, at the first level
+/// that reaches it, as one [`FingerTable::set_range`] over all of its
+/// levels. While `2^f` fits in both gaps beside `pred`, the level-`f` arc
+/// holds `pred` alone, so those levels need no search. Returns the number
+/// of finger *levels* written.
 fn retarget_fingers(keys: &[RingId], order: &[u32], arena: &mut RingArena, i: usize) -> u64 {
     let p = keys.len();
     let id = keys[i];
-    let pred = keys[(i + p - 1) % p];
+    let pred_pos = (i + p - 1) % p;
+    let pred = keys[pred_pos];
     debug_assert_ne!(pred, id, "retarget on a degenerate arc");
-    let mut writes = 0u64;
-    for f in 0..RING_BITS {
+    let mut retarget = |j: usize, from: u32| {
+        // The last level is the highest `g` with `2^g ≤ distance(keys[j],
+        // id)`; `keys[i]`'s own starts that land in its arc run to the top.
+        let end = if j == i { RING_BITS } else { levels_within(keys[j].distance_to(id)) };
+        debug_assert!((from..end).all(|g| keys[j].finger_start(g).in_arc(pred, id)));
+        debug_assert!(end == RING_BITS || !keys[j].finger_start(end).in_arc(pred, id));
+        arena.slot_mut(order[j] as usize).fingers.set_range(from as usize..end as usize, Some(id));
+    };
+    let near = levels_within(pred.distance_to(id).min(keys[(i + p - 2) % p].distance_to(pred)));
+    retarget(pred_pos, 0);
+    let mut writes = u64::from(near);
+    // The previous level's positions: `a..b`, or `a..p` and `0..b` wrapped.
+    let mut last = (pred_pos, pred_pos + 1, false);
+    for f in near..RING_BITS {
         let step = 1u64 << f;
         let lo = RingId(pred.0.wrapping_sub(step));
         let hi = RingId(id.0.wrapping_sub(step));
         let a = keys.partition_point(|&k| k <= lo);
         let b = keys.partition_point(|&k| k <= hi);
-        let mut set = |j: usize| {
-            arena.slot_mut(order[j] as usize).fingers.set(f as usize, Some(id));
+        let (head, wrapped) = if lo < hi { (a..b, 0..0) } else { (a..p, 0..b) };
+        for j in head.chain(wrapped) {
             writes += 1;
-        };
-        if lo < hi {
-            (a..b).for_each(&mut set);
-        } else {
-            (a..p).for_each(&mut set);
-            (0..b).for_each(&mut set);
+            let (la, lb, lwrap) = last;
+            let reached_before = if lwrap { j >= la || j < lb } else { la <= j && j < lb };
+            if !reached_before {
+                retarget(j, f);
+            }
         }
+        last = (a, b, lo >= hi);
     }
     writes
 }

@@ -22,6 +22,23 @@ pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The most events one run may schedule: churn's joins, departures and
+/// per-peer stabilization steps, or a workload's operations and estimate
+/// refreshes. Sized so that a `ring-dde churn` or `ring-dde workload` run at
+/// the cap, on the default scenario, finishes in seconds.
+pub const MAX_EVENTS: usize = 200_000;
+
+/// Refuses a run expected to schedule more than [`MAX_EVENTS`] events.
+/// `events` is a product of rates, a duration and a peer count, taken in
+/// `f64` so that no input overflows it; a NaN is refused too.
+pub fn check_events(events: f64) -> Result<(), String> {
+    if events <= MAX_EVENTS as f64 {
+        Ok(())
+    } else {
+        Err(format!("events: the run would schedule {events:.3e}, above {MAX_EVENTS}"))
+    }
+}
+
 /// How items map to ring positions (see [`dde_ring::Placement`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementMode {
@@ -206,6 +223,15 @@ mod tests {
         assert_eq!(s.summary_buckets, 4);
         assert_eq!(s.placement, PlacementMode::Hashed);
         assert_eq!(s.layout, NodeLayout::LoadBalanced);
+    }
+
+    #[test]
+    fn event_cap_admits_the_cap_and_refuses_past_it() {
+        assert!(check_events(MAX_EVENTS as f64).is_ok());
+        for events in [MAX_EVENTS as f64 + 1.0, f64::INFINITY, f64::NAN] {
+            let err = check_events(events).unwrap_err();
+            assert!(err.contains("above 200000"), "{events}: {err}");
+        }
     }
 
     #[test]
