@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate hot paths: routing, probing, membership
-//! churn, store and summary operations, sketches, skeleton assembly, the
-//! baseline estimators, KDE, and metrics.
+//! churn, store and summary operations, skeleton assembly, the baseline
+//! estimators, KDE, and metrics.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dde_core::{
@@ -10,7 +10,6 @@ use dde_core::{
 use dde_ring::{BatchRouter, ChurnBatch, FingerTable, LocalStore, Network, Placement, RingId};
 use dde_stats::dist::{BoundedPareto, Distribution, Normal, Truncated};
 use dde_stats::equidepth::EquiDepthSummary;
-use dde_stats::gk::GkSketch;
 use dde_stats::kde::{Bandwidth, Kde};
 use dde_stats::metrics::ks_distance;
 use dde_stats::rng::{Component, SeedSequence};
@@ -149,18 +148,6 @@ fn equidepth_query(c: &mut Criterion) {
     let sorted: Vec<f64> = (0..100_000).map(|i| i as f64).collect();
     let s = EquiDepthSummary::from_sorted(&sorted, 32);
     c.bench_function("micro/equidepth_count_le", |b| b.iter(|| s.count_le(black_box(54_321.5))));
-}
-
-fn gk_insert(c: &mut Criterion) {
-    c.bench_function("micro/gk_insert_10k", |b| {
-        b.iter(|| {
-            let mut sk = GkSketch::new(0.01);
-            for i in 0..10_000u32 {
-                sk.insert(f64::from(i % 997));
-            }
-            sk.size()
-        });
-    });
 }
 
 fn skeleton_assembly(c: &mut Criterion) {
@@ -328,7 +315,6 @@ criterion_group!(
     range_query,
     store_ops,
     equidepth_query,
-    gk_insert,
     skeleton_assembly,
     baseline_estimates,
     kde_eval,

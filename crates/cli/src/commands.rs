@@ -352,7 +352,6 @@ pub fn workload(args: &Args) -> Result<(), String> {
         refresh_interval: positive(args, "refresh", 2.0)?,
         batch: !args.has_flag("no-batch"),
         piggyback: !args.has_flag("no-piggyback"),
-        ..WorkloadSpec::default()
     };
     // Each refresh schedules one probe per stratum.
     let refreshes = spec.duration / spec.refresh_interval;

@@ -14,6 +14,7 @@
 use crate::baseline::{pool_replies, PoolWeighting};
 use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
+use crate::skeleton::SUPPORT_CAP;
 use dde_ring::{MessageKind, Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -30,13 +31,11 @@ pub struct RandomWalkConfig {
     pub gap: usize,
     /// How replies are pooled.
     pub weighting: PoolWeighting,
-    /// Cap on support points.
-    pub support_cap: usize,
 }
 
 impl Default for RandomWalkConfig {
     fn default() -> Self {
-        Self { peers: 64, burn_in: 32, gap: 8, weighting: PoolWeighting::Equal, support_cap: 4096 }
+        Self { peers: 64, burn_in: 32, gap: 8, weighting: PoolWeighting::Equal }
     }
 }
 
@@ -200,7 +199,7 @@ impl DensityEstimator for RandomWalkSampling {
         })?;
 
         let contacted = replies.len();
-        let cdf = pool_replies(&replies, domain, cfg.support_cap, cfg.weighting)
+        let cdf = pool_replies(&replies, domain, SUPPORT_CAP, cfg.weighting)
             .ok_or(EstimateError::InsufficientProbes { got: contacted, need: cfg.peers })?;
         Ok(EstimationReport {
             estimate: DensityEstimate::from_cdf(cdf),

@@ -15,6 +15,7 @@ use crate::baseline::pool_replies;
 pub use crate::baseline::PoolWeighting;
 use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
+use crate::skeleton::SUPPORT_CAP;
 use dde_ring::{Network, RingId};
 use rand::rngs::StdRng;
 
@@ -25,13 +26,11 @@ pub struct UniformPeerConfig {
     pub peers: usize,
     /// How replies are pooled.
     pub weighting: PoolWeighting,
-    /// Cap on support points.
-    pub support_cap: usize,
 }
 
 impl Default for UniformPeerConfig {
     fn default() -> Self {
-        Self { peers: 64, weighting: PoolWeighting::Equal, support_cap: 4096 }
+        Self { peers: 64, weighting: PoolWeighting::Equal }
     }
 }
 
@@ -102,7 +101,7 @@ impl DensityEstimator for UniformPeerSampling {
 
         let contacted = replies.len();
         let total: f64 = replies.iter().map(|r| r.count as f64).sum();
-        let cdf = pool_replies(&replies, domain, self.config.support_cap, self.config.weighting)
+        let cdf = pool_replies(&replies, domain, SUPPORT_CAP, self.config.weighting)
             .ok_or(EstimateError::InsufficientProbes { got: contacted, need })?;
         // Uniform peer sampling estimates N as P·mean(n): possible only when
         // P is known; we report the per-sample mean total instead (scaled by

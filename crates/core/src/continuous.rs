@@ -9,8 +9,6 @@
 use crate::dfdde::{DfDde, DfDdeConfig};
 use crate::estimate::DensityEstimate;
 use crate::estimator::EstimateError;
-use crate::retry::RetryPolicy;
-use crate::skeleton::Weighting;
 use dde_ring::{Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
 
@@ -21,25 +19,11 @@ pub struct ContinuousConfig {
     pub window: usize,
     /// Fresh probes issued per [`ContinuousEstimator::tick`].
     pub refresh_per_tick: usize,
-    /// Cap on skeleton support points.
-    pub support_cap: usize,
-    /// Skeleton weighting (Horvitz–Thompson in the method).
-    pub weighting: Weighting,
-    /// Retry policy for refresh probes (lost probes are re-issued against
-    /// fresh random ring positions; a refresh that still comes up short
-    /// just contributes fewer fresh probes this tick).
-    pub retry: RetryPolicy,
 }
 
 impl Default for ContinuousConfig {
     fn default() -> Self {
-        Self {
-            window: 64,
-            refresh_per_tick: 8,
-            support_cap: 4096,
-            weighting: Weighting::HorvitzThompson,
-            retry: RetryPolicy::default(),
-        }
+        Self { window: 64, refresh_per_tick: 8 }
     }
 }
 
@@ -99,12 +83,14 @@ impl ContinuousEstimator {
     ///
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
     pub fn current_estimate(&self, domain: (f64, f64)) -> Result<DensityEstimate, EstimateError> {
-        let skeleton = self.prober(0).build_skeleton(&self.window, domain)?;
+        let skeleton = DfDde::new(DfDdeConfig::default()).build_skeleton(&self.window, domain)?;
         Ok(DensityEstimate::from_cdf(skeleton.cdf))
     }
 
     /// Runs `probes` fresh stratified probes into the window, then evicts
-    /// the oldest replies beyond its capacity.
+    /// the oldest replies beyond its capacity. Lost probes are re-issued
+    /// against fresh ring positions under the default retry policy; a
+    /// refresh that still comes up short just contributes fewer probes.
     fn refresh(
         &mut self,
         net: &mut Network,
@@ -112,23 +98,11 @@ impl ContinuousEstimator {
         rng: &mut StdRng,
         probes: usize,
     ) -> Result<(), EstimateError> {
-        self.window.extend(self.prober(probes).run_probes(net, initiator, rng)?);
+        let prober = DfDde::new(DfDdeConfig::with_probes(probes));
+        self.window.extend(prober.run_probes(net, initiator, rng)?);
         let excess = self.window.len().saturating_sub(self.config.window);
         self.window.drain(..excess);
         Ok(())
-    }
-
-    /// A DF-DDE round of `probes` probes with this estimator's retry policy,
-    /// support cap and weighting (the skeleton build reads only the last
-    /// two).
-    fn prober(&self, probes: usize) -> DfDde {
-        DfDde::new(DfDdeConfig {
-            probes,
-            retry: self.config.retry,
-            support_cap: self.config.support_cap,
-            weighting: self.config.weighting,
-            ..DfDdeConfig::default()
-        })
     }
 }
 
@@ -160,7 +134,7 @@ mod tests {
         let mut net = build_net(128, 10_000, &kind, 30);
         let mut rng = StdRng::seed_from_u64(1);
         let initiator = net.random_peer(&mut rng).unwrap();
-        let cfg = ContinuousConfig { window: 32, refresh_per_tick: 10, ..Default::default() };
+        let cfg = ContinuousConfig { window: 32, refresh_per_tick: 10 };
         let mut est = ContinuousEstimator::new(cfg);
         assert!(est.current_estimate((0.0, 100.0)).is_err()); // empty window
         for _ in 0..10 {

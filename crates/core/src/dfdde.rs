@@ -11,7 +11,7 @@
 use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
 use crate::retry::RetryPolicy;
-use crate::skeleton::{CdfSkeleton, Weighting};
+use crate::skeleton::{CdfSkeleton, Weighting, SUPPORT_CAP};
 use dde_ring::{LookupError, Network, ProbeReply, RingId};
 use dde_stats::CdfFn as _;
 use rand::rngs::StdRng;
@@ -62,8 +62,6 @@ pub struct DfDdeConfig {
     /// positions with exponential backoff, and a probe whose attempts run
     /// out is simply skipped (the skeleton degrades gracefully).
     pub retry: RetryPolicy,
-    /// Cap on skeleton support points.
-    pub support_cap: usize,
 }
 
 impl Default for DfDdeConfig {
@@ -74,7 +72,6 @@ impl Default for DfDdeConfig {
             sample_mode: SampleMode::SkeletonOnly,
             weighting: Weighting::HorvitzThompson,
             retry: RetryPolicy::default(),
-            support_cap: 4096,
         }
     }
 }
@@ -180,7 +177,7 @@ impl DfDde {
         replies: &[ProbeReply],
         domain: (f64, f64),
     ) -> Result<CdfSkeleton, EstimateError> {
-        CdfSkeleton::from_probes(replies, domain, self.config.support_cap, self.config.weighting)
+        CdfSkeleton::from_probes(replies, domain, SUPPORT_CAP, self.config.weighting)
             .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })
     }
 }

@@ -8,20 +8,20 @@ use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
 use rand::rngs::StdRng;
 
+/// Cap on support points of the assembled CDF.
+const SUPPORT_CAP: usize = 16_384;
+
 /// Walks the entire ring, collecting every peer's count and summary, and
 /// assembles the exact global CDF (exact at all summary boundaries).
 #[derive(Debug, Clone, Default)]
-pub struct ExactAggregation {
-    /// Cap on support points of the assembled CDF.
-    pub support_cap: usize,
-}
+pub struct ExactAggregation;
 
 impl ExactAggregation {
-    /// Creates the aggregator with the default support cap.
+    /// Creates the aggregator.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
     pub fn new() -> Self {
-        Self { support_cap: 16_384 }
+        Self
     }
 }
 
@@ -83,8 +83,7 @@ impl DensityEstimator for ExactAggregation {
             // Exact cumulative counts: C(x) = Σᵢ cᵢ(x), at the union of all
             // boundaries thinned to the cap.
             let terms = summaries.iter().map(|(_, s)| (s, PoolTerm::Count));
-            let points =
-                pooled_cdf_points(terms, (lo, hi), self.support_cap, |c| c / n_total as f64);
+            let points = pooled_cdf_points(terms, (lo, hi), SUPPORT_CAP, |c| c / n_total as f64);
             Ok((points, n_total, visited))
         })?;
 

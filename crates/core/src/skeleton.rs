@@ -28,6 +28,11 @@ use dde_ring::ProbeReply;
 use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
 
+/// Cap on the interior support points of a DF-DDE skeleton or a pooled
+/// baseline CDF (the union of probed summary boundaries is uniformly thinned
+/// beyond it).
+pub(crate) const SUPPORT_CAP: usize = 4096;
+
 /// Whether probe replies are reweighted by inclusion probability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {

@@ -25,7 +25,6 @@ pub const D6_FILES: &[&str] = &[
     "crates/core/src/baseline/random_walk.rs",
     "crates/core/src/baseline/uniform_peer.rs",
     "crates/stats/src/ecdf.rs",
-    "crates/stats/src/gk.rs",
     "crates/stats/src/equidepth.rs",
     "crates/stats/src/piecewise.rs",
     "crates/stats/src/kde.rs",

@@ -23,15 +23,8 @@
 //!   never double-counted.
 
 use crate::id::RingId;
+use dde_stats::rng::splitmix64;
 use std::collections::BTreeMap;
-
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Maps a mixed 64-bit word onto `[0, 1)` with 53-bit precision.
 fn unit(z: u64) -> f64 {
@@ -78,6 +71,14 @@ pub enum FaultDecision {
     /// The link crosses an arc-partition cut: nothing gets through in either
     /// direction until the partition heals (do not purge — both sides live).
     Partitioned,
+}
+
+impl FaultDecision {
+    /// Whether the contacted peer processed the request although the caller
+    /// saw silence: its reply was dropped or missed the deadline.
+    pub(crate) fn processed_remotely(self) -> bool {
+        matches!(self, FaultDecision::ReplyLost | FaultDecision::Slow)
+    }
 }
 
 /// A seeded, fully deterministic fault plan (see module docs).
@@ -233,12 +234,12 @@ impl FaultPlan {
     /// One draw from the decision stream, salted by `salt`.
     fn roll(&mut self, salt: u64) -> f64 {
         self.counter += 1;
-        unit(mix(self.seed ^ mix(self.counter) ^ salt))
+        unit(splitmix64(self.seed ^ splitmix64(self.counter) ^ salt))
     }
 
     /// Salt identifying a directed link (order matters: `a → b ≠ b → a`).
     fn link_salt(from: RingId, to: RingId) -> u64 {
-        mix(from.0).rotate_left(17) ^ mix(to.0)
+        splitmix64(from.0).rotate_left(17) ^ splitmix64(to.0)
     }
 
     /// Rolls request loss for one `from → to` transmission.
@@ -255,7 +256,7 @@ impl FaultPlan {
 
     /// Rolls whether the contacted `peer` crashes mid-request.
     pub fn crashes(&mut self, peer: RingId) -> bool {
-        self.roll(mix(peer.0)) < self.crash
+        self.roll(splitmix64(peer.0)) < self.crash
     }
 
     /// The one per-peer fault-class draw, shared by every axis that places
@@ -267,7 +268,7 @@ impl FaultPlan {
     /// (`clock / window` for rotating axes, a nonzero constant for static
     /// ones — zero would erase the salt, colliding every axis).
     fn class_draw(&self, peer: RingId, epoch: u64, salt: u64) -> f64 {
-        unit(mix(self.seed ^ mix(peer.0) ^ mix(epoch.wrapping_mul(salt))))
+        unit(splitmix64(self.seed ^ splitmix64(peer.0) ^ splitmix64(epoch.wrapping_mul(salt))))
     }
 
     /// Whether `peer` is inside a sick window *right now*. Pure in the
@@ -308,7 +309,9 @@ impl FaultPlan {
             return d.base;
         }
         self.counter += 1;
-        d.base + mix(self.seed ^ mix(self.counter) ^ 0x6A09_E667_F3BC_C909) % (d.jitter + 1)
+        d.base
+            + splitmix64(self.seed ^ splitmix64(self.counter) ^ 0x6A09_E667_F3BC_C909)
+                % (d.jitter + 1)
     }
 
     /// Draws the delivery delay for one `from → to` message. Without the
@@ -385,8 +388,8 @@ mod tests {
         let mut a = FaultPlan::new(42).with_loss(0.2).with_reply_loss(0.1).with_crash(0.05);
         let mut b = a.clone();
         for i in 0..1_000u64 {
-            let x = RingId(mix(i));
-            let y = RingId(mix(i ^ 0xFFFF));
+            let x = RingId(splitmix64(i));
+            let y = RingId(splitmix64(i ^ 0xFFFF));
             assert_eq!(a.decide_rpc(x, y), b.decide_rpc(x, y));
             assert_eq!(a.message_delay(), b.message_delay());
         }
@@ -419,7 +422,7 @@ mod tests {
     #[test]
     fn sick_windows_are_stable_then_rotate() {
         let mut plan = FaultPlan::new(11).with_sick(0.3, 8);
-        let peers: Vec<RingId> = (0..64).map(|i| RingId(mix(i))).collect();
+        let peers: Vec<RingId> = (0..64).map(|i| RingId(splitmix64(i))).collect();
         let snapshot: Vec<bool> = peers.iter().map(|&p| plan.is_sick(p)).collect();
         let sick_now = snapshot.iter().filter(|&&s| s).count();
         assert!(sick_now > 5 && sick_now < 40, "sick fraction off: {sick_now}/64");
@@ -445,7 +448,7 @@ mod tests {
         a.delay = DelayDist { base: 1, jitter: 7 };
         let mut b = a.clone();
         for i in 0..200u64 {
-            let d = a.deliver(RingId(mix(i)), RingId(mix(!i)));
+            let d = a.deliver(RingId(splitmix64(i)), RingId(splitmix64(!i)));
             assert_eq!(d, b.message_delay());
         }
         assert_eq!(a, b);
@@ -454,7 +457,7 @@ mod tests {
     #[test]
     fn slow_class_is_static_and_roughly_honours_fraction() {
         let mut plan = FaultPlan::new(5).with_capacity(0.25, 4, 0);
-        let peers: Vec<RingId> = (0..400).map(|i| RingId(mix(i))).collect();
+        let peers: Vec<RingId> = (0..400).map(|i| RingId(splitmix64(i))).collect();
         let before: Vec<bool> = peers.iter().map(|&p| plan.is_slow(p)).collect();
         let slow = before.iter().filter(|&&s| s).count();
         assert!((60..=140).contains(&slow), "slow fraction off: {slow}/400");
@@ -473,7 +476,10 @@ mod tests {
     #[test]
     fn fifo_guard_prevents_reordering_and_drill_hook_counts_it() {
         let slow_sender = |plan: &FaultPlan| {
-            (0..u64::MAX).map(|i| RingId(mix(i))).find(|&p| plan.is_slow(p)).expect("slow peer")
+            (0..u64::MAX)
+                .map(|i| RingId(splitmix64(i)))
+                .find(|&p| plan.is_slow(p))
+                .expect("slow peer")
         };
         let mut guarded = FaultPlan::new(77).with_capacity(0.5, 6, 0);
         guarded.delay = DelayDist { base: 1, jitter: 9 };
@@ -520,7 +526,7 @@ mod tests {
         // Slow; fast peers are untouched.
         let mut plan = FaultPlan::new(21).with_capacity(0.5, 8, 4);
         plan.delay = DelayDist { base: 1, jitter: 0 };
-        let peers: Vec<RingId> = (0..64).map(|i| RingId(mix(i))).collect();
+        let peers: Vec<RingId> = (0..64).map(|i| RingId(splitmix64(i))).collect();
         let from = RingId(1);
         for &p in &peers {
             let want = if plan.is_slow(p) { FaultDecision::Slow } else { FaultDecision::Clean };

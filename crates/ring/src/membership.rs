@@ -11,6 +11,9 @@ use crate::messages::MessageKind;
 use crate::network::{LookupError, Network};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
 
+/// Fingers refreshed per node per stabilization round.
+const FINGERS_PER_ROUND: usize = 4;
+
 /// Errors from membership operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipError {
@@ -370,8 +373,7 @@ impl Network {
         corrections += self.replicate_node(id);
 
         // 7. fix_fingers: refresh the next few fingers by real lookups.
-        let per_round = self.fingers_per_round;
-        for _ in 0..per_round {
+        for _ in 0..FINGERS_PER_ROUND {
             let cursor = {
                 let c = self.finger_cursor.entry(id).or_insert(0);
                 let cur = *c;

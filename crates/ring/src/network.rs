@@ -14,6 +14,7 @@ use crate::messages::{MessageKind, MessageStats};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
 use crate::placement::Placement;
 use dde_stats::equidepth::EquiDepthSummary;
+use dde_stats::rng::splitmix64;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -87,8 +88,6 @@ pub struct Network {
     pub(crate) stats: MessageStats,
     /// Equi-depth buckets peers use in probe replies.
     pub(crate) summary_buckets: usize,
-    /// Fingers refreshed per node per stabilization round.
-    pub(crate) fingers_per_round: usize,
     /// Round-robin cursor for finger fixing, per node.
     pub(crate) finger_cursor: BTreeMap<RingId, u32>,
     /// Replication factor: copies kept beyond the primary (0 = off).
@@ -123,7 +122,6 @@ impl Network {
             placement,
             stats: MessageStats::new(),
             summary_buckets: 8,
-            fingers_per_round: 4,
             finger_cursor: BTreeMap::new(),
             replication: 0,
             maint_counter: 0,
@@ -194,11 +192,8 @@ impl Network {
         if self.len() < 2 {
             return None;
         }
+        let z = splitmix64(self.maint_counter);
         self.maint_counter = self.maint_counter.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.maint_counter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         let idx = (z % self.len() as u64) as usize;
         let pick = self.nodes.key_at(idx).expect("len checked");
         if pick == exclude {
@@ -375,10 +370,24 @@ impl Network {
         self.stats.record(kind, 8);
     }
 
-    /// Timeout on a permanently-gone peer: charge it once and purge the
-    /// stale routing entry from `from`, as a real timeout handler would.
-    fn timeout_and_purge(&mut self, from: RingId, to: RingId, kind: MessageKind) {
-        self.observe_timeout(kind);
+    /// Charges the one timeout the caller observes when the fault plan's
+    /// `decision` broke its exchange — the one map from fault decisions to
+    /// timeout kinds. A clean exchange charges nothing.
+    fn observe_fault(&mut self, decision: FaultDecision) {
+        match decision {
+            FaultDecision::Clean => {}
+            FaultDecision::RequestLost => self.observe_timeout(MessageKind::FaultDrop),
+            FaultDecision::ReplyLost => self.observe_timeout(MessageKind::FaultReplyDrop),
+            FaultDecision::Sick => self.observe_timeout(MessageKind::FaultSick),
+            FaultDecision::Crash => self.observe_timeout(MessageKind::FaultCrash),
+            FaultDecision::Slow => self.observe_timeout(MessageKind::FaultSlow),
+            FaultDecision::Partitioned => self.observe_timeout(MessageKind::FaultPartition),
+        }
+    }
+
+    /// Purges the permanently-gone `to` from `from`'s routing state, as a
+    /// real timeout handler would.
+    fn purge(&mut self, from: RingId, to: RingId) {
         if let Some(n) = self.nodes.get_mut(&from) {
             n.forget(to);
         }
@@ -398,7 +407,8 @@ impl Network {
     /// searches for the same peer twice.
     fn contact(&mut self, from: RingId, to: RingId, batch: Option<&mut BatchRouter>) -> Contact {
         let Some(pos) = self.nodes.position_of(to) else {
-            self.timeout_and_purge(from, to, MessageKind::LookupTimeout);
+            self.observe_timeout(MessageKind::LookupTimeout);
+            self.purge(from, to);
             return Contact::Gone;
         };
         let decision = match self.faults.as_mut() {
@@ -410,40 +420,22 @@ impl Network {
             FaultDecision::Clean => {
                 self.stats.record(MessageKind::LookupHop, 8);
                 self.stats.record(MessageKind::LookupHop, 8);
-                if let Some(p) = self.faults.as_mut() {
-                    let d = p.deliver(from, to) + p.deliver(to, from);
-                    self.stats.record_delay(d);
-                }
+                self.charge_rpc_delay(from, to);
                 Contact::Ok(pos)
-            }
-            FaultDecision::Sick => {
-                self.observe_timeout(MessageKind::FaultSick);
-                Contact::Faulted
-            }
-            FaultDecision::RequestLost => {
-                self.observe_timeout(MessageKind::FaultDrop);
-                Contact::Faulted
-            }
-            FaultDecision::ReplyLost => {
-                // The request arrived and was processed; its reply vanished.
-                self.stats.record(MessageKind::LookupHop, 8);
-                self.observe_timeout(MessageKind::FaultReplyDrop);
-                Contact::Faulted
-            }
-            FaultDecision::Slow => {
-                // Processed, but the overloaded peer's reply came too late.
-                self.stats.record(MessageKind::LookupHop, 8);
-                self.observe_timeout(MessageKind::FaultSlow);
-                Contact::Faulted
-            }
-            FaultDecision::Partitioned => {
-                self.observe_timeout(MessageKind::FaultPartition);
-                Contact::Faulted
             }
             FaultDecision::Crash => {
                 let _ = self.fail(to);
-                self.timeout_and_purge(from, to, MessageKind::FaultCrash);
+                self.observe_fault(decision);
+                self.purge(from, to);
                 Contact::Gone
+            }
+            _ => {
+                if decision.processed_remotely() {
+                    // The hop's request was processed; its reply was lost or late.
+                    self.stats.record(MessageKind::LookupHop, 8);
+                }
+                self.observe_fault(decision);
+                Contact::Faulted
             }
         }
     }
@@ -655,9 +647,10 @@ impl Network {
 
     /// Settles the application-level RPC `from → to` that follows a
     /// successful lookup (probe, insert handoff): rolls the plan once and
-    /// routes **every** failure through the unified [`Network::observe_timeout`]
-    /// path, so all axes — transient faults, crashes, capacity deadlines,
-    /// partitions — share one timeout accounting that cannot drift apart.
+    /// routes **every** failure through [`Network::observe_fault`], the map
+    /// the hop exchange uses too, so all axes — transient faults, crashes,
+    /// capacity deadlines, partitions — share one timeout accounting that
+    /// cannot drift apart.
     /// `on_processed` runs exactly when the remote peer processed the
     /// request but the caller still saw silence (lost or late reply) — the
     /// at-most-once side effects live there.
@@ -667,36 +660,18 @@ impl Network {
         to: RingId,
         on_processed: impl FnOnce(&mut Self),
     ) -> Result<(), LookupError> {
-        match self.decide_rpc(from, to) {
-            FaultDecision::Clean => Ok(()),
-            FaultDecision::Partitioned => {
-                self.observe_timeout(MessageKind::FaultPartition);
-                Err(LookupError::MessageLost)
-            }
-            FaultDecision::Sick => {
-                self.observe_timeout(MessageKind::FaultSick);
-                Err(LookupError::MessageLost)
-            }
-            FaultDecision::RequestLost => {
-                self.observe_timeout(MessageKind::FaultDrop);
-                Err(LookupError::MessageLost)
-            }
-            FaultDecision::Crash => {
-                let _ = self.fail(to);
-                self.observe_timeout(MessageKind::FaultCrash);
-                Err(LookupError::MessageLost)
-            }
-            FaultDecision::ReplyLost => {
-                on_processed(self);
-                self.observe_timeout(MessageKind::FaultReplyDrop);
-                Err(LookupError::MessageLost)
-            }
-            FaultDecision::Slow => {
-                on_processed(self);
-                self.observe_timeout(MessageKind::FaultSlow);
-                Err(LookupError::MessageLost)
-            }
+        let decision = self.decide_rpc(from, to);
+        if decision == FaultDecision::Clean {
+            return Ok(());
         }
+        if decision.processed_remotely() {
+            on_processed(self);
+        }
+        if decision == FaultDecision::Crash {
+            let _ = self.fail(to);
+        }
+        self.observe_fault(decision);
+        Err(LookupError::MessageLost)
     }
 
     /// Charges delivery delay for one request + reply pair, if a plan with

@@ -104,17 +104,18 @@ struct Snapshot {
 /// dozen distinct cells; evicting FIFO beyond this just re-runs a build.
 const SNAPSHOT_CAP: usize = 32;
 
-/// Content-keyed snapshot cache. A linear scan over `Debug`-rendered
-/// scenario keys — at ≤ [`SNAPSHOT_CAP`] entries this is cheaper than any
-/// map, and `Vec` keeps iteration order deterministic.
-static SNAPSHOTS: Mutex<Vec<(String, Arc<Snapshot>)>> = Mutex::new(Vec::new());
+/// Content-keyed snapshot cache: a linear scan comparing requested
+/// scenarios with the derived `PartialEq` — at ≤ [`SNAPSHOT_CAP`] entries
+/// this is cheaper than any map, and `Vec` keeps iteration order
+/// deterministic.
+static SNAPSHOTS: Mutex<Vec<(Scenario, Arc<Snapshot>)>> = Mutex::new(Vec::new());
 
-fn snapshot_lookup(key: &str) -> Option<Arc<Snapshot>> {
+fn snapshot_lookup(key: &Scenario) -> Option<Arc<Snapshot>> {
     let cache = SNAPSHOTS.lock().expect("snapshot cache poisoned");
     cache.iter().find(|(k, _)| k == key).map(|(_, s)| Arc::clone(s))
 }
 
-fn snapshot_store(key: String, snap: Snapshot) {
+fn snapshot_store(key: Scenario, snap: Snapshot) {
     let mut cache = SNAPSHOTS.lock().expect("snapshot cache poisoned");
     if cache.iter().any(|(k, _)| *k == key) {
         return; // lost a benign build race; first writer wins
@@ -146,8 +147,7 @@ pub fn build(scenario: &Scenario) -> BuiltScenario {
 }
 
 fn build_cached(scenario: &Scenario) -> BuiltScenario {
-    let key = format!("{scenario:?}");
-    if let Some(snap) = snapshot_lookup(&key) {
+    if let Some(snap) = snapshot_lookup(scenario) {
         let (lo, hi) = snap.scenario.domain;
         let data_truth = match &snap.data_ecdf {
             Some(e) => DataTruth::Empirical(e.clone()),
@@ -165,7 +165,7 @@ fn build_cached(scenario: &Scenario) -> BuiltScenario {
     }
     let built = build_fresh(scenario);
     snapshot_store(
-        key,
+        scenario.clone(),
         Snapshot {
             net: built.net.fork(),
             data_ecdf: built.data_truth.ecdf().cloned(),
@@ -535,9 +535,9 @@ mod tests {
     #[test]
     fn axis_parameters_never_collide_in_the_cache_key() {
         use crate::scenario::{CapacitySpec, PartitionSpec};
-        // The snapshot cache is keyed on the Debug rendering of the whole
-        // scenario; every distinct axis parameterization must produce a
-        // distinct key or cells would silently share networks.
+        // The snapshot cache is keyed on the whole scenario; every distinct
+        // axis parameterization must compare unequal or cells would
+        // silently share networks.
         let base = Scenario::default().with_peers(8).with_items(100).with_seed(9);
         let variants: Vec<Scenario> = vec![
             base.clone(),
@@ -562,10 +562,12 @@ mod tests {
                 arcs: 3,
             }),
         ];
-        let keys: Vec<String> = variants.iter().map(|s| format!("{s:?}")).collect();
-        for i in 0..keys.len() {
-            for j in (i + 1)..keys.len() {
-                assert_ne!(keys[i], keys[j], "cache-key collision between variants {i} and {j}");
+        for i in 0..variants.len() {
+            for j in (i + 1)..variants.len() {
+                assert_ne!(
+                    variants[i], variants[j],
+                    "cache-key collision between variants {i} and {j}"
+                );
             }
         }
     }

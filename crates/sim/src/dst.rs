@@ -445,11 +445,7 @@ impl World {
         Self {
             net,
             domain: scenario.domain,
-            est: ContinuousEstimator::new(ContinuousConfig {
-                window: 32,
-                refresh_per_tick: 4,
-                ..ContinuousConfig::default()
-            }),
+            est: ContinuousEstimator::new(ContinuousConfig { window: 32, refresh_per_tick: 4 }),
             bug: schedule.bug,
             replication: schedule.replication,
             initial_items,

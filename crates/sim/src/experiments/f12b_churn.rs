@@ -40,7 +40,7 @@ use rand::Rng;
 
 /// The sweep's seed: distinct from F12 so the two columns never share a
 /// snapshot (a churned network must not be mistaken for a pristine one —
-/// `crates/sim/tests/determinism.rs` checks the cache keys differ).
+/// `crates/sim/tests/determinism.rs` checks the scenarios differ).
 pub const CHURN_SEED: u64 = 0xF12B;
 
 /// Churn rounds per cell. Two rounds exercise repeated-mutation paths

@@ -9,7 +9,7 @@
 //! batched routing + probe piggybacking). The claims this figure records:
 //!
 //! * routing optimizations change *charges only* — throughput, failure
-//!   counts, and the GK hop-latency percentiles are identical between
+//!   counts, and the exact hop-latency percentiles are identical between
 //!   modes (the equivalence suite pins this bit-exactly);
 //! * piggybacking displaces the majority of dedicated probe messages once
 //!   foreground traffic is dense enough to visit most strata between

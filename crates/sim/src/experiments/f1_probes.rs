@@ -70,7 +70,6 @@ fn sampling_estimators(k: usize) -> Vec<Box<dyn DensityEstimator>> {
         Box::new(UniformPeerSampling::new(UniformPeerConfig {
             peers: k,
             weighting: PoolWeighting::CountWeighted,
-            ..UniformPeerConfig::default()
         })),
         Box::new(RandomWalkSampling::new(RandomWalkConfig {
             peers: k,

@@ -41,7 +41,6 @@ pub fn f4_cost_accuracy_frontier(scale: Scale) -> Vec<Table> {
             Box::new(UniformPeerSampling::new(UniformPeerConfig {
                 peers: k,
                 weighting: PoolWeighting::CountWeighted,
-                ..UniformPeerConfig::default()
             })),
             scale.repeats(),
         ));

@@ -95,7 +95,6 @@ pub fn t2_messages_to_target_accuracy(scale: Scale) -> Vec<Table> {
                 Box::new(UniformPeerSampling::new(UniformPeerConfig {
                     peers: k,
                     weighting: PoolWeighting::CountWeighted,
-                    ..UniformPeerConfig::default()
                 }))
             },
             s,

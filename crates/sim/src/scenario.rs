@@ -69,8 +69,8 @@ pub enum NodeLayout {
 
 /// The heterogeneous peer-capacity axis: a static fraction of peers is slow,
 /// scaling the delay of every message they send and (optionally) missing
-/// reply deadlines. Integer parameters keep the spec `Eq` and its `Debug`
-/// rendering — the snapshot-cache key — exact.
+/// reply deadlines. Integer parameters keep the spec `Eq`, so the snapshot
+/// cache's scenario comparison is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacitySpec {
     /// Per-mille of peers in the slow class (e.g. 250 = 25%).
@@ -84,7 +84,7 @@ pub struct CapacitySpec {
 
 /// The spatially-correlated arc-partition axis: a contiguous arc of the ring
 /// is cut off from the rest. Positions are per-mille of the ring so the spec
-/// stays `Eq` and cache-key exact.
+/// stays `Eq` and the snapshot cache's scenario comparison exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Arc start position, in per-mille of the ring (0..1000).

@@ -15,8 +15,8 @@
 //!    one [`Component::Workload`] stream, so schedules are reproducible and
 //!    independent across runs (pinned by `tests/workload_purity.rs`).
 //! 2. **Batched routing** — ops are grouped into arrival windows of
-//!    [`WorkloadSpec::window`] virtual seconds; each window's ops share one
-//!    origin peer (traffic is bursty per client, not uniformly shuffled),
+//!    `WINDOW` = 0.05 virtual seconds; each window's ops share one origin
+//!    peer (traffic is bursty per client, not uniformly shuffled),
 //!    and with [`WorkloadSpec::batch`] set, lookups in a window route
 //!    through a shared [`BatchRouter`]: identical owners and hop counts,
 //!    but repeated route edges within the window are charged once
@@ -28,19 +28,17 @@
 //!    [`WorkloadSpec::refresh_interval`] complete the plan (dedicated
 //!    probes for uncovered strata) and rebuild the skeleton.
 //!
-//! The output ([`WorkloadReport`]) carries throughput, hop-latency
-//! percentiles from a [`GkSketch`] (p50/p95/p99 — the tail fix in
-//! `dde_stats::gk` exists precisely so p99 at serving sample counts is an
-//! interior rank, not the max), estimate staleness as seen by estimate-read
-//! ops, final estimate accuracy against the *live* dataset (inserts
-//! included), and the message ledger split into dedicated-probe,
+//! The output ([`WorkloadReport`]) carries throughput, exact hop-latency
+//! percentiles (p50/p95/p99, counted per hop value — p99 at serving sample
+//! counts is an interior rank, not the max), estimate staleness as seen by
+//! estimate-read ops, final estimate accuracy against the *live* dataset
+//! (inserts included), and the message ledger split into dedicated-probe,
 //! piggybacked, and foreground routing cost. Experiment F14 sweeps rate ×
 //! mix over this engine.
 
 use crate::build::BuiltScenario;
 use dde_core::{DensityEstimate, DfDde, DfDdeConfig, ProbePlan};
 use dde_ring::{BatchRouter, MessageKind, Network, RingId};
-use dde_stats::gk::GkSketch;
 use dde_stats::rng::{Component, SeedSequence};
 use dde_stats::Ecdf;
 use rand::rngs::StdRng;
@@ -76,6 +74,10 @@ impl OpMix {
     }
 }
 
+/// Arrival-window width (virtual seconds): ops within a window share one
+/// origin peer, and batched routing dedups route edges per window.
+const WINDOW: f64 = 0.05;
+
 /// Parameters of one open-loop serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
@@ -86,9 +88,6 @@ pub struct WorkloadSpec {
     pub duration: f64,
     /// Foreground operation mix.
     pub mix: OpMix,
-    /// Arrival-window width (virtual seconds): ops within a window share
-    /// one origin peer, and batched routing dedups route edges per window.
-    pub window: f64,
     /// Phase-1 probes per estimate refresh.
     pub probes: usize,
     /// Virtual seconds between estimate refreshes (the first estimate is
@@ -106,7 +105,6 @@ impl Default for WorkloadSpec {
             rate: 200.0,
             duration: 10.0,
             mix: OpMix::new(200, 700),
-            window: 0.05,
             probes: 48,
             refresh_interval: 2.0,
             batch: true,
@@ -256,6 +254,52 @@ fn refresh_estimate(
     ProbePlan::plan(estimator, rng)
 }
 
+/// Exact hop-count percentiles: one counter per hop value. A completed op
+/// took at most `MAX_HOPS + 1` hops (routing gives up past the limit), so
+/// the counters stay a few hundred words however long the run.
+#[derive(Default)]
+struct HopCounts {
+    /// `counts[h]`: completed ops that took `h` hops.
+    counts: Vec<u64>,
+    /// Ops recorded (the sum of `counts`).
+    n: u64,
+}
+
+impl HopCounts {
+    fn record(&mut self, hops: u32) {
+        let h = hops as usize;
+        if h >= self.counts.len() {
+            self.counts.resize(h + 1, 0);
+        }
+        self.counts[h] += 1;
+        self.n += 1;
+    }
+
+    /// The `q`-quantile (`q ∈ [0, 1]`): the order statistic at rank
+    /// `⌊q·(n−1)⌋ + 1`, not nearest-rank `⌈q·n⌉`. The ceiling convention
+    /// collapses every tail quantile to rank `n` once `q ≥ 1 − 1/n`, so p99
+    /// on a small sample would silently become the max; this one keeps
+    /// q = 0 on the min and q = 1 on the max while tail queries land on an
+    /// interior rank. 0.0 when nothing was recorded.
+    fn quantile(&self, q: f64) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * (self.n as f64 - 1.0)).floor() as u64 + 1).min(self.n);
+        let mut seen = 0;
+        let h = self
+            .counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .expect("invariant: rank ≤ n, the sum of the counts");
+        h as f64
+    }
+}
+
 /// Maps 64 entropy bits onto `[0, 1)` with 53-bit resolution.
 fn unit(entropy: u64) -> f64 {
     (entropy >> 11) as f64 / (1u64 << 53) as f64
@@ -269,9 +313,8 @@ fn unit(entropy: u64) -> f64 {
 /// inputs produce an identical report.
 ///
 /// # Panics
-/// Panics on a degenerate spec (non-positive rate/duration/window).
+/// Panics on a degenerate spec (non-positive rate/duration/refresh interval).
 pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) -> WorkloadReport {
-    assert!(spec.window > 0.0, "window must be positive");
     assert!(spec.refresh_interval > 0.0, "refresh interval must be positive");
     let mut net = built.net.fork();
     let ops = schedule(spec, built.scenario.seed, run_index);
@@ -309,9 +352,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
 
     let before = net.stats().clone();
     let mut batch = BatchRouter::new();
-    // ε = 0.005 keeps p99 meaningful from a few hundred samples up while
-    // the sketch stays O(1/ε) small.
-    let mut latency = GkSketch::new(0.005);
+    let mut latency = HopCounts::default();
     let mut estimate: Option<DensityEstimate> = None;
     let mut staleness_sum = 0.0_f64;
 
@@ -351,7 +392,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
             next_refresh += spec.refresh_interval;
         }
 
-        let w = (op.at / spec.window) as u64;
+        let w = (op.at / WINDOW) as u64;
         if w != cur_window {
             cur_window = w;
             batch.begin_window();
@@ -365,7 +406,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
                 match net.insert(origin, x) {
                     Ok(hops) => {
                         report.ops_completed += 1;
-                        latency.insert(f64::from(hops));
+                        latency.record(hops);
                     }
                     Err(_) => report.ops_failed += 1,
                 }
@@ -382,7 +423,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
                 match res {
                     Ok(r) => {
                         report.ops_completed += 1;
-                        latency.insert(f64::from(r.hops));
+                        latency.record(r.hops);
                         if spec.piggyback {
                             plan.offer_owner(&mut net, r.owner);
                         }
@@ -406,9 +447,9 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
     report.piggybacked += plan.piggybacked();
 
     report.throughput = report.ops_completed as f64 / spec.duration;
-    report.hop_p50 = latency.quantile(0.50).unwrap_or(0.0);
-    report.hop_p95 = latency.quantile(0.95).unwrap_or(0.0);
-    report.hop_p99 = latency.quantile(0.99).unwrap_or(0.0);
+    report.hop_p50 = latency.quantile(0.50);
+    report.hop_p95 = latency.quantile(0.95);
+    report.hop_p99 = latency.quantile(0.99);
     if report.estimate_reads > 0 {
         report.mean_staleness = staleness_sum / report.estimate_reads as f64;
     }
@@ -431,6 +472,68 @@ mod tests {
     use super::*;
     use crate::build::build;
     use crate::scenario::Scenario;
+    use dde_ring::network::MAX_HOPS;
+    use proptest::prelude::*;
+
+    fn counts_of(hops: &[u32]) -> HopCounts {
+        let mut counts = HopCounts::default();
+        for &h in hops {
+            counts.record(h);
+        }
+        counts
+    }
+
+    #[test]
+    fn min_and_max_are_exact() {
+        let counts = counts_of(&[5, 3, 7, 0, 100, 50, 2]);
+        assert_eq!(counts.quantile(0.0), 0.0);
+        assert_eq!(counts.quantile(1.0), 100.0);
+        assert_eq!(HopCounts::default().quantile(0.5), 0.0, "an empty run reads 0");
+    }
+
+    /// Under the `⌈q·n⌉` convention, p99 on these sample counts would
+    /// return the max element.
+    #[test]
+    fn tail_quantiles_are_interior_ranks() {
+        for n in [10u32, 50, 100] {
+            let counts = counts_of(&(0..n).collect::<Vec<_>>());
+            // p99 must be an interior element, not the max, for n ≤ 100.
+            let p99 = counts.quantile(0.99);
+            let expect = (0.99 * (f64::from(n) - 1.0)).floor();
+            assert_eq!(p99, expect, "p99 of 0..{n}");
+            assert!(p99 < f64::from(n - 1), "p99 of {n} samples collapsed to the max");
+            // p999 likewise stays interior below n = 1000.
+            let p999 = counts.quantile(0.999);
+            assert!(p999 < f64::from(n - 1), "p999 of {n} samples collapsed to the max");
+            // The endpoints stay exact.
+            assert_eq!(counts.quantile(0.0), 0.0);
+            assert_eq!(counts.quantile(1.0), f64::from(n - 1));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The counted percentiles are the exact order statistics at rank
+        /// `⌊q·(n−1)⌋ + 1` of any multiset of completed-op hop counts, from
+        /// a single repeated value up to the whole `0..=MAX_HOPS + 1` range.
+        #[test]
+        fn hop_percentiles_are_exact_order_statistics(
+            n in 1usize..=5_000,
+            top in 0u32..=MAX_HOPS + 1,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SeedSequence::new(seed).stream(Component::Test, 0);
+            let hops: Vec<u32> = (0..n).map(|_| rng.gen_range(0..=top)).collect();
+            let counts = counts_of(&hops);
+            let mut sorted = hops;
+            sorted.sort_unstable();
+            for q in [0.50, 0.95, 0.99] {
+                let rank = (q * (n as f64 - 1.0)).floor() as usize + 1;
+                prop_assert_eq!(counts.quantile(q), f64::from(sorted[rank - 1]), "q = {}", q);
+            }
+        }
+    }
 
     fn scenario() -> Scenario {
         Scenario::default().with_peers(64).with_items(5_000).with_seed(1408)

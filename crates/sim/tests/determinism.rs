@@ -76,8 +76,8 @@ fn forked_builds_replay_fresh_builds_exactly() {
     assert_eq!(format!("{a:?}"), format!("{c:?}"), "fresh vs forked build diverged");
 }
 
-/// The snapshot cache is keyed on the scenario's `Debug` rendering; the f12
-/// sweep stresses it with scenarios that differ only in `peers`/`items`.
+/// The snapshot cache is keyed on the scenario itself; the f12 sweep
+/// stresses it with scenarios that differ only in `peers`/`items`.
 /// Every sweep point must map to a distinct key, and a cache hit must hand
 /// back the network that was stored under that exact scenario — never a
 /// neighboring size's.
@@ -85,10 +85,7 @@ fn forked_builds_replay_fresh_builds_exactly() {
 fn snapshot_cache_keys_do_not_collide_for_bulk_built_scenarios() {
     use dde_sim::experiments::f12_scale::{scale_scenario, ITEMS_PER_PEER};
 
-    let keys: Vec<String> = [1_000, 10_000, 100_000, 1_000_000]
-        .iter()
-        .map(|&p| format!("{:?}", scale_scenario(p)))
-        .collect();
+    let keys = [1_000, 10_000, 100_000, 1_000_000].map(scale_scenario);
     for (i, a) in keys.iter().enumerate() {
         for b in &keys[i + 1..] {
             assert_ne!(a, b, "two f12 sweep points share a cache key");
@@ -123,8 +120,8 @@ fn churned_forks_do_not_corrupt_the_snapshot_cache() {
 
     for &p in &[50usize, 500] {
         assert_ne!(
-            format!("{:?}", churn_scenario(p)),
-            format!("{:?}", scale_scenario(p)),
+            churn_scenario(p),
+            scale_scenario(p),
             "churned and static sweep points share a cache key at P = {p}"
         );
     }

@@ -110,70 +110,6 @@ impl KsBand {
     }
 }
 
-/// A 1-Wasserstein tolerance band over a domain of width `width`:
-/// `systematic + width · ε(n, α)`.
-///
-/// Valid because `W₁(F, G) = ∫ |F − G| ≤ width · sup |F − G|`, so the DKW
-/// band on the sup distance transfers to W₁ scaled by the domain width.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WassersteinBand {
-    n: usize,
-    alpha: f64,
-    width: f64,
-    systematic: f64,
-}
-
-impl WassersteinBand {
-    /// A band for `n` effective samples at level `alpha` over a domain of
-    /// the given width.
-    ///
-    /// # Panics
-    /// Panics if `width` is not positive and finite.
-    pub fn new(n: usize, alpha: f64, width: f64) -> Self {
-        assert!(width > 0.0 && width.is_finite(), "domain width {width} invalid");
-        Self { n, alpha, width, systematic: 0.0 }
-    }
-
-    /// Adds a systematic error allowance (in domain units).
-    pub fn with_systematic(self, systematic: f64) -> Self {
-        assert!(systematic >= 0.0, "systematic allowance must be non-negative");
-        Self { systematic, ..self }
-    }
-
-    /// The total tolerance: `systematic + width · ε(n, α)`.
-    fn tolerance(&self) -> f64 {
-        self.systematic + self.width * dkw_epsilon(self.n, self.alpha)
-    }
-
-    /// Checks `observed` against the band.
-    pub fn check(&self, observed: f64) -> Result<(), BandViolation> {
-        let tolerance = self.tolerance();
-        if observed <= tolerance {
-            return Ok(());
-        }
-        Err(BandViolation {
-            observed,
-            tolerance,
-            detail: format!(
-                "systematic {:.4} + width {:.4} · DKW ε(n={}, α={:e}) {:.4}",
-                self.systematic,
-                self.width,
-                self.n,
-                self.alpha,
-                dkw_epsilon(self.n, self.alpha)
-            ),
-        })
-    }
-
-    /// Panics with a diagnostic if `observed` exceeds the band.
-    #[track_caller]
-    pub fn assert(&self, label: &str, observed: f64) {
-        if let Err(v) = self.check(observed) {
-            panic!("{label}: {v}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,10 +132,6 @@ mod tests {
         assert!((band.tolerance() - (0.05 + dkw_epsilon(100, 0.01))).abs() < 1e-12);
         assert!(band.check(band.tolerance()).is_ok());
         assert!(band.check(band.tolerance() + 1e-9).is_err());
-
-        let w = WassersteinBand::new(100, 0.01, 1000.0).with_systematic(2.0);
-        assert!((w.tolerance() - (2.0 + 1000.0 * dkw_epsilon(100, 0.01))).abs() < 1e-9);
-        assert!(w.check(w.tolerance() + 1e-6).is_err());
     }
 
     #[test]

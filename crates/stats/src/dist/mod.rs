@@ -13,6 +13,7 @@
 //! data ("distribution-free"), which experiment F3 tests across this whole
 //! module.
 
+mod cells;
 mod exponential;
 mod hotspot;
 mod lognormal;

@@ -7,18 +7,15 @@
 //! their cell, so the density is piecewise constant and the CDF piecewise
 //! linear — both exactly computable for ground truth.
 
+use super::cells::Cells;
 use super::Distribution;
 use crate::CdfFn;
 
 /// Zipf-distributed cell masses over `m` equal-width cells on `[lo, hi]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
-    lo: f64,
-    hi: f64,
     exponent: f64,
-    /// Cumulative probability at each cell boundary: `cum[i]` = mass of cells
-    /// `< i`; `cum[m] == 1`.
-    cum: Vec<f64>,
+    cells: Cells,
 }
 
 impl Zipf {
@@ -31,82 +28,37 @@ impl Zipf {
         assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad interval [{lo}, {hi}]");
         assert!(s.is_finite() && s >= 0.0, "bad exponent {s}");
         let weights: Vec<f64> = (0..cells).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut cum = Vec::with_capacity(cells + 1);
-        cum.push(0.0);
-        let mut acc = 0.0;
-        for w in &weights {
-            acc += w / total;
-            cum.push(acc);
-        }
-        // Guard against accumulated rounding.
-        *cum.last_mut().expect("nonempty") = 1.0;
-        Self { lo, hi, exponent: s, cum }
+        Self { exponent: s, cells: Cells::new(lo, hi, &weights) }
     }
 
     /// Number of cells.
     pub fn cells(&self) -> usize {
-        self.cum.len() - 1
+        self.cells.cells()
     }
 
     /// The Zipf exponent.
     pub fn exponent(&self) -> f64 {
         self.exponent
     }
-
-    fn cell_width(&self) -> f64 {
-        (self.hi - self.lo) / self.cells() as f64
-    }
-
-    /// The cell index containing `x`, clamped to valid cells.
-    fn cell_of(&self, x: f64) -> usize {
-        let i = ((x - self.lo) / self.cell_width()).floor() as isize;
-        i.clamp(0, self.cells() as isize - 1) as usize
-    }
 }
 
 impl CdfFn for Zipf {
     fn cdf(&self, x: f64) -> f64 {
-        if x <= self.lo {
-            return 0.0;
-        }
-        if x >= self.hi {
-            return 1.0;
-        }
-        let i = self.cell_of(x);
-        let cell_lo = self.lo + i as f64 * self.cell_width();
-        let frac = (x - cell_lo) / self.cell_width();
-        self.cum[i] + frac * (self.cum[i + 1] - self.cum[i])
+        self.cells.cdf(x)
     }
 
     fn domain(&self) -> (f64, f64) {
-        (self.lo, self.hi)
+        self.cells.domain()
     }
 
     fn inv_cdf(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0);
-        // partition_point: first index where cum[idx] > u gives the cell.
-        let idx = self.cum.partition_point(|&c| c <= u);
-        if idx == 0 {
-            return self.lo;
-        }
-        if idx > self.cells() {
-            return self.hi;
-        }
-        let i = idx - 1;
-        let mass = self.cum[i + 1] - self.cum[i];
-        let frac = if mass > 0.0 { (u - self.cum[i]) / mass } else { 0.0 };
-        self.lo + (i as f64 + frac) * self.cell_width()
+        self.cells.inv_cdf(u)
     }
 }
 
 impl Distribution for Zipf {
     fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            return 0.0;
-        }
-        let i = self.cell_of(x);
-        (self.cum[i + 1] - self.cum[i]) / self.cell_width()
+        self.cells.pdf(x)
     }
 
     fn name(&self) -> &'static str {
@@ -148,7 +100,7 @@ mod tests {
     fn inv_cdf_hits_cell_boundaries() {
         let z = Zipf::new(0.0, 64.0, 64, 1.0);
         for i in 0..=64usize {
-            let u = z.cum[i];
+            let u = z.cells.cum[i];
             let x = z.inv_cdf(u);
             assert!((z.cdf(x) - u).abs() < 1e-12, "i={i} u={u} x={x}");
         }

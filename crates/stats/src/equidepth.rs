@@ -62,8 +62,8 @@ impl EquiDepthSummary {
     /// total count, distributing the count evenly across buckets (remainder
     /// spread over the first buckets).
     ///
-    /// Used to bridge streaming sketches ([`crate::gk::GkSketch`]) into probe
-    /// replies.
+    /// Its one user is `crates/stats/tests/pooled_kernel.rs`, which feeds
+    /// the pooled kernel even-count summaries through it.
     ///
     /// # Panics
     /// Panics if fewer than two boundaries are given (unless `total == 0`)

@@ -12,8 +12,6 @@
 //! * [`histogram`] — equi-width histograms and histogram densities;
 //! * [`equidepth`] — equi-depth (quantile) summaries, the compact local
 //!   statistic each peer ships in probe replies;
-//! * [`gk`] — the Greenwald–Khanna streaming quantile sketch, for peers that
-//!   cannot afford to keep their data sorted in memory;
 //! * [`piecewise`] — monotone piecewise-linear CDFs (the *CDF skeleton*
 //!   representation), with exact inversion;
 //! * [`inversion`] — the inversion method for random variate generation, the
@@ -24,7 +22,7 @@
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
 //! * [`assert`](mod@assert) — DKW-derived confidence-band assertions for
-//!   estimator accuracy tests (KS and Wasserstein bands).
+//!   estimator accuracy tests (KS bands).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -34,7 +32,6 @@ pub mod assert;
 pub mod dist;
 pub mod ecdf;
 pub mod equidepth;
-pub mod gk;
 pub mod histogram;
 pub mod inversion;
 pub mod kde;

@@ -73,7 +73,7 @@ fn summary(rng: &mut StdRng, shape: u8, a: f64, b: f64) -> EquiDepthSummary {
     };
     values.sort_by(f64::total_cmp);
     if shape % 7 == 6 && !values.is_empty() {
-        // The GK bridge's evenly spread counts.
+        // An even-count summary: the count spread evenly over the buckets.
         let quantiles: Vec<f64> =
             (0..=buckets).map(|i| values[(i * (values.len() - 1)) / buckets]).collect();
         return EquiDepthSummary::from_quantiles(&quantiles, values.len() as u64);

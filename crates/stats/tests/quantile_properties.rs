@@ -1,21 +1,10 @@
-//! Property tests for the quantile substrate: the GK sketch's ε rank bound
-//! must hold under *adversarial* insert orders (not just the random streams
-//! the unit tests use), merging sketches must stay within the summed bound,
-//! and equi-depth summaries must behave like monotone counting functions.
+//! Property tests for the quantile substrate: equi-depth summaries must
+//! behave like monotone counting functions whose quantiles invert them.
 
 use dde_stats::equidepth::EquiDepthSummary;
-use dde_stats::gk::GkSketch;
 use dde_stats::rng::{Component, SeedSequence};
 use proptest::prelude::*;
 use rand::Rng;
-
-/// Rank interval of `v` in `sorted`: with duplicates, any rank in
-/// `[count(< v), count(<= v)]` is a correct rank for `v`.
-fn rank_interval(sorted: &[f64], v: f64) -> (f64, f64) {
-    let lo = sorted.partition_point(|&x| x < v);
-    let hi = sorted.partition_point(|&x| x <= v);
-    (lo as f64, hi as f64)
-}
 
 /// Deterministic base values for one property case.
 fn base_values(seed: u64, n: usize) -> Vec<f64> {
@@ -23,136 +12,8 @@ fn base_values(seed: u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.gen::<f64>() * 1000.0).collect()
 }
 
-/// Reorders `data` into one of five adversarial insertion orders.
-fn reorder(mut data: Vec<f64>, order: u8) -> Vec<f64> {
-    let cmp = f64::total_cmp;
-    match order % 5 {
-        0 => data, // the generator's random order
-        1 => {
-            data.sort_by(cmp);
-            data
-        }
-        2 => {
-            data.sort_by(cmp);
-            data.reverse();
-            data
-        }
-        3 => {
-            // Organ pipe: smallest, largest, 2nd smallest, 2nd largest, ...
-            data.sort_by(cmp);
-            let mut out = Vec::with_capacity(data.len());
-            let (mut lo, mut hi) = (0usize, data.len());
-            while lo < hi {
-                out.push(data[lo]);
-                lo += 1;
-                if lo < hi {
-                    hi -= 1;
-                    out.push(data[hi]);
-                }
-            }
-            out
-        }
-        _ => {
-            // Duplicate-heavy: quantize to ~32 distinct values.
-            for v in &mut data {
-                *v = (*v / 32.0).floor() * 32.0;
-            }
-            data
-        }
-    }
-}
-
-fn assert_gk_bound(sketch: &GkSketch, sorted: &[f64], slack_eps: f64, label: &str) {
-    let n = sorted.len() as f64;
-    for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-        let est = sketch.quantile(q).expect("nonempty sketch");
-        let (rank_lo, rank_hi) = rank_interval(sorted, est);
-        let target = q * n;
-        // Distance from the target rank to the value's rank interval (a run
-        // of duplicates makes every rank in the interval equally correct).
-        let err = (rank_lo - target).max(target - rank_hi).max(0.0);
-        assert!(
-            err <= 2.0 * slack_eps * n + 1.0,
-            "{label}: q={q} rank [{rank_lo}, {rank_hi}] vs target {target} \
-             (n={n}, eps={slack_eps})"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The ε rank bound holds for every insertion order, including the
-    /// sorted/reverse/organ-pipe orders that maximally stress compression
-    /// and the duplicate-heavy stream that stresses tie handling.
-    #[test]
-    fn gk_bound_holds_under_adversarial_orders(
-        order in 0u8..5,
-        n in 2_000usize..6_000,
-        seed in 0u64..1_000,
-    ) {
-        let eps = 0.02;
-        let data = reorder(base_values(seed, n), order);
-        let mut sketch = GkSketch::new(eps);
-        for &x in &data {
-            sketch.insert(x);
-        }
-        prop_assert_eq!(sketch.count(), n as u64);
-        let mut sorted = data;
-        sorted.sort_by(f64::total_cmp);
-        assert_gk_bound(&sketch, &sorted, eps, &format!("order {order}"));
-        // Space stays sublinear even for the adversarial orders.
-        prop_assert!(sketch.size() < n / 4, "size {} for n {}", sketch.size(), n);
-    }
-
-    /// Merged sketches answer within the *summed* bound (ε₁ + ε₂)·n.
-    #[test]
-    fn gk_merge_stays_within_summed_bound(
-        order in 0u8..5,
-        split_pct in 10usize..90,
-        seed in 0u64..1_000,
-    ) {
-        let (eps_a, eps_b) = (0.02, 0.03);
-        let n = 4_000;
-        let data = reorder(base_values(seed, n), order);
-        let split = n * split_pct / 100;
-        let mut a = GkSketch::new(eps_a);
-        let mut b = GkSketch::new(eps_b);
-        for &x in &data[..split] {
-            a.insert(x);
-        }
-        for &x in &data[split..] {
-            b.insert(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), n as u64);
-        prop_assert!((a.epsilon() - eps_b).abs() < 1e-12, "merged eps reports the max");
-        let mut sorted = data;
-        sorted.sort_by(f64::total_cmp);
-        assert_gk_bound(&a, &sorted, eps_a + eps_b, "merged");
-    }
-
-    /// Merging with an empty sketch is the identity, in both directions.
-    #[test]
-    fn gk_merge_with_empty_is_identity(seed in 0u64..1_000) {
-        let data = base_values(seed, 1_000);
-        let mut full = GkSketch::new(0.02);
-        for &x in &data {
-            full.insert(x);
-        }
-
-        let mut forward = full.clone();
-        forward.merge(&GkSketch::new(0.02));
-        let mut backward = GkSketch::new(0.02);
-        backward.merge(&full);
-
-        for merged in [&forward, &backward] {
-            prop_assert_eq!(merged.count(), full.count());
-            for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                prop_assert_eq!(merged.quantile(q), full.quantile(q), "q = {}", q);
-            }
-        }
-    }
 
     /// `count_le` is a monotone step-ish function from 0 to `total` that is
     /// exact at the bucket boundaries.

@@ -31,11 +31,8 @@ fn main() {
 
     // 10% of peers churn per time unit — an aggressive network.
     let mut churn = ChurnProcess::new(ChurnConfig::symmetric(0.10, 0.5));
-    let mut monitor = ContinuousEstimator::new(ContinuousConfig {
-        window: 96,
-        refresh_per_tick: 12,
-        ..ContinuousConfig::default()
-    });
+    let mut monitor =
+        ContinuousEstimator::new(ContinuousConfig { window: 96, refresh_per_tick: 12 });
     let mut initiator = built.net.random_peer(&mut est_rng).expect("nonempty");
 
     println!("tick  peers  items   ks(current)  probes-held  total-msgs");
@@ -46,11 +43,8 @@ fn main() {
             // Our monitor crashed with its peer: a surviving peer takes over
             // the (lost) window and rebuilds.
             initiator = built.net.random_peer(&mut est_rng).expect("nonempty");
-            monitor = ContinuousEstimator::new(ContinuousConfig {
-                window: 96,
-                refresh_per_tick: 12,
-                ..ContinuousConfig::default()
-            });
+            monitor =
+                ContinuousEstimator::new(ContinuousConfig { window: 96, refresh_per_tick: 12 });
             println!("tick {tick:>2}: monitor peer churned out; a new peer takes over");
         }
         if monitor.tick(&mut built.net, initiator, &mut est_rng).is_err() {
