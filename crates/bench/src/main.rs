@@ -37,6 +37,35 @@ use dde_sim::{exec, scenario};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// Writes a clean run's output to stdout. A closed stdout means the reader
+/// (say, `head`) has all it wants, so the run ends there with status 0;
+/// any other write error ends it with status 1.
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes a DST violation report to stdout. The exit status is the
+/// verdict, so unlike [`emit`] a failed write never ends the run before
+/// the caller's `exit(1)`: a closed stdout is ignored, and any other write
+/// error is named on stderr.
+fn report(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
+        }
+    }
+}
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("dst") {
@@ -91,7 +120,7 @@ fn main() {
         Scale::Quick => "quick",
         Scale::Full => "full",
     };
-    println!("ring-dde experiment suite ({label} scale)\n");
+    emit(format_args!("ring-dde experiment suite ({label} scale)\n\n"));
 
     let jobs = exec::jobs();
     // ddelint::allow(wallclock, "timing-only: suite wall-clock goes to the stderr summary, never into a table")
@@ -121,7 +150,7 @@ fn main() {
             stats.build.as_secs_f64(),
         );
         for (i, table) in tables.iter().enumerate() {
-            println!("{}", table.to_text());
+            emit(format_args!("{}\n", table.to_text()));
             if let Some(dir) = &csv_dir {
                 let file = dir.join(format!("{id}_{i}.csv"));
                 if let Err(e) = std::fs::write(&file, table.to_csv()) {
@@ -236,13 +265,13 @@ fn dst_main(raw: Vec<String>) {
         );
         match dst::run_schedule(&schedule) {
             Ok(report) => {
-                println!(
-                    "repro did NOT reproduce: {} events ran clean ({} peers, {} items at end)",
+                emit(format_args!(
+                    "repro did NOT reproduce: {} events ran clean ({} peers, {} items at end)\n",
                     report.events, report.final_peers, report.final_items
-                );
+                ));
             }
             Err(failure) => {
-                print!("{failure}");
+                report(&failure.to_string());
                 std::process::exit(1);
             }
         }
@@ -269,29 +298,33 @@ fn dst_main(raw: Vec<String>) {
     let outcome = dst::fuzz(&cfg, schedules);
     eprintln!("dst fuzz: {} schedules in {:.2}s", outcome.schedules, start.elapsed().as_secs_f64());
     match outcome.failure {
-        None => println!("dst: {} schedules, no invariant violations", outcome.schedules),
+        None => {
+            emit(format_args!("dst: {} schedules, no invariant violations\n", outcome.schedules));
+        }
         Some(found) => {
-            println!(
-                "dst: schedule {} (seed {}) violated an invariant",
-                found.schedule_index, found.schedule.seed
-            );
-            print!("{}", found.failure);
-            println!(
-                "shrunk to {} events (from {}):",
+            // The repro goes to disk before the report goes to stdout, so a
+            // reader that closes stdout early cannot lose it.
+            let written = std::fs::write(&out, dst::to_repro(&found.shrunk));
+            let mut text = format!(
+                "dst: schedule {} (seed {}) violated an invariant\n{}shrunk to {} events (from {}):\n{}",
+                found.schedule_index,
+                found.schedule.seed,
+                found.failure,
                 found.shrunk.events.len(),
-                found.schedule.events.len()
+                found.schedule.events.len(),
+                found.shrunk_failure
             );
-            print!("{}", found.shrunk_failure);
-            let repro = dst::to_repro(&found.shrunk);
-            if let Err(e) = std::fs::write(&out, &repro) {
-                eprintln!("cannot write {}: {e}", out.display());
-            } else {
-                println!(
-                    "repro written to {} (replay: expts dst --replay {})",
-                    out.display(),
-                    out.display()
-                );
+            match written {
+                Err(e) => eprintln!("cannot write {}: {e}", out.display()),
+                Ok(()) => {
+                    text += &format!(
+                        "repro written to {} (replay: expts dst --replay {})\n",
+                        out.display(),
+                        out.display()
+                    );
+                }
             }
+            report(&text);
             std::process::exit(1);
         }
     }

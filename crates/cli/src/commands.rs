@@ -328,7 +328,7 @@ pub fn churn(args: &Args) -> Result<(), String> {
     let report = DfDde::new(DfDdeConfig::with_probes(96))
         .estimate(&mut built.net, initiator, &mut rng)
         .map_err(|e| e.to_string())?;
-    let surviving = Ecdf::new(built.net.global_values());
+    let surviving = Ecdf::from_sorted(built.net.global_values());
     outln!(
         "  post-churn estimate: KS vs surviving data {:.4} ({} messages)",
         report.estimate.ks_to(&surviving),

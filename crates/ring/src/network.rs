@@ -16,6 +16,8 @@ use crate::placement::Placement;
 use dde_stats::equidepth::EquiDepthSummary;
 use dde_stats::rng::splitmix64;
 use rand::Rng;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Hard hop limit per lookup; exceeding it indicates a broken ring.
@@ -97,6 +99,17 @@ pub struct Network {
     pub(crate) maint_counter: u64,
     /// Installed fault plan; `None` injects nothing.
     pub(crate) faults: Option<FaultPlan>,
+}
+
+/// `items` in the order `cmp` defines: borrowed when already in that order,
+/// else sorted once into a copy.
+fn in_ring_order(items: &[f64], cmp: impl Fn(&f64, &f64) -> Ordering) -> Cow<'_, [f64]> {
+    if items.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()) {
+        return Cow::Borrowed(items);
+    }
+    let mut sorted = items.to_vec();
+    sorted.sort_unstable_by(cmp);
+    Cow::Owned(sorted)
 }
 
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
@@ -324,26 +337,37 @@ impl Network {
 
     /// Distributes `items` to their owners per the placement map
     /// (construction-time; free of message charges).
+    ///
+    /// Any input order is accepted. Items are taken in ring order —
+    /// ascending by `total_cmp` under range placement (the map preserves
+    /// order), by placed id under hashed — and input already in that order
+    /// is swept in place, with no copy; anything else is sorted once first.
+    /// One linear sweep against the id column then hands each owner its
+    /// run, and ring positions past the last id wrap to position 0.
+    ///
+    /// # Panics
+    /// Panics if the network is empty or an item is NaN (a NaN has no
+    /// place in a sorted store).
     pub fn bulk_load(&mut self, items: &[f64]) {
         assert!(!self.nodes.is_empty(), "bulk_load on empty network");
-        // Two passes: count each owner's share, then fill exactly-sized
-        // buckets — no reallocation during the distribution.
-        let mut owners: Vec<usize> = Vec::with_capacity(items.len());
-        let mut counts: Vec<usize> = vec![0; self.nodes.len()];
-        for &x in items {
-            let pos = self.nodes.owner_position(self.placement.place(x));
-            owners.push(pos);
-            counts[pos] += 1;
-        }
-        let mut per_owner: Vec<Vec<f64>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (&x, &pos) in items.iter().zip(&owners) {
-            per_owner[pos].push(x);
-        }
-        for (pos, vals) in per_owner.into_iter().enumerate() {
-            if !vals.is_empty() {
-                self.nodes.node_at_mut(pos).store.extend_values(vals);
+        assert!(items.iter().all(|x| !x.is_nan()), "bulk_load items contain NaN");
+        let placement = self.placement;
+        let ring_order = match placement {
+            Placement::Range { .. } => in_ring_order(items, f64::total_cmp),
+            Placement::Hashed { .. } => {
+                in_ring_order(items, |a, b| placement.place(*a).cmp(&placement.place(*b)))
             }
+        };
+        let (keys, order, arena) = self.nodes.split_view();
+        let mut rest: &[f64] = &ring_order;
+        for (&id, &slot) in keys.iter().zip(order) {
+            let n = rest.iter().take_while(|&&x| placement.place(x) <= id).count();
+            let (run, tail) = rest.split_at(n);
+            arena.slot_mut(slot as usize).store.extend_values(run.iter().copied());
+            rest = tail;
         }
+        // Past the last id the ring wraps: position 0 owns the tail too.
+        arena.slot_mut(order[0] as usize).store.extend_values(rest.iter().copied());
     }
 
     /// Total items across all alive peers.
@@ -981,5 +1005,16 @@ mod tests {
             }
             assert_same_state(&net, &reference);
         }
+    }
+
+    /// A positive NaN sorts last by `total_cmp` but places at ring 0, so it
+    /// would break the sweep's ring order; and a stored NaN breaks
+    /// `count_le`. The load refuses it by name instead.
+    #[test]
+    #[should_panic(expected = "bulk_load items contain NaN")]
+    fn bulk_load_refuses_nan() {
+        let mut net =
+            Network::build(vec![RingId(1 << 62), RingId(1 << 63)], Placement::range(0.0, 1.0));
+        net.bulk_load(&[0.9, f64::NAN, 0.1]);
     }
 }

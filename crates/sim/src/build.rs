@@ -11,10 +11,11 @@ use rand::Rng;
 use std::sync::{Arc, Mutex};
 
 /// Item count at or above which the realized-data ground truth switches
-/// from a materialized [`Ecdf`] to the analytic [`StreamingTruth`]: sorting
-/// and retaining tens of millions of doubles per cell would dominate the
-/// mega-scale build budget, and above this size the empirical CDF is within
-/// DKW noise (`ε(10⁶, 10⁻³) ≈ 0.002`) of the generator anyway.
+/// from a materialized [`Ecdf`] to the analytic [`StreamingTruth`]. The
+/// build sorts its dataset at every size (the bulk load sweeps it in ring
+/// order), so above this size the analytic truth saves only the retained
+/// vector and its clone per cached cell; the empirical CDF is within DKW
+/// noise (`ε(10⁶, 10⁻³) ≈ 0.002`) of the generator there anyway.
 pub const STREAMING_TRUTH_ITEMS: usize = 1_000_000;
 
 /// The realized dataset's ground truth — what a perfect estimator would
@@ -188,9 +189,12 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     let seq = SeedSequence::new(scenario.seed);
     let truth = scenario.distribution.build(lo, hi);
 
-    // Dataset first: the load-balanced layout needs its quantiles.
+    // Dataset first, sorted once: the layouts read its quantiles, and the
+    // flash crowd, the bulk load and the empirical truth read the same
+    // ascending vector.
     let mut data_rng = seq.stream(Component::Dataset, 0);
-    let data: Vec<f64> = (0..scenario.items).map(|_| truth.sample(&mut data_rng)).collect();
+    let mut data: Vec<f64> = (0..scenario.items).map(|_| truth.sample(&mut data_rng)).collect();
+    data.sort_unstable_by(f64::total_cmp);
 
     let placement = match scenario.placement {
         PlacementMode::Range => Placement::range(lo, hi),
@@ -215,11 +219,9 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
                     });
                 }
             };
-            let mut sorted = data.clone();
-            sorted.sort_by(f64::total_cmp);
             (1..=scenario.peers)
                 .map(|i| {
-                    let q = sorted[(i * scenario.items / scenario.peers).min(scenario.items - 1)];
+                    let q = data[(i * scenario.items / scenario.peers).min(scenario.items - 1)];
                     let base = map.to_ring(q).0;
                     RingId(base.wrapping_add(id_rng.gen_range(0..1u64 << 20)))
                 })
@@ -240,9 +242,7 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
                     });
                 }
             };
-            let mut sorted = data.clone();
-            sorted.sort_by(f64::total_cmp);
-            adversary::adversarial_ids(scenario.peers, &sorted, lo, hi, &map)
+            adversary::adversarial_ids(scenario.peers, &data, lo, hi, &map)
         }
     };
     ids.sort();
@@ -259,14 +259,13 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
         // mobbed). Joins go through the real membership path so item
         // conservation is the overlay's own guarantee, not the builder's.
         let mut fc_rng = seq.stream(Component::Churn, 0xF1A5);
-        let mut sorted = data.clone();
-        sorted.sort_by(f64::total_cmp);
         let bootstrap = net.ids().next().expect("built network has peers");
+        let densest = placement.domain_map().map(|map| {
+            adversary::window_arc(adversary::densest_window(&data, lo, hi), lo, hi, map)
+        });
         for _ in 0..scenario.flash_crowd {
-            let id = match placement.domain_map() {
-                Some(map) => {
-                    let w = adversary::densest_window(&sorted, lo, hi);
-                    let (start, span) = adversary::window_arc(w, lo, hi, map);
+            let id = match densest {
+                Some((start, span)) => {
                     let off = ((u128::from(fc_rng.gen::<u64>()) * u128::from(span)) >> 64) as u64;
                     RingId(start.wrapping_add(off))
                 }
@@ -302,14 +301,13 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
 
     let data_truth = if scenario.items >= STREAMING_TRUTH_ITEMS {
         // Mega-scale regime: keep the generator's analytic CDF instead of
-        // sorting and retaining the realized dataset (see
-        // [`STREAMING_TRUTH_ITEMS`]).
+        // retaining the realized dataset (see [`STREAMING_TRUTH_ITEMS`]).
         DataTruth::Analytic(StreamingTruth::new(
             scenario.distribution.build(lo, hi),
             net.total_items(),
         ))
     } else {
-        DataTruth::Empirical(Ecdf::new(data))
+        DataTruth::Empirical(Ecdf::from_sorted(data))
     };
     BuiltScenario { net, truth, data_truth, scenario: scenario.clone() }
 }

@@ -176,7 +176,7 @@ pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
         }
     }
     if matches!(built.data_truth, DataTruth::Empirical(_)) {
-        built.data_truth = DataTruth::Empirical(Ecdf::new(built.net.global_values()));
+        built.data_truth = DataTruth::Empirical(Ecdf::from_sorted(built.net.global_values()));
     }
     phase
 }

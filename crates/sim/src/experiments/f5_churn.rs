@@ -49,7 +49,7 @@ fn churned_run(
     let est = DfDde::new(DfDdeConfig::with_probes(probes));
     let report = est.estimate(&mut built.net, initiator, &mut est_rng).ok()?;
     let delta = built.net.stats().since(&before);
-    let surviving = Ecdf::new(built.net.global_values());
+    let surviving = Ecdf::from_sorted(built.net.global_values());
     let ks = report.estimate.ks_to(&surviving);
     let timeouts = delta.count(MessageKind::LookupTimeout);
     let failures = (probes - report.peers_contacted) as u64;

@@ -103,7 +103,7 @@ fn monitored_run(
         let _ = cont.tick(&mut built.net, initiator, &mut est_rng);
         if tick + 4 >= ticks {
             if let Ok(e) = cont.current_estimate(scenario.domain) {
-                let truth_now = Ecdf::new(built.net.global_values());
+                let truth_now = Ecdf::from_sorted(built.net.global_values());
                 tail.push(e.ks_to(&truth_now));
             }
         }

@@ -454,7 +454,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
         report.mean_staleness = staleness_sum / report.estimate_reads as f64;
     }
     if let Some(e) = &estimate {
-        let live = Ecdf::new(net.global_values());
+        let live = Ecdf::from_sorted(net.global_values());
         report.est_ks = e.ks_to(&live);
     }
 

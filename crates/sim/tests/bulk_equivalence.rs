@@ -1,4 +1,6 @@
-//! `Network::build_bulk` ≡ the incremental join path.
+//! `Network::build_bulk` ≡ the incremental join path, and
+//! `Network::bulk_load`'s sorted sweep ≡ the per-item owner search it
+//! replaced.
 //!
 //! The O(P) bulk constructor skips per-join stabilization entirely, so its
 //! claim to correctness is *equivalence*: wiring a ring in one pass must
@@ -6,6 +8,8 @@
 //! to — identical successor lists, predecessors, finger tables, lookup
 //! routes, and item owners. Property-tested over seeds and every node
 //! layout the scenario builders emit (uniform, load-balanced, adversarial).
+//! The bulk load's sweep is held to the same layouts, under both
+//! placements, store for store and bit for bit.
 
 use dde_ring::{Network, Placement, RingId};
 use dde_sim::{build_fresh, NodeLayout, Scenario};
@@ -119,4 +123,114 @@ proptest! {
 #[test]
 fn bulk_build_matches_incremental_joins_at_4096() {
     check(0xF12, 4_096, NodeLayout::Adversarial);
+}
+
+/// `Network::bulk_load` as it stood before the sorted sweep, kept as the
+/// sweep's reference: one owner search per item in input order, a scatter
+/// into per-owner vectors, and one `extend_values` per owner.
+fn per_item_bulk_load(net: &mut Network, items: &[f64]) {
+    let ids: Vec<RingId> = net.ids().collect();
+    let placement = net.placement();
+    // Two passes: count each owner's share, then fill exactly-sized
+    // buckets — no reallocation during the distribution.
+    let mut owners: Vec<usize> = Vec::with_capacity(items.len());
+    let mut counts: Vec<usize> = vec![0; ids.len()];
+    for &x in items {
+        let t = placement.place(x);
+        let pos = match ids.partition_point(|&k| k < t) {
+            p if p == ids.len() => 0,
+            p => p,
+        };
+        owners.push(pos);
+        counts[pos] += 1;
+    }
+    let mut per_owner: Vec<Vec<f64>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for (&x, &pos) in items.iter().zip(&owners) {
+        per_owner[pos].push(x);
+    }
+    for (pos, vals) in per_owner.into_iter().enumerate() {
+        if !vals.is_empty() {
+            net.node_mut(ids[pos]).expect("alive").store.extend_values(vals);
+        }
+    }
+}
+
+/// Up to 600 items on the domain `[0, 1000]` that stress the sweep's edges:
+/// duplicates, ±0.0, the domain bounds and infinities, values below `lo`
+/// and above `hi`, and values that range placement puts past the last id
+/// (and so wraps to position 0).
+fn edge_items(seed: u64, last_id: RingId) -> Vec<f64> {
+    let (lo, hi) = (0.0, 1000.0);
+    let past_last = (hi - lo) * (1.0 - last_id.0 as f64 / 2f64.powi(64));
+    let special = [-0.0, 0.0, lo, hi, f64::NEG_INFINITY, f64::INFINITY, f64::MIN_POSITIVE];
+    let mut rng = SeedSequence::new(seed).stream(Component::Dataset, 1);
+    let n = rng.gen_range(0..600);
+    let mut items: Vec<f64> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let x = match rng.gen_range(0..10) {
+            0 => special[rng.gen_range(0..special.len())],
+            1 if !items.is_empty() => items[rng.gen_range(0..items.len())],
+            2 => hi - past_last * rng.gen_range(0.0..1.0),
+            3 => lo - rng.gen_range(0.0..10.0),
+            4 => hi + rng.gen_range(0.0..10.0),
+            _ => rng.gen_range(lo..hi),
+        };
+        items.push(x);
+    }
+    items
+}
+
+fn store_bits(net: &Network) -> Vec<(RingId, Vec<u64>)> {
+    net.ids()
+        .map(|id| {
+            let store = &net.node(id).expect("alive").store;
+            (id, store.values().iter().map(|x| x.to_bits()).collect())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The sweep ≡ the per-item reference over seeds × {range, hashed} ×
+    /// the three layouts' ids, plus ids on item positions. The input comes
+    /// as drawn, by ascending value, or by placed id; the ring order of
+    /// each placement (the first under range, the second under hashed)
+    /// takes the in-place path. It loads in two parts, so the second part
+    /// meets non-empty stores.
+    #[test]
+    fn bulk_load_sweep_matches_per_item_reference(
+        seed in 0u64..(1u64 << 32),
+        peers in prop_oneof![Just(1usize), Just(16usize), Just(256usize)],
+        layout in prop_oneof![
+            Just(NodeLayout::UniformIds),
+            Just(NodeLayout::LoadBalanced),
+            Just(NodeLayout::Adversarial),
+        ],
+        hashed in any::<bool>(),
+        order in 0u8..3,
+        split in 0.0f64..1.0,
+    ) {
+        let mut ids = layout_ids(seed, peers, layout);
+        let placement =
+            if hashed { Placement::hashed(0.0, 1000.0) } else { Placement::range(0.0, 1000.0) };
+        let mut items = edge_items(seed, *ids.last().expect("peers"));
+        // A few peers sit exactly on an item's ring position, which the
+        // peer owns (ownership is at-or-after).
+        ids.extend(items.iter().step_by(97).map(|&x| placement.place(x)));
+        match order {
+            0 => {}
+            1 => items.sort_by(f64::total_cmp),
+            _ => items.sort_by_key(|&x| placement.place(x)),
+        }
+        let (first, second) = items.split_at((split * items.len() as f64) as usize);
+        let mut sweep = Network::build_bulk(ids.clone(), placement);
+        let mut reference = Network::build_bulk(ids, placement);
+        for part in [first, second] {
+            sweep.bulk_load(part);
+            per_item_bulk_load(&mut reference, part);
+        }
+        prop_assert_eq!(store_bits(&sweep), store_bits(&reference));
+        prop_assert_eq!(sweep.total_items(), items.len() as u64);
+    }
 }

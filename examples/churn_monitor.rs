@@ -52,7 +52,7 @@ fn main() {
         }
         let ks = match monitor.current_estimate(scenario.domain) {
             Ok(est) => {
-                let truth_now = Ecdf::new(built.net.global_values());
+                let truth_now = Ecdf::from_sorted(built.net.global_values());
                 est.ks_to(&truth_now)
             }
             Err(_) => f64::NAN,

@@ -82,7 +82,7 @@ fn ring_heals_and_estimation_recovers_after_storm() {
     let report = DfDde::new(DfDdeConfig::with_probes(128))
         .estimate(&mut built.net, initiator, &mut est_rng)
         .expect("healed network estimates");
-    let surviving = Ecdf::new(built.net.global_values());
+    let surviving = Ecdf::from_sorted(built.net.global_values());
     let ks = report.estimate.ks_to(&surviving);
     // 128 probe replies are the effective sample behind the skeleton; the
     // systematic term covers summary granularity plus the post-storm shelf
