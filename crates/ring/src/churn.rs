@@ -21,7 +21,7 @@
 //!   reference model (`crates/sim/tests/churn_equivalence.rs`).
 
 use crate::id::RingId;
-use crate::index::RepairStats;
+use crate::index::{IdColumn, RepairStats};
 use crate::messages::MessageKind;
 use crate::network::Network;
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
@@ -476,7 +476,7 @@ impl ChurnBatch {
         {
             let (keys, _) = net.nodes.columns();
             for &(id, _, _) in &self.dead {
-                self.dead_pos.push(keys.partition_point(|&k| k < id) as u32);
+                self.dead_pos.push(keys.lower_bound(id) as u32);
             }
         }
         self.spare_keys.clear();
@@ -547,7 +547,7 @@ enum NodeRef {
 /// seq `s` sees exactly what the one-at-a-time path would see before its
 /// `s`-th event.
 struct MergedView<'a> {
-    keys: &'a [RingId],
+    keys: &'a IdColumn,
     order: &'a [u32],
     joins: &'a [(RingId, u32, u32)],
     dead: &'a [(RingId, u32, bool)],
@@ -571,7 +571,7 @@ impl MergedView<'_> {
     /// Exact base-column position of `id` (departure victims are validated
     /// to be base peers).
     fn base_position(&self, id: RingId) -> usize {
-        let pos = self.keys.partition_point(|&k| k < id);
+        let pos = self.keys.lower_bound(id);
         debug_assert!(pos < self.keys.len() && self.keys[pos] == id, "victim not in base column");
         pos
     }
@@ -589,7 +589,7 @@ impl MergedView<'_> {
     /// the owner/successor resolution. Panics only if the view is empty,
     /// which the feasibility guards rule out.
     fn first_active_from(&self, from: RingId, seq: u32, exclude: RingId) -> (RingId, NodeRef) {
-        let sb = self.keys.partition_point(|&k| k < from);
+        let sb = self.keys.lower_bound(from);
         let sj = self.joins.partition_point(|&(id, _, _)| id < from);
         self.scan_fwd(sb, self.keys.len(), sj, self.joins.len(), seq, exclude)
             .or_else(|| self.scan_fwd(0, sb, 0, sj, seq, exclude))
@@ -599,7 +599,7 @@ impl MergedView<'_> {
     /// Last active entry with id `< id` (wrapping) — the predecessor
     /// resolution for a join arc.
     fn last_active_before(&self, id: RingId, seq: u32, exclude: RingId) -> (RingId, NodeRef) {
-        let eb = self.keys.partition_point(|&k| k < id);
+        let eb = self.keys.lower_bound(id);
         let ej = self.joins.partition_point(|&(jid, _, _)| jid < id);
         self.scan_back(0, eb, 0, ej, seq, exclude)
             .or_else(|| self.scan_back(eb, self.keys.len(), ej, self.joins.len(), seq, exclude))

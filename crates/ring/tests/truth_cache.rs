@@ -5,8 +5,9 @@
 //! snapshot after a write, a leave, a crash or stabilization, and that it
 //! agrees with the item counters throughout.
 
-use dde_ring::{Network, Placement, RingId};
+use dde_ring::{ChurnConfig, ChurnProcess, Network, Placement, RingId};
 use dde_stats::rng::{Component, SeedSequence};
+use proptest::prelude::*;
 use rand::Rng;
 
 fn net_with_data(peers: usize, items: usize, seed: u64) -> Network {
@@ -89,5 +90,74 @@ fn total_items_and_truth_agree_through_churn() {
         let truth = net.global_values();
         assert_eq!(truth.len() as u64, net.total_items(), "truth and counters diverged");
         assert_eq!(truth, collected_truth(&net));
+    }
+}
+
+/// Bit patterns, so that `-0.0` and `0.0` count as different values.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Items held by a peer other than the owner of their placed ring point.
+fn misplaced(net: &Network) -> usize {
+    let placement = net.placement();
+    net.ids()
+        .map(|id| {
+            let store = &net.node(id).unwrap().store;
+            store.values().iter().filter(|&&x| net.true_owner(placement.place(x)) != id).count()
+        })
+        .sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass collect ≡ collect-and-sort, bit for bit: under range and
+    /// hashed placement, on a 1-peer ring and a larger one, over data with
+    /// duplicates, both zeros, the domain ends and values clamped past them
+    /// (the smallest and largest land on ring 0 and the ring's top).
+    #[test]
+    fn one_pass_truth_matches_collect_and_sort(
+        seed: u64,
+        peers in 2usize..64,
+        items in 0usize..1500,
+        hashed: bool,
+    ) {
+        let mut rng = SeedSequence::new(seed).stream(Component::Dataset, 0);
+        let pool = [-0.0, 0.0, 1000.0, -5.0, 1005.0, 250.0, rng.gen::<f64>() * 1000.0];
+        let data: Vec<f64> = (0..items)
+            .map(|_| if rng.gen_range(0..4) == 0 { pool[rng.gen_range(0..pool.len())] } else { rng.gen::<f64>() * 1000.0 })
+            .collect();
+        let placement =
+            if hashed { Placement::hashed(0.0, 1000.0) } else { Placement::range(0.0, 1000.0) };
+        for p in [1, peers] {
+            let ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
+            let mut net = Network::build(ids, placement);
+            net.bulk_load(&data);
+            prop_assert_eq!(bits(&net.global_values()), bits(&collected_truth(&net)));
+            prop_assert_eq!(net.global_values().len(), items);
+        }
+    }
+}
+
+/// Protocol churn hands data over along routing state that may be stale (a
+/// leaver's first live successor, a joiner's successor's believed
+/// predecessor), so items can sit on peers that do not own them until a
+/// later repair moves them. The collect must then fall back to the sort and
+/// still match the reference.
+#[test]
+fn truth_matches_collect_and_sort_after_protocol_churn() {
+    for placement in [Placement::range(0.0, 1000.0), Placement::hashed(0.0, 1000.0)] {
+        let mut net = net_with_data(64, 6_400, 5);
+        if placement != net.placement() {
+            let data = net.global_values();
+            net = Network::build(net.ids().collect(), placement);
+            net.bulk_load(&data);
+        }
+        let mut rng = SeedSequence::new(5).stream(Component::Churn, 0);
+        let mut churn = ChurnProcess::new(ChurnConfig::symmetric(0.2, 1.0));
+        churn.run(&mut net, 3.0, &mut rng);
+        assert!(misplaced(&net) > 0, "churn left every item on its owner");
+        assert_eq!(bits(&net.global_values()), bits(&collected_truth(&net)));
     }
 }
