@@ -173,6 +173,10 @@ impl CdfFn for DensityEstimate {
     fn inv_cdf(&self, u: f64) -> f64 {
         self.cdf.inv_cdf(u)
     }
+
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        self.cdf.cdf_ascending(xs, out);
+    }
 }
 
 #[cfg(test)]

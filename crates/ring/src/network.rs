@@ -102,14 +102,16 @@ pub struct Network {
 }
 
 /// `items` in the order `cmp` defines: borrowed when already in that order,
-/// else sorted once into a copy.
-fn in_ring_order(items: &[f64], cmp: impl Fn(&f64, &f64) -> Ordering) -> Cow<'_, [f64]> {
+/// else a copy that `sort` puts in that order once.
+fn in_ring_order(
+    items: &[f64],
+    cmp: impl Fn(&f64, &f64) -> Ordering,
+    sort: impl FnOnce(Vec<f64>) -> Vec<f64>,
+) -> Cow<'_, [f64]> {
     if items.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()) {
         return Cow::Borrowed(items);
     }
-    let mut sorted = items.to_vec();
-    sorted.sort_unstable_by(cmp);
-    Cow::Owned(sorted)
+    Cow::Owned(sort(items.to_vec()))
 }
 
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
@@ -353,9 +355,13 @@ impl Network {
         assert!(items.iter().all(|x| !x.is_nan()), "bulk_load items contain NaN");
         let placement = self.placement;
         let ring_order = match placement {
-            Placement::Range { .. } => in_ring_order(items, f64::total_cmp),
+            Placement::Range { .. } => in_ring_order(items, f64::total_cmp, dde_stats::sort_total),
             Placement::Hashed { .. } => {
-                in_ring_order(items, |a, b| placement.place(*a).cmp(&placement.place(*b)))
+                let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
+                in_ring_order(items, by_id, |mut v| {
+                    v.sort_unstable_by(by_id);
+                    v
+                })
             }
         };
         let (keys, order, arena) = self.nodes.split_view();

@@ -20,7 +20,8 @@ fn shared_empty() -> Arc<Vec<f64>> {
     Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new())))
 }
 
-/// A peer's local data: values sorted ascending.
+/// A peer's local data: values sorted ascending by `total_cmp` (so `-0.0`
+/// sits before `0.0`), the one order every mutator keeps.
 ///
 /// The backing vector sits behind an [`Arc`] so cloning a store — and hence
 /// forking a whole loaded [`crate::Network`] from a cached scenario
@@ -64,11 +65,12 @@ impl LocalStore {
         self.sorted.is_empty()
     }
 
-    /// Inserts one value, keeping order (`O(n)` worst case; bulk loading
-    /// should use [`LocalStore::extend_values`]).
+    /// Inserts one value after every value `total_cmp`-at-or-below it,
+    /// keeping order (`O(n)` worst case; bulk loading should use
+    /// [`LocalStore::extend_values`]).
     pub fn insert(&mut self, x: f64) {
         debug_assert!(!x.is_nan());
-        let pos = self.sorted.partition_point(|&v| v <= x);
+        let pos = self.sorted.partition_point(|v| v.total_cmp(&x).is_le());
         match Arc::get_mut(&mut self.sorted) {
             Some(v) => v.insert(pos, x),
             None => {
@@ -147,10 +149,12 @@ impl LocalStore {
         }
     }
 
-    /// Removes one occurrence of `x`; returns whether it was present.
+    /// Removes one occurrence of `x`, matched by `total_cmp`, that is by its
+    /// exact bits (`remove(0.0)` leaves a `-0.0`); returns whether it was
+    /// present.
     pub fn remove(&mut self, x: f64) -> bool {
-        let pos = self.sorted.partition_point(|&v| v < x);
-        if pos < self.sorted.len() && self.sorted[pos] == x {
+        let pos = self.sorted.partition_point(|v| v.total_cmp(&x).is_lt());
+        if pos < self.sorted.len() && self.sorted[pos].total_cmp(&x).is_eq() {
             Arc::make_mut(&mut self.sorted).remove(pos);
             true
         } else {
@@ -315,13 +319,32 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    #[test]
+    fn both_zeros_keep_total_order_in_either_arrival_order() {
+        for first in [-0.0, 0.0] {
+            let mut s = LocalStore::from_values(vec![1.0, -1.0]);
+            for x in [first, -first, first] {
+                s.insert(x);
+            }
+            let mut want = vec![1.0, -1.0, first, -first, first];
+            want.sort_by(f64::total_cmp);
+            assert_eq!(bits(s.values()), bits(&want), "first {first:?}");
+            // Removal matches bits: `-first` leaves both copies of `first`.
+            assert!(s.remove(-first));
+            assert!(!s.remove(-first));
+            assert_eq!(bits(s.values()), bits(&[-1.0, first, first, 1.0]));
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Every mutator ≡ the same operation on a plain sorted `Vec`, on
-        /// shared and unshared stores alike, over values with duplicates and
-        /// both zeros. A clone taken before an operation (which makes the
-        /// store shared) must still read as it did.
+        /// Every mutator ≡ the same operation on a plain `Vec` kept sorted
+        /// by `total_cmp` (an insert pushes and re-sorts, a removal drops
+        /// one bit-equal copy), on shared and unshared stores alike, over
+        /// values with duplicates and both zeros. A clone taken before an
+        /// operation (which makes the store shared) must still read as it
+        /// did.
         #[test]
         fn mutators_match_plain_vec_reference(seed: u64) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -336,15 +359,15 @@ mod tests {
                     0 | 1 => {
                         let x = pick(&mut rng);
                         store.insert(x);
-                        let pos = reference.partition_point(|&v| v <= x);
-                        reference.insert(pos, x);
+                        reference.push(x);
+                        reference.sort_by(f64::total_cmp);
                         format!("insert({x:?})")
                     }
                     2 => {
                         let x = pick(&mut rng);
-                        let pos = reference.partition_point(|&v| v < x);
-                        let present = pos < reference.len() && reference[pos] == x;
-                        if present {
+                        let found = reference.iter().position(|v| v.to_bits() == x.to_bits());
+                        let present = found.is_some();
+                        if let Some(pos) = found {
                             reference.remove(pos);
                         }
                         assert_eq!(store.remove(x), present, "op {op}: remove({x:?})");

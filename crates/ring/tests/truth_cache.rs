@@ -161,3 +161,39 @@ fn truth_matches_collect_and_sort_after_protocol_churn() {
         assert_eq!(bits(&net.global_values()), bits(&collected_truth(&net)));
     }
 }
+
+/// `-0.0` and `0.0` land on the same store under range placement. Whatever
+/// order they arrive in, by routed insert or churn insert, every store keeps
+/// `total_cmp` order (`-0.0` first), so the one-pass collect needs no
+/// fallback sort and equals collect-and-sort; a routed delete drops only the
+/// bit-equal copy.
+#[test]
+fn both_zeros_in_either_order_keep_stores_in_total_order() {
+    for first in [-0.0, 0.0] {
+        let mut net = net_with_data(16, 800, 9);
+        let initiator = net.ids().next().unwrap();
+        for x in [first, -first, first] {
+            net.insert(initiator, x).unwrap();
+            net.churn_insert_item(-x);
+        }
+        for id in net.ids() {
+            let values = net.node(id).unwrap().store.values();
+            assert!(
+                values.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
+                "first {first:?}: a store left total_cmp order"
+            );
+        }
+        assert_eq!(bits(&net.global_values()), bits(&collected_truth(&net)), "first {first:?}");
+        let zeros = |net: &Network| {
+            let all = net.global_values();
+            (
+                all.iter().filter(|v| v.to_bits() == (-0.0f64).to_bits()).count(),
+                all.iter().filter(|v| v.to_bits() == 0.0f64.to_bits()).count(),
+            )
+        };
+        assert_eq!(zeros(&net), (3, 3), "first {first:?}");
+        assert!(net.delete(initiator, first).unwrap().0);
+        let left = if first.is_sign_negative() { (2, 3) } else { (3, 2) };
+        assert_eq!(zeros(&net), left, "first {first:?}: delete dropped the other zero");
+    }
+}

@@ -71,6 +71,13 @@ impl CdfFn for DataTruth {
             DataTruth::Analytic(t) => t.inv_cdf(u),
         }
     }
+
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        match self {
+            DataTruth::Empirical(e) => e.cdf_ascending(xs, out),
+            DataTruth::Analytic(t) => t.cdf_ascending(xs, out),
+        }
+    }
 }
 
 /// A built scenario: the network plus both flavours of ground truth.
@@ -193,8 +200,8 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     // flash crowd, the bulk load and the empirical truth read the same
     // ascending vector.
     let mut data_rng = seq.stream(Component::Dataset, 0);
-    let mut data: Vec<f64> = (0..scenario.items).map(|_| truth.sample(&mut data_rng)).collect();
-    data.sort_unstable_by(f64::total_cmp);
+    let data: Vec<f64> = (0..scenario.items).map(|_| truth.sample(&mut data_rng)).collect();
+    let data = dde_stats::sort_total(data);
 
     let placement = match scenario.placement {
         PlacementMode::Range => Placement::range(lo, hi),

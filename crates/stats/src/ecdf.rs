@@ -1,11 +1,12 @@
 //! Empirical cumulative distribution functions.
 
-use crate::CdfFn;
+use crate::{gallop, scan, sort_total, CdfFn};
 
 /// The empirical CDF of a sample: `F̂(x) = #{xᵢ ≤ x} / n`.
 ///
 /// Backed by a sorted copy of the sample; `cdf` and rank queries are
-/// `O(log n)`.
+/// `O(log n)`, and [`CdfFn::cdf_ascending`] gallops forward over the
+/// samples, `O(log d)` for a step of `d` ranks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
@@ -18,11 +19,10 @@ impl Ecdf {
     /// Panics if `samples` is empty or contains NaN.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-    pub fn new(mut samples: Vec<f64>) -> Self {
+    pub fn new(samples: Vec<f64>) -> Self {
         assert!(!samples.is_empty(), "ECDF of an empty sample");
         assert!(samples.iter().all(|x| !x.is_nan()), "ECDF sample contains NaN");
-        samples.sort_by(f64::total_cmp);
-        Self { sorted: samples }
+        Self { sorted: sort_total(samples) }
     }
 
     /// Builds from data already sorted ascending (checked in debug builds).
@@ -80,10 +80,14 @@ impl Ecdf {
     pub fn ks_distance_to<C: CdfFn + ?Sized>(&self, reference: &C) -> f64 {
         let n = self.sorted.len() as f64;
         let mut d: f64 = 0.0;
-        for (i, &x) in self.sorted.iter().enumerate() {
-            let f = reference.cdf(x);
-            d = d.max((f - i as f64 / n).abs()).max(((i + 1) as f64 / n - f).abs());
-        }
+        scan(
+            reference,
+            self.sorted.len(),
+            |i| self.sorted[i],
+            |i, f| {
+                d = d.max((f - i as f64 / n).abs()).max(((i + 1) as f64 / n - f).abs());
+            },
+        );
         d
     }
 }
@@ -100,6 +104,19 @@ impl CdfFn for Ecdf {
     fn inv_cdf(&self, u: f64) -> f64 {
         self.quantile(u)
     }
+
+    /// One forward galloping cursor over the samples: each point's rank
+    /// is searched from the previous point's.
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "one output per point");
+        debug_assert!(xs.windows(2).all(|w| w[0] <= w[1]), "points not ascending");
+        let n = self.sorted.len() as f64;
+        let mut rank = 0;
+        for (o, &x) in out.iter_mut().zip(xs) {
+            rank = gallop(&self.sorted, rank, |&v| v <= x);
+            *o = rank as f64 / n;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -115,6 +132,20 @@ mod tests {
         assert_eq!(e.rank(2.0), 3);
         assert_eq!(e.rank(10.0), 4);
         assert_eq!(e.cdf(2.0), 0.75);
+    }
+
+    #[test]
+    fn cursor_matches_per_point_cdf() {
+        // Duplicates, both zeros, points on samples, between them, below
+        // and above the range, and runs of equal points.
+        let e = Ecdf::new(vec![2.0, -1.0, 0.0, -0.0, 2.0, 2.0, 5.5, 9.0]);
+        let xs = [-3.0, -1.0, -0.5, -0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 5.5, 8.9, 9.0, 12.0];
+        let mut out = [f64::NAN; 14];
+        e.cdf_ascending(&xs, &mut out);
+        for (&x, &f) in xs.iter().zip(&out) {
+            assert_eq!(f.to_bits(), e.cdf(x).to_bits(), "x = {x}");
+        }
+        e.cdf_ascending(&[], &mut []);
     }
 
     #[test]

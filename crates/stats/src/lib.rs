@@ -67,6 +67,112 @@ pub trait CdfFn {
     fn inv_cdf(&self, u: f64) -> f64 {
         invert_cdf_bisect(self, u)
     }
+
+    /// Evaluates [`CdfFn::cdf`] at every point of `xs` into the same index
+    /// of `out`, in one ascending pass.
+    ///
+    /// The contract: `xs` is non-decreasing and holds no NaN, `out` is as
+    /// long as `xs`, and every result equals `cdf(x)` bit for bit. Scoring
+    /// evaluates both sides of every distance through this, so an
+    /// implementor with a sorted representation ([`Ecdf`]'s samples,
+    /// [`PiecewiseCdf`]'s control points) overrides it with a forward
+    /// cursor instead of a search per point. The default calls `cdf` per
+    /// point.
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "one output per point");
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.cdf(x);
+        }
+    }
+}
+
+/// Points per chunk of [`scan`] and [`scan_pair`]: they evaluate into fixed
+/// stack buffers of this size, so scoring allocates nothing, and its memory
+/// grows neither with the sample count nor with the grid.
+const CHUNK: usize = 256;
+
+/// Evaluates `c` at the non-decreasing points `point(0)`, …,
+/// `point(n − 1)` through [`CdfFn::cdf_ascending`], one fixed-size chunk at
+/// a time, and hands `visit` each index with its value, in index order.
+pub(crate) fn scan<C: CdfFn + ?Sized>(
+    c: &C,
+    n: usize,
+    point: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let (mut xs, mut fs) = ([0.0; CHUNK], [0.0; CHUNK]);
+    for start in (0..n).step_by(CHUNK) {
+        let len = CHUNK.min(n - start);
+        for (j, x) in xs[..len].iter_mut().enumerate() {
+            *x = point(start + j);
+        }
+        c.cdf_ascending(&xs[..len], &mut fs[..len]);
+        for (j, &f) in fs[..len].iter().enumerate() {
+            visit(start + j, f);
+        }
+    }
+}
+
+/// [`scan`] for two CDFs at the same points: `visit` gets each index with
+/// `a`'s value and `b`'s.
+pub(crate) fn scan_pair<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(
+    a: &A,
+    b: &B,
+    n: usize,
+    point: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize, f64, f64),
+) {
+    let (mut xs, mut fa, mut fb) = ([0.0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
+    for start in (0..n).step_by(CHUNK) {
+        let len = CHUNK.min(n - start);
+        for (j, x) in xs[..len].iter_mut().enumerate() {
+            *x = point(start + j);
+        }
+        a.cdf_ascending(&xs[..len], &mut fa[..len]);
+        b.cdf_ascending(&xs[..len], &mut fb[..len]);
+        for (j, (&fa, &fb)) in fa[..len].iter().zip(&fb[..len]).enumerate() {
+            visit(start + j, fa, fb);
+        }
+    }
+}
+
+/// `s.partition_point(pred)`, searched forward from `from`: `pred` must hold
+/// on `s[..from]` (and, as for `partition_point`, on a prefix of `s`).
+/// Doubling steps bracket the point, then a binary search finds it inside
+/// the last step, so a cursor that moves `d` places pays `O(log d)`
+/// comparisons, and one that stays put pays one.
+pub(crate) fn gallop<T>(s: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    let hi = loop {
+        let probe = lo + step;
+        if probe > s.len() {
+            break s.len();
+        }
+        if !pred(&s[probe - 1]) {
+            break probe - 1;
+        }
+        lo = probe;
+        step *= 2;
+    };
+    lo + s[lo..hi].partition_point(pred)
+}
+
+/// Sorts `values` ascending by [`f64::total_cmp`], bit for bit as
+/// `sort_by(f64::total_cmp)` would, through order-preserving integer keys.
+///
+/// `total_cmp` orders `f64`s as `i64` orders `b ^ (((b >> 63) as u64 >> 1)
+/// as i64)` with `b = x.to_bits() as i64`; the map is its own inverse, and
+/// two keys are equal only when the bits are, so an unstable integer sort
+/// of the keys gives the one sorted order. Mapping with
+/// `into_iter().map(…).collect()` reuses the vector's buffer both ways.
+pub fn sort_total(values: Vec<f64>) -> Vec<f64> {
+    fn key(b: i64) -> i64 {
+        b ^ ((((b >> 63) as u64) >> 1) as i64)
+    }
+    let mut keys: Vec<i64> = values.into_iter().map(|x| key(x.to_bits() as i64)).collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| f64::from_bits(key(k) as u64)).collect()
 }
 
 /// Inverts a monotone CDF by bisection over its domain.

@@ -5,35 +5,37 @@
 //! 1-D Wasserstein (earth mover's) distance, and the relative error of
 //! scalar aggregates.
 
-use crate::CdfFn;
+use crate::{scan_pair, CdfFn};
 
 /// Default grid resolution for numeric metrics.
 pub const DEFAULT_GRID: usize = 2048;
 
 /// Kolmogorov–Smirnov distance `sup_x |F(x) − G(x)|`, evaluated on a uniform
-/// grid of `grid + 1` points over the union of both domains.
+/// grid of `grid + 1` points over the union of both domains (each CDF in
+/// forward passes, [`CdfFn::cdf_ascending`]).
 pub fn ks_distance<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: usize) -> f64 {
     let (lo, hi) = union_domain(a, b);
     let mut d: f64 = 0.0;
-    for i in 0..=grid {
-        let x = lo + (hi - lo) * i as f64 / grid as f64;
-        d = d.max((a.cdf(x) - b.cdf(x)).abs());
-    }
+    let x = |i: usize| lo + (hi - lo) * i as f64 / grid as f64;
+    scan_pair(a, b, grid + 1, x, |_, fa, fb| d = d.max((fa - fb).abs()));
     d
 }
 
-/// 1-D Wasserstein-1 distance `∫ |F(x) − G(x)| dx` by the trapezoid rule.
+/// 1-D Wasserstein-1 distance `∫ |F(x) − G(x)| dx` by the trapezoid rule
+/// (each CDF in forward passes, [`CdfFn::cdf_ascending`]).
 pub fn wasserstein1<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: usize) -> f64 {
     let (lo, hi) = union_domain(a, b);
     let step = (hi - lo) / grid as f64;
     let mut sum = 0.0;
-    let mut prev = (a.cdf(lo) - b.cdf(lo)).abs();
-    for i in 1..=grid {
-        let x = lo + step * i as f64;
-        let cur = (a.cdf(x) - b.cdf(x)).abs();
-        sum += 0.5 * (prev + cur) * step;
+    let mut prev = 0.0;
+    let x = |i: usize| if i == 0 { lo } else { lo + step * i as f64 };
+    scan_pair(a, b, grid + 1, x, |i, fa, fb| {
+        let cur = (fa - fb).abs();
+        if i > 0 {
+            sum += 0.5 * (prev + cur) * step;
+        }
         prev = cur;
-    }
+    });
     sum
 }
 

@@ -5,7 +5,7 @@
 //! object, with exact interpolation, exact inversion (the inversion method
 //! needs `F⁻¹`), and a derivative view for density readout.
 
-use crate::CdfFn;
+use crate::{gallop, scan, scan_pair, CdfFn};
 
 /// A non-decreasing piecewise-linear function from data values to `[0, 1]`,
 /// interpreted as a CDF.
@@ -132,20 +132,29 @@ impl PiecewiseCdf {
         idx.saturating_sub(1).min(self.points.len() - 2)
     }
 
+    /// The CDF at `x`, strictly inside the domain, on segment `i`.
+    fn interpolate(&self, i: usize, x: f64) -> f64 {
+        let (x0, f0) = self.points[i];
+        let (x1, f1) = self.points[i + 1];
+        if x1 <= x0 {
+            return f1;
+        }
+        f0 + (x - x0) / (x1 - x0) * (f1 - f0)
+    }
+
     /// Largest absolute CDF difference to another CDF, evaluated on this
-    /// skeleton's control points plus a uniform refinement grid.
+    /// skeleton's control points plus a uniform refinement grid. Both runs
+    /// of points ascend, so each side is evaluated in forward passes
+    /// ([`CdfFn::cdf_ascending`]).
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
     pub fn sup_diff<C: CdfFn + ?Sized>(&self, other: &C, grid: usize) -> f64 {
         let (lo, hi) = self.domain();
         let mut d: f64 = 0.0;
-        for &(x, f) in &self.points {
-            d = d.max((f - other.cdf(x)).abs());
-        }
-        for i in 0..=grid {
-            let x = lo + (hi - lo) * i as f64 / grid as f64;
-            d = d.max((self.cdf(x) - other.cdf(x)).abs());
-        }
+        let points = &self.points;
+        scan(other, points.len(), |i| points[i].0, |i, g| d = d.max((points[i].1 - g).abs()));
+        let x = |i: usize| lo + (hi - lo) * i as f64 / grid as f64;
+        scan_pair(self, other, grid + 1, x, |_, f, g| d = d.max((f - g).abs()));
         d
     }
 }
@@ -159,13 +168,7 @@ impl CdfFn for PiecewiseCdf {
         if x >= hi {
             return 1.0;
         }
-        let i = self.segment_of(x);
-        let (x0, f0) = self.points[i];
-        let (x1, f1) = self.points[i + 1];
-        if x1 <= x0 {
-            return f1;
-        }
-        f0 + (x - x0) / (x1 - x0) * (f1 - f0)
+        self.interpolate(self.segment_of(x), x)
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -194,6 +197,27 @@ impl CdfFn for PiecewiseCdf {
         }
         x0 + (u - f0) / (f1 - f0) * (x1 - x0)
     }
+
+    /// One forward segment cursor: each point's segment is searched from
+    /// the previous point's ([`CdfFn::cdf`]'s clamps and arithmetic).
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "one output per point");
+        debug_assert!(xs.windows(2).all(|w| w[0] <= w[1]), "points not ascending");
+        let (lo, hi) = self.domain();
+        let last = self.points.len() - 2;
+        // Index of the first control point above `x`; it only moves forward.
+        let mut above = 0;
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = if x <= lo {
+                0.0
+            } else if x >= hi {
+                1.0
+            } else {
+                above = gallop(&self.points, above, |&(px, _)| px <= x);
+                self.interpolate(above.saturating_sub(1).min(last), x)
+            };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -215,6 +239,30 @@ mod tests {
         assert!((p.cdf(3.0) - 0.625).abs() < 1e-12);
         assert_eq!(p.cdf(4.0), 1.0);
         assert_eq!(p.cdf(9.0), 1.0);
+    }
+
+    #[test]
+    fn cursor_matches_per_point_cdf() {
+        let skeletons = [
+            simple(),
+            // 0.1 + (0.45 − 0.1) rounds below 0.45, so a point on x = 2
+            // must be read on the segment it opens, not the one it closes.
+            PiecewiseCdf::from_points(vec![(0.0, 0.0), (1.0, 0.1), (2.0, 0.45), (4.0, 1.0)]),
+            // One segment, with ends off 0 and 1 by less than `from_points`
+            // tolerates: only the domain clamps make `lo` and `hi` read
+            // exactly 0 and 1.
+            PiecewiseCdf::from_points(vec![(0.0, 5e-10), (4.0, 1.0 - 5e-10)]),
+        ];
+        // Points below, on and between control points (the flat segment
+        // too), runs of equal points and points past the top.
+        let xs = [-2.0, -0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0, 3.99, 4.0, 4.0, 7.0];
+        for p in &skeletons {
+            let mut out = [f64::NAN; 14];
+            p.cdf_ascending(&xs, &mut out);
+            for (&x, &f) in xs.iter().zip(&out) {
+                assert_eq!(f.to_bits(), p.cdf(x).to_bits(), "x = {x}, {p:?}");
+            }
+        }
     }
 
     #[test]

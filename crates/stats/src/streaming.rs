@@ -17,7 +17,7 @@
 //! `crates/stats/tests/streaming_truth.rs` and the `dde-sim` suite).
 
 use crate::dist::Distribution;
-use crate::CdfFn;
+use crate::{sort_total, CdfFn};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,12 +50,12 @@ pub struct StreamingTruth {
     items: u64,
     /// Epoch delta journal: values present in the realized data but not in
     /// the parts a caller will stream (items inserted since the parts were
-    /// frozen). Sorted by `total_cmp`.
-    adds: Vec<f64>,
+    /// frozen), one batch per call, as it arrived.
+    adds: Vec<Vec<f64>>,
     /// Epoch delta journal: values still present in streamed parts but no
-    /// longer in the realized data (crash losses, turnover deletes). Sorted
-    /// by `total_cmp`.
-    removes: Vec<f64>,
+    /// longer in the realized data (crash losses, turnover deletes), one
+    /// batch per call, as it arrived.
+    removes: Vec<Vec<f64>>,
 }
 
 impl StreamingTruth {
@@ -72,28 +72,29 @@ impl StreamingTruth {
 
     /// Journals values inserted since the streamed parts were frozen: they
     /// participate in every subsequent [`StreamingTruth::ks_of_parts`] as an
-    /// extra merge part, and they raise [`StreamingTruth::items`]. Churn of
-    /// `M` items costs `O(M log M)` here, not a full truth rebuild.
+    /// extra merge part, and they raise [`StreamingTruth::items`]. The batch
+    /// is kept as it arrives, so `M` items cost at most `O(M)` here (a
+    /// `Vec` is kept without a copy): no truth rebuild and no sort. Only
+    /// `ks_of_parts` reads the journal in order, and it sorts once per read.
     pub fn journal_adds(&mut self, values: impl IntoIterator<Item = f64>) {
-        let before = self.adds.len();
-        self.adds.extend(values);
-        self.items += (self.adds.len() - before) as u64;
-        self.adds.sort_by(f64::total_cmp);
+        let batch: Vec<f64> = values.into_iter().collect();
+        self.items += batch.len() as u64;
+        self.adds.push(batch);
     }
 
     /// Journals values deleted since the streamed parts were frozen (e.g.
     /// crash losses): each one cancels its first `total_cmp`-equal occurrence
-    /// during the merge, and lowers [`StreamingTruth::items`]. A journaled
-    /// removal that never matches a streamed value is a caller bug (debug
+    /// during the merge, and lowers [`StreamingTruth::items`]. Kept as it
+    /// arrives, like [`StreamingTruth::journal_adds`]. A journaled removal
+    /// that never matches a streamed value is a caller bug (debug
     /// assertion).
     pub fn journal_removes(&mut self, values: impl IntoIterator<Item = f64>) {
-        let before = self.removes.len();
-        self.removes.extend(values);
+        let batch: Vec<f64> = values.into_iter().collect();
         self.items = self
             .items
-            .checked_sub((self.removes.len() - before) as u64)
+            .checked_sub(batch.len() as u64)
             .expect("removed more items than the truth holds");
-        self.removes.sort_by(f64::total_cmp);
+        self.removes.push(batch);
     }
 
     /// The generating distribution.
@@ -110,7 +111,8 @@ impl StreamingTruth {
     /// merge visits values in the same `total_cmp` order, and the running
     /// `max` is order-independent for ties.
     ///
-    /// Journaled deltas fold into the merge: `adds` ride along as one extra
+    /// Journaled deltas fold into the merge: sorted copies of the two
+    /// journals are taken once per call, `adds` ride along as one extra
     /// part, and each journaled removal silently consumes its first
     /// `total_cmp`-equal streamed value (no rank advance) — so the result is
     /// bit-identical to a full recompute over the *mutated* multiset
@@ -121,13 +123,15 @@ impl StreamingTruth {
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
+        let adds = sort_total(self.adds.concat());
+        let removes = sort_total(self.removes.concat());
         let mut parts: Vec<&[f64]> = parts.into_iter().filter(|p| !p.is_empty()).collect();
-        if !self.adds.is_empty() {
-            parts.push(&self.adds);
+        if !adds.is_empty() {
+            parts.push(&adds);
         }
         let streamed: usize = parts.iter().map(|p| p.len()).sum();
         let n = streamed
-            .checked_sub(self.removes.len())
+            .checked_sub(removes.len())
             .expect("more journaled removals than streamed values");
         if n == 0 {
             return 0.0;
@@ -142,20 +146,20 @@ impl StreamingTruth {
             if off + 1 < parts[pi].len() {
                 heap.push(Reverse((TotalF64(parts[pi][off + 1]), pi, off + 1)));
             }
-            if ri < self.removes.len() && self.removes[ri].total_cmp(&x).is_eq() {
+            if ri < removes.len() && removes[ri].total_cmp(&x).is_eq() {
                 ri += 1;
                 continue;
             }
             debug_assert!(
-                ri >= self.removes.len() || self.removes[ri].total_cmp(&x).is_gt(),
+                ri >= removes.len() || removes[ri].total_cmp(&x).is_gt(),
                 "journaled removal {} absent from streamed parts",
-                self.removes[ri]
+                removes[ri]
             );
             let f = self.dist.cdf(x);
             d = d.max((f - rank as f64 / nf).abs()).max(((rank + 1) as f64 / nf - f).abs());
             rank += 1;
         }
-        debug_assert_eq!(ri, self.removes.len(), "unmatched journaled removals");
+        debug_assert_eq!(ri, removes.len(), "unmatched journaled removals");
         d
     }
 }
@@ -172,6 +176,10 @@ impl CdfFn for StreamingTruth {
     fn inv_cdf(&self, u: f64) -> f64 {
         self.dist.inv_cdf(u)
     }
+
+    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
+        self.dist.cdf_ascending(xs, out);
+    }
 }
 
 impl std::fmt::Debug for StreamingTruth {
@@ -179,8 +187,8 @@ impl std::fmt::Debug for StreamingTruth {
         f.debug_struct("StreamingTruth")
             .field("dist", &self.dist.name())
             .field("items", &self.items)
-            .field("pending_adds", &self.adds.len())
-            .field("pending_removes", &self.removes.len())
+            .field("pending_adds", &self.adds.iter().map(Vec::len).sum::<usize>())
+            .field("pending_removes", &self.removes.iter().map(Vec::len).sum::<usize>())
             .finish()
     }
 }

@@ -121,6 +121,71 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The journal as churn drives it: batches of adds and removes appended
+    /// in arrival order, with `ks_of_parts` read between batches. Each read
+    /// sorts the journal copies it merges, so it is bit-identical to a full
+    /// recompute over the multiset mutated so far. Removals draw from
+    /// everything live, journaled adds included, over values with
+    /// duplicates and both zeros, and a read never disturbs later batches.
+    #[test]
+    fn batched_journal_reads_match_full_recompute(
+        seed in 0u64..(1u64 << 32),
+        n in 1usize..300,
+        peers in 1usize..12,
+        batches in 1usize..7,
+    ) {
+        for kind in kinds() {
+            let (mut parts, _) = partitioned_sample(&kind, seed, n, peers);
+            let dist = kind.build(0.0, 1000.0);
+            let mut rng = SeedSequence::new(seed ^ 0x10C4).stream(Component::Dataset, 9);
+            let zeros = [-0.0, 0.0];
+            let pick = |rng: &mut rand::rngs::StdRng| {
+                if rng.gen_range(0..6) == 0 { zeros[rng.gen_range(0..2usize)] } else { dist.sample(rng) }
+            };
+            // Frozen parts may hold both zeros too.
+            parts[0].extend(zeros);
+            parts[0].sort_by(f64::total_cmp);
+            let mut live: Vec<f64> = parts.iter().flatten().copied().collect();
+            let mut truth = StreamingTruth::new(kind.build(0.0, 1000.0), live.len() as u64);
+            for batch in 0..batches {
+                let adds: Vec<f64> = (0..rng.gen_range(0..40)).map(|_| pick(&mut rng)).collect();
+                live.extend(&adds);
+                let mut removes = Vec::new();
+                for _ in 0..rng.gen_range(0..=live.len() / 3) {
+                    removes.push(live.swap_remove(rng.gen_range(0..live.len())));
+                }
+                // Some batches journal removals first.
+                if rng.gen_range(0..2) == 0 {
+                    truth.journal_adds(adds);
+                    truth.journal_removes(removes);
+                } else {
+                    truth.journal_removes(removes);
+                    truth.journal_adds(adds);
+                }
+                prop_assert_eq!(truth.items(), live.len() as u64, "{:?} batch {}", kind, batch);
+                let streamed = truth.ks_of_parts(parts.iter().map(Vec::as_slice));
+                let recomputed = if live.is_empty() {
+                    0.0
+                } else {
+                    Ecdf::new(live.clone()).ks_distance_to(dist.as_ref())
+                };
+                prop_assert_eq!(
+                    streamed.to_bits(),
+                    recomputed.to_bits(),
+                    "{:?} batch {}: journaled {} vs recomputed {}",
+                    kind,
+                    batch,
+                    streamed,
+                    recomputed
+                );
+            }
+        }
+    }
+}
+
 /// Duplicated values across different parts must not perturb the running
 /// max: the KS statistic is evaluated per *rank*, and ranks of tied values
 /// commute.
