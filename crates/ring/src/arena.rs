@@ -116,18 +116,39 @@ impl SuccessorList {
         removed
     }
 
-    /// Replays the historical offer semantics (append if absent, stable-sort
-    /// by clockwise distance from `me`, truncate to capacity) on a stack
-    /// scratch buffer. Distance from a fixed origin is injective, so the
-    /// sorted order is unique and an unstable sort is equivalent.
-    pub(crate) fn offer_by_distance(&mut self, me: RingId, peer: RingId) {
+    /// Offers every peer in `offers` but `me`: the entries and every offer
+    /// not already present, sorted by clockwise distance from `me` and cut
+    /// to capacity. Distance from a fixed origin is injective, so the order
+    /// is unique and an unstable sort serves. This equals offering the
+    /// peers one at a time with the historical semantics (append if
+    /// absent, sort, truncate), since each such offer keeps the nearest
+    /// distinct ids seen so far; one sort at the end lands on the same
+    /// list. With nothing offered but `me`, the list keeps its order, as it
+    /// would under no offer at all.
+    ///
+    /// # Panics
+    /// Panics if the entries and the new offers number more than
+    /// `2 · SUCCESSOR_LIST_LEN + 1` (a full list, a successor and its list
+    /// fit).
+    pub(crate) fn merge_by_distance(
+        &mut self,
+        me: RingId,
+        offers: impl IntoIterator<Item = RingId>,
+    ) {
         let len = self.len as usize;
-        let mut scratch = [RingId(0); SUCCESSOR_LIST_LEN + 1];
+        let mut scratch = [RingId(0); 2 * SUCCESSOR_LIST_LEN + 1];
         scratch[..len].copy_from_slice(&self.ids[..len]);
         let mut m = len;
-        if !scratch[..len].contains(&peer) {
-            scratch[m] = peer;
-            m += 1;
+        let mut offered = false;
+        for peer in offers.into_iter().filter(|&p| p != me) {
+            offered = true;
+            if !scratch[..m].contains(&peer) {
+                scratch[m] = peer;
+                m += 1;
+            }
+        }
+        if !offered {
+            return;
         }
         scratch[..m].sort_unstable_by_key(|&s| me.distance_to(s));
         let keep = m.min(SUCCESSOR_LIST_LEN);
@@ -728,15 +749,40 @@ mod tests {
         }
     }
 
+    impl SuccessorList {
+        /// One offer on a stack scratch buffer, as every offer was made
+        /// before `merge_by_distance`: append if absent, sort by clockwise
+        /// distance from `me`, truncate to capacity. Kept verbatim as the
+        /// reference `merge_matches_sequential_offers` holds the merge to.
+        fn offer_by_distance(&mut self, me: RingId, peer: RingId) {
+            let len = self.len as usize;
+            let mut scratch = [RingId(0); SUCCESSOR_LIST_LEN + 1];
+            scratch[..len].copy_from_slice(&self.ids[..len]);
+            let mut m = len;
+            if !scratch[..len].contains(&peer) {
+                scratch[m] = peer;
+                m += 1;
+            }
+            scratch[..m].sort_unstable_by_key(|&s| me.distance_to(s));
+            let keep = m.min(SUCCESSOR_LIST_LEN);
+            self.ids[..keep].copy_from_slice(&scratch[..keep]);
+            for slot in &mut self.ids[keep..] {
+                *slot = RingId(0);
+            }
+            self.len = keep as u8;
+        }
+    }
+
     #[test]
     fn offer_by_distance_matches_push_sort_truncate() {
-        // Replay of the historical Vec semantics, including on a list that
-        // is not distance-sorted (stale joins can produce those).
+        // A single offer through the merge ≡ a replay of the historical Vec
+        // semantics, including on a list that is not distance-sorted (stale
+        // joins can produce those).
         let me = RingId(50);
         let mut list: SuccessorList = [RingId(100), RingId(10), RingId(60)].into();
         let mut reference: Vec<RingId> = vec![RingId(100), RingId(10), RingId(60)];
         for peer in [RingId(55), RingId(10), RingId(49), RingId(51), RingId(90), RingId(200)] {
-            list.offer_by_distance(me, peer);
+            list.merge_by_distance(me, [peer]);
             if !reference.contains(&peer) {
                 reference.push(peer);
             }
@@ -744,6 +790,62 @@ mod tests {
             reference.truncate(SUCCESSOR_LIST_LEN);
             assert_eq!(list, reference, "after offering {peer}");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// One merge ≡ offering each peer in turn with `offer_by_distance`,
+        /// skipping `me` as `Node::offer_successor` does. A small id pool
+        /// makes duplicates (in the list, among the offers, and between
+        /// them), self entries and truncation common; lists come unsorted,
+        /// empty and full, and offer sets empty or holding only `me`.
+        #[test]
+        fn merge_matches_sequential_offers(
+            me: u64,
+            seed: u64,
+            len in 0usize..=SUCCESSOR_LIST_LEN,
+            offers in 0usize..=SUCCESSOR_LIST_LEN + 1,
+            only_me: bool,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let me = RingId(me);
+            let mut pool = vec![me, RingId(me.0.wrapping_add(1)), RingId(me.0.wrapping_sub(1))];
+            pool.extend((0..10).map(|_| RingId(rng.gen())));
+            let mut pick = || {
+                if rng.gen_range(0..4) == 0 {
+                    RingId(rng.gen())
+                } else {
+                    pool[rng.gen_range(0..pool.len())]
+                }
+            };
+            let list: SuccessorList = (0..len).map(|_| pick()).collect();
+            let offered: Vec<RingId> =
+                (0..offers).map(|_| if only_me { me } else { pick() }).collect();
+            let mut sequential = list;
+            for &peer in offered.iter().filter(|&&p| p != me) {
+                sequential.offer_by_distance(me, peer);
+            }
+            let mut merged = list;
+            merged.merge_by_distance(me, offered.iter().copied());
+            proptest::prop_assert_eq!(merged, sequential, "list {:?} offered {:?}", list, offered);
+            merged.check_shape().expect("normalized");
+        }
+    }
+
+    #[test]
+    fn merge_without_an_offer_keeps_the_order() {
+        let me = RingId(50);
+        let unsorted: SuccessorList = [RingId(100), RingId(10), RingId(60)].into();
+        for offers in [vec![], vec![me, me]] {
+            let mut list = unsorted;
+            list.merge_by_distance(me, offers);
+            assert_eq!(list, unsorted);
+        }
+        let mut list = unsorted;
+        list.merge_by_distance(me, [me, RingId(10)]);
+        assert_eq!(list, vec![RingId(60), RingId(100), RingId(10)]);
     }
 
     /// The flat finger table the run-length one replaced, verbatim: one

@@ -280,6 +280,15 @@ impl NodeIndex {
         }
     }
 
+    /// Position of `id`, hinted `k` positions clockwise of `pos`, where a
+    /// converged ring keeps the `k`-th successor of the peer at `pos` (on a
+    /// ring of fewer than `k` peers the hint just misses).
+    #[inline]
+    pub(crate) fn position_ahead(&self, id: RingId, pos: usize, k: usize) -> Option<usize> {
+        let hint = pos + k;
+        self.position_hinted(id, if hint >= self.len() { hint - self.len() } else { hint })
+    }
+
     /// The node at ring-order position `idx`.
     ///
     /// # Panics

@@ -127,11 +127,7 @@ impl Node {
     /// than an existing entry or list not full), keeping the list sorted by
     /// clockwise distance and bounded by [`SUCCESSOR_LIST_LEN`].
     pub fn offer_successor(&mut self, peer: RingId) {
-        if peer == self.id {
-            return;
-        }
-        let me = self.id;
-        self.successors.offer_by_distance(me, peer);
+        self.successors.merge_by_distance(self.id, [peer]);
     }
 
     /// Updates the predecessor if `peer` is closer (in the arc

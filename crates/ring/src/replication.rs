@@ -23,7 +23,6 @@
 use crate::id::RingId;
 use crate::messages::MessageKind;
 use crate::network::Network;
-use crate::store::LocalStore;
 
 /// Stabilization rounds a replica entry survives without a refresh.
 pub const REPLICA_LEASE_ROUNDS: u32 = 4;
@@ -58,67 +57,60 @@ impl Network {
         }
     }
 
-    /// One peer's replication maintenance (called from stabilization):
-    /// promotion of dead primaries' data, lease aging/expiry, and pushing
-    /// fresh replicas to the first `r` alive successors. Returns the number
-    /// of items promoted.
-    pub(crate) fn replicate_node(&mut self, id: RingId) -> usize {
+    /// One peer's replication maintenance (called from stabilization for
+    /// peer `id` at index position `pos`): promotion of dead primaries'
+    /// data, lease aging/expiry, and pushing fresh replicas to the first `r`
+    /// alive successors. Returns the number of items promoted.
+    pub(crate) fn replicate_node(&mut self, id: RingId, pos: usize) -> usize {
         if self.replication == 0 {
             return 0;
         }
         let mut promoted = 0;
 
-        // 1. Promotion + lease bookkeeping.
-        {
-            let Some(node) = self.nodes.get(&id) else { return 0 };
-            let (pred, my_id) = (node.predecessor, node.id);
-            let primaries: Vec<RingId> = node.replicas.keys().copied().collect();
-            let placement = self.placement;
-            for primary in primaries {
-                let primary_alive = self.is_alive(primary);
-                let node = self.nodes.get_mut(&id).expect("alive");
-                if !primary_alive {
-                    // Promote the part of the replica that now falls in OUR
-                    // arc (ownership-gated: only the heir promotes).
-                    if let Some(p) = pred {
-                        let (store, _) = node.replicas.get_mut(&primary).expect("listed");
-                        let mine = store.drain_by(|x| placement.place(x).in_arc(p, my_id));
-                        if !mine.is_empty() {
-                            promoted += mine.len();
-                            node.store.extend_values(mine);
-                        }
-                        // Whatever remains belongs to other heirs; keep it
-                        // until the lease expires (they may still promote
-                        // from their own copies — ours is then garbage).
+        // 1. Promotion + lease bookkeeping, on the replica map taken out of
+        // the record so the index stays free for liveness checks.
+        let node = self.nodes.node_at_mut(pos);
+        let pred = node.predecessor;
+        let mut replicas = std::mem::take(&mut node.replicas);
+        let (nodes, placement) = (&mut self.nodes, self.placement);
+        replicas.retain(|primary, (store, age)| {
+            if !nodes.contains_key(primary) {
+                // Promote the part of the replica that now falls in OUR
+                // arc (ownership-gated: only the heir promotes).
+                if let Some(p) = pred {
+                    let mine = store.drain_by(|x| placement.place(x).in_arc(p, id));
+                    if !mine.is_empty() {
+                        promoted += mine.len();
+                        nodes.node_at_mut(pos).store.extend_values(mine);
                     }
                 }
-                // Age the lease; drop expired entries.
-                let (_, age) = node.replicas.get_mut(&primary).expect("listed");
-                *age += 1;
-                if *age > REPLICA_LEASE_ROUNDS {
-                    node.replicas.remove(&primary);
-                }
+                // Whatever remains belongs to other heirs; keep it until
+                // the lease expires (they may still promote from their own
+                // copies — ours is then garbage).
             }
-        }
+            // Age the lease; drop expired entries.
+            *age += 1;
+            *age <= REPLICA_LEASE_ROUNDS
+        });
+        let node = self.nodes.node_at_mut(pos);
+        node.replicas = replicas;
 
         // 2. Refresh our own replicas on the first r alive successors.
-        let (store, succs, succ_len) = {
-            let Some(node) = self.nodes.get(&id) else { return promoted };
-            let (succs, succ_len) = node.successors_snapshot();
-            (node.store.clone(), succs, succ_len)
-        };
+        let store = node.store.clone();
+        let (succs, succ_len) = node.successors_snapshot();
         if store.is_empty() {
             return promoted;
         }
         let mut placed = 0;
-        for &s in &succs[..succ_len] {
+        for (k, &s) in succs[..succ_len].iter().enumerate() {
             if placed >= self.replication {
                 break;
             }
-            if s == id || !self.is_alive(s) {
+            if s == id {
                 continue;
             }
-            let target = self.nodes.get_mut(&s).expect("alive");
+            let Some(target_pos) = self.nodes.position_ahead(s, pos, 1 + k) else { continue };
+            let target = self.nodes.node_at_mut(target_pos);
             let delta = match target.replicas.get(&id) {
                 Some((existing, _)) => store.missing_from(existing),
                 None => store.len(),
@@ -134,12 +126,6 @@ impl Network {
     pub fn total_replica_items(&self) -> u64 {
         self.nodes.values().flat_map(|n| n.replicas.values()).map(|(s, _)| s.len() as u64).sum()
     }
-}
-
-/// Convenience: a store's values as a sorted clone (test helper).
-#[allow(dead_code)]
-fn sorted_clone(s: &LocalStore) -> Vec<f64> {
-    s.values().to_vec()
 }
 
 #[cfg(test)]

@@ -5,8 +5,11 @@
 //! summary construction all cheap — exactly the operations the estimators
 //! exercise.
 
+use crate::id::RingId;
+use crate::placement::Placement;
 use dde_stats::equidepth::EquiDepthSummary;
 use rand::Rng;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The process-wide empty backing vector. Every fresh store borrows this
@@ -209,7 +212,14 @@ impl LocalStore {
     /// Number of items in `self` that are missing from `other` (multiset
     /// difference size, linear merge over both sorted stores). Used to
     /// charge only the *delta* when refreshing replicas.
+    ///
+    /// Two stores that share one backing vector (a replica refreshed from
+    /// this store and not written since) miss nothing, and answer without
+    /// the merge.
     pub fn missing_from(&self, other: &LocalStore) -> usize {
+        if Arc::ptr_eq(&self.sorted, &other.sorted) {
+            return 0;
+        }
         let (a, b) = (&self.sorted, &other.sorted);
         let (mut i, mut j, mut missing) = (0usize, 0usize, 0usize);
         while i < a.len() {
@@ -224,6 +234,29 @@ impl LocalStore {
             }
         }
         missing
+    }
+
+    /// Whether any item's ring position under `placement` lies outside the
+    /// arc `(pred, id]`, decided without writing (so a shared store is not
+    /// copied). The map of range placement is monotone, so ring positions
+    /// never decrease along the sorted store and the items outside the arc
+    /// form a prefix and a suffix, or one middle run `(id, pred]` when the
+    /// arc wraps: two endpoint checks or one binary search decide. Hashed
+    /// placement scans the items.
+    pub(crate) fn any_outside(&self, placement: Placement, pred: RingId, id: RingId) -> bool {
+        let values = &self.sorted[..];
+        let Some(map) = placement.domain_map() else {
+            return values.iter().any(|&x| !placement.place(x).in_arc(pred, id));
+        };
+        let (Some(&lo), Some(&hi)) = (values.first(), values.last()) else { return false };
+        match pred.cmp(&id) {
+            // `(id, id]` is the whole ring.
+            Ordering::Equal => false,
+            Ordering::Less => map.to_ring(lo) <= pred || map.to_ring(hi) > id,
+            Ordering::Greater => values
+                .get(values.partition_point(|&x| map.to_ring(x) <= id))
+                .is_some_and(|&x| map.to_ring(x) <= pred),
+        }
     }
 
     /// Sum of all stored values (for aggregate queries).
@@ -333,6 +366,58 @@ mod tests {
             assert!(s.remove(-first));
             assert!(!s.remove(-first));
             assert_eq!(bits(s.values()), bits(&[-1.0, first, first, 1.0]));
+        }
+    }
+
+    #[test]
+    fn missing_from_counts_the_delta() {
+        let a = LocalStore::from_values(vec![1.0, 2.0, 2.0, 5.0]);
+        assert_eq!(a.missing_from(&a.clone()), 0);
+        let same_length = LocalStore::from_values(vec![1.0, 2.0, 3.0, 5.0]);
+        assert_eq!(a.missing_from(&same_length), 1);
+        assert_eq!(a.missing_from(&LocalStore::new()), 4);
+        assert_eq!(LocalStore::new().missing_from(&a), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The arc check ≡ the per-item scan, under range placement on
+        /// stores holding both zeros, the domain's ends and values clamped
+        /// past them, against arcs that wrap and do not, and `pred == id`.
+        /// Arc ends sit on item positions and next to them, so items on an
+        /// endpoint are common. Hashed placement takes the scan itself.
+        #[test]
+        fn any_outside_matches_the_per_item_scan(seed: u64, len in 0usize..10, hashed: bool) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let placement =
+                if hashed { Placement::hashed(0.0, 100.0) } else { Placement::range(0.0, 100.0) };
+            let pool = [-0.0, 0.0, 100.0, -7.5, 250.0, 12.5, 50.0, 87.5];
+            let values: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => rng.gen::<f64>() * 100.0,
+                    _ => pool[rng.gen_range(0..pool.len())],
+                })
+                .collect();
+            let store = LocalStore::from_values(values.clone());
+            let mut ends = vec![RingId(0), RingId(u64::MAX), RingId(rng.gen())];
+            for &x in &values {
+                let at = placement.place(x).0;
+                ends.extend([RingId(at), RingId(at.wrapping_add(1)), RingId(at.wrapping_sub(1))]);
+            }
+            for &pred in &ends {
+                for &id in &ends {
+                    let scan = values.iter().any(|&x| !placement.place(x).in_arc(pred, id));
+                    proptest::prop_assert_eq!(
+                        store.any_outside(placement, pred, id),
+                        scan,
+                        "values {:?}, arc ({}, {}]",
+                        store.values(),
+                        pred,
+                        id
+                    );
+                }
+            }
         }
     }
 

@@ -121,4 +121,32 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+
+    /// Stabilization under crash faults: the helper lookup toward `id + 1`
+    /// can route through `id` itself, and a crash fault on that hop kills
+    /// the peer whose round it is. That round ends there and every other
+    /// peer's round goes on: no panic, and the local invariants hold after
+    /// every round. Convergence is not asserted, since a storm that kills
+    /// most peers can leave isolated survivors that Chord cannot rejoin.
+    #[test]
+    fn stabilization_survives_crash_faults(
+        seed in 0u64..500,
+        fault_seed: u64,
+        peers in 8usize..=200,
+        crash in 0.0f64..0.08,
+        loss in 0.0f64..0.2,
+        replication in 0usize..3,
+        rounds in 1usize..=4,
+    ) {
+        let mut net = random_net(peers, seed);
+        let items: Vec<f64> = (0..peers * 8).map(|i| (i * 37 % 1000) as f64).collect();
+        net.bulk_load(&items);
+        net.set_replication(replication);
+        net.set_fault_plan(FaultPlan::new(fault_seed).with_crash(crash).with_loss(loss));
+        for round in 0..rounds {
+            net.stabilize_round();
+            let violations = net.check_local_invariants();
+            prop_assert!(violations.is_empty(), "round {round}: {violations:?}");
+        }
+    }
 }
