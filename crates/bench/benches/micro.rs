@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate hot paths: routing, probing, membership
 //! churn, store and summary operations, skeleton assembly, the baseline
-//! estimators, KDE, and metrics.
+//! estimators.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dde_core::{
@@ -10,10 +10,7 @@ use dde_core::{
 use dde_ring::{BatchRouter, ChurnBatch, FingerTable, LocalStore, Network, Placement, RingId};
 use dde_stats::dist::{BoundedPareto, Distribution, Normal, Truncated};
 use dde_stats::equidepth::EquiDepthSummary;
-use dde_stats::kde::{Bandwidth, Kde};
-use dde_stats::metrics::ks_distance;
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::{CdfFn, Ecdf, PiecewiseCdf};
 use rand::Rng;
 
 fn ring_net(p: usize, seed: u64) -> Network {
@@ -93,7 +90,6 @@ fn lookup_batched(c: &mut Criterion) {
                 for _ in 0..w {
                     net.lookup_batched(from, RingId(rng.gen()), &mut batch).expect("routes");
                 }
-                batch.edges_paid()
             });
         });
     }
@@ -137,7 +133,8 @@ fn global_values(c: &mut Criterion) {
 
 fn store_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/store");
-    let store = LocalStore::from_values((0..10_000).map(|i| (i % 997) as f64).collect());
+    let mut store = LocalStore::new();
+    store.extend_values((0..10_000).map(|i| (i % 997) as f64));
     g.bench_function("count_le", |b| b.iter(|| store.count_le(black_box(498.5))));
     g.bench_function("summary_8", |b| b.iter(|| store.summary(8)));
     g.bench_function("summary_64", |b| b.iter(|| store.summary(64)));
@@ -203,24 +200,6 @@ fn baseline_estimates(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-fn kde_eval(c: &mut Criterion) {
-    let dist = Truncated::new(Normal::new(0.0, 1.0), -5.0, 5.0);
-    let mut rng = SeedSequence::new(7).stream(Component::Test, 0);
-    let samples: Vec<f64> = (0..5_000).map(|_| dist.sample(&mut rng)).collect();
-    let kde = Kde::fit(samples, Bandwidth::Silverman, (-5.0, 5.0));
-    c.bench_function("micro/kde_pdf", |b| b.iter(|| kde.pdf(black_box(0.7))));
-}
-
-fn metrics_ks(c: &mut Criterion) {
-    let mut rng = SeedSequence::new(8).stream(Component::Test, 0);
-    let dist = Truncated::new(Normal::new(0.0, 1.0), -5.0, 5.0);
-    let ecdf = Ecdf::new((0..10_000).map(|_| dist.sample(&mut rng)).collect());
-    let pw = PiecewiseCdf::from_points(vec![(-5.0, 0.0), (0.0, 0.5), (5.0, 1.0)]);
-    c.bench_function("micro/ks_distance_2048", |b| b.iter(|| ks_distance(&ecdf, &pw, 2048)));
-    // Keep the CdfFn import meaningfully used.
-    assert!(pw.cdf(0.0) > 0.4);
 }
 
 fn churn(c: &mut Criterion) {
@@ -316,8 +295,6 @@ criterion_group!(
     store_ops,
     equidepth_query,
     skeleton_assembly,
-    baseline_estimates,
-    kde_eval,
-    metrics_ks
+    baseline_estimates
 );
 criterion_main!(micro);

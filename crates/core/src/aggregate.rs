@@ -100,8 +100,7 @@ impl AggregateEstimator {
         let domain = net.placement().domain();
         let prober = DfDde::new(self.config);
         let (replies, cost) = with_cost(net, |net| prober.run_probes(net, initiator, rng))?;
-        let agg = estimate_aggregates(&replies, self.config.weighting)
-            .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })?;
+        let agg = estimate_aggregates(&replies, self.config.weighting)?;
         let skeleton = prober.build_skeleton(&replies, domain)?;
         Ok(AggregateReport {
             count: agg.0,
@@ -116,13 +115,16 @@ impl AggregateEstimator {
 }
 
 /// The HT aggregate arithmetic on raw replies:
-/// `(count, sum, mean, variance)`, or `None` with <2 usable replies.
+/// `(count, sum, mean, variance)`. Fails like [`CdfSkeleton::from_probes`]:
+/// [`EstimateError::InsufficientProbes`], counting the usable replies, with
+/// fewer than 2, and [`EstimateError::NoData`] when the estimated count is
+/// not positive.
 ///
 /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
 fn estimate_aggregates(
     replies: &[ProbeReply],
     weighting: Weighting,
-) -> Option<(f64, f64, f64, f64)> {
+) -> Result<(f64, f64, f64, f64), EstimateError> {
     let usable: Vec<(&ProbeReply, f64)> = replies
         .iter()
         .filter_map(|r| {
@@ -132,7 +134,7 @@ fn estimate_aggregates(
         })
         .collect();
     if usable.len() < 2 {
-        return None;
+        return Err(EstimateError::InsufficientProbes { got: usable.len(), need: 2 });
     }
     let k = usable.len() as f64;
     let weight = |s: f64| match weighting {
@@ -141,13 +143,13 @@ fn estimate_aggregates(
     };
     let n: f64 = usable.iter().map(|(r, s)| r.count as f64 * weight(*s)).sum::<f64>() / k;
     if n <= 0.0 {
-        return None;
+        return Err(EstimateError::NoData);
     }
     let sum: f64 = usable.iter().map(|(r, s)| r.sum * weight(*s)).sum::<f64>() / k;
     let sum_sq: f64 = usable.iter().map(|(r, s)| r.sum_sq * weight(*s)).sum::<f64>() / k;
     let mean = sum / n;
     let variance = (sum_sq / n - mean * mean).max(0.0);
-    Some((n, sum, mean, variance))
+    Ok((n, sum, mean, variance))
 }
 
 #[cfg(test)]
@@ -279,5 +281,17 @@ mod tests {
         assert!((mean - 25.0).abs() < 1e-9);
         // E[X²] = 29100/40 = 727.5; var = 727.5 - 625 = 102.5.
         assert!((var - 102.5).abs() < 1e-9);
+    }
+
+    /// The aggregate query over a ring with no items fails with `NoData`,
+    /// like the estimate.
+    #[test]
+    fn query_on_a_ring_without_items_is_no_data() {
+        let mut net = build_net(32, 0, &DistributionKind::Uniform, 5);
+        let mut rng = StdRng::seed_from_u64(1);
+        let initiator = net.random_peer(&mut rng).unwrap();
+        let est = AggregateEstimator::new(DfDdeConfig::with_probes(16));
+        let result = est.query(&mut net, initiator, &mut rng);
+        assert!(matches!(result, Err(EstimateError::NoData)), "{:?}", result.err());
     }
 }

@@ -178,7 +178,6 @@ impl DfDde {
         domain: (f64, f64),
     ) -> Result<CdfSkeleton, EstimateError> {
         CdfSkeleton::from_probes(replies, domain, SUPPORT_CAP, self.config.weighting)
-            .ok_or(EstimateError::InsufficientProbes { got: replies.len(), need: 2 })
     }
 }
 
@@ -416,5 +415,17 @@ mod tests {
             .unwrap();
         let ks = est.estimate.ks_to(dist.as_ref());
         assert!(ks < 0.1, "hashed-placement ks = {ks}");
+    }
+
+    /// A ring that holds no items estimates `N̂ = 0`, and the estimate says
+    /// so, rather than reading as a shortfall of probes.
+    #[test]
+    fn estimate_on_a_ring_without_items_is_no_data() {
+        let mut net = build_net(32, 0, &DistributionKind::Uniform, 5);
+        let mut rng = StdRng::seed_from_u64(1);
+        let initiator = net.random_peer(&mut rng).unwrap();
+        let est = DfDde::new(DfDdeConfig::with_probes(16));
+        let result = est.estimate(&mut net, initiator, &mut rng);
+        assert!(matches!(result, Err(EstimateError::NoData)), "{:?}", result.err());
     }
 }

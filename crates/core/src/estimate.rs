@@ -1,7 +1,6 @@
 //! The estimate object: a global CDF/density with query and scoring methods.
 
 use dde_stats::inversion;
-use dde_stats::kde::{Bandwidth, Kde};
 use dde_stats::metrics;
 use dde_stats::{CdfFn, Histogram, PiecewiseCdf};
 use rand::Rng;
@@ -75,17 +74,6 @@ impl DensityEstimate {
     /// An equi-width histogram of the estimate with `bins` bins.
     pub fn to_histogram(&self, bins: usize) -> Histogram {
         Histogram::from_cdf(&self.cdf, bins)
-    }
-
-    /// A KDE over the fetched/synthesized samples (falls back to `m`
-    /// synthesized samples when no real tuples were fetched).
-    pub fn to_kde<R: Rng + ?Sized>(&self, m: usize, rng: &mut R) -> Kde {
-        let samples = if self.samples.is_empty() {
-            self.synthesize_samples(m, rng)
-        } else {
-            self.samples.clone()
-        };
-        Kde::fit(samples, Bandwidth::Silverman, self.cdf.domain())
     }
 
     /// Estimated mean of the global data, `∫ x·f̂(x) dx`, integrated exactly
@@ -186,8 +174,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A skeleton through control points that are already clean (cleaning
+    /// leaves them as they are).
+    fn clean(points: Vec<(f64, f64)>) -> PiecewiseCdf {
+        PiecewiseCdf::from_noisy_points(points).expect("at least two points")
+    }
+
     fn uniform_estimate() -> DensityEstimate {
-        DensityEstimate::from_cdf(PiecewiseCdf::from_points(vec![(0.0, 0.0), (10.0, 1.0)]))
+        DensityEstimate::from_cdf(clean(vec![(0.0, 0.0), (10.0, 1.0)]))
     }
 
     #[test]
@@ -242,11 +236,7 @@ mod tests {
     fn moments_of_asymmetric_skeleton() {
         // 80% of mass uniform on [0,1], 20% uniform on [1,9]:
         // mean = 0.8·0.5 + 0.2·5 = 1.4.
-        let e = DensityEstimate::from_cdf(PiecewiseCdf::from_points(vec![
-            (0.0, 0.0),
-            (1.0, 0.8),
-            (9.0, 1.0),
-        ]));
+        let e = DensityEstimate::from_cdf(clean(vec![(0.0, 0.0), (1.0, 0.8), (9.0, 1.0)]));
         assert!((e.mean() - 1.4).abs() < 1e-12);
         // E[X²] = 0.8/3 + 0.2·(1+9+81)/3 = 0.2667 + 6.0667 = 6.3333.
         let var = 0.8 / 3.0 + 0.2 * 91.0 / 3.0 - 1.4 * 1.4;
@@ -255,20 +245,5 @@ mod tests {
         assert!((e.mode() - 0.5).abs() < 1e-12);
         // Concentrated data has lower entropy than U(0,9) would.
         assert!(e.entropy() < 9.0f64.ln());
-    }
-
-    #[test]
-    fn kde_prefers_real_samples() {
-        let cdf = PiecewiseCdf::from_points(vec![(0.0, 0.0), (10.0, 1.0)]);
-        let e = DensityEstimate::with_samples(cdf, vec![5.0; 40]);
-        let mut rng = StdRng::seed_from_u64(2);
-        // All real samples at 5.0 → KDE peaks there even though the skeleton
-        // is uniform. (Silverman would degenerate on identical points; the
-        // sample list has slight jitter in realistic runs, so jitter here.)
-        let cdf2 = e.skeleton().clone();
-        let jittered: Vec<f64> = (0..40).map(|i| 5.0 + (i as f64 - 20.0) * 0.001).collect();
-        let e = DensityEstimate::with_samples(cdf2, jittered);
-        let kde = e.to_kde(100, &mut rng);
-        assert!(kde.pdf(5.0) > kde.pdf(1.0) * 5.0);
     }
 }

@@ -27,8 +27,8 @@
 //! 2. **Phase 2 — inversion sampling.** Unbiased samples of the global data
 //!    distribution come from `F̂⁻¹(u)` — synthesized locally from the
 //!    skeleton, or fetched as *real tuples* by routing to the peer owning
-//!    quantile `u`. Density is read off the skeleton, a histogram, or a KDE
-//!    over the samples.
+//!    quantile `u`. Density is read straight off the skeleton (or an
+//!    equi-width histogram of it).
 //!
 //! Because step 1 corrects with *known* inclusion probabilities and step 2 is
 //! exact inversion, nothing anywhere assumes a distribution family — hence

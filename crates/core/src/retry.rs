@@ -32,11 +32,6 @@ impl RetryPolicy {
         Self { max_attempts: 1, ..Self::default() }
     }
 
-    /// A policy with `max_attempts` attempts and default timing.
-    pub fn with_attempts(max_attempts: usize) -> Self {
-        Self { max_attempts: max_attempts.max(1), ..Self::default() }
-    }
-
     /// Backoff before retry number `retry` (1-based): exponential in the
     /// retry index, capped to avoid shifting into oblivion.
     fn backoff(&self, retry: usize) -> u64 {
@@ -83,12 +78,6 @@ mod tests {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts, 1);
         assert_eq!(p.failed_attempt_cost(0), p.attempt_timeout);
-    }
-
-    #[test]
-    fn with_attempts_clamps_to_at_least_one() {
-        assert_eq!(RetryPolicy::with_attempts(0).max_attempts, 1);
-        assert_eq!(RetryPolicy::with_attempts(6).max_attempts, 6);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! paper's "free from sampling bias" claim is about; experiment T3 measures
 //! the difference.
 
+use crate::estimator::EstimateError;
 use dde_ring::ProbeReply;
 use dde_stats::equidepth::{pooled_cdf_points, PoolTerm};
 use dde_stats::PiecewiseCdf;
@@ -49,8 +50,6 @@ pub struct CdfSkeleton {
     pub cdf: PiecewiseCdf,
     /// Estimated global item count `N̂`.
     pub n_hat: f64,
-    /// Standard error of `N̂` (per-draw sample variance / √k).
-    pub n_stderr: f64,
     /// Probe replies actually used (replies without a known predecessor are
     /// dropped — their inclusion probability is unknown).
     pub probes_used: usize,
@@ -61,8 +60,10 @@ impl CdfSkeleton {
     ///
     /// `domain` pins the CDF's endpoints; `support_cap` bounds the number of
     /// interior support points (uniformly thinned if the union of summary
-    /// boundaries exceeds it). Returns `None` when fewer than 2 usable
-    /// replies exist or the estimated total is not positive.
+    /// boundaries exceeds it). Fails with
+    /// [`EstimateError::InsufficientProbes`], counting the usable replies,
+    /// when fewer than 2 exist, and with [`EstimateError::NoData`] when the
+    /// estimated total is not positive.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
     pub fn from_probes(
@@ -70,7 +71,7 @@ impl CdfSkeleton {
         domain: (f64, f64),
         support_cap: usize,
         weighting: Weighting,
-    ) -> Option<CdfSkeleton> {
+    ) -> Result<CdfSkeleton, EstimateError> {
         debug_assert!(domain.0 < domain.1);
         // Usable replies: inclusion probability must be known.
         let usable = || {
@@ -82,7 +83,7 @@ impl CdfSkeleton {
         };
         let probes_used = usable().count();
         if probes_used < 2 {
-            return None;
+            return Err(EstimateError::InsufficientProbes { got: probes_used, need: 2 });
         }
         let k = probes_used as f64;
 
@@ -91,14 +92,10 @@ impl CdfSkeleton {
             Weighting::Unweighted => 1.0,
         };
 
-        // N̂ and its standard error.
-        let draw = |(r, s): (&ProbeReply, f64)| r.count as f64 * weight(s);
-        let n_hat = usable().map(draw).sum::<f64>() / k;
+        let n_hat = usable().map(|(r, s)| r.count as f64 * weight(s)).sum::<f64>() / k;
         if n_hat <= 0.0 {
-            return None;
+            return Err(EstimateError::NoData);
         }
-        let var = usable().map(|u| (draw(u) - n_hat).powi(2)).sum::<f64>() / (k - 1.0).max(1.0);
-        let n_stderr = (var / k).sqrt();
 
         // Ĉ(x) at each support point, then F̂ = Ĉ/N̂.
         let points = pooled_cdf_points(
@@ -107,8 +104,10 @@ impl CdfSkeleton {
             support_cap,
             |c| c / k / n_hat,
         );
-        let cdf = PiecewiseCdf::from_noisy_points(points)?;
-        Some(CdfSkeleton { cdf, n_hat, n_stderr, probes_used })
+        // The domain's ends are two distinct points, so this cannot fail
+        // while N̂ is a positive number.
+        let cdf = PiecewiseCdf::from_noisy_points(points).ok_or(EstimateError::NoData)?;
+        Ok(CdfSkeleton { cdf, n_hat, probes_used })
     }
 }
 
@@ -210,9 +209,46 @@ mod tests {
     #[test]
     fn too_few_replies_is_none() {
         let replies = vec![uniform_replies().remove(0)];
-        assert!(CdfSkeleton::from_probes(&replies, (0.0, 100.0), 1024, Weighting::HorvitzThompson)
-            .is_none());
-        assert!(CdfSkeleton::from_probes(&[], (0.0, 100.0), 64, Weighting::Unweighted).is_none());
+        assert_eq!(
+            CdfSkeleton::from_probes(&replies, (0.0, 100.0), 1024, Weighting::HorvitzThompson)
+                .unwrap_err(),
+            EstimateError::InsufficientProbes { got: 1, need: 2 }
+        );
+        assert_eq!(
+            CdfSkeleton::from_probes(&[], (0.0, 100.0), 64, Weighting::Unweighted).unwrap_err(),
+            EstimateError::InsufficientProbes { got: 0, need: 2 }
+        );
+    }
+
+    /// Replies without a predecessor are not counted as usable: four
+    /// replies, three of them without, are one usable reply, not four.
+    #[test]
+    fn insufficient_probes_counts_usable_replies() {
+        let mut replies = uniform_replies();
+        for r in &mut replies[1..] {
+            r.predecessor = None;
+        }
+        assert_eq!(
+            CdfSkeleton::from_probes(&replies, (0.0, 100.0), 1024, Weighting::HorvitzThompson)
+                .unwrap_err(),
+            EstimateError::InsufficientProbes { got: 1, need: 2 }
+        );
+    }
+
+    /// Replies that all count 0 estimate `N̂ = 0`: the ring holds no data,
+    /// whatever the number of replies.
+    #[test]
+    fn all_empty_replies_are_no_data() {
+        let replies: Vec<ProbeReply> = uniform_replies()
+            .iter()
+            .map(|r| reply(r.peer.0, r.predecessor.unwrap().0, vec![]))
+            .collect();
+        for weighting in [Weighting::HorvitzThompson, Weighting::Unweighted] {
+            assert_eq!(
+                CdfSkeleton::from_probes(&replies, (0.0, 100.0), 1024, weighting).unwrap_err(),
+                EstimateError::NoData
+            );
+        }
     }
 
     #[test]
@@ -238,18 +274,5 @@ mod tests {
             .unwrap();
         assert_eq!(sk.probes_used, 5);
         assert!(sk.n_hat > 0.0);
-    }
-
-    #[test]
-    fn stderr_is_zero_for_identical_draws() {
-        // All peers identical in weighted count → zero variance.
-        let sk = CdfSkeleton::from_probes(
-            &uniform_replies(),
-            (0.0, 100.0),
-            1024,
-            Weighting::HorvitzThompson,
-        )
-        .unwrap();
-        assert!(sk.n_stderr < 1e-6, "stderr = {}", sk.n_stderr);
     }
 }

@@ -99,7 +99,7 @@ fn partial_reply_set_still_yields_monotone_skeleton() {
 
     let k = 16;
     let est = DfDde::new(DfDdeConfig {
-        retry: RetryPolicy::with_attempts(2),
+        retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
         ..DfDdeConfig::with_probes(k)
     });
     let initiator = net.ids().next().expect("nonempty");

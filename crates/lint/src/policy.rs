@@ -27,7 +27,6 @@ pub const D6_FILES: &[&str] = &[
     "crates/stats/src/ecdf.rs",
     "crates/stats/src/equidepth.rs",
     "crates/stats/src/piecewise.rs",
-    "crates/stats/src/kde.rs",
     "crates/stats/src/histogram.rs",
     "crates/sim/src/workload.rs",
     "crates/ring/src/arena.rs",
@@ -178,6 +177,18 @@ fn in_det_src(path: &str) -> bool {
         src.push_str("src/");
         path.starts_with(&src)
     })
+}
+
+/// Whether code in the file at `path` can ship a call (rule D11): library
+/// src of the deterministic crates, the `ring-dde` and `expts` binaries, the
+/// benchmark harness and the examples. Tests, benches, the linter and the
+/// shims cannot, and neither can a `#[cfg(test)]` region in any file (that
+/// exclusion is positional, in dead.rs).
+pub fn ships(path: &str) -> bool {
+    in_det_src(path)
+        || ["crates/cli/src/", "crates/bench/src/", "ringbench/src/", "examples/"]
+            .iter()
+            .any(|dir| path.starts_with(dir))
 }
 
 /// Whether `rule` applies to the file at `path` (before `#[cfg(test)]`

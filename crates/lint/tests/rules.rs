@@ -95,7 +95,7 @@ fn d5_allow_and_binary_crate_exemption() {
 
 #[test]
 fn d6_flags_missing_and_contractless_docs() {
-    let v = check_fixture("d6_violation.rs", "crates/stats/src/kde.rs");
+    let v = check_fixture("d6_violation.rs", "crates/stats/src/histogram.rs");
     assert_eq!(rules_of(&v), vec![RuleId::D6, RuleId::D6]);
     assert!(v[0].message.contains("does not name"), "{}", v[0].message);
     assert!(v[1].message.contains("no doc comment"), "{}", v[1].message);
@@ -103,7 +103,7 @@ fn d6_flags_missing_and_contractless_docs() {
 
 #[test]
 fn d6_satisfied_by_contract_line_or_reasoned_allow() {
-    let v = check_fixture("d6_allowed.rs", "crates/stats/src/kde.rs");
+    let v = check_fixture("d6_allowed.rs", "crates/stats/src/histogram.rs");
     assert!(v.is_empty(), "{v:?}");
 }
 

@@ -206,8 +206,16 @@ fn dead_names(violations: &[Violation]) -> Vec<&str> {
 
 #[test]
 fn d11_flags_pub_fns_named_elsewhere_only_in_comments_or_strings() {
-    // A name used only by the benchmark harness or an example is used.
-    for user in ["ringbench/src/main.rs", "examples/demo.rs"] {
+    // A name used only by shipped code elsewhere is used: a sibling library
+    // file, the `ring-dde` or `expts` binary, the benchmark harness or an
+    // example.
+    for user in [
+        "crates/core/src/fixture_user.rs",
+        "crates/cli/src/main.rs",
+        "crates/bench/src/main.rs",
+        "ringbench/src/main.rs",
+        "examples/demo.rs",
+    ] {
         let v = check_corpus(&[
             ("crates/stats/src/fixture.rs", "d11_violation.rs"),
             (user, "d11_user.rs"),
@@ -234,4 +242,38 @@ fn d11_skips_restricted_and_test_fns_and_needs_another_file() {
     // Binaries, tests and benches have no public API.
     let v = check_corpus(&[("crates/bench/src/fixture.rs", "d11_violation.rs")]);
     assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn d11_counts_no_mention_in_code_that_cannot_ship() {
+    // Tests, benches, the linter and the shims never call a library fn in
+    // a shipped build, so a fn named only there is reported like one named
+    // nowhere.
+    let all_dead = ["mentioned_only", "called_elsewhere", "called_here_only"];
+    for user in [
+        "crates/stats/tests/props.rs",
+        "tests/end_to_end.rs",
+        "crates/bench/benches/micro.rs",
+        "crates/lint/src/fixture_user.rs",
+        "shims/proptest/src/lib.rs",
+    ] {
+        let v = check_corpus(&[
+            ("crates/stats/src/fixture.rs", "d11_violation.rs"),
+            (user, "d11_user.rs"),
+        ]);
+        assert_eq!(dead_names(&v), all_dead, "{user}: {v:?}");
+    }
+
+    // Nor does a `#[cfg(test)]` module of another library file, while the
+    // same call outside it counts.
+    let user = fixture("d11_user.rs");
+    let gated = format!("#[cfg(test)]\nmod tests {{\n{user}}}\n");
+    for (src, dead) in [(gated, &all_dead[..]), (user, &["mentioned_only", "called_here_only"][..])]
+    {
+        let v = check_workspace(&[
+            ("crates/stats/src/fixture.rs".to_string(), fixture("d11_violation.rs")),
+            ("crates/core/src/fixture_user.rs".to_string(), src),
+        ]);
+        assert_eq!(dead_names(&v), dead, "{v:?}");
+    }
 }

@@ -69,12 +69,6 @@ impl BatchRouter {
         }
     }
 
-    /// Number of distinct hop edges paid for in the current window.
-    /// Deterministic: reads the window's edge count.
-    pub fn edges_paid(&self) -> usize {
-        self.len
-    }
-
     /// Whether `from → to` was already paid this window; records it if not.
     /// Deterministic: the answer depends only on the window's edge set, not
     /// on where the fixed hash places edges.
@@ -140,9 +134,9 @@ mod tests {
         assert!(b.seen_or_insert(a, c));
         // Edges are directed.
         assert!(!b.seen_or_insert(c, a));
-        assert_eq!(b.edges_paid(), 2);
+        assert_eq!(b.len, 2);
         b.begin_window();
-        assert_eq!(b.edges_paid(), 0);
+        assert_eq!(b.len, 0);
         assert!(!b.seen_or_insert(a, c));
     }
 
@@ -189,7 +183,7 @@ mod tests {
                     reference.push((from, to));
                 }
                 prop_assert_eq!(table.seen_or_insert(from, to), seen);
-                prop_assert_eq!(table.edges_paid(), reference.len());
+                prop_assert_eq!(table.len, reference.len());
             }
         }
     }

@@ -163,6 +163,7 @@ impl FaultPlan {
     }
 
     /// Sets the crash-mid-request probability.
+    // ddelint::allow(dead-pub, "no shipped path installs a crash fault, but the crash property tests in fault_properties.rs and probe_round.rs do, and it keeps the fault setters whole beside with_loss and with_reply_loss")
     pub fn with_crash(mut self, p: f64) -> Self {
         self.crash = p;
         self
@@ -211,7 +212,7 @@ impl FaultPlan {
     }
 
     /// Whether the heterogeneous-capacity axis is active.
-    pub fn capacity_active(&self) -> bool {
+    fn capacity_active(&self) -> bool {
         self.capacity_slow > 0.0 && self.capacity_factor > 1
     }
 

@@ -239,16 +239,23 @@ impl Network {
                 // must still drop its dead predecessor and run notify, or it
                 // freezes the whole neighborhood in a broken fixed point.
                 let node = self.nodes.node_at(pos);
-                let fallback = node
+                let pointer = node
                     .fingers
                     .present()
                     .chain(node.predecessor)
                     .filter(|&f| f != id)
                     .find_map(|f| Some((f, self.nodes.position_of(f)?)));
+                // Fully isolated: nothing outgoing is alive, and no other
+                // peer's routing state names us, so waiting to be found
+                // never ends. Take a temporary successor from the long-term
+                // peer cache, as step 3b and the join bootstrap do; the
+                // round below unwinds it into ring order.
+                let fallback = pointer.or_else(|| {
+                    let f = self.random_maintenance_peer(id)?;
+                    Some((f, self.nodes.position_of(f)?))
+                });
                 let Some((f, f_pos)) = fallback else {
-                    // Fully isolated: nothing outgoing is alive. Drop a
-                    // dead predecessor so inbound notifies can re-adopt
-                    // us, then wait to be found.
+                    // Alone on the ring: drop a dead predecessor and wait.
                     self.nodes.node_at_mut(pos).successors = succs;
                     return corrections + self.drop_dead_predecessor(pos);
                 };
@@ -659,6 +666,7 @@ mod tests {
                         .present()
                         .chain(node.predecessor)
                         .find(|&f| f != id && self.is_alive(f));
+                    let fallback = fallback.or_else(|| self.random_maintenance_peer(id));
                     match fallback {
                         Some(f) => {
                             self.nodes
@@ -672,9 +680,8 @@ mod tests {
                             f
                         }
                         None => {
-                            // Fully isolated: nothing outgoing is alive. Drop a
-                            // dead predecessor so inbound notifies can re-adopt
-                            // us, then wait to be found.
+                            // Alone on the ring: drop a dead predecessor and
+                            // wait.
                             corrections += self.reference_drop_dead_predecessor(id);
                             return corrections;
                         }

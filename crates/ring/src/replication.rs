@@ -121,11 +121,6 @@ impl Network {
         }
         promoted
     }
-
-    /// Total items held as replicas across the network (diagnostics).
-    pub fn total_replica_items(&self) -> u64 {
-        self.nodes.values().flat_map(|n| n.replicas.values()).map(|(s, _)| s.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -134,6 +129,11 @@ mod tests {
     use crate::placement::Placement;
     use dde_stats::rng::{Component, SeedSequence};
     use rand::Rng;
+
+    /// Total items held as replicas across the network.
+    fn total_replica_items(net: &Network) -> u64 {
+        net.nodes.values().flat_map(|n| n.replicas.values()).map(|(s, _)| s.len() as u64).sum()
+    }
 
     fn net_with_data(peers: usize, items: usize, seed: u64) -> Network {
         let seq = SeedSequence::new(seed);
@@ -154,10 +154,10 @@ mod tests {
         net.set_replication(2);
         // Every non-empty primary has 2 replicas ⇒ replica items ≈ 2 × total.
         let total = net.total_items();
-        assert_eq!(net.total_replica_items(), 2 * total);
+        assert_eq!(total_replica_items(&net), 2 * total);
         // Replication off clears them.
         net.set_replication(0);
-        assert_eq!(net.total_replica_items(), 0);
+        assert_eq!(total_replica_items(&net), 0);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
     fn leases_garbage_collect_stale_entries() {
         let mut net = net_with_data(16, 800, 5);
         net.set_replication(1);
-        let replica_items_seeded = net.total_replica_items();
+        let replica_items_seeded = total_replica_items(&net);
         assert!(replica_items_seeded > 0);
         // A graceful leave removes the primary; its data moves to the heir,
         // whose own replication re-replicates it. The departed peer's stale

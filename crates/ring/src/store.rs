@@ -52,12 +52,6 @@ impl LocalStore {
         Self { sorted: shared_empty() }
     }
 
-    /// Builds from unsorted values.
-    pub fn from_values(mut values: Vec<f64>) -> Self {
-        values.sort_by(f64::total_cmp);
-        Self { sorted: Arc::new(values) }
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -276,6 +270,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A store of `values` in any order.
+    fn from_values(mut values: Vec<f64>) -> LocalStore {
+        values.sort_by(f64::total_cmp);
+        LocalStore { sorted: Arc::new(values) }
+    }
+
     #[test]
     fn insert_keeps_sorted() {
         let mut s = LocalStore::new();
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn count_queries() {
-        let s = LocalStore::from_values(vec![1.0, 2.0, 2.0, 5.0, 8.0]);
+        let s = from_values(vec![1.0, 2.0, 2.0, 5.0, 8.0]);
         assert_eq!(s.count_le(0.0), 0);
         assert_eq!(s.count_le(2.0), 3);
         assert_eq!(s.count_le(100.0), 5);
@@ -299,14 +299,14 @@ mod tests {
 
     #[test]
     fn drain_all_empties() {
-        let mut s = LocalStore::from_values(vec![1.0, 2.0]);
+        let mut s = from_values(vec![1.0, 2.0]);
         assert_eq!(s.drain_all(), vec![1.0, 2.0]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn sample_uniform_covers_items() {
-        let s = LocalStore::from_values(vec![1.0, 2.0, 3.0]);
+        let s = from_values(vec![1.0, 2.0, 3.0]);
         let mut rng = StdRng::seed_from_u64(4);
         let mut seen = [false; 3];
         for _ in 0..100 {
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn quantiles() {
-        let s = LocalStore::from_values((1..=100).map(f64::from).collect());
+        let s = from_values((1..=100).map(f64::from).collect());
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(0.5), Some(50.0));
         assert_eq!(s.quantile(1.0), Some(100.0));
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn summary_matches_store_counts() {
-        let s = LocalStore::from_values((0..1000).map(|i| (i % 97) as f64).collect());
+        let s = from_values((0..1000).map(|i| (i % 97) as f64).collect());
         let sum = s.summary(16);
         assert_eq!(sum.total(), 1000);
         for x in [0.0, 10.0, 48.0, 96.0] {
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn extend_values_bulk() {
-        let mut s = LocalStore::from_values(vec![5.0]);
+        let mut s = from_values(vec![5.0]);
         s.extend_values([3.0, 9.0, 1.0]);
         assert_eq!(s.values(), &[1.0, 3.0, 5.0, 9.0]);
     }
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn both_zeros_keep_total_order_in_either_arrival_order() {
         for first in [-0.0, 0.0] {
-            let mut s = LocalStore::from_values(vec![1.0, -1.0]);
+            let mut s = from_values(vec![1.0, -1.0]);
             for x in [first, -first, first] {
                 s.insert(x);
             }
@@ -371,9 +371,9 @@ mod tests {
 
     #[test]
     fn missing_from_counts_the_delta() {
-        let a = LocalStore::from_values(vec![1.0, 2.0, 2.0, 5.0]);
+        let a = from_values(vec![1.0, 2.0, 2.0, 5.0]);
         assert_eq!(a.missing_from(&a.clone()), 0);
-        let same_length = LocalStore::from_values(vec![1.0, 2.0, 3.0, 5.0]);
+        let same_length = from_values(vec![1.0, 2.0, 3.0, 5.0]);
         assert_eq!(a.missing_from(&same_length), 1);
         assert_eq!(a.missing_from(&LocalStore::new()), 4);
         assert_eq!(LocalStore::new().missing_from(&a), 0);
@@ -399,7 +399,7 @@ mod tests {
                     _ => pool[rng.gen_range(0..pool.len())],
                 })
                 .collect();
-            let store = LocalStore::from_values(values.clone());
+            let store = from_values(values.clone());
             let mut ends = vec![RingId(0), RingId(u64::MAX), RingId(rng.gen())];
             for &x in &values {
                 let at = placement.place(x).0;

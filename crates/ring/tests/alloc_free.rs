@@ -7,7 +7,7 @@
 //! stack successor snapshots, array-indexed message counters — and this
 //! test is the regression fence that keeps it that way.
 
-use dde_ring::{BatchRouter, ChurnBatch, Network, Placement, RingId};
+use dde_ring::{BatchRouter, ChurnBatch, MessageKind, Network, Placement, RingId};
 use dde_stats::alloc::{thread_allocations, CountingAlloc};
 use dde_stats::rng::{Component, SeedSequence};
 use rand::rngs::StdRng;
@@ -95,10 +95,12 @@ fn wide_batch_windows_reuse_the_edge_table() {
     let mut batch = BatchRouter::new();
     let window = |net: &mut Network, batch: &mut BatchRouter, rng: &mut StdRng| {
         batch.begin_window();
+        let before = net.stats().count(MessageKind::LookupHop);
         for _ in 0..512 {
             net.lookup_batched(from, RingId(rng.gen()), batch).expect("routes");
         }
-        batch.edges_paid()
+        // Each hop edge paid in the window charges two `LookupHop` messages.
+        (net.stats().count(MessageKind::LookupHop) - before) / 2
     };
 
     for _ in 0..2 {

@@ -99,6 +99,7 @@ pub fn adversarial_ids(
 /// data share are uncorrelated (uniform ids); large and positive when dense
 /// peers own long arcs (this module's layout). Diagnostic for tests and the
 /// F13 report.
+// ddelint::allow(dead-pub, "the measure the adversarial layout is built to maximize; build.rs and adversary_props.rs assert through it that the layout earns its name")
 pub fn arc_weighted_bias(net: &Network) -> f64 {
     let ids: Vec<RingId> = net.ids().collect();
     let p = ids.len();

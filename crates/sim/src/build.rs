@@ -492,7 +492,8 @@ mod tests {
             .with_partition(PartitionSpec { start_pm: 100, span_pm: 200 });
         let built = build_fresh(&s);
         let plan = built.net.fault_plan().expect("axes install a plan");
-        assert!(plan.capacity_active());
+        assert!(plan.capacity_slow > 0.0 && plan.capacity_factor > 1, "capacity axis on");
+        assert!(plan.partition.is_some(), "partition axis on");
         assert!(build_fresh(&Scenario::default().with_peers(16).with_items(500))
             .net
             .fault_plan()

@@ -347,6 +347,7 @@ pub struct Schedule {
 
 /// Generates the schedule for `cfg`: `cfg.events` events drawn from a
 /// dedicated RNG stream of the master seed.
+// ddelint::allow(dead-pub, "the schedule generator behind fuzz; dst_smoke.rs pins its stream and repro lines against a golden, which fuzz alone cannot expose")
 pub fn generate(cfg: &DstConfig) -> Schedule {
     let seq = SeedSequence::new(cfg.seed);
     let mut rng = seq.stream(Component::Test, 0);

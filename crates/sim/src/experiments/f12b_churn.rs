@@ -70,6 +70,7 @@ pub fn churn_sweep(scale: Scale) -> Vec<usize> {
 
 /// The scenario for one sweep point: F12's shape (items ∝ P, skewed Zipf
 /// under range placement) re-seeded for the churn column.
+// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
 pub fn churn_scenario(p: usize) -> Scenario {
     scale_scenario(p).with_seed(CHURN_SEED)
 }
@@ -104,6 +105,7 @@ impl ChurnPhaseStats {
 /// — as a single [`ChurnBatch`]. Victim collisions are resolved by the
 /// batch's one-event-per-id policy (skipped, counted). Shared with the
 /// nightly budget test, which times exactly this call.
+// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
 pub fn membership_batch(
     net: &mut Network,
     batch: &mut ChurnBatch,
@@ -134,6 +136,7 @@ pub fn membership_batch(
 /// (uniform over stores) and inserts the same number of fresh draws from
 /// the generating distribution, both through the direct-placement path.
 /// Returns `(inserted, removed)` for the caller's truth journal.
+// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
 pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f64>) {
     let seq = SeedSequence::new(built.scenario.seed);
     let mut rng = seq.stream(Component::Churn, 2 * round + 1);
@@ -157,6 +160,7 @@ pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f6
 /// membership batch + item turnover, with the ground truth kept in sync
 /// (delta journals for analytic cells, one ECDF re-collection at the end
 /// for empirical cells).
+// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
 pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
     let mut phase = ChurnPhaseStats::default();
     let seed = built.scenario.seed;

@@ -51,6 +51,7 @@ fn rate_sweep(scale: Scale) -> Vec<f64> {
 
 /// The mid rate point — where the ≥ 50 % piggyback displacement claim is
 /// asserted (low rates legitimately cover fewer strata per cycle).
+// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
 pub fn mid_rate(scale: Scale) -> f64 {
     let rates = rate_sweep(scale);
     rates[rates.len() / 2]
@@ -64,6 +65,7 @@ fn mix_sweep() -> Vec<OpMix> {
 }
 
 /// The serving scenario: a mid-size ring with the default skewed workload.
+// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
 pub fn f14_scenario(scale: Scale) -> Scenario {
     match scale {
         Scale::Quick => Scenario::default().with_peers(64).with_items(5_000).with_seed(1401),
@@ -72,6 +74,7 @@ pub fn f14_scenario(scale: Scale) -> Scenario {
 }
 
 /// The spec for one cell.
+// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
 pub fn f14_spec(rate: f64, mix: OpMix, serving: bool, scale: Scale) -> WorkloadSpec {
     WorkloadSpec {
         rate,

@@ -74,11 +74,6 @@ impl HotspotZipf {
     pub fn exponent(&self) -> f64 {
         self.exponent
     }
-
-    /// Mass of cell `i` (for tests and bias diagnostics).
-    pub fn cell_mass(&self, i: usize) -> f64 {
-        self.cells.mass(i)
-    }
 }
 
 impl CdfFn for HotspotZipf {
@@ -135,13 +130,13 @@ mod tests {
         let centre = cells / 2;
         for i in centre..cells - 1 {
             assert!(
-                h.cell_mass(i) >= h.cell_mass(i + 1) - 1e-15,
+                h.cells.mass(i) >= h.cells.mass(i + 1) - 1e-15,
                 "right flank not decaying at cell {i}"
             );
         }
         for i in (1..centre).rev() {
             assert!(
-                h.cell_mass(i) >= h.cell_mass(i - 1) - 1e-15,
+                h.cells.mass(i) >= h.cells.mass(i - 1) - 1e-15,
                 "left flank not decaying at cell {i}"
             );
         }
@@ -165,7 +160,7 @@ mod tests {
                     .fold(f64::INFINITY, f64::min);
                 d <= cells as f64 / 8.0
             })
-            .map(|i| h.cell_mass(i))
+            .map(|i| h.cells.mass(i))
             .sum();
         assert!(near > 0.6, "hotspot quarter holds only {near} of the mass");
     }

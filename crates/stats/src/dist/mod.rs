@@ -28,7 +28,7 @@ pub use exponential::Exponential;
 pub use hotspot::HotspotZipf;
 pub use lognormal::LogNormal;
 pub use mixture::Mixture;
-pub use normal::{erf, inv_norm_cdf, std_norm_cdf, Normal};
+pub use normal::{inv_norm_cdf, std_norm_cdf, Normal};
 pub use pareto::BoundedPareto;
 pub use truncated::Truncated;
 pub use uniform::Uniform;

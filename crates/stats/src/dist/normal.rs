@@ -1,5 +1,4 @@
-//! Normal distribution, with the error-function machinery used throughout
-//! the crate (the KDE's Gaussian-kernel CDF also relies on [`erf`]).
+//! Normal distribution, with the error-function machinery behind its CDF.
 
 use super::Distribution;
 use crate::CdfFn;
@@ -73,7 +72,7 @@ pub fn std_norm_cdf(z: f64) -> f64 {
 /// approximations in three ranges, as in W. J. Cody, *Rational Chebyshev
 /// approximation for the error function*, Math. Comp. 1969).
 #[allow(clippy::excessive_precision)]
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let ax = x.abs();
     if ax < 0.46875 {
         // erf(x) = x * P(x²)/Q(x²)

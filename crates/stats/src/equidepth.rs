@@ -26,7 +26,7 @@ impl EquiDepthSummary {
     /// A summary of an empty dataset.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         Self { boundaries: Vec::new(), counts: Vec::new() }
     }
 
@@ -70,6 +70,7 @@ impl EquiDepthSummary {
     /// or boundaries are not sorted.
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
+    // ddelint::allow(dead-pub, "the pooled-kernel contract (pooled_kernel.rs) feeds the kernel even-count summaries over arbitrary boundaries, which a reply may carry but from_sorted never builds")
     pub fn from_quantiles(boundaries: &[f64], total: u64) -> Self {
         if total == 0 {
             return Self::empty();

@@ -16,9 +16,8 @@
 //!   representation), with exact inversion;
 //! * [`inversion`] — the inversion method for random variate generation, the
 //!   idea the paper's estimator is built on;
-//! * [`kde`] — Gaussian kernel density estimation;
-//! * [`metrics`] — distribution distance metrics (Kolmogorov–Smirnov, 1-D
-//!   Wasserstein) and the relative error of scalar aggregates;
+//! * [`metrics`] — the 1-D Wasserstein distance and the relative error of
+//!   scalar aggregates;
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
 //! * [`assert`](mod@assert) — DKW-derived confidence-band assertions for
@@ -34,7 +33,6 @@ pub mod ecdf;
 pub mod equidepth;
 pub mod histogram;
 pub mod inversion;
-pub mod kde;
 pub mod metrics;
 pub mod piecewise;
 pub mod rng;

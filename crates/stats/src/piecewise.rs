@@ -17,27 +17,6 @@ pub struct PiecewiseCdf {
 }
 
 impl PiecewiseCdf {
-    /// Builds from control points that are already clean: strictly increasing
-    /// `x`, non-decreasing `F ∈ [0, 1]` with 0 at the first point and 1 at
-    /// the last.
-    ///
-    /// # Panics
-    /// Panics if fewer than two points are given or the invariants fail.
-    ///
-    /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-    pub fn from_points(points: Vec<(f64, f64)>) -> Self {
-        assert!(points.len() >= 2, "need at least two control points");
-        for w in points.windows(2) {
-            assert!(w[0].0 < w[1].0, "x not strictly increasing: {} >= {}", w[0].0, w[1].0);
-            assert!(w[0].1 <= w[1].1 + 1e-12, "F not monotone: {} > {}", w[0].1, w[1].1);
-        }
-        let first = points[0].1;
-        let last = points[points.len() - 1].1;
-        assert!(first.abs() < 1e-9, "F must start at 0, got {first}");
-        assert!((last - 1.0).abs() < 1e-9, "F must end at 1, got {last}");
-        Self { points }
-    }
-
     /// Builds from noisy estimates: sorts by `x`, merges duplicate `x`
     /// (averaging `F`), enforces monotonicity by isotonic running max, and
     /// rescales `F` affinely onto `[0, 1]`.
@@ -225,8 +204,25 @@ mod tests {
     use super::*;
     use crate::dist::Uniform;
 
+    /// Builds from control points that are already clean: strictly
+    /// increasing `x`, non-decreasing `F ∈ [0, 1]` with 0 at the first point
+    /// and 1 at the last. Panics if fewer than two points are given or the
+    /// invariants fail.
+    fn from_points(points: Vec<(f64, f64)>) -> PiecewiseCdf {
+        assert!(points.len() >= 2, "need at least two control points");
+        for w in points.windows(2) {
+            assert!(w[0].0 < w[1].0, "x not strictly increasing: {} >= {}", w[0].0, w[1].0);
+            assert!(w[0].1 <= w[1].1 + 1e-12, "F not monotone: {} > {}", w[0].1, w[1].1);
+        }
+        let first = points[0].1;
+        let last = points[points.len() - 1].1;
+        assert!(first.abs() < 1e-9, "F must start at 0, got {first}");
+        assert!((last - 1.0).abs() < 1e-9, "F must end at 1, got {last}");
+        PiecewiseCdf { points }
+    }
+
     fn simple() -> PiecewiseCdf {
-        PiecewiseCdf::from_points(vec![(0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)])
+        from_points(vec![(0.0, 0.0), (1.0, 0.25), (2.0, 0.25), (4.0, 1.0)])
     }
 
     #[test]
@@ -247,11 +243,11 @@ mod tests {
             simple(),
             // 0.1 + (0.45 − 0.1) rounds below 0.45, so a point on x = 2
             // must be read on the segment it opens, not the one it closes.
-            PiecewiseCdf::from_points(vec![(0.0, 0.0), (1.0, 0.1), (2.0, 0.45), (4.0, 1.0)]),
+            from_points(vec![(0.0, 0.0), (1.0, 0.1), (2.0, 0.45), (4.0, 1.0)]),
             // One segment, with ends off 0 and 1 by less than `from_points`
             // tolerates: only the domain clamps make `lo` and `hi` read
             // exactly 0 and 1.
-            PiecewiseCdf::from_points(vec![(0.0, 5e-10), (4.0, 1.0 - 5e-10)]),
+            from_points(vec![(0.0, 5e-10), (4.0, 1.0 - 5e-10)]),
         ];
         // Points below, on and between control points (the flat segment
         // too), runs of equal points and points past the top.
@@ -329,7 +325,7 @@ mod tests {
 
     #[test]
     fn sup_diff_to_uniform() {
-        let p = PiecewiseCdf::from_points(vec![(0.0, 0.0), (1.0, 1.0)]);
+        let p = from_points(vec![(0.0, 0.0), (1.0, 1.0)]);
         let d = p.sup_diff(&Uniform::new(0.0, 1.0), 32);
         assert!(d < 1e-12, "d = {d}");
     }
@@ -337,6 +333,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn rejects_duplicate_x() {
-        PiecewiseCdf::from_points(vec![(0.0, 0.0), (0.0, 0.5), (1.0, 1.0)]);
+        from_points(vec![(0.0, 0.0), (0.0, 0.5), (1.0, 1.0)]);
     }
 }

@@ -10,7 +10,7 @@
 //! reference.
 
 use dde_stats::dist::DistributionKind;
-use dde_stats::metrics::{ks_distance, wasserstein1, DEFAULT_GRID};
+use dde_stats::metrics::{wasserstein1, DEFAULT_GRID};
 use dde_stats::streaming::StreamingTruth;
 use dde_stats::{CdfFn, Ecdf, PiecewiseCdf};
 use proptest::prelude::*;
@@ -55,8 +55,9 @@ fn ecdf(rng: &mut StdRng) -> Ecdf {
 fn skeleton(rng: &mut StdRng) -> PiecewiseCdf {
     let m = if rng.gen_range(0..4) == 0 { 2 } else { rng.gen_range(2..300) };
     let raw: Vec<(f64, f64)> = (0..m).map(|_| (value(rng), rng.gen::<f64>())).collect();
-    PiecewiseCdf::from_noisy_points(raw)
-        .unwrap_or_else(|| PiecewiseCdf::from_points(vec![(-0.0, 0.0), (1000.0, 1.0)]))
+    PiecewiseCdf::from_noisy_points(raw).unwrap_or_else(|| {
+        PiecewiseCdf::from_noisy_points(vec![(-0.0, 0.0), (1000.0, 1.0)]).expect("two points")
+    })
 }
 
 /// Ascending query points: the given exact hits (samples, control points),
@@ -124,16 +125,6 @@ fn union_domain<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B) -> (f64, f64
     (alo.min(blo), ahi.max(bhi))
 }
 
-fn ks_distance_per_point<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: usize) -> f64 {
-    let (lo, hi) = union_domain(a, b);
-    let mut d: f64 = 0.0;
-    for i in 0..=grid {
-        let x = lo + (hi - lo) * i as f64 / grid as f64;
-        d = d.max((a.cdf(x) - b.cdf(x)).abs());
-    }
-    d
-}
-
 fn wasserstein1_per_point<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: usize) -> f64 {
     let (lo, hi) = union_domain(a, b);
     let step = (hi - lo) / grid as f64;
@@ -170,8 +161,6 @@ fn assert_scorers_match<B: CdfFn + ?Sized>(
         assert_eq!(a.to_bits(), b.to_bits(), "{scorer} against {what}: {a} vs {b}");
     };
     same(p.sup_diff(other, grid), sup_diff_per_point(p, other, grid), "sup_diff");
-    same(ks_distance(p, other, grid), ks_distance_per_point(p, other, grid), "ks_distance(p, _)");
-    same(ks_distance(e, other, grid), ks_distance_per_point(e, other, grid), "ks_distance(e, _)");
     same(
         wasserstein1(p, other, grid),
         wasserstein1_per_point(p, other, grid),
@@ -213,7 +202,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `sup_diff`, `ks_distance`, `wasserstein1` and `ks_distance_to` ≡
+    /// `sup_diff`, `wasserstein1` and `ks_distance_to` ≡
     /// their per-point bodies, by bits: against every generator, an ECDF
     /// and a skeleton, at the default grid and a small odd one.
     #[test]

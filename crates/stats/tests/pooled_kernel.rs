@@ -169,9 +169,12 @@ fn edge_pools_match_the_literal_fold() {
     let single = |v: f64| EquiDepthSummary::from_sorted(&[v], 4);
     let pools: Vec<Vec<(EquiDepthSummary, PoolTerm)>> = vec![
         vec![],
-        vec![(EquiDepthSummary::empty(), PoolTerm::Count); 3],
+        vec![(EquiDepthSummary::from_sorted(&[], 1), PoolTerm::Count); 3],
         vec![(single(42.0), PoolTerm::Scaled(3.0))],
-        vec![(single(42.0), PoolTerm::Count), (EquiDepthSummary::empty(), PoolTerm::Count)],
+        vec![
+            (single(42.0), PoolTerm::Count),
+            (EquiDepthSummary::from_sorted(&[], 1), PoolTerm::Count),
+        ],
         vec![
             (EquiDepthSummary::from_sorted(&[7.0, 7.0, 7.0, 100.0], 3), PoolTerm::Divided(4.0)),
             (single(7.0), PoolTerm::Divided(1.0)),

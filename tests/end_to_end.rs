@@ -122,17 +122,9 @@ fn estimate_supports_all_query_shapes() {
         let x = est.quantile(q);
         assert!((est.cdf(x) - q).abs() < 0.02, "quantile({q}) -> cdf {}", est.cdf(x));
     }
-    // Histogram masses sum to 1; KDE integrates to ~1.
+    // Histogram masses sum to 1.
     let h = est.to_histogram(32);
     assert!((h.total() - 1.0).abs() < 1e-9);
-    let kde = est.to_kde(500, &mut rng);
-    // Integrate over the kernel-extended support: samples at the domain edge
-    // leak kernel mass past [lo, hi] (standard KDE boundary behaviour).
-    let pad = 8.0 * kde.bandwidth();
-    let (ilo, ihi) = (lo - pad, hi + pad);
-    let step = (ihi - ilo) / 600.0;
-    let integral: f64 = (0..600).map(|i| kde.pdf(ilo + (i as f64 + 0.5) * step) * step).sum();
-    assert!((integral - 1.0).abs() < 0.05, "kde integral = {integral}");
     // Synthesized samples stay inside the domain.
     for s in est.synthesize_samples(200, &mut rng) {
         assert!((lo..=hi).contains(&s));

@@ -136,7 +136,7 @@ proptest! {
             .collect();
         let skel = CdfSkeleton::from_probes(&subset, s.domain, 4096, Weighting::HorvitzThompson);
         // Fewer than 2 usable replies → no skeleton (graceful), nothing to check.
-        prop_assume!(skel.is_some());
+        prop_assume!(skel.is_ok());
         let skel = skel.expect("checked above");
         let (lo, hi) = s.domain;
         prop_assert!(skel.n_hat > 0.0);
