@@ -258,7 +258,7 @@ mod tests {
         let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
         ids.sort();
         ids.dedup();
-        let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+        let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
         let dist = kind.build(0.0, 100.0);
         let mut data_rng = seq.stream(Component::Dataset, 0);
         let data: Vec<f64> = (0..items).map(|_| dist.sample(&mut data_rng)).collect();
@@ -310,7 +310,7 @@ mod tests {
             .collect();
         ids.sort();
         ids.dedup();
-        let mut net = Network::build(ids, placement);
+        let mut net = Network::build_bulk(ids, placement);
         net.bulk_load(&data);
         net
     }
@@ -401,7 +401,7 @@ mod tests {
         let seq = SeedSequence::new(21);
         let mut id_rng = seq.stream(Component::NodeIds, 0);
         let ids: Vec<RingId> = (0..128).map(|_| RingId(id_rng.gen())).collect();
-        let mut net = Network::build(ids, Placement::hashed(0.0, 100.0));
+        let mut net = Network::build_bulk(ids, Placement::hashed(0.0, 100.0));
         let kind = DistributionKind::Exponential { rate_scale: 8.0 };
         let dist = kind.build(0.0, 100.0);
         let mut data_rng = seq.stream(Component::Dataset, 0);

@@ -114,7 +114,7 @@ mod tests {
         let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
         ids.sort();
         ids.dedup();
-        let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+        let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
         let dist = kind.build(0.0, 100.0);
         let mut data_rng = seq.stream(Component::Dataset, 0);
         let data: Vec<f64> = (0..items).map(|_| dist.sample(&mut data_rng)).collect();

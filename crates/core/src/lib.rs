@@ -59,7 +59,7 @@
 //! // A 64-peer ring storing 5000 values of a skewed workload.
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let ids: Vec<RingId> = (0..64).map(|_| RingId(rng.gen())).collect();
-//! let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+//! let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
 //! let data: Vec<f64> = (0..5000).map(|_| rng.gen::<f64>().powi(3) * 100.0).collect();
 //! net.bulk_load(&data);
 //!

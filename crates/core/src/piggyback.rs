@@ -128,7 +128,7 @@ mod tests {
     fn small_net(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
         let ids: Vec<RingId> = (0..64).map(|_| RingId(rng.gen())).collect();
-        let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+        let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
         let data: Vec<f64> = (0..5000).map(|_| rng.gen::<f64>() * 100.0).collect();
         net.bulk_load(&data);
         net

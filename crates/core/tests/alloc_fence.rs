@@ -18,7 +18,7 @@ fn gossip_allocations_do_not_grow_with_rounds() {
     let seq = SeedSequence::new(77);
     let mut id_rng = seq.stream(Component::NodeIds, 0);
     let ids: Vec<RingId> = (0..256).map(|_| RingId(id_rng.gen())).collect();
-    let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let mut data_rng = seq.stream(Component::Dataset, 0);
     let data: Vec<f64> = (0..20_000).map(|_| data_rng.gen::<f64>() * 1000.0).collect();
     net.bulk_load(&data);

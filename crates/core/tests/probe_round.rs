@@ -198,7 +198,7 @@ impl Shape {
         let mut ids: Vec<RingId> = (0..self.peers).map(|_| RingId(id_rng.gen())).collect();
         ids.sort();
         ids.dedup();
-        let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+        let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
         let mut data_rng = seq.stream(Component::Dataset, 0);
         let data: Vec<f64> = (0..self.peers * 40).map(|_| data_rng.gen::<f64>() * 100.0).collect();
         net.bulk_load(&data);

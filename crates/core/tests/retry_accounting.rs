@@ -22,7 +22,7 @@ fn exhaustion_cost(policy: &RetryPolicy) -> u64 {
 fn exhaustion_charges_exact_timeout_and_backoff_sum() {
     // Two peers: the initiator owns a ~5-point arc of the 2^64 ring, so
     // every probe position is remote and must cross the sick link.
-    let mut net = Network::build(vec![RingId(5), RingId(10)], Placement::range(0.0, 100.0));
+    let mut net = Network::build_bulk(vec![RingId(5), RingId(10)], Placement::range(0.0, 100.0));
     net.set_fault_plan(FaultPlan::new(1).with_sick(1.0, 1 << 32));
 
     let k = 8;
@@ -58,7 +58,7 @@ fn exhaustion_charges_exact_timeout_and_backoff_sum() {
 fn retries_reissue_within_their_stratum() {
     let q = 1u64 << 62;
     let ids = vec![RingId(0), RingId(q), RingId(2 * q), RingId(3 * q)];
-    let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
     net.set_fault_plan(FaultPlan::new(3).with_loss(0.4));
 
     let est = DfDde::new(DfDdeConfig::with_probes(4));
@@ -91,7 +91,7 @@ fn partial_reply_set_still_yields_monotone_skeleton() {
     let mut ids: Vec<RingId> = (0..64).map(|_| RingId(rand::Rng::gen(&mut id_rng))).collect();
     ids.sort();
     ids.dedup();
-    let mut net = Network::build(ids, Placement::range(0.0, 100.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 100.0));
     let mut data_rng = seq.stream(dde_stats::rng::Component::Dataset, 0);
     let data: Vec<f64> = (0..5_000).map(|_| rand::Rng::gen::<f64>(&mut data_rng) * 100.0).collect();
     net.bulk_load(&data);

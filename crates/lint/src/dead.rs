@@ -8,6 +8,8 @@
 //! each case outside `#[cfg(test)]`. A mention in a test, a bench, the
 //! linter or a `#[cfg(test)]` region does not count, so a fn that only tests
 //! call is reported, and with it the library code it alone keeps alive.
+//! Neither does a `use` declaration: a `pub use` re-export in a `mod.rs`
+//! names a fn but calls nothing.
 //! Otherwise it is dead, or private in all but name, and the `pub` hides it
 //! from rustc's `dead_code` lint. Mentions in comments and string literals
 //! do not count either (the mask blanks them). `pub(crate)` fns are rustc's
@@ -31,10 +33,13 @@ fn policed(file: &FileCheck) -> impl Iterator<Item = &FnItem> {
 }
 
 /// The identifiers in `file`'s shipped code, its code mask outside
-/// `#[cfg(test)]` regions; none for a file whose code cannot ship.
+/// `#[cfg(test)]` regions and `use` declarations; none for a file whose
+/// code cannot ship. A `use`, `pub use` re-exports included, names a fn
+/// without calling it.
 fn shipped_words(file: &FileCheck) -> impl Iterator<Item = &str> {
     let mask = if policy::ships(&file.path) { file.lexed.mask.as_str() } else { "" };
     let mut start = 0;
+    let mut use_end = 0;
     mask.char_indices()
         .chain(std::iter::once((mask.len(), ' ')))
         .filter_map(move |(i, c)| {
@@ -44,6 +49,12 @@ fn shipped_words(file: &FileCheck) -> impl Iterator<Item = &str> {
             let word = (start, &mask[start..i]);
             start = i + c.len_utf8();
             (!word.1.is_empty()).then_some(word)
+        })
+        .filter(move |&(at, word)| {
+            if word == "use" {
+                use_end = mask[at..].find(';').map_or(mask.len(), |end| at + end);
+            }
+            at >= use_end
         })
         .filter(|&(at, _)| !file.in_test_region(at))
         .map(|(_, word)| word)

@@ -7,7 +7,7 @@
 //! (`read_tree` + one in-memory plant): D8 catches entropy laundered through
 //! the exempt RNG module, D9 catches an unwired `MessageKind` variant, D10
 //! catches a direct `Network` mutation inside an estimator module, and D11
-//! catches a `pub fn` that nothing calls.
+//! catches a `pub fn` that nothing calls, re-exported or not.
 
 use std::path::Path;
 
@@ -188,6 +188,20 @@ fn red_d11_catches_a_pub_fn_nothing_calls() {
     let line_text = src.lines().nth(v[0].line - 1).expect("reported line exists");
     assert_eq!(line_text, "pub fn drill_unused() -> u64 {");
     assert_eq!(v[0].col, "pub fn ".len() + 1);
+}
+
+#[test]
+fn red_d11_sees_through_a_pub_use_reexport() {
+    // `dist/mod.rs` re-exports its modules' fns; a re-exported `pub fn`
+    // that nothing calls is still reported.
+    let normal = "crates/stats/src/dist/normal.rs";
+    let mut tree = real_tree();
+    plant(&mut tree, normal, &dead_pub_plant("", "pub"));
+    plant(&mut tree, "crates/stats/src/dist/mod.rs", "pub use normal::drill_unused;\n");
+    let v = check_workspace(&tree);
+    assert_eq!(rules_of(&v), vec![RuleId::D11], "{v:?}");
+    assert_eq!(v[0].path, normal);
+    assert!(v[0].message.contains("drill_unused"), "{}", v[0].message);
 }
 
 #[test]

@@ -253,7 +253,7 @@ fn d11_counts_no_mention_in_code_that_cannot_ship() {
     for user in [
         "crates/stats/tests/props.rs",
         "tests/end_to_end.rs",
-        "crates/bench/benches/micro.rs",
+        "crates/ring/benches/lookup.rs",
         "crates/lint/src/fixture_user.rs",
         "shims/proptest/src/lib.rs",
     ] {
@@ -275,5 +275,27 @@ fn d11_counts_no_mention_in_code_that_cannot_ship() {
             ("crates/core/src/fixture_user.rs".to_string(), src),
         ]);
         assert_eq!(dead_names(&v), dead, "{v:?}");
+    }
+}
+
+#[test]
+fn d11_counts_no_mention_in_a_use_declaration() {
+    // A `pub use` re-export names a fn without calling it, so a fn that the
+    // crate root re-exports and nothing calls is still reported, aliased or
+    // not; an import counts only by the call its file then makes.
+    let reexport = "pub use fixture::{called_elsewhere, mentioned_only};\n\
+                    pub use fixture::called_here_only as renamed;\n";
+    let importer = "use crate::fixture::called_elsewhere;\n\
+                    fn caller() -> u64 {\n    called_elsewhere()\n}\n";
+    let all_dead = ["mentioned_only", "called_elsewhere", "called_here_only"];
+    for (user, src, dead) in [
+        ("crates/stats/src/lib.rs", reexport, &all_dead[..]),
+        ("crates/core/src/fixture_user.rs", importer, &["mentioned_only", "called_here_only"][..]),
+    ] {
+        let v = check_workspace(&[
+            ("crates/stats/src/fixture.rs".to_string(), fixture("d11_violation.rs")),
+            (user.to_string(), src.to_string()),
+        ]);
+        assert_eq!(dead_names(&v), dead, "{user}: {v:?}");
     }
 }

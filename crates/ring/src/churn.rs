@@ -698,7 +698,7 @@ mod tests {
 
     fn net_of_n(n: u64) -> Network {
         let ids = (1..=n).map(|i| RingId(i * (u64::MAX / (n + 1)))).collect();
-        Network::build(ids, Placement::range(0.0, 100.0))
+        Network::build_bulk(ids, Placement::range(0.0, 100.0))
     }
 
     /// Networks agree on everything the batched/sequential equivalence

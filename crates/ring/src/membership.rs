@@ -477,7 +477,7 @@ mod tests {
     use crate::store::LocalStore;
 
     fn net_of(ids: &[u64]) -> Network {
-        Network::build(ids.iter().map(|&i| RingId(i)).collect(), Placement::range(0.0, 100.0))
+        Network::build_bulk(ids.iter().map(|&i| RingId(i)).collect(), Placement::range(0.0, 100.0))
     }
 
     #[test]
@@ -1080,13 +1080,13 @@ mod tests {
             if hashed { Placement::hashed(0.0, 1000.0) } else { Placement::range(0.0, 1000.0) };
         let ids: Vec<RingId> = (0..peers).map(|_| RingId(rng.gen())).collect();
         let mut net = if grown {
-            let mut net = Network::build(ids[..1].to_vec(), placement);
+            let mut net = Network::build_bulk(ids[..1].to_vec(), placement);
             for &id in &ids[1..] {
                 let _ = net.join(id, ids[0]);
             }
             net
         } else {
-            Network::build(ids, placement)
+            Network::build_bulk(ids, placement)
         };
         let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..8) {
             0 => [-0.0, 0.0, 1000.0, -3.0, 1004.5][rng.gen_range(0..5usize)],

@@ -220,21 +220,13 @@ impl Network {
     }
 
     /// Builds a network of the given peers with **perfect** routing state
-    /// (the steady state Chord stabilization converges to). Construction is
-    /// free of message charges. Delegates to [`Network::build_bulk`].
-    ///
-    /// # Panics
-    /// Panics if `ids` is empty.
-    pub fn build(ids: Vec<RingId>, placement: Placement) -> Self {
-        Self::build_bulk(ids, placement)
-    }
-
-    /// O(P) bulk construction for pre-built networks: sorts the id column
-    /// once, appends node records in order (no per-insert binary search or
-    /// memmove), and wires successors/fingers directly with the monotone
-    /// per-level sweep ([`crate::arena::RingArena::wire_perfect`]) instead
-    /// of per-join stabilization. Equivalence with the incremental join
-    /// path is property-tested in `crates/sim/tests/bulk_equivalence.rs`.
+    /// (the steady state Chord stabilization converges to), free of message
+    /// charges, in O(P): sorts the id column once, appends node records in
+    /// order (no per-insert binary search or memmove), and wires
+    /// successors/fingers directly with the monotone per-level sweep
+    /// ([`crate::arena::RingArena::wire_perfect`]) instead of per-join
+    /// stabilization. Equivalence with the incremental join path is
+    /// property-tested in `crates/sim/tests/bulk_equivalence.rs`.
     ///
     /// # Panics
     /// Panics if `ids` is empty (duplicates are dropped).
@@ -1004,7 +996,7 @@ mod tests {
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let ids: Vec<RingId> = (0..peers).map(|_| RingId(rng.gen())).collect();
-            let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+            let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
             let victims: Vec<RingId> =
                 net.ids().filter(|_| rng.gen_range(0..100u32) < dead_pct).collect();
             for v in victims.into_iter().take(net.len() - 1) {
@@ -1038,7 +1030,7 @@ mod tests {
     #[should_panic(expected = "bulk_load items contain NaN")]
     fn bulk_load_refuses_nan() {
         let mut net =
-            Network::build(vec![RingId(1 << 62), RingId(1 << 63)], Placement::range(0.0, 1.0));
+            Network::build_bulk(vec![RingId(1 << 62), RingId(1 << 63)], Placement::range(0.0, 1.0));
         net.bulk_load(&[0.9, f64::NAN, 0.1]);
     }
 }

@@ -141,7 +141,7 @@ mod tests {
         let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
         ids.sort();
         ids.dedup();
-        let mut n = Network::build(ids, placement);
+        let mut n = Network::build_bulk(ids, placement);
         // 10 copies of every integer 0..1000.
         let data: Vec<f64> = (0..10_000).map(|i| (i % 1000) as f64).collect();
         n.bulk_load(&data);

@@ -141,7 +141,7 @@ mod tests {
         let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
         ids.sort();
         ids.dedup();
-        let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+        let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
         let mut data_rng = seq.stream(Component::Dataset, 0);
         let data: Vec<f64> = (0..items).map(|_| data_rng.gen::<f64>() * 1000.0).collect();
         net.bulk_load(&data);

@@ -23,7 +23,7 @@ fn steady_state_lookup_allocates_nothing() {
     let mut ids: Vec<RingId> = (0..512).map(|_| RingId(id_rng.gen())).collect();
     ids.sort();
     ids.dedup();
-    let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let mut rng = seq.stream(Component::Workload, 0);
     let from = net.random_peer(&mut rng).expect("nonempty");
 
@@ -55,7 +55,7 @@ fn warmed_batched_lookup_allocates_nothing() {
     let mut ids: Vec<RingId> = (0..512).map(|_| RingId(id_rng.gen())).collect();
     ids.sort();
     ids.dedup();
-    let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let mut rng = seq.stream(Component::Workload, 3);
     let from = net.random_peer(&mut rng).expect("nonempty");
     let mut batch = BatchRouter::new();
@@ -217,7 +217,7 @@ fn hotspot_arc_lookup_stays_allocation_free() {
     ids.extend((0..64).map(|_| RingId(id_rng.gen())));
     ids.sort();
     ids.dedup();
-    let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let mut rng = seq.stream(Component::Workload, 1);
     let from = net.random_peer(&mut rng).expect("nonempty");
     let hot = move |rng: &mut rand::rngs::StdRng| {

@@ -14,7 +14,7 @@ fn random_net(p: usize, seed: u64) -> Network {
     let mut ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
     ids.sort();
     ids.dedup();
-    Network::build(ids, Placement::range(0.0, 1000.0))
+    Network::build_bulk(ids, Placement::range(0.0, 1000.0))
 }
 
 proptest! {

@@ -12,7 +12,7 @@ fn random_net(p: usize, seed: u64) -> Network {
     let mut ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
     ids.sort();
     ids.dedup();
-    Network::build(ids, Placement::range(0.0, 1000.0))
+    Network::build_bulk(ids, Placement::range(0.0, 1000.0))
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn lookup_errors_on_dead_initiator() {
 
 #[test]
 fn single_node_owns_everything() {
-    let mut net = Network::build(vec![RingId(77)], Placement::range(0.0, 1.0));
+    let mut net = Network::build_bulk(vec![RingId(77)], Placement::range(0.0, 1.0));
     net.bulk_load(&[0.1, 0.5, 0.9]);
     for t in [0u64, 77, u64::MAX] {
         let res = net.lookup(RingId(77), RingId(t)).unwrap();

@@ -16,7 +16,7 @@ fn net_with_data(peers: usize, items: usize, seed: u64) -> Network {
     let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
     ids.sort();
     ids.dedup();
-    let mut net = Network::build(ids, Placement::range(0.0, 1000.0));
+    let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let mut data_rng = seq.stream(Component::Dataset, 0);
     let data: Vec<f64> = (0..items).map(|_| data_rng.gen::<f64>() * 1000.0).collect();
     net.bulk_load(&data);
@@ -132,7 +132,7 @@ proptest! {
             if hashed { Placement::hashed(0.0, 1000.0) } else { Placement::range(0.0, 1000.0) };
         for p in [1, peers] {
             let ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
-            let mut net = Network::build(ids, placement);
+            let mut net = Network::build_bulk(ids, placement);
             net.bulk_load(&data);
             prop_assert_eq!(bits(&net.global_values()), bits(&collected_truth(&net)));
             prop_assert_eq!(net.global_values().len(), items);
@@ -151,7 +151,7 @@ fn truth_matches_collect_and_sort_after_protocol_churn() {
         let mut net = net_with_data(64, 6_400, 5);
         if placement != net.placement() {
             let data = net.global_values();
-            net = Network::build(net.ids().collect(), placement);
+            net = Network::build_bulk(net.ids().collect(), placement);
             net.bulk_load(&data);
         }
         let mut rng = SeedSequence::new(5).stream(Component::Churn, 0);

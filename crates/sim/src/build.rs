@@ -255,7 +255,7 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     ids.sort();
     ids.dedup();
 
-    let mut net = Network::build(ids, placement);
+    let mut net = Network::build_bulk(ids, placement);
     net.set_summary_buckets(scenario.summary_buckets);
     net.bulk_load(&data);
 

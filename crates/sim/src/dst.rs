@@ -1153,6 +1153,59 @@ mod tests {
         assert!(parse_repro(&largest).is_ok(), "F12's largest point must stay replayable");
     }
 
+    /// Seeded mutations of a generated repro file — byte replacements,
+    /// inserted digit runs, truncations and deletions, 64 of each — end in a
+    /// schedule or a named error, never a panic, and every accepted schedule
+    /// of a replayable size replays to a report or a violation, never a
+    /// panic. The proptest shim has no collection strategy, so the bytes
+    /// come from a seeded `splitmix64` stream.
+    #[test]
+    fn mutated_repro_files_parse_or_fail_by_name_and_replay() {
+        let text = to_repro(&generate(&DstConfig::default()));
+        let mut word = 0u64;
+        let mut draw = |n: usize| {
+            word += 1;
+            (splitmix64(0x05EE_DD57 ^ word) % n as u64) as usize
+        };
+        let (mut accepted, mut replayed) = (0, 0);
+        for i in 0..256 {
+            let mut bytes = text.clone().into_bytes();
+            let at = draw(bytes.len());
+            match i % 4 {
+                // Printable ASCII or a newline, so the text stays UTF-8.
+                0 => {
+                    bytes[at] = match draw(96) {
+                        95 => b'\n',
+                        b => b' ' + b as u8,
+                    }
+                }
+                1 => {
+                    let digits: Vec<u8> =
+                        (0..1 + draw(24)).map(|_| b'0' + draw(10) as u8).collect();
+                    bytes.splice(at..at, digits);
+                }
+                2 => bytes.truncate(at),
+                _ => {
+                    bytes.drain(at..(at + 1 + draw(16)).min(bytes.len()));
+                }
+            }
+            let mutated = String::from_utf8(bytes).expect("ASCII edits keep the text UTF-8");
+            let schedule = match parse_repro(&mutated) {
+                Ok(schedule) => schedule,
+                Err(e) => {
+                    assert!(!e.is_empty(), "unnamed error for:\n{mutated}");
+                    continue;
+                }
+            };
+            accepted += 1;
+            if schedule.peers <= 5_000 && schedule.items <= 200_000 {
+                let _ = run_schedule(&schedule);
+                replayed += 1;
+            }
+        }
+        assert!(replayed > 0 && accepted < 256, "{accepted} accepted, {replayed} replayed");
+    }
+
     #[test]
     fn minimal_injected_bug_schedule_fails_and_clean_one_passes() {
         let base = Schedule {

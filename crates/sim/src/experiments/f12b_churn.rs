@@ -16,9 +16,9 @@
 //!   conserves (non-crashed) data;
 //! * **sublinear repair**: finger writes *per membership event* grow like
 //!   `O(log P)` — the ratio between adjacent decades stays far below the
-//!   10× a linear (rebuild-per-event) policy would pay. Wall-clock is
-//!   asserted only in the nightly budget test
-//!   (`crates/sim/tests/churn_nightly.rs`), never here.
+//!   10× a linear (rebuild-per-event) policy would pay. The quick golden
+//!   pins the counters at 10³ and 10⁴ peers, and the full one at 10⁴ to
+//!   10⁶; wall-clock is ringbench `churn`'s to time, never asserted here.
 //!
 //! Ground truth stays cheap under mutation: analytic cells journal churn
 //! deltas into [`dde_stats::streaming::StreamingTruth`] (`O(M log M)` per
@@ -70,7 +70,7 @@ pub fn churn_sweep(scale: Scale) -> Vec<usize> {
 
 /// The scenario for one sweep point: F12's shape (items ∝ P, skewed Zipf
 /// under range placement) re-seeded for the churn column.
-// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
+// ddelint::allow(dead-pub, "determinism.rs checks with it that a churned sweep point never shares a snapshot-cache key with its static F12 twin")
 pub fn churn_scenario(p: usize) -> Scenario {
     scale_scenario(p).with_seed(CHURN_SEED)
 }
@@ -103,9 +103,8 @@ impl ChurnPhaseStats {
 /// Queues and applies one round's membership window — `p/100` joins at
 /// fresh uniform ids, `p/200` leaves and `p/200` crashes at uniform victims
 /// — as a single [`ChurnBatch`]. Victim collisions are resolved by the
-/// batch's one-event-per-id policy (skipped, counted). Shared with the
-/// nightly budget test, which times exactly this call.
-// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
+/// batch's one-event-per-id policy (skipped, counted).
+// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own membership windows through it to hold the journaled truth to a materialized one")
 pub fn membership_batch(
     net: &mut Network,
     batch: &mut ChurnBatch,
@@ -136,7 +135,7 @@ pub fn membership_batch(
 /// (uniform over stores) and inserts the same number of fresh draws from
 /// the generating distribution, both through the direct-placement path.
 /// Returns `(inserted, removed)` for the caller's truth journal.
-// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
+// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own turnover through it to hold the journaled truth to a materialized one")
 pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f64>) {
     let seq = SeedSequence::new(built.scenario.seed);
     let mut rng = seq.stream(Component::Churn, 2 * round + 1);
@@ -160,7 +159,7 @@ pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f6
 /// membership batch + item turnover, with the ground truth kept in sync
 /// (delta journals for analytic cells, one ECDF re-collection at the end
 /// for empirical cells).
-// ddelint::allow(dead-pub, "shared with the nightly churn budget (churn_nightly.rs), determinism.rs and streaming_agreement.rs, which replay F12b's own churn; ROADMAP item 1 retires the nightly budget")
+// ddelint::allow(dead-pub, "determinism.rs churns a cached fork with it to check that churn never leaks back into the snapshot cache")
 pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
     let mut phase = ChurnPhaseStats::default();
     let seed = built.scenario.seed;

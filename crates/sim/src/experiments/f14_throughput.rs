@@ -13,14 +13,15 @@
 //!   modes (the equivalence suite pins this bit-exactly);
 //! * piggybacking displaces the majority of dedicated probe messages once
 //!   foreground traffic is dense enough to visit most strata between
-//!   refreshes — ≥ 50 % at the mid rate point, asserted in-suite — while
-//!   the estimate stays inside the same DKW accuracy band;
+//!   refreshes — ≥ 50 % at the mid rate point, asserted in-suite at both
+//!   scales — while the estimate stays inside the same DKW accuracy band;
 //! * estimate staleness seen by readers is bounded by the refresh interval
 //!   and independent of load (open-loop arrivals never starve the
 //!   refresher in this structural simulator).
 //!
-//! `BENCH_throughput.json` records the nightly wall-clock protocol over the
-//! same cells (`crates/sim/tests/throughput_nightly.rs`).
+//! The nightly workflow diffs `expts --full f14` against
+//! `crates/sim/tests/golden/full/f14.txt`; ringbench's `serve` workload
+//! times the same serving path.
 
 use super::Scale;
 use crate::build::build;
@@ -51,8 +52,7 @@ fn rate_sweep(scale: Scale) -> Vec<f64> {
 
 /// The mid rate point — where the ≥ 50 % piggyback displacement claim is
 /// asserted (low rates legitimately cover fewer strata per cycle).
-// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
-pub fn mid_rate(scale: Scale) -> f64 {
+fn mid_rate(scale: Scale) -> f64 {
     let rates = rate_sweep(scale);
     rates[rates.len() / 2]
 }
@@ -65,8 +65,7 @@ fn mix_sweep() -> Vec<OpMix> {
 }
 
 /// The serving scenario: a mid-size ring with the default skewed workload.
-// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
-pub fn f14_scenario(scale: Scale) -> Scenario {
+fn f14_scenario(scale: Scale) -> Scenario {
     match scale {
         Scale::Quick => Scenario::default().with_peers(64).with_items(5_000).with_seed(1401),
         Scale::Full => Scenario::default().with_peers(256).with_items(20_000).with_seed(1401),
@@ -74,8 +73,7 @@ pub fn f14_scenario(scale: Scale) -> Scenario {
 }
 
 /// The spec for one cell.
-// ddelint::allow(dead-pub, "shared with the nightly throughput budget (throughput_nightly.rs), which serves F14's own cells; ROADMAP item 1 retires it")
-pub fn f14_spec(rate: f64, mix: OpMix, serving: bool, scale: Scale) -> WorkloadSpec {
+fn f14_spec(rate: f64, mix: OpMix, serving: bool, scale: Scale) -> WorkloadSpec {
     WorkloadSpec {
         rate,
         duration: duration(scale),
@@ -220,6 +218,29 @@ mod tests {
         t.rows[row][c].parse().unwrap()
     }
 
+    /// The acceptance bar at one mid-rate point, over `[est.ks, ded.probes,
+    /// piggy, hop.msgs]` of its plain and serving cells: piggybacking
+    /// displaces at least half of the dedicated probe messages, while both
+    /// estimates stay inside the DKW band of a k-probe estimate (α = 1e-3)
+    /// plus the systematic budget of 8-bucket summaries over the skewed
+    /// default workload and the live inserts accrued since the last refresh.
+    fn assert_acceptance_bar(point: &str, plain: [f64; 4], serving: [f64; 4]) {
+        let [_, ded_plain, _, hops_plain] = plain;
+        let [_, ded_serving, piggy, hops_serving] = serving;
+        assert!(
+            ded_serving <= 0.5 * ded_plain,
+            "{point}: piggybacking must cut dedicated probes ≥ 50%: {ded_serving} vs {ded_plain}"
+        );
+        assert!(piggy > 0.0, "{point}: piggybacked replies must flow");
+        for (mode, [ks, ..]) in [("plain", plain), ("serving", serving)] {
+            KsBand::new(PROBES, 1e-3)
+                .with_systematic(0.08)
+                .assert(&format!("f14 {point} {mode} est"), ks);
+        }
+        // Batched routing also amortizes foreground hop charges.
+        assert!(hops_serving < hops_plain, "{point}: batch dedup must drop hop msgs");
+    }
+
     #[test]
     fn f14_piggyback_displaces_dedicated_probes_within_the_dkw_band() {
         let tables = f14_throughput(Scale::Quick);
@@ -230,26 +251,18 @@ mod tests {
         let (plain, serving) = (2 * mid, 2 * mid + 1);
         assert_eq!(t1.rows[plain][1], "plain");
         assert_eq!(t1.rows[serving][1], "serving");
-        // The acceptance claim: at the mid rate, piggybacking displaces at
-        // least half of the dedicated probe messages...
-        let ded_plain = col(t1, plain, 8);
-        let ded_serving = col(t1, serving, 8);
-        assert!(
-            ded_serving <= 0.5 * ded_plain,
-            "piggybacking must cut dedicated probes ≥ 50%: {ded_serving} vs {ded_plain}"
-        );
-        assert!(col(t1, serving, 9) > 0.0, "piggybacked replies must flow");
-        // ...while the estimate stays inside the DKW band of a k-probe
-        // estimate (α = 1e-3) plus the systematic budget of 8-bucket
-        // summaries over the skewed default workload and the live inserts
-        // accrued since the last refresh.
-        for r in [plain, serving] {
-            KsBand::new(PROBES, 1e-3)
-                .with_systematic(0.08)
-                .assert(&format!("f14 {} est", t1.rows[r][1]), col(t1, r, 7));
-        }
-        // Batched routing also amortizes foreground hop charges.
-        assert!(col(t1, serving, 10) < col(t1, plain, 10), "batch dedup must drop hop msgs");
+        let bar = |r: usize| [7, 8, 9, 10].map(|c| col(t1, r, c));
+        assert_acceptance_bar("quick", bar(plain), bar(serving));
+
+        // The full-scale mid-rate point, run 0 of its serving mix.
+        let scale = Scale::Full;
+        let scenario = f14_scenario(scale);
+        let cell = |serving| {
+            let spec = f14_spec(mid_rate(scale), OpMix::new(200, 700), serving, scale);
+            let a = run_cell(&scenario, &spec, 1);
+            [a.est_ks, a.dedicated_probes, a.piggyback_msgs, a.lookup_hop_msgs]
+        };
+        assert_acceptance_bar("full", cell(false), cell(true));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! `EXPERIMENTS.md` for the paper-vs-measured record).
 //!
 //! Every experiment is a function from a [`Scale`] to one or more
-//! [`Table`]s, regenerable via `cargo run -p dde-bench --bin expts -- <id>`
-//! and benchmarked by the matching Criterion target in `dde-bench`.
+//! [`Table`]s, regenerable via `cargo run -p dde-bench --bin expts -- <id>`;
+//! ringbench's `quick_suite` workload times all of them at quick scale.
 //!
 //! # Determinism and parallelism
 //!

@@ -43,6 +43,7 @@ impl RunResult {
 
 /// Runs one estimator against the scenario. `run_index` selects the
 /// estimator's RNG stream, so repeats differ while staying reproducible.
+// ddelint::allow(dead-pub, "the one-run scorer behind aggregate; the crate example and the end_to_end, fault_injection and cost_accounting tests read single runs' RunResults through it, which shipped code reads only averaged")
 pub fn run_estimator(
     built: &mut BuiltScenario,
     estimator: &dyn DensityEstimator,

@@ -53,7 +53,7 @@ fn rebalance_round(
     new_ids.dedup();
     // In a real system this is a rolling sequence of leave/join moves; the
     // end state is what we measure.
-    let mut rebalanced = Network::build(new_ids, placement);
+    let mut rebalanced = Network::build_bulk(new_ids, placement);
     rebalanced.set_summary_buckets(net.summary_buckets());
     rebalanced.bulk_load(&net.global_values());
     (rebalanced, report.messages())
