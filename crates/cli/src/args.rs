@@ -1,47 +1,76 @@
-//! Tiny hand-rolled flag parser (keeps the dependency set to the workspace
-//! whitelist; the surface is small enough that clap would be overkill).
+//! The one command-line parser (hand-rolled, to keep the dependency set to
+//! the workspace whitelist; the surface is small enough that clap would be
+//! overkill). Each subcommand declares the options it reads in a [`Spec`],
+//! and any other option is refused.
 
 use std::collections::BTreeMap;
 
-/// Parsed command line: a subcommand plus `--key value` / `--flag` options.
-#[derive(Debug, Clone, Default)]
+/// Options that never take a value: the word after one is never its value.
+const FLAGS: &[&str] = &["json", "no-batch", "no-piggyback", "full"];
+
+/// Options whose value may be left out: `--bug` alone arms the default
+/// drill, so it takes the next word only when that word is not an option.
+const OPTIONAL_VALUE: &[&str] = &["bug"];
+
+/// What one subcommand reads from its command line.
+pub struct Spec {
+    /// The subcommand's name.
+    pub name: &'static str,
+    /// Every option it reads, in groups of space-separated names; any
+    /// other option is refused.
+    pub options: &'static [&'static str],
+    /// Whether it takes bare words (the experiment ids of `expts`).
+    pub words: bool,
+}
+
+/// A subcommand's parsed command line: bare words, `--key value` options
+/// and `--flag`s.
+#[derive(Debug, Default)]
 pub struct Args {
-    /// The subcommand (first non-flag argument).
-    pub command: Option<String>,
-    /// `--key value` options.
+    /// Bare words, in order.
+    words: Vec<String>,
+    /// `--key value` options; a repeated key keeps its last value.
     options: BTreeMap<String, String>,
-    /// Bare `--flag`s.
+    /// Options given without a value.
     flags: Vec<String>,
 }
 
 impl Args {
-    /// Parses an iterator of arguments (exclusive of `argv[0]`).
+    /// Parses the arguments after the subcommand's name against `spec`.
     ///
-    /// Grammar: the first bare word is the subcommand; `--key value` pairs
-    /// become options unless `value` starts with `--` or is absent, in which
-    /// case `key` is a flag.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    /// A flag never takes a value. Any other option takes the next word,
+    /// which must not start with `--`; [`OPTIONAL_VALUE`] options may also
+    /// stand alone.
+    pub fn parse(spec: &Spec, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = args.into_iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if key.is_empty() {
-                    return Err("empty flag '--'".into());
+        while let Some(word) = it.next() {
+            let Some(key) = word.strip_prefix("--") else {
+                if !spec.words {
+                    return Err(format!("{} takes no argument '{word}'", spec.name));
                 }
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        out.options.insert(key.to_string(), v);
-                    }
-                    _ => out.flags.push(key.to_string()),
-                }
-            } else if out.command.is_none() {
-                out.command = Some(a);
+                out.words.push(word);
+                continue;
+            };
+            if !spec.options.iter().flat_map(|group| group.split(' ')).any(|o| o == key) {
+                return Err(format!("{} takes no option --{key}", spec.name));
+            }
+            if FLAGS.contains(&key) {
+                out.flags.push(key.to_string());
+            } else if let Some(value) = it.next_if(|next| !next.starts_with("--")) {
+                out.options.insert(key.to_string(), value);
+            } else if OPTIONAL_VALUE.contains(&key) {
+                out.flags.push(key.to_string());
             } else {
-                return Err(format!("unexpected positional argument '{a}'"));
+                return Err(format!("--{key} needs a value"));
             }
         }
         Ok(out)
+    }
+
+    /// The bare words, in order.
+    pub fn words(&self) -> &[String] {
+        &self.words
     }
 
     /// String option.
@@ -57,20 +86,9 @@ impl Args {
         }
     }
 
-    /// Whether a bare flag was passed.
+    /// Whether an option was given without a value.
     pub fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
-    }
-
-    /// Option keys that were never consumed (for typo detection): call with
-    /// the known key set after reading everything.
-    pub fn unknown_keys<'a>(&'a self, known: &'a [&str]) -> Vec<&'a str> {
-        self.options
-            .keys()
-            .map(String::as_str)
-            .chain(self.flags.iter().map(String::as_str))
-            .filter(|k| !known.contains(k))
-            .collect()
     }
 }
 
@@ -78,46 +96,73 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    const ESTIMATE: Spec =
+        Spec { name: "estimate", options: &["peers dist", "json rate"], words: false };
+    const EXPTS: Spec = Spec { name: "expts", options: &["full csv jobs"], words: true };
+    const DST: Spec = Spec { name: "dst", options: &["bug seed out"], words: false };
+
+    fn parse(spec: &Spec, line: &str) -> Result<Args, String> {
+        Args::parse(spec, line.split_whitespace().map(String::from))
     }
 
     #[test]
     fn parses_command_options_flags() {
-        let a = parse("estimate --peers 512 --dist zipf --verbose");
-        assert_eq!(a.command.as_deref(), Some("estimate"));
+        let a = parse(&ESTIMATE, "--peers 512 --dist zipf --json").unwrap();
         assert_eq!(a.get("peers"), Some("512"));
         assert_eq!(a.get("dist"), Some("zipf"));
-        assert!(a.has_flag("verbose"));
-        assert!(!a.has_flag("quiet"));
+        assert!(a.has_flag("json"));
+        assert!(!a.has_flag("peers"));
+        assert!(a.words().is_empty());
     }
 
     #[test]
     fn typed_defaults() {
-        let a = parse("estimate --peers 512");
+        let a = parse(&ESTIMATE, "--peers 512").unwrap();
         assert_eq!(a.get_or("peers", 0usize).unwrap(), 512);
-        assert_eq!(a.get_or("probes", 64usize).unwrap(), 64);
-        assert!(a.get_or::<usize>("peers", 0).is_ok());
-        let bad = parse("estimate --peers abc");
+        assert_eq!(a.get_or("rate", 64usize).unwrap(), 64);
+        let bad = parse(&ESTIMATE, "--peers abc").unwrap();
         assert!(bad.get_or::<usize>("peers", 0).is_err());
     }
 
     #[test]
     fn flag_before_option() {
-        let a = parse("churn --json --rate 0.1");
+        let a = parse(&ESTIMATE, "--json --rate 0.1").unwrap();
         assert!(a.has_flag("json"));
         assert_eq!(a.get("rate"), Some("0.1"));
     }
 
     #[test]
     fn rejects_stray_positionals() {
-        assert!(Args::parse(["estimate".into(), "extra".into()]).is_err());
+        assert!(parse(&ESTIMATE, "extra").is_err());
+        // A flag never swallows the word after it.
+        let err = parse(&ESTIMATE, "--peers 16 --json extra").unwrap_err();
+        assert!(err.contains("takes no argument 'extra'"), "{err}");
+        // Nor does `--full`, so the ids stay ids.
+        let a = parse(&EXPTS, "--full f12").unwrap();
+        assert!(a.has_flag("full"));
+        assert_eq!(a.words(), ["f12"]);
     }
 
     #[test]
     fn unknown_key_detection() {
-        let a = parse("estimate --peers 1 --tyop 2");
-        let unknown = a.unknown_keys(&["peers", "probes"]);
-        assert_eq!(unknown, vec!["tyop"]);
+        let err = parse(&ESTIMATE, "--peers 1 --tyop 2").unwrap_err();
+        assert!(err.contains("estimate takes no option --tyop"), "{err}");
+        // An option another subcommand reads is foreign here.
+        assert!(parse(&EXPTS, "t1 --rate 5").is_err());
+        // A value-taking option needs its value.
+        assert!(parse(&ESTIMATE, "--peers").is_err());
+        assert!(parse(&ESTIMATE, "--peers --json").is_err());
+    }
+
+    #[test]
+    fn bug_takes_its_drill_name_only_when_one_follows() {
+        let bare = parse(&DST, "--bug --seed 7").unwrap();
+        assert!(bare.has_flag("bug"));
+        assert_eq!((bare.get("bug"), bare.get("seed")), (None, Some("7")));
+        let named = parse(&DST, "--bug drop-capacity-fifo-guard --seed 7").unwrap();
+        assert!(!named.has_flag("bug"));
+        assert_eq!(named.get("bug"), Some("drop-capacity-fifo-guard"));
+        assert_eq!(named.get("seed"), Some("7"));
+        assert!(parse(&DST, "--seed 7 --bug").unwrap().has_flag("bug"));
     }
 }

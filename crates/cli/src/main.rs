@@ -1,28 +1,13 @@
-//! `ring-dde` — command-line playground for the ring-DDE library.
-//!
-//! ```text
-//! ring-dde estimate  [--peers P] [--items N] [--dist D] [--probes K]
-//!                    [--buckets B] [--seed S] [--placement range|hashed]
-//!                    [--loss L] [--fault-seed S]
-//!                    [--method df-dde|exact|uniform-peer|gossip] [--json]
-//! ring-dde aggregate [--peers P] [--items N] [--dist D] [--probes K] [--seed S]
-//! ring-dde query     [--peers P] [--items N] [--dist D] [--lo X] [--hi Y] [--seed S]
-//! ring-dde churn     [--peers P] [--items N] [--rate R] [--duration T]
-//!                    [--replication REPL] [--seed S]
-//! ring-dde workload  [--peers P] [--items N] [--dist D] [--seed S] [--rate R]
-//!                    [--duration T] [--insert-pm M] [--lookup-pm M]
-//!                    [--probes K] [--refresh T] [--no-batch] [--no-piggyback]
-//!                    [--loss L] [--json]
-//! ring-dde topology  [--peers P] [--items N] [--dist D] [--seed S]
-//! ```
-//!
-//! Distributions: uniform, normal, exponential, pareto, zipf, bimodal,
-//! trimodal, lognormal.
+//! `ring-dde` — the command line of the ring-DDE reproduction. It drives
+//! the library (`estimate`, `aggregate`, `query`, `churn`, `workload`,
+//! `topology`), regenerates the evaluation (`expts`) and runs the
+//! deterministic simulation tester (`dst`). `ring-dde help` lists every
+//! command's options and the exit rule they all follow.
 
-/// `println!` through [`emit`], the one writer for stdout.
+/// `println!` through [`emit`].
 macro_rules! outln {
     ($($arg:tt)*) => {
-        $crate::emit(format_args!($($arg)*))
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)), 0)
     };
 }
 
@@ -30,14 +15,16 @@ mod args;
 mod commands;
 mod json;
 
-/// Writes one line to stdout. A closed stdout means the reader (say,
-/// `head`) has all it wants, so the run ends there with status 0; any other
+/// Writes `text` to stdout; every byte `ring-dde` prints there goes through
+/// here. A write error ends the run. A closed stdout means the reader (say,
+/// `head`) has all it wants, so the run ends with status `closed`: 0, or 1
+/// when `text` reports a failed run, whose status is the verdict. Any other
 /// write error ends it with status 1.
-fn emit(line: std::fmt::Arguments<'_>) {
+fn emit(text: std::fmt::Arguments<'_>, closed: i32) {
     use std::io::Write;
-    match writeln!(std::io::stdout().lock(), "{line}") {
+    match std::io::stdout().lock().write_fmt(text) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(closed),
         Err(e) => {
             eprintln!("error: writing stdout: {e}");
             std::process::exit(1);
@@ -45,63 +32,17 @@ fn emit(line: std::fmt::Arguments<'_>) {
     }
 }
 
-use args::Args;
-
 fn main() {
-    // Typo guard: warn about options no command reads.
-    const KNOWN: &[&str] = &[
-        "peers",
-        "items",
-        "dist",
-        "seed",
-        "probes",
-        "buckets",
-        "placement",
-        "method",
-        "json",
-        "lo",
-        "hi",
-        "rate",
-        "duration",
-        "replication",
-        "loss",
-        "fault-seed",
-        "insert-pm",
-        "lookup-pm",
-        "refresh",
-        "no-batch",
-        "no-piggyback",
-    ];
-
-    let parsed = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    let Some(command) = parsed.command.clone() else {
-        eprintln!("{}", commands::USAGE);
-        std::process::exit(2);
-    };
-    for key in parsed.unknown_keys(KNOWN) {
-        eprintln!("warning: ignoring unknown option --{key}");
+    let mut argv = std::env::args().skip(1).peekable();
+    if matches!(argv.peek().map(String::as_str), Some("help" | "--help" | "-h")) {
+        outln!("{}", commands::USAGE);
+        return;
     }
-    let result = match command.as_str() {
-        "estimate" => commands::estimate(&parsed),
-        "aggregate" => commands::aggregate(&parsed),
-        "query" => commands::query(&parsed),
-        "churn" => commands::churn(&parsed),
-        "workload" => commands::workload(&parsed),
-        "topology" => commands::topology(&parsed),
-        "help" | "--help" | "-h" => {
-            outln!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{}", commands::USAGE)),
-    };
-    if let Err(e) = result {
+    let run = commands::check(argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n(`ring-dde help` lists the commands and their options)");
+        std::process::exit(2);
+    });
+    if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

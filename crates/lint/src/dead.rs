@@ -4,10 +4,10 @@
 //! A bare-`pub` fn in library src, outside `#[cfg(test)]`, must be named in
 //! the code mask of at least one *other* file whose code can ship a call
 //! ([`policy::ships`]): a sibling module or dependent library crate, the
-//! `ring-dde` or `expts` binary, the benchmark harness or an example, in
-//! each case outside `#[cfg(test)]`. A mention in a test, a bench, the
-//! linter or a `#[cfg(test)]` region does not count, so a fn that only tests
-//! call is reported, and with it the library code it alone keeps alive.
+//! `ring-dde` binary, the benchmark harness or an example, in each case
+//! outside `#[cfg(test)]`. A mention in a test, a bench, the linter or a
+//! `#[cfg(test)]` region does not count, so a fn that only tests call is
+//! reported, and with it the library code it alone keeps alive.
 //! Neither does a `use` declaration: a `pub use` re-export in a `mod.rs`
 //! names a fn but calls nothing.
 //! Otherwise it is dead, or private in all but name, and the `pub` hides it

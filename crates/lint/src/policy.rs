@@ -180,13 +180,13 @@ fn in_det_src(path: &str) -> bool {
 }
 
 /// Whether code in the file at `path` can ship a call (rule D11): library
-/// src of the deterministic crates, the `ring-dde` and `expts` binaries, the
-/// benchmark harness and the examples. Tests, benches, the linter and the
+/// src of the deterministic crates, the `ring-dde` binary, the benchmark
+/// harness and the examples. Tests, benches, the linter and the
 /// shims cannot, and neither can a `#[cfg(test)]` region in any file (that
 /// exclusion is positional, in dead.rs).
 pub fn ships(path: &str) -> bool {
     in_det_src(path)
-        || ["crates/cli/src/", "crates/bench/src/", "ringbench/src/", "examples/"]
+        || ["crates/cli/src/", "ringbench/src/", "examples/"]
             .iter()
             .any(|dir| path.starts_with(dir))
 }
@@ -204,7 +204,7 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
         // including test code and examples, derives from SeedSequence.
         RuleId::D1 => path != "crates/stats/src/rng.rs",
         // Wall-clock reads need a site-level allow everywhere; the timing
-        // paths in sim::exec and crates/bench carry them inline.
+        // paths in sim::exec and crates/cli carry them inline.
         RuleId::D2 => true,
         RuleId::D3 => in_det_crate(path) || path.starts_with("tests/"),
         RuleId::D4 => true,

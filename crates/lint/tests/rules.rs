@@ -89,7 +89,7 @@ fn d5_true_positive_skips_cfg_test_region() {
 fn d5_allow_and_binary_crate_exemption() {
     let v = check_fixture("d5_allowed.rs", "crates/core/src/fixture.rs");
     assert!(v.is_empty(), "{v:?}");
-    let v = check_fixture("d5_violation.rs", "crates/bench/src/fixture.rs");
+    let v = check_fixture("d5_violation.rs", "crates/cli/src/fixture.rs");
     assert!(v.is_empty(), "D5 is scoped to library crates: {v:?}");
 }
 

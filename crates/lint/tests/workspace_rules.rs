@@ -84,9 +84,9 @@ fn d8_allow_at_the_import_site_stops_the_flow_for_callers_too() {
 fn d8_does_not_apply_outside_deterministic_src() {
     let v = check_corpus(&[
         ("crates/stats/src/rng.rs", "d8_source.rs"),
-        ("crates/bench/src/fixture.rs", "d8_violation.rs"),
+        ("crates/cli/src/fixture.rs", "d8_violation.rs"),
     ]);
-    assert!(v.is_empty(), "benches may jitter: {v:?}");
+    assert!(v.is_empty(), "binaries may jitter: {v:?}");
 }
 
 #[test]
@@ -207,12 +207,11 @@ fn dead_names(violations: &[Violation]) -> Vec<&str> {
 #[test]
 fn d11_flags_pub_fns_named_elsewhere_only_in_comments_or_strings() {
     // A name used only by shipped code elsewhere is used: a sibling library
-    // file, the `ring-dde` or `expts` binary, the benchmark harness or an
-    // example.
+    // file, the `ring-dde` binary, the benchmark harness or an example.
     for user in [
         "crates/core/src/fixture_user.rs",
         "crates/cli/src/main.rs",
-        "crates/bench/src/main.rs",
+        "crates/cli/src/commands.rs",
         "ringbench/src/main.rs",
         "examples/demo.rs",
     ] {
@@ -240,7 +239,7 @@ fn d11_skips_restricted_and_test_fns_and_needs_another_file() {
     let v = check_corpus(&[("crates/stats/src/fixture.rs", "d11_violation.rs")]);
     assert_eq!(dead_names(&v), vec!["mentioned_only", "called_elsewhere", "called_here_only"]);
     // Binaries, tests and benches have no public API.
-    let v = check_corpus(&[("crates/bench/src/fixture.rs", "d11_violation.rs")]);
+    let v = check_corpus(&[("crates/cli/src/fixture.rs", "d11_violation.rs")]);
     assert!(v.is_empty(), "{v:?}");
 }
 

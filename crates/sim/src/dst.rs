@@ -27,7 +27,7 @@
 //!   1-minimal reproducer by re-running candidate sub-schedules.
 //! * **Replayable repro** — [`to_repro`] / [`parse_repro`] round-trip a
 //!   schedule through a human-readable RON-like text file, replayed with
-//!   `expts dst --replay <file>`; the failure report is byte-identical
+//!   `ring-dde dst --replay <file>`; the failure report is byte-identical
 //!   across replays.
 //!
 //! [`fuzz`] runs many schedules through the parallel [`ExecPlan`] runner;
@@ -296,7 +296,7 @@ pub enum InjectedBug {
 }
 
 impl InjectedBug {
-    /// Every injected bug with its repro-file name and its `expts dst --bug`
+    /// Every injected bug with its repro-file name and its `ring-dde dst --bug`
     /// name, in drill order.
     pub const NAMES: [(InjectedBug, &'static str, &'static str); 2] = [
         (Self::SkipSuccessorOnHeal, "SkipSuccessorOnHeal", "skip-successor-on-heal"),

@@ -19,7 +19,7 @@
 //!   and independent of load (open-loop arrivals never starve the
 //!   refresher in this structural simulator).
 //!
-//! The nightly workflow diffs `expts --full f14` against
+//! The nightly workflow diffs `ring-dde expts --full f14` against
 //! `crates/sim/tests/golden/full/f14.txt`; ringbench's `serve` workload
 //! times the same serving path.
 

@@ -2,7 +2,7 @@
 //! `EXPERIMENTS.md` for the paper-vs-measured record).
 //!
 //! Every experiment is a function from a [`Scale`] to one or more
-//! [`Table`]s, regenerable via `cargo run -p dde-bench --bin expts -- <id>`;
+//! [`Table`]s, regenerable via `cargo run -p dde-cli -- expts <id>`;
 //! ringbench's `quick_suite` workload times all of them at quick scale.
 //!
 //! # Determinism and parallelism

@@ -12,7 +12,7 @@ pub const MAX_ITEMS: usize = 20_000_000;
 /// zero peers or items (the scenario build would panic), or more than
 /// [`MAX_PEERS`] / [`MAX_ITEMS`] (the build would try to allocate them).
 /// Every entry point that takes a size from outside the program — a DST
-/// repro file, `expts dst`, the `ring-dde` CLI — checks it here first.
+/// repro file or a `ring-dde` command line — checks it here first.
 pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
     for (field, value, cap) in [("peers", peers, MAX_PEERS), ("items", items, MAX_ITEMS)] {
         if !(1..=cap).contains(&value) {
@@ -23,9 +23,10 @@ pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
 }
 
 /// The most events one run may schedule: churn's joins, departures and
-/// per-peer stabilization steps, or a workload's operations and estimate
-/// refreshes. Sized so that a `ring-dde churn` or `ring-dde workload` run at
-/// the cap, on the default scenario, finishes in seconds.
+/// per-peer stabilization steps, a workload's operations and estimate
+/// refreshes, or a DST fuzz run's schedules times their events. Sized so
+/// that a `ring-dde churn` or `ring-dde workload` run at the cap, on the
+/// default scenario, finishes in seconds.
 pub const MAX_EVENTS: usize = 200_000;
 
 /// Refuses a run expected to schedule more than [`MAX_EVENTS`] events.

@@ -159,7 +159,7 @@ fn injected_bug_is_caught_shrunk_and_replays_byte_identically() {
     );
 
     // Round-trip through the repro file format, then replay: the failure
-    // report must be byte-identical (the `expts dst --replay` contract).
+    // report must be byte-identical (the `ring-dde dst --replay` contract).
     let text = dst::to_repro(&found.shrunk);
     let parsed = dst::parse_repro(&text).expect("repro text parses back");
     assert_eq!(parsed, found.shrunk);
