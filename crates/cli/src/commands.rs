@@ -5,8 +5,8 @@
 use crate::args::{Args, Spec};
 use crate::json::Json;
 use dde_core::{
-    AggregateEstimator, DensityEstimator, DfDde, DfDdeConfig, ExactAggregation, GossipAggregation,
-    GossipConfig, UniformPeerConfig, UniformPeerSampling,
+    DensityEstimator, DfDde, DfDdeConfig, ExactAggregation, GossipAggregation, GossipConfig,
+    UniformPeerConfig, UniformPeerSampling,
 };
 use dde_ring::{ChurnConfig, ChurnProcess, FaultPlan};
 use dde_sim::dst::{self, DstConfig, InjectedBug, Schedule};
@@ -331,9 +331,11 @@ fn aggregate(args: &Args) -> Result<Run, String> {
     let json = args.has_flag("json");
     Ok(Box::new(move || {
         let (mut built, mut rng, initiator) = setup.build()?;
-        let rep = AggregateEstimator::with_probes(probes)
-            .query(&mut built.net, initiator, &mut rng)
+        let report = DfDde::new(DfDdeConfig::with_probes(probes))
+            .estimate(&mut built.net, initiator, &mut rng)
             .map_err(|e| e.to_string())?;
+        let (count, sum_hat, mean_hat, var_hat) =
+            report.aggregates().ok_or("df-dde estimated no totals")?;
 
         // Exact references for context.
         let vals = built.net.global_values();
@@ -347,11 +349,11 @@ fn aggregate(args: &Args) -> Result<Run, String> {
                 (
                     "estimated",
                     Json::obj(vec![
-                        ("count", rep.count.into()),
-                        ("sum", rep.sum.into()),
-                        ("mean", rep.mean.into()),
-                        ("variance", rep.variance.into()),
-                        ("std_dev", rep.std_dev().into()),
+                        ("count", count.into()),
+                        ("sum", sum_hat.into()),
+                        ("mean", mean_hat.into()),
+                        ("variance", var_hat.into()),
+                        ("std_dev", var_hat.sqrt().into()),
                     ]),
                 ),
                 (
@@ -363,21 +365,21 @@ fn aggregate(args: &Args) -> Result<Run, String> {
                         ("variance", var.into()),
                     ]),
                 ),
-                ("messages", rep.cost.total_messages().into()),
-                ("probes_used", rep.probes_used.into()),
+                ("messages", report.messages().into()),
+                ("probes_used", report.probes_succeeded.into()),
             ]);
             outln!("{}", out.pretty());
             return Ok(());
         }
         outln!(
             "aggregate estimates from {} probes ({} messages):",
-            rep.probes_used,
-            rep.cost.total_messages()
+            report.probes_succeeded,
+            report.messages()
         );
-        outln!("  COUNT {:>14.0}   (exact {:>14.0})", rep.count, n);
-        outln!("  SUM   {:>14.0}   (exact {:>14.0})", rep.sum, sum);
-        outln!("  AVG   {:>14.3}   (exact {:>14.3})", rep.mean, mean);
-        outln!("  VAR   {:>14.1}   (exact {:>14.1})", rep.variance, var);
+        outln!("  COUNT {count:>14.0}   (exact {n:>14.0})");
+        outln!("  SUM   {sum_hat:>14.0}   (exact {sum:>14.0})");
+        outln!("  AVG   {mean_hat:>14.3}   (exact {mean:>14.3})");
+        outln!("  VAR   {var_hat:>14.1}   (exact {var:>14.1})");
         Ok(())
     }))
 }
@@ -396,7 +398,8 @@ fn query(args: &Args) -> Result<Run, String> {
         let report = DfDde::new(DfDdeConfig::with_probes(probes))
             .estimate(&mut built.net, initiator, &mut rng)
             .map_err(|e| e.to_string())?;
-        let predicted = report.estimate.selectivity(lo, hi) * built.net.total_items() as f64;
+        let n_hat = report.estimated_total.ok_or("df-dde estimated no total")?;
+        let predicted = n_hat * report.estimate.selectivity(lo, hi);
         let before = built.net.stats().clone();
         let result = built.net.range_query(initiator, lo, hi).map_err(|e| e.to_string())?;
         let cost = built.net.stats().since(&before);

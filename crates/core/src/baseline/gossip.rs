@@ -202,6 +202,8 @@ impl DensityEstimator for GossipAggregation {
             cost,
             peers_contacted: 0, // gossip involves everyone; "contacted" n/a
             estimated_total: Some(n_hat),
+            estimated_sum: None,
+            estimated_sum_sq: None,
             probes_requested: rounds,
             probes_succeeded: rounds, // every round runs; loss shows as drift
         })

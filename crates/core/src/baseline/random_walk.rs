@@ -206,6 +206,8 @@ impl DensityEstimator for RandomWalkSampling {
             cost,
             peers_contacted: contacted,
             estimated_total: None,
+            estimated_sum: None,
+            estimated_sum_sq: None,
             probes_requested: cfg.peers,
             probes_succeeded: contacted,
         })

@@ -113,6 +113,8 @@ impl DensityEstimator for UniformPeerSampling {
             cost,
             peers_contacted: contacted,
             estimated_total: n_hat,
+            estimated_sum: None,
+            estimated_sum_sq: None,
             probes_requested: need,
             probes_succeeded: contacted,
         })

@@ -11,7 +11,7 @@
 use crate::estimate::DensityEstimate;
 use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
 use crate::retry::RetryPolicy;
-use crate::skeleton::{CdfSkeleton, Weighting, SUPPORT_CAP};
+use crate::skeleton::{usable, CdfSkeleton, Weighting, SUPPORT_CAP};
 use dde_ring::{LookupError, Network, ProbeReply, RingId};
 use dde_stats::CdfFn as _;
 use rand::rngs::StdRng;
@@ -168,8 +168,8 @@ impl DfDde {
         Ok(None)
     }
 
-    /// Builds the skeleton from replies (None-safe wrapper used by every
-    /// Phase-1 caller: this estimator, the continuous and aggregate ones).
+    /// Builds the skeleton from replies (the wrapper every Phase-1 caller
+    /// uses: this estimator, the continuous one and the piggybacked refresh).
     ///
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
     pub fn build_skeleton(
@@ -197,16 +197,19 @@ impl DensityEstimator for DfDde {
     ) -> Result<EstimationReport, EstimateError> {
         let domain = net.placement().domain();
         let need = self.config.probes;
-        let ((skeleton, samples, contacted, succeeded), cost) = with_cost(net, |net| {
+        let ((skeleton, samples, contacted), cost) = with_cost(net, |net| {
             // Phase 1. A partial reply set is fine — the skeleton degrades
-            // gracefully and the report says how many of `k` succeeded —
+            // gracefully and the report says how many of `k` were usable —
             // but below 2 usable replies no skeleton exists.
             let replies = self.run_probes(net, initiator, rng)?;
             if replies.len() < need.min(2) {
                 return Err(EstimateError::InsufficientProbes { got: replies.len(), need });
             }
-            let succeeded = replies.len();
             let skeleton = self.build_skeleton(&replies, domain)?;
+            // Two probes can land on one peer.
+            let mut contacted: Vec<RingId> = usable(&replies).map(|(r, _)| r.peer).collect();
+            contacted.sort_unstable();
+            contacted.dedup();
 
             // Phase 2.
             let mut samples = Vec::new();
@@ -229,8 +232,7 @@ impl DensityEstimator for DfDde {
                     }
                 }
             }
-            let contacted = skeleton.probes_used;
-            Ok((skeleton, samples, contacted, succeeded))
+            Ok((skeleton, samples, contacted.len()))
         })?;
 
         Ok(EstimationReport {
@@ -238,8 +240,10 @@ impl DensityEstimator for DfDde {
             cost,
             peers_contacted: contacted,
             estimated_total: Some(skeleton.n_hat),
+            estimated_sum: Some(skeleton.sum_hat),
+            estimated_sum_sq: Some(skeleton.sum_sq_hat),
             probes_requested: need,
-            probes_succeeded: succeeded,
+            probes_succeeded: skeleton.probes_used,
         })
     }
 }
@@ -415,6 +419,23 @@ mod tests {
             .unwrap();
         let ks = est.estimate.ks_to(dist.as_ref());
         assert!(ks < 0.1, "hashed-placement ks = {ks}");
+    }
+
+    /// Probes that land on one peer contact it once: on a 16-peer ring, 128
+    /// probes contact the distinct peers that replied, and every reply
+    /// counts as a usable probe.
+    #[test]
+    fn peers_contacted_counts_distinct_peers() {
+        let mut net = build_net(16, 200, &DistributionKind::Uniform, 13);
+        let mut rng = StdRng::seed_from_u64(3);
+        let initiator = net.random_peer(&mut rng).unwrap();
+        let est = DfDde::new(DfDdeConfig::with_probes(128));
+        let replies = est.run_probes(&mut net.fork(), initiator, &mut rng.clone()).unwrap();
+        let peers: std::collections::BTreeSet<RingId> = replies.iter().map(|r| r.peer).collect();
+        let rep = est.estimate(&mut net, initiator, &mut rng).unwrap();
+        assert_eq!(rep.probes_succeeded, 128);
+        assert_eq!(rep.peers_contacted, peers.len());
+        assert!((2..=16).contains(&rep.peers_contacted), "{} peers", rep.peers_contacted);
     }
 
     /// A ring that holds no items estimates `N̂ = 0`, and the estimate says

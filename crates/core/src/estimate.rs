@@ -9,8 +9,8 @@ use rand::Rng;
 ///
 /// Internally a monotone piecewise-linear CDF (the *skeleton*), optionally
 /// accompanied by real tuples fetched during Phase-2 remote sampling. All
-/// query methods (`cdf`, `pdf`, `quantile`, sampling) and all scoring methods
-/// (KS / L1 / Wasserstein against a reference) live here.
+/// query methods (`cdf`, `pdf`, `quantile`, sampling) and the scoring method
+/// (KS against a reference) live here.
 #[derive(Debug, Clone)]
 pub struct DensityEstimate {
     cdf: PiecewiseCdf,
@@ -86,7 +86,7 @@ impl DensityEstimate {
 
     /// Estimated (population) variance, exact over the skeleton: each linear
     /// segment is a uniform patch with `E[X²] = (x0² + x0·x1 + x1²)/3`.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         let mean = self.mean();
         let ex2: f64 = self
             .cdf
@@ -141,11 +141,6 @@ impl DensityEstimate {
     /// metric in every experiment).
     pub fn ks_to<C: CdfFn + ?Sized>(&self, reference: &C) -> f64 {
         self.cdf.sup_diff(reference, metrics::DEFAULT_GRID)
-    }
-
-    /// 1-D Wasserstein distance to a reference CDF.
-    pub fn wasserstein_to<C: CdfFn + ?Sized>(&self, reference: &C) -> f64 {
-        metrics::wasserstein1(&self.cdf, reference, metrics::DEFAULT_GRID)
     }
 }
 
@@ -208,7 +203,6 @@ mod tests {
     fn scores_against_truth() {
         let e = uniform_estimate();
         assert!(e.ks_to(&Uniform::new(0.0, 10.0)) < 1e-12);
-        assert!(e.wasserstein_to(&Uniform::new(0.0, 10.0)) < 1e-9);
         // Against a shifted uniform the error is visible.
         assert!(e.ks_to(&Uniform::new(5.0, 15.0)) > 0.4);
     }

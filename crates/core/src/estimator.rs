@@ -57,11 +57,18 @@ pub struct EstimationReport {
     pub peers_contacted: usize,
     /// Estimated global item count (`N̂`), when the method produces one.
     pub estimated_total: Option<f64>,
+    /// Estimated global sum of the values (`ŜUM`), when the method
+    /// produces one.
+    pub estimated_sum: Option<f64>,
+    /// Estimated global sum of the squared values (`ŜQ`), when the method
+    /// produces one.
+    pub estimated_sum_sq: Option<f64>,
     /// Probes/samples the method set out to collect (`k`).
     pub probes_requested: usize,
-    /// Probes/samples that actually succeeded. Under faults or churn this
-    /// may fall short of `probes_requested`; the estimate is then built
-    /// from the partial set rather than erroring.
+    /// Probes/samples that actually succeeded (for DF-DDE, the usable
+    /// replies). Under faults or churn this may fall short of
+    /// `probes_requested`; the estimate is then built from the partial set
+    /// rather than erroring.
     pub probes_succeeded: usize,
 }
 
@@ -78,6 +85,18 @@ impl EstimationReport {
     /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
     pub fn bytes(&self) -> u64 {
         self.cost.total_bytes()
+    }
+
+    /// The aggregate answers of this estimate, `(COUNT, SUM, AVG, VAR)`:
+    /// `N̂`, `ŜUM`, `AVG = ŜUM/N̂` and the population variance
+    /// `VAR = max(ŜQ/N̂ − AVG², 0)`, when the method estimates the count and
+    /// both sums.
+    ///
+    /// Determinism: pure function of `self` and its arguments — no RNG, clock, or ambient state.
+    pub fn aggregates(&self) -> Option<(f64, f64, f64, f64)> {
+        let (n, sum) = (self.estimated_total?, self.estimated_sum?);
+        let mean = sum / n;
+        Some((n, sum, mean, (self.estimated_sum_sq? / n - mean * mean).max(0.0)))
     }
 }
 

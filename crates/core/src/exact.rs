@@ -94,6 +94,8 @@ impl DensityEstimator for ExactAggregation {
             cost,
             peers_contacted: visited,
             estimated_total: Some(n_total as f64),
+            estimated_sum: None,
+            estimated_sum_sq: None,
             probes_requested: visited,
             probes_succeeded: visited,
         })

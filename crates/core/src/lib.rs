@@ -77,7 +77,8 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod aggregate;
+#[cfg(test)]
+mod aggregate;
 pub mod baseline;
 pub mod continuous;
 pub mod dfdde;
@@ -88,7 +89,6 @@ pub mod piggyback;
 pub mod retry;
 pub mod skeleton;
 
-pub use aggregate::{AggregateEstimator, AggregateReport};
 pub use baseline::gossip::{GossipAggregation, GossipConfig};
 pub use baseline::random_walk::{RandomWalkConfig, RandomWalkSampling};
 pub use baseline::uniform_peer::{PoolWeighting, UniformPeerConfig, UniformPeerSampling};

@@ -20,6 +20,18 @@
 //! probed summaries' bucket boundaries and assembled into a monotone
 //! piecewise-linear skeleton.
 //!
+//! The same pass applies it to `fᵢ = sumᵢ` and `fᵢ = sum_sqᵢ`, the local sum
+//! and sum of squares every reply carries, so one probe round also answers
+//! the global aggregate queries (experiment T5):
+//!
+//! ```text
+//!   N̂ = (1/k)·Σⱼ nⱼ/sⱼ    ŜUM = (1/k)·Σⱼ sumⱼ/sⱼ    ŜQ = (1/k)·Σⱼ sum_sqⱼ/sⱼ
+//! ```
+//!
+//! with AVG = ŜUM/N̂ and VAR = ŜQ/N̂ − AVG² (see
+//! [`crate::EstimationReport::aggregates`]) and range COUNT
+//! `N̂·(F̂(hi) − F̂(lo))`.
+//!
 //! The `Unweighted` mode drops the `1/s` correction — exactly the bias the
 //! paper's "free from sampling bias" claim is about; experiment T3 measures
 //! the difference.
@@ -50,6 +62,10 @@ pub struct CdfSkeleton {
     pub cdf: PiecewiseCdf,
     /// Estimated global item count `N̂`.
     pub n_hat: f64,
+    /// Estimated global sum of the values, `ŜUM`.
+    pub sum_hat: f64,
+    /// Estimated global sum of the squared values, `ŜQ`.
+    pub sum_sq_hat: f64,
     /// Probe replies actually used (replies without a known predecessor are
     /// dropped — their inclusion probability is unknown).
     pub probes_used: usize,
@@ -73,15 +89,7 @@ impl CdfSkeleton {
         weighting: Weighting,
     ) -> Result<CdfSkeleton, EstimateError> {
         debug_assert!(domain.0 < domain.1);
-        // Usable replies: inclusion probability must be known.
-        let usable = || {
-            replies.iter().filter_map(|r| {
-                let pred = r.predecessor?;
-                let s = r.peer.arc_fraction_from(pred);
-                (s > 0.0).then_some((r, s))
-            })
-        };
-        let probes_used = usable().count();
+        let probes_used = usable(replies).count();
         if probes_used < 2 {
             return Err(EstimateError::InsufficientProbes { got: probes_used, need: 2 });
         }
@@ -92,14 +100,16 @@ impl CdfSkeleton {
             Weighting::Unweighted => 1.0,
         };
 
-        let n_hat = usable().map(|(r, s)| r.count as f64 * weight(s)).sum::<f64>() / k;
+        let n_hat = usable(replies).map(|(r, s)| r.count as f64 * weight(s)).sum::<f64>() / k;
         if n_hat <= 0.0 {
             return Err(EstimateError::NoData);
         }
+        let sum_hat = usable(replies).map(|(r, s)| r.sum * weight(s)).sum::<f64>() / k;
+        let sum_sq_hat = usable(replies).map(|(r, s)| r.sum_sq * weight(s)).sum::<f64>() / k;
 
         // Ĉ(x) at each support point, then F̂ = Ĉ/N̂.
         let points = pooled_cdf_points(
-            usable().map(|(r, s)| (&r.summary, PoolTerm::Scaled(weight(s)))),
+            usable(replies).map(|(r, s)| (&r.summary, PoolTerm::Scaled(weight(s)))),
             domain,
             support_cap,
             |c| c / k / n_hat,
@@ -107,8 +117,19 @@ impl CdfSkeleton {
         // The domain's ends are two distinct points, so this cannot fail
         // while N̂ is a positive number.
         let cdf = PiecewiseCdf::from_noisy_points(points).ok_or(EstimateError::NoData)?;
-        Ok(CdfSkeleton { cdf, n_hat, probes_used })
+        Ok(CdfSkeleton { cdf, n_hat, sum_hat, sum_sq_hat, probes_used })
     }
+}
+
+/// The usable replies, each with its peer's arc fraction `s > 0`: a reply
+/// whose peer knows no predecessor is dropped, because its inclusion
+/// probability is unknown.
+pub(crate) fn usable(replies: &[ProbeReply]) -> impl Iterator<Item = (&ProbeReply, f64)> + Clone {
+    replies.iter().filter_map(|r| {
+        let pred = r.predecessor?;
+        let s = r.peer.arc_fraction_from(pred);
+        (s > 0.0).then_some((r, s))
+    })
 }
 
 #[cfg(test)]

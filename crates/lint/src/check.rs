@@ -240,7 +240,7 @@ impl FileCheck {
         self.raw.push(v);
     }
 
-    /// Scans the code mask for the textual needles (D1–D5, D7).
+    /// Scans the code mask for the textual needles (D1–D5).
     fn scan_needles(&mut self) {
         let mask = self.lexed.mask.as_bytes();
         for needle in NEEDLES {

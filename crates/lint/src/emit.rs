@@ -16,7 +16,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::D4,
     RuleId::D5,
     RuleId::D6,
-    RuleId::D7,
     RuleId::D8,
     RuleId::D9,
     RuleId::D10,

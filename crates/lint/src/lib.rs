@@ -10,7 +10,7 @@
 //! lifts the mask into items (fns, uses, enums, call sites), [`graph`]
 //! builds the workspace symbol graph, [`rules`] defines the rule set,
 //! [`policy`] scopes each rule to paths, and [`check`] applies the per-file
-//! rules (D1–D7) plus the cross-file passes — [`taint`] (D8 determinism
+//! rules (D1–D6) plus the cross-file passes — [`taint`] (D8 determinism
 //! taint), [`proto`] (D9 message-exhaustiveness, D10 sans-IO boundary),
 //! [`dead`] (D11 dead public API) — with inline
 //! `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON and

@@ -18,7 +18,6 @@ pub const D6_FILES: &[&str] = &[
     "crates/core/src/dfdde.rs",
     "crates/core/src/continuous.rs",
     "crates/core/src/exact.rs",
-    "crates/core/src/aggregate.rs",
     "crates/core/src/skeleton.rs",
     "crates/core/src/piggyback.rs",
     "crates/core/src/baseline/gossip.rs",
@@ -31,21 +30,6 @@ pub const D6_FILES: &[&str] = &[
     "crates/sim/src/workload.rs",
     "crates/ring/src/arena.rs",
     "crates/ring/src/batch.rs",
-];
-
-/// Ring hot-path modules where cloning a successor list or a store's sorted
-/// vec re-introduces the per-hop heap traffic the hot-path overhaul removed
-/// (rule D7). Snapshot to the stack or share via `Arc` instead; genuinely
-/// cold sites escape with a reasoned `ddelint::allow(hot-clone, ...)`.
-pub const D7_FILES: &[&str] = &[
-    "crates/ring/src/network.rs",
-    "crates/ring/src/node.rs",
-    "crates/ring/src/store.rs",
-    "crates/ring/src/membership.rs",
-    "crates/ring/src/query.rs",
-    "crates/ring/src/replication.rs",
-    "crates/ring/src/arena.rs",
-    "crates/ring/src/churn.rs",
 ];
 
 /// Modules that must stay sans-IO (rule D10): the estimator/probe/routing
@@ -212,7 +196,6 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
         // those files are excluded positionally in check.rs.
         RuleId::D5 => in_det_src(path),
         RuleId::D6 => D6_FILES.contains(&path),
-        RuleId::D7 => D7_FILES.contains(&path),
         // D8 reports where determinism is law: deterministic-crate src and
         // the integration-test tree. Taint still *propagates* through
         // everything (including shims — that's where `thread_rng` is
@@ -230,11 +213,11 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
 
 /// Whether violations of `rule` are exempt inside `#[cfg(test)]` regions.
 ///
-/// D5 (unwrap hygiene), D6 (public-API docs), D7 (hot-path clones), D8
-/// (taint — in-file unit tests drive helpers off arbitrary state), D10
-/// (tests exercise mutation deliberately) and D11 (a test helper is no
-/// public API) are test-exempt; ambient entropy, wall-clock, unordered maps,
-/// and unsafe would break deterministic replay of the test suite itself.
+/// D5 (unwrap hygiene), D6 (public-API docs), D8 (taint — in-file unit
+/// tests drive helpers off arbitrary state), D10 (tests exercise mutation
+/// deliberately) and D11 (a test helper is no public API) are test-exempt;
+/// ambient entropy, wall-clock, unordered maps, and unsafe would break
+/// deterministic replay of the test suite itself.
 pub fn test_exempt(rule: RuleId) -> bool {
-    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D7 | RuleId::D8 | RuleId::D10 | RuleId::D11)
+    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D8 | RuleId::D10 | RuleId::D11)
 }

@@ -27,10 +27,6 @@ pub enum RuleId {
     /// Every `pub fn` in the core/stats estimator modules documents its
     /// determinism contract.
     D6,
-    /// No `.clone()` of successor lists or sorted store vecs in the ring
-    /// hot-path modules — the per-hop allocations the perf overhaul removed
-    /// (snapshot to the stack, or share via `Arc`, instead).
-    D7,
     /// Determinism taint: no fn in a deterministic path may *transitively*
     /// reach a D1/D2 entropy or wall-clock source through the call graph,
     /// unless it threads an explicit seed/RNG parameter or the flow carries
@@ -89,7 +85,6 @@ impl RuleId {
             Self::D4 => "unsafe",
             Self::D5 => "unwrap",
             Self::D6 => "doc-determinism",
-            Self::D7 => "hot-clone",
             Self::D8 => "det-taint",
             Self::D9 => "message-exhaustive",
             Self::D10 => "sans-io",
@@ -108,7 +103,6 @@ impl RuleId {
             Self::D4 => "D4",
             Self::D5 => "D5",
             Self::D6 => "D6",
-            Self::D7 => "D7",
             Self::D8 => "D8",
             Self::D9 => "D9",
             Self::D10 => "D10",
@@ -127,7 +121,6 @@ impl RuleId {
             Self::D4 => "unsafe code without an allow carrying a reason",
             Self::D5 => "bare unwrap()/expect(\"\") in library-crate non-test code",
             Self::D6 => "pub fn in an estimator module lacking a determinism-contract doc comment",
-            Self::D7 => "successor-list/sorted-store clone on a ring hot path (snapshot or Arc-share instead)",
             Self::D8 => "fn transitively reaches ambient entropy/wall-clock without threading a seed parameter",
             Self::D9 => "protocol enum variant missing a handler arm, registry entry, or billing call",
             Self::D10 => "Network call outside the probe/read/billing whitelist (mutation or ground-truth read) in a sans-IO module",
@@ -146,7 +139,6 @@ impl RuleId {
             Self::D4,
             Self::D5,
             Self::D6,
-            Self::D7,
             Self::D8,
             Self::D9,
             Self::D10,
@@ -164,7 +156,7 @@ impl RuleId {
     }
 }
 
-/// The needle table for the textual rules D1–D5 and D7. D6 has no needles;
+/// The needle table for the textual rules D1–D5. D6 has no needles;
 /// it is driven by doc-comment structure in [`crate::check`].
 pub const NEEDLES: &[Needle] = &[
     Needle { rule: RuleId::D1, text: "thread_rng", boundary: Boundary::Ident },
@@ -177,6 +169,4 @@ pub const NEEDLES: &[Needle] = &[
     Needle { rule: RuleId::D4, text: "unsafe", boundary: Boundary::Ident },
     Needle { rule: RuleId::D5, text: ".unwrap()", boundary: Boundary::Exact },
     Needle { rule: RuleId::D5, text: ".expect(\"\")", boundary: Boundary::Exact },
-    Needle { rule: RuleId::D7, text: ".successors.clone()", boundary: Boundary::Exact },
-    Needle { rule: RuleId::D7, text: ".sorted.clone()", boundary: Boundary::Exact },
 ];

@@ -114,29 +114,6 @@ fn d6_only_applies_to_listed_estimator_modules() {
 }
 
 #[test]
-fn d7_flags_hot_path_clones_outside_tests() {
-    let v = check_fixture("d7_violation.rs", "crates/ring/src/network.rs");
-    assert_eq!(rules_of(&v), vec![RuleId::D7, RuleId::D7]);
-    assert!(v[0].snippet.contains(".successors.clone()"), "{}", v[0].snippet);
-    assert!(v[1].snippet.contains(".sorted.clone()"), "{}", v[1].snippet);
-    // The clone inside #[cfg(test)] produced no third violation.
-}
-
-#[test]
-fn d7_reasoned_allow_escapes() {
-    let v = check_fixture("d7_allowed.rs", "crates/ring/src/query.rs");
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn d7_only_applies_to_ring_hot_path_modules() {
-    let v = check_fixture("d7_violation.rs", "crates/ring/src/messages.rs");
-    assert!(v.is_empty(), "messages.rs is not a D7 hot-path module: {v:?}");
-    let v = check_fixture("d7_violation.rs", "crates/sim/src/runner.rs");
-    assert!(v.is_empty(), "D7 is scoped to crates/ring: {v:?}");
-}
-
-#[test]
 fn a0_rejects_each_malformed_allow() {
     let v = check_fixture("a0_violation.rs", "crates/core/src/fixture.rs");
     assert_eq!(rules_of(&v), vec![RuleId::A0; 4]);

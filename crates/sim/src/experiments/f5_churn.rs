@@ -52,7 +52,7 @@ fn churned_run(
     let surviving = Ecdf::from_sorted(built.net.global_values());
     let ks = report.estimate.ks_to(&surviving);
     let timeouts = delta.count(MessageKind::LookupTimeout);
-    let failures = (probes - report.peers_contacted) as u64;
+    let failures = (probes - report.probes_succeeded) as u64;
     Some((ks, timeouts, failures))
 }
 

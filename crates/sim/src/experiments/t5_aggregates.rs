@@ -1,5 +1,6 @@
 //! T5 (extension) — global aggregate queries from the same probe round:
-//! relative error of COUNT / SUM / AVG / VAR and a range COUNT, vs `k`.
+//! relative error of COUNT / SUM / AVG / VAR and a range COUNT, vs `k`, all
+//! read off one DF-DDE estimate.
 //!
 //! The abstract motivates the estimator with "load balancing analysis, query
 //! processing, and data mining"; aggregates are the query-processing
@@ -12,7 +13,7 @@ use super::Scale;
 use crate::build::build;
 use crate::exec::ExecPlan;
 use crate::report::{f, Table};
-use dde_core::AggregateEstimator;
+use dde_core::{DensityEstimator, DfDde, DfDdeConfig};
 use dde_stats::metrics::relative_error;
 use dde_stats::rng::{Component, SeedSequence};
 
@@ -51,15 +52,17 @@ pub fn t5_aggregates(scale: Scale) -> Vec<Table> {
                 let seq = SeedSequence::new(scenario.seed ^ 0x75);
                 let mut rng = seq.stream(Component::Estimator, (run * 1000 + k) as u64);
                 let initiator = built.net.random_peer(&mut rng).expect("nonempty");
-                let rep = AggregateEstimator::with_probes(k)
-                    .query(&mut built.net, initiator, &mut rng)
-                    .expect("queries");
+                let rep = DfDde::new(DfDdeConfig::with_probes(k))
+                    .estimate(&mut built.net, initiator, &mut rng)
+                    .expect("estimates");
+                let (count, sum_hat, mean_hat, var_hat) =
+                    rep.aggregates().expect("DF-DDE estimates N̂ and both sums");
                 [
-                    relative_error(rep.count, n),
-                    relative_error(rep.sum, sum),
-                    relative_error(rep.mean, mean),
-                    relative_error(rep.variance, var),
-                    relative_error(rep.range_count(qlo, qhi), range_exact),
+                    relative_error(count, n),
+                    relative_error(sum_hat, sum),
+                    relative_error(mean_hat, mean),
+                    relative_error(var_hat, var),
+                    relative_error(count * rep.estimate.selectivity(qlo, qhi), range_exact),
                 ]
             });
         }

@@ -14,8 +14,6 @@ pub struct RunResult {
     pub ks_vs_generator: f64,
     /// KS distance to the realized dataset's ECDF (excludes dataset noise).
     pub ks_vs_data: f64,
-    /// 1-D Wasserstein distance to the generator.
-    pub wasserstein: f64,
     /// Messages sent by this run.
     pub messages: u64,
     /// Bytes moved by this run.
@@ -60,7 +58,6 @@ pub fn run_estimator(
         method: estimator.name(),
         ks_vs_generator: report.estimate.ks_to(built.truth.as_ref()),
         ks_vs_data: report.estimate.ks_to(&built.data_truth),
-        wasserstein: report.estimate.wasserstein_to(built.truth.as_ref()),
         messages: report.messages(),
         bytes: report.bytes(),
         mean_hops: report.cost.mean_hops(),

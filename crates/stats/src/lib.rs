@@ -16,8 +16,8 @@
 //!   representation), with exact inversion;
 //! * [`inversion`] — the inversion method for random variate generation, the
 //!   idea the paper's estimator is built on;
-//! * [`metrics`] — the 1-D Wasserstein distance and the relative error of
-//!   scalar aggregates;
+//! * [`metrics`] — the KS grid and the relative error of scalar
+//!   aggregates;
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
 //! * [`assert`](mod@assert) — DKW-derived confidence-band assertions for

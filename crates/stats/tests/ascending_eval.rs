@@ -10,7 +10,7 @@
 //! reference.
 
 use dde_stats::dist::DistributionKind;
-use dde_stats::metrics::{wasserstein1, DEFAULT_GRID};
+use dde_stats::metrics::DEFAULT_GRID;
 use dde_stats::streaming::StreamingTruth;
 use dde_stats::{CdfFn, Ecdf, PiecewiseCdf};
 use proptest::prelude::*;
@@ -119,26 +119,6 @@ fn sup_diff_per_point<C: CdfFn + ?Sized>(p: &PiecewiseCdf, other: &C, grid: usiz
     d
 }
 
-fn union_domain<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B) -> (f64, f64) {
-    let (alo, ahi) = a.domain();
-    let (blo, bhi) = b.domain();
-    (alo.min(blo), ahi.max(bhi))
-}
-
-fn wasserstein1_per_point<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(a: &A, b: &B, grid: usize) -> f64 {
-    let (lo, hi) = union_domain(a, b);
-    let step = (hi - lo) / grid as f64;
-    let mut sum = 0.0;
-    let mut prev = (a.cdf(lo) - b.cdf(lo)).abs();
-    for i in 1..=grid {
-        let x = lo + step * i as f64;
-        let cur = (a.cdf(x) - b.cdf(x)).abs();
-        sum += 0.5 * (prev + cur) * step;
-        prev = cur;
-    }
-    sum
-}
-
 fn ks_distance_to_per_point<C: CdfFn + ?Sized>(e: &Ecdf, reference: &C) -> f64 {
     let n = e.samples().len() as f64;
     let mut d: f64 = 0.0;
@@ -161,16 +141,6 @@ fn assert_scorers_match<B: CdfFn + ?Sized>(
         assert_eq!(a.to_bits(), b.to_bits(), "{scorer} against {what}: {a} vs {b}");
     };
     same(p.sup_diff(other, grid), sup_diff_per_point(p, other, grid), "sup_diff");
-    same(
-        wasserstein1(p, other, grid),
-        wasserstein1_per_point(p, other, grid),
-        "wasserstein1(p, _)",
-    );
-    same(
-        wasserstein1(other, e, grid),
-        wasserstein1_per_point(other, e, grid),
-        "wasserstein1(_, e)",
-    );
     same(e.ks_distance_to(other), ks_distance_to_per_point(e, other), "ks_distance_to");
 }
 
@@ -202,9 +172,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `sup_diff`, `wasserstein1` and `ks_distance_to` ≡
-    /// their per-point bodies, by bits: against every generator, an ECDF
-    /// and a skeleton, at the default grid and a small odd one.
+    /// `sup_diff` and `ks_distance_to` ≡ their per-point bodies, by bits:
+    /// against every generator, an ECDF and a skeleton, at the default grid
+    /// and a small odd one.
     #[test]
     fn scorers_match_their_per_point_bodies(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);

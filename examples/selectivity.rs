@@ -92,11 +92,12 @@ fn main() {
     let report = DfDde::new(DfDdeConfig::with_probes(128))
         .estimate(&mut built.net, initiator, &mut rng)
         .expect("estimates");
+    let n_hat = report.estimated_total.expect("DF-DDE estimates N̂");
     let n = built.net.total_items() as f64;
     let budget_rows = 10_000.0;
 
     for (qlo, qhi) in [(0.0, 40.0), (200.0, 400.0), (700.0, 1000.0)] {
-        let predicted = report.estimate.selectivity(qlo, qhi) * n;
+        let predicted = n_hat * report.estimate.selectivity(qlo, qhi);
         if predicted > budget_rows {
             println!(
                 "  [{qlo:5}, {qhi:5}]: predicted {predicted:7.0} rows > budget {budget_rows:.0} \

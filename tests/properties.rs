@@ -198,15 +198,16 @@ proptest! {
         let seq = SeedSequence::new(scenario.seed);
         let mut rng = seq.stream(Component::Estimator, 11);
         let initiator = built.net.random_peer(&mut rng).expect("nonempty");
-        let rep = dde_core::AggregateEstimator::with_probes(32)
-            .query(&mut built.net, initiator, &mut rng)
-            .expect("healthy network queries");
-        prop_assert!(rep.count > 0.0 && rep.count.is_finite());
-        prop_assert!(rep.sum.is_finite());
-        prop_assert!(rep.variance >= 0.0);
+        let rep = DfDde::new(DfDdeConfig::with_probes(32))
+            .estimate(&mut built.net, initiator, &mut rng)
+            .expect("healthy network estimates");
+        let (count, sum, mean, variance) = rep.aggregates().expect("df-dde reports totals");
+        prop_assert!(count > 0.0 && count.is_finite());
+        prop_assert!(sum.is_finite());
+        prop_assert!(variance >= 0.0);
         let (lo, hi) = scenario.domain;
-        prop_assert!((lo..=hi).contains(&rep.mean), "mean {} outside domain", rep.mean);
-        let q = rep.quantile(0.5);
+        prop_assert!((lo..=hi).contains(&mean), "mean {mean} outside domain");
+        let q = rep.estimate.quantile(0.5);
         prop_assert!((lo..=hi).contains(&q));
     }
 }
