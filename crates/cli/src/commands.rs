@@ -51,12 +51,13 @@ network options (estimate, aggregate, query, churn, workload, topology):
   --fault-seed S   fault-plan seed            (default seed ^ 0xFA17)
 
 command-specific:
-  estimate: --probes K      probe budget (default 128)
+  estimate: --probes K      probe budget (default 128; at least 2 for
+                            df-dde, 1 for uniform-peer)
            --method M       df-dde|exact|uniform-peer|gossip (default df-dde)
            --json           machine-readable output
-  aggregate: --probes K     probe budget (default 128)
+  aggregate: --probes K     probe budget (default 128, at least 2)
            --json           machine-readable output
-  query:   --probes K       probe budget (default 128)
+  query:   --probes K       probe budget (default 128, at least 2)
            --lo X --hi Y    range bounds (default 100..300)
   churn:   --rate R         churn rate/peer/unit (default 0.1)
            --duration T     time units (default 10)
@@ -197,6 +198,16 @@ fn positive(args: &Args, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// `--probes`, which must be at least `least`: the fewest replies the
+/// estimator can answer from.
+fn probes(args: &Args, least: usize) -> Result<usize, String> {
+    let probes = args.get_or("probes", 128usize)?;
+    if probes < least {
+        return Err(format!("--probes must be at least {least}, got {probes}"));
+    }
+    Ok(probes)
+}
+
 /// `--jobs`: cell worker threads, 0 for one per core.
 fn jobs(args: &Args) -> Result<usize, String> {
     let jobs = args.get_or("jobs", 0usize)?;
@@ -240,9 +251,17 @@ impl Setup {
 
 /// `ring-dde estimate`
 fn estimate(args: &Args) -> Result<Run, String> {
-    let probes = args.get_or("probes", 128usize)?;
+    let method = args.get("method").unwrap_or("df-dde");
+    // DF-DDE's skeleton needs two usable replies, uniform peer sampling one;
+    // the other methods read no budget.
+    let least = match method {
+        "df-dde" => 2,
+        "uniform-peer" => 1,
+        _ => 0,
+    };
+    let probes = probes(args, least)?;
     let setup = setup(args)?;
-    let estimator: Box<dyn DensityEstimator> = match args.get("method").unwrap_or("df-dde") {
+    let estimator: Box<dyn DensityEstimator> = match method {
         "df-dde" => Box::new(DfDde::new(DfDdeConfig::with_probes(probes))),
         "exact" => Box::new(ExactAggregation::new()),
         "uniform-peer" => Box::new(UniformPeerSampling::new(UniformPeerConfig {
@@ -326,7 +345,7 @@ fn estimate(args: &Args) -> Result<Run, String> {
 
 /// `ring-dde aggregate`
 fn aggregate(args: &Args) -> Result<Run, String> {
-    let probes = args.get_or("probes", 128usize)?;
+    let probes = probes(args, 2)?;
     let setup = setup(args)?;
     let json = args.has_flag("json");
     Ok(Box::new(move || {
@@ -386,7 +405,7 @@ fn aggregate(args: &Args) -> Result<Run, String> {
 
 /// `ring-dde query`
 fn query(args: &Args) -> Result<Run, String> {
-    let probes = args.get_or("probes", 128usize)?;
+    let probes = probes(args, 2)?;
     let lo = args.get_or("lo", 100.0f64)?;
     let hi = args.get_or("hi", 300.0f64)?;
     if !(lo.is_finite() && hi.is_finite()) {
@@ -889,6 +908,9 @@ mod tests {
     #[test]
     fn estimate_command_runs() {
         run("estimate --peers 48 --items 2000 --probes 32 --json").unwrap();
+        // The smallest budgets that can estimate; `exact` reads none.
+        run("estimate --peers 48 --items 2000 --method uniform-peer --probes 1").unwrap();
+        run("estimate --peers 48 --items 2000 --method exact --probes 0").unwrap();
     }
 
     #[test]

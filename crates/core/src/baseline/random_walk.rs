@@ -13,7 +13,9 @@
 
 use crate::baseline::{pool_replies, PoolWeighting};
 use crate::estimate::DensityEstimate;
-use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
+use crate::estimator::{
+    distinct_peers, with_cost, DensityEstimator, EstimateError, EstimationReport,
+};
 use crate::skeleton::SUPPORT_CAP;
 use dde_ring::{MessageKind, Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
@@ -204,7 +206,7 @@ impl DensityEstimator for RandomWalkSampling {
         Ok(EstimationReport {
             estimate: DensityEstimate::from_cdf(cdf),
             cost,
-            peers_contacted: contacted,
+            peers_contacted: distinct_peers(replies.iter().map(|r| r.peer)),
             estimated_total: None,
             estimated_sum: None,
             estimated_sum_sq: None,
@@ -286,7 +288,8 @@ mod tests {
         let initiator = net.random_peer(&mut rng).unwrap();
         let cfg = RandomWalkConfig { peers: 48, ..RandomWalkConfig::default() };
         let est = RandomWalkSampling::new(cfg).estimate(&mut net, initiator, &mut rng).unwrap();
-        assert_eq!(est.peers_contacted, 48);
+        assert_eq!(est.probes_succeeded, 48);
+        assert!(est.peers_contacted <= 48, "{} peers", est.peers_contacted);
         assert!(est.estimate.ks_to(truth.as_ref()) < 0.2);
         // Walk steps dominate the cost: burn_in + k·gap exchanges, 2 msgs each.
         let steps = (cfg.burn_in + cfg.peers * cfg.gap) as u64;
@@ -384,5 +387,25 @@ mod tests {
             ),
             Err(EstimateError::InitiatorDead)
         ));
+    }
+
+    /// On a 16-peer ring, a walk of 128 samples revisits peers: the report
+    /// counts the distinct peers sampled, and every reply as a succeeded
+    /// probe.
+    #[test]
+    fn peers_contacted_counts_distinct_peers() {
+        let mut net = build_net(16, 200, &DistributionKind::Uniform, 13);
+        let mut rng = StdRng::seed_from_u64(3);
+        let initiator = net.random_peer(&mut rng).unwrap();
+        let est = RandomWalkSampling::new(RandomWalkConfig { peers: 128, ..Default::default() });
+        let mut view = WalkView::default();
+        let replies = est.walk(&mut net.fork(), initiator, &mut rng.clone(), |net, cur, rng| {
+            RandomWalkSampling::mh_step(net, &mut view, cur, rng)
+        });
+        let peers: std::collections::BTreeSet<RingId> = replies.iter().map(|r| r.peer).collect();
+        let rep = est.estimate(&mut net, initiator, &mut rng).unwrap();
+        assert_eq!(rep.probes_succeeded, 128);
+        assert_eq!(rep.peers_contacted, peers.len());
+        assert!((2..=16).contains(&rep.peers_contacted), "{} peers", rep.peers_contacted);
     }
 }

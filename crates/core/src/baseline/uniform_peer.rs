@@ -14,7 +14,9 @@
 use crate::baseline::pool_replies;
 pub use crate::baseline::PoolWeighting;
 use crate::estimate::DensityEstimate;
-use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
+use crate::estimator::{
+    distinct_peers, with_cost, DensityEstimator, EstimateError, EstimationReport,
+};
 use crate::skeleton::SUPPORT_CAP;
 use dde_ring::{Network, RingId};
 use rand::rngs::StdRng;
@@ -111,7 +113,7 @@ impl DensityEstimator for UniformPeerSampling {
         Ok(EstimationReport {
             estimate: DensityEstimate::from_cdf(cdf),
             cost,
-            peers_contacted: contacted,
+            peers_contacted: distinct_peers(replies.iter().map(|r| r.peer)),
             estimated_total: n_hat,
             estimated_sum: None,
             estimated_sum_sq: None,
@@ -233,8 +235,30 @@ mod tests {
         })
         .estimate(&mut net, initiator, &mut rng)
         .unwrap();
-        assert_eq!(est.peers_contacted, 32);
+        assert_eq!(est.probes_succeeded, 32);
+        assert!(est.peers_contacted <= 32, "{} peers", est.peers_contacted);
         // Routing to each sampled peer costs hops.
         assert!(est.messages() > 64, "messages = {}", est.messages());
+    }
+
+    /// On a 16-peer ring, 128 samples hit some peers more than once: the
+    /// report counts the distinct peers drawn, and every reply as a
+    /// succeeded probe.
+    #[test]
+    fn peers_contacted_counts_distinct_peers() {
+        let mut net = build_net(16, 200, &DistributionKind::Uniform, 13);
+        let mut rng = StdRng::seed_from_u64(3);
+        let initiator = net.random_peer(&mut rng).unwrap();
+        let est = UniformPeerSampling::new(UniformPeerConfig { peers: 128, ..Default::default() });
+        // A fault-free probe of an alive peer answers from that peer, and
+        // probing draws nothing from the stream, so the replies' peers are
+        // the sampler's first 128 draws.
+        let mut draws = rng.clone();
+        let peers: std::collections::BTreeSet<RingId> =
+            (0..128).map(|_| net.random_peer(&mut draws).unwrap()).collect();
+        let rep = est.estimate(&mut net, initiator, &mut rng).unwrap();
+        assert_eq!(rep.probes_succeeded, 128);
+        assert_eq!(rep.peers_contacted, peers.len());
+        assert!((2..=16).contains(&rep.peers_contacted), "{} peers", rep.peers_contacted);
     }
 }

@@ -9,7 +9,9 @@
 //! for remote Phase 2.
 
 use crate::estimate::DensityEstimate;
-use crate::estimator::{with_cost, DensityEstimator, EstimateError, EstimationReport};
+use crate::estimator::{
+    distinct_peers, with_cost, DensityEstimator, EstimateError, EstimationReport,
+};
 use crate::retry::RetryPolicy;
 use crate::skeleton::{usable, CdfSkeleton, Weighting, SUPPORT_CAP};
 use dde_ring::{LookupError, Network, ProbeReply, RingId};
@@ -207,9 +209,7 @@ impl DensityEstimator for DfDde {
             }
             let skeleton = self.build_skeleton(&replies, domain)?;
             // Two probes can land on one peer.
-            let mut contacted: Vec<RingId> = usable(&replies).map(|(r, _)| r.peer).collect();
-            contacted.sort_unstable();
-            contacted.dedup();
+            let contacted = distinct_peers(usable(&replies).map(|(r, _)| r.peer));
 
             // Phase 2.
             let mut samples = Vec::new();
@@ -232,7 +232,7 @@ impl DensityEstimator for DfDde {
                     }
                 }
             }
-            Ok((skeleton, samples, contacted.len()))
+            Ok((skeleton, samples, contacted))
         })?;
 
         Ok(EstimationReport {

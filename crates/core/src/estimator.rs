@@ -135,6 +135,16 @@ pub(crate) fn with_cost<T>(
     Ok((out, delta))
 }
 
+/// How many distinct peers `peers` names: a peer that replied twice was
+/// contacted once. DF-DDE and both peer-sampling baselines report
+/// [`EstimationReport::peers_contacted`] through it.
+pub(crate) fn distinct_peers(peers: impl IntoIterator<Item = RingId>) -> usize {
+    let mut peers: Vec<RingId> = peers.into_iter().collect();
+    peers.sort_unstable();
+    peers.dedup();
+    peers.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

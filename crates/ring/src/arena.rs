@@ -9,20 +9,24 @@
 //!
 //! * [`SuccessorList`] — the successor list as an inline
 //!   `[RingId; SUCCESSOR_LIST_LEN]` plus a length, heap-free;
-//! * [`FingerTable`] — the finger table, heap-free and run-length encoded:
-//!   a presence mask, a run-start mask, and each *run*'s target once,
-//!   packed at the front of an inline `[RingId; RING_BITS]`. A run is a
+//! * [`FingerTable`] — the finger table, run-length encoded: a presence
+//!   mask, a run-start mask, and each *run*'s target once. A run is a
 //!   maximal stretch of present levels naming the same peer; every level
 //!   below about `64 − log₂ P` names the successor, so a wired table holds
-//!   about 17 runs at 10⁵ peers (8 at 256). A routing hop scans the runs,
-//!   not the 64 levels, and so reads a record's first ~260 bytes, not its
-//!   first ~620;
+//!   about 17 runs at 10⁵ peers (8 at 256) and at most 29 in any ring built
+//!   here up to 10⁶ peers. Up to 24 targets (`INLINE_RUNS`) sit inline,
+//!   packed at the front of the record's slots; a table with more keeps
+//!   all of its runs in one boxed 64-slot array instead, which exists
+//!   exactly while it has more than 24 runs (23 of 10⁶ uniform peers). A
+//!   routing hop scans the runs, not the 64 levels, and so reads about the
+//!   first 264 of a record's 344 bytes;
 //! * [`RingArena`] — the slab that owns every node record. Together with the
 //!   id and order columns kept by [`crate::index::NodeIndex`] this is the
 //!   network's columnar store: a dense sorted `Vec<RingId>` for search, a
 //!   `Vec<u32>` permutation mapping ring positions to slots, and one
 //!   contiguous slab of fixed-size records for state. Forking a network
-//!   clones three flat vectors (data stores stay CoW behind their `Arc`s),
+//!   clones three flat vectors (data stores stay CoW behind their `Arc`s,
+//!   and the rare spilled finger table is copied with its record),
 //!   and a membership change splices the 12-byte-per-position columns — the
 //!   records never move, so churn at 10⁶ peers costs kilobytes of memmove,
 //!   not megabytes.
@@ -237,36 +241,49 @@ impl std::fmt::Debug for SuccessorList {
     }
 }
 
-/// A heap-free finger table (`get(i) ≈ successor(id + 2^i)`, absent when
-/// the last refresh failed), stored run-length encoded.
+/// A finger table (`get(i) ≈ successor(id + 2^i)`, absent when the last
+/// refresh failed), stored run-length encoded.
 ///
 /// A *run* is a maximal stretch of present levels, taken in level order and
 /// skipping absent ones, that name the same target. Every level below about
 /// `64 − log₂ P` names the successor, so a perfectly wired table at 10⁵
 /// peers holds about 17 runs, not 64 distinct targets. The table keeps a
 /// presence mask, a run-start mask (bit `i` set when level `i` opens a run)
-/// and each run's target once, packed at the front of `targets`; level `i`'s
-/// target is `targets[r]` for the run `r` that covers it. The masks come
-/// first, so a routing hop reads the 16-byte header and `8 · runs` bytes of
-/// targets instead of the whole 512-byte array.
+/// and each run's target once, packed at the front of its slots; level `i`'s
+/// target is slot `r` for the run `r` that covers it. The slots are the
+/// `INLINE_RUNS` (24) inline ones while the table has at most that many runs,
+/// and one boxed [`RING_BITS`]-slot spill once it has more. Rings built
+/// here up to 10⁶ peers hold at most 29 runs per table, and all but 23
+/// tables of a uniform 10⁶-peer ring fit inline (a load-balanced one, whose
+/// ids pack where the data does, spills about one in nine), so the record
+/// stays at 344 bytes. The masks and the spill's pointer come first, so a
+/// routing hop reads the 24-byte header and `8 · runs` bytes of targets,
+/// never a word past the runs.
 ///
 /// The form is canonical — the lowest present level opens a run, runs open
-/// only on present levels, adjacent runs differ, and slots past the run
-/// count hold `RingId(0)` — so the derived `PartialEq` compares logical
-/// contents and [`RingArena::check_columns`] can detect a corrupted table.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// only on present levels, adjacent runs differ, the spill exists exactly
+/// when the runs outnumber the inline slots, and every slot past the run
+/// count (every inline slot, once spilled) holds `RingId(0)` — so the
+/// derived `PartialEq` compares logical contents and
+/// [`RingArena::check_columns`] can detect a corrupted table.
+#[derive(Clone, PartialEq, Eq)]
 #[repr(C)]
 pub struct FingerTable {
     present: u64,
     starts: u64,
-    targets: [RingId; RING_BITS as usize],
+    spill: Option<Box<[RingId; RING_BITS as usize]>>,
+    inline: [RingId; INLINE_RUNS],
 }
 
-// Size fences: the run-length header costs one word over the flat table's
-// 520 bytes, and a record, which sets the slab's size (656 MB at 10⁶
-// peers), stays within 656 bytes.
-const _: () = assert!(std::mem::size_of::<FingerTable>() <= 528);
-const _: () = assert!(std::mem::size_of::<Node>() <= 656);
+/// The runs a [`FingerTable`] holds inline; a table with more moves them
+/// all into its boxed spill.
+const INLINE_RUNS: usize = 24;
+
+// Size fences: the header and 24 inline runs plus the spill's pointer come
+// to 216 bytes, and a record, which sets the slab's size (344 MB at 10⁶
+// peers), stays within 344 bytes.
+const _: () = assert!(std::mem::size_of::<FingerTable>() <= 216);
+const _: () = assert!(std::mem::size_of::<Node>() <= 344);
 
 /// The number of finger levels `f` with `2^f ≤ gap`. When `gap` is the
 /// distance from a peer to its successor, every start `id + 2^f` of those
@@ -286,7 +303,7 @@ impl FingerTable {
     /// An empty table (every finger absent).
     /// Deterministic: constructs fixed, zeroed contents.
     pub fn new() -> Self {
-        Self { present: 0, starts: 0, targets: [RingId(0); RING_BITS as usize] }
+        Self { present: 0, starts: 0, spill: None, inline: [RingId(0); INLINE_RUNS] }
     }
 
     /// Builds a whole table from its levels in order: item `i` is level
@@ -298,16 +315,22 @@ impl FingerTable {
     /// Deterministic: a pure function of the level sequence.
     pub fn from_levels(levels: impl IntoIterator<Item = Option<RingId>>) -> Self {
         let mut table = Self::new();
+        let mut targets = [RingId(0); RING_BITS as usize];
         let mut runs = 0;
         for (i, level) in levels.into_iter().enumerate() {
             assert!(i < RING_BITS as usize, "more than {RING_BITS} finger levels");
             let Some(t) = level else { continue };
             table.present |= 1 << i;
-            if runs == 0 || table.targets[runs - 1] != t {
+            if runs == 0 || targets[runs - 1] != t {
                 table.starts |= 1 << i;
-                table.targets[runs] = t;
+                targets[runs] = t;
                 runs += 1;
             }
+        }
+        if runs > INLINE_RUNS {
+            table.spill = Some(Box::new(targets));
+        } else {
+            table.inline.copy_from_slice(&targets[..INLINE_RUNS]);
         }
         table
     }
@@ -318,13 +341,51 @@ impl FingerTable {
         self.starts.count_ones() as usize
     }
 
+    /// The slots that hold the runs: the inline ones, or the spill if there
+    /// is one. The spill is read out of line so that this compiles to a
+    /// predicted branch, not a select: a hop's loads of the inline targets
+    /// then issue without waiting for the spill's pointer to load.
+    #[inline]
+    fn slots(&self) -> &[RingId] {
+        match &self.spill {
+            None => &self.inline,
+            Some(spill) => spilled(spill),
+        }
+    }
+
+    /// Each run's target, in level order.
+    #[inline]
+    fn targets(&self) -> &[RingId] {
+        &self.slots()[..self.runs()]
+    }
+
+    /// Moves the runs to the slots a table of `runs` runs keeps them in:
+    /// into a fresh spill when they outgrow the inline slots, back inline
+    /// once they fit. Slots past the run count hold `RingId(0)`, so the
+    /// first `INLINE_RUNS` slots carry every run either way.
+    fn store_for(&mut self, runs: usize) {
+        match (&self.spill, runs > INLINE_RUNS) {
+            (None, true) => {
+                let mut spill = Box::new([RingId(0); RING_BITS as usize]);
+                spill[..INLINE_RUNS].copy_from_slice(&self.inline);
+                self.inline = [RingId(0); INLINE_RUNS];
+                self.spill = Some(spill);
+            }
+            (Some(spill), false) => {
+                self.inline.copy_from_slice(&spill[..INLINE_RUNS]);
+                self.spill = None;
+            }
+            _ => {}
+        }
+    }
+
     /// The finger at level `i`, if set.
     #[inline]
     /// Deterministic: reads the run covering the level.
     pub fn get(&self, i: usize) -> Option<RingId> {
         let bit = 1u64 << i;
         (self.present & bit != 0)
-            .then(|| self.targets[(self.starts & (bit | (bit - 1))).count_ones() as usize - 1])
+            .then(|| self.slots()[(self.starts & (bit | (bit - 1))).count_ones() as usize - 1])
     }
 
     /// Sets or clears the finger at level `i`.
@@ -339,7 +400,8 @@ impl FingerTable {
     /// slots, the range becomes one run (or merges into its left
     /// neighbour), and the runs right of it shift once, merging at either
     /// seam when the targets meet. A range that is exactly one run is
-    /// renamed in place, with nothing shifted.
+    /// renamed in place, with nothing shifted. The splice runs in the
+    /// spill whenever the table has one before or after it.
     ///
     /// # Panics
     /// Panics if the range is decreasing or reaches past [`RING_BITS`].
@@ -358,21 +420,28 @@ impl FingerTable {
         let tail = self.present & !below(hi);
         let first = (tail != 0).then(|| tail.trailing_zeros() as usize);
         let right = first.map_or(n, |r| (self.starts & below(r + 1)).count_ones() as usize - 1);
-        let before = left.checked_sub(1).map(|r| self.targets[r]);
+        let slots = self.slots();
+        let before = left.checked_sub(1).map(|r| slots[r]);
         let opened = target.filter(|&t| before != Some(t));
-        let merged = first.is_some() && target.or(before) == Some(self.targets[right]);
+        let merged = first.is_some() && target.or(before) == Some(slots[right]);
         let src = right + usize::from(merged);
         let dst = left + usize::from(opened.is_some());
+        let runs = dst + (n - src);
+        self.store_for(n.max(runs));
+        let slots = match &mut self.spill {
+            Some(spill) => &mut spill[..],
+            None => &mut self.inline[..],
+        };
         if src != dst {
-            self.targets.copy_within(src..n, dst);
+            slots.copy_within(src..n, dst);
         }
         if let Some(t) = opened {
-            self.targets[left] = t;
+            slots[left] = t;
         }
-        let runs = dst + (n - src);
         if runs < n {
-            self.targets[runs..n].fill(RingId(0));
+            slots[runs..n].fill(RingId(0));
         }
+        self.store_for(runs);
         let mut starts = self.starts & below(lo);
         if opened.is_some() {
             starts |= 1 << lo;
@@ -389,11 +458,11 @@ impl FingerTable {
     /// included, as the flat table yielded them); allocation-free.
     /// Deterministic: yields targets in fixed finger-index order.
     pub fn present(&self) -> impl Iterator<Item = RingId> + '_ {
-        let (present, starts) = (self.present, self.starts);
+        let (present, starts, slots) = (self.present, self.starts, self.slots());
         let mut run = 0;
         (0..RING_BITS as usize).filter(move |i| present & (1u64 << i) != 0).map(move |i| {
             run += (starts >> i & 1) as usize;
-            self.targets[run - 1]
+            slots[run - 1]
         })
     }
 
@@ -405,7 +474,7 @@ impl FingerTable {
     #[inline]
     pub(crate) fn best_progress(&self, me: RingId, ceiling: u64) -> u64 {
         let mut best = 0u64;
-        for t in &self.targets[..self.runs()] {
+        for t in self.targets() {
             let d = me.distance_to(*t);
             best = best.max(if d <= ceiling { d } else { 0 });
         }
@@ -415,10 +484,9 @@ impl FingerTable {
     /// Clears every finger pointing at `dead`.
     /// Deterministic: rebuilds the levels in index order.
     pub fn forget(&mut self, dead: RingId) {
-        if self.targets[..self.runs()].contains(&dead) {
-            let old = *self;
+        if self.targets().contains(&dead) {
             *self = Self::from_levels(
-                (0..RING_BITS as usize).map(|i| old.get(i).filter(|&t| t != dead)),
+                (0..RING_BITS as usize).map(|i| self.get(i).filter(|&t| t != dead)),
             );
         }
     }
@@ -435,14 +503,28 @@ impl FingerTable {
             return Err(format!("lowest present finger level {i} does not start a run"));
         }
         let n = self.runs();
-        if let Some(r) = (1..n).find(|&r| self.targets[r] == self.targets[r - 1]) {
-            return Err(format!("finger runs {} and {r} both target {}", r - 1, self.targets[r]));
+        match (&self.spill, n > INLINE_RUNS) {
+            (Some(_), false) => return Err(format!("finger spill holds only {n} runs")),
+            (None, true) => return Err(format!("{n} finger runs but no spill")),
+            _ => {}
         }
-        if let Some(junk) = self.targets[n..].iter().find(|&&t| t != RingId(0)) {
+        let targets = self.targets();
+        if let Some(r) = (1..n).find(|&r| targets[r] == targets[r - 1]) {
+            return Err(format!("finger runs {} and {r} both target {}", r - 1, targets[r]));
+        }
+        let idle: &[RingId] = if self.spill.is_some() { &self.inline } else { &[] };
+        if let Some(junk) = self.slots()[n..].iter().chain(idle).find(|&&t| t != RingId(0)) {
             return Err(format!("finger slot beyond {n} runs holds {junk}"));
         }
         Ok(())
     }
+}
+
+/// A spill's slots; see [`FingerTable::slots`].
+#[cold]
+#[inline(never)]
+fn spilled(spill: &[RingId; RING_BITS as usize]) -> &[RingId] {
+    spill
 }
 
 impl Default for FingerTable {
@@ -462,11 +544,12 @@ impl std::fmt::Debug for FingerTable {
 /// The slab owning every node record, addressed through the permutation
 /// column kept by [`crate::index::NodeIndex`].
 ///
-/// Records are fixed-size (successors and fingers inline, store and replica
-/// payloads behind CoW handles), so the slab is one contiguous allocation
-/// and positional access never chases a pointer. Records are **slot-stable**:
-/// a membership change splices the 12-byte-per-position `(key, order)`
-/// columns, never the ~650-byte records themselves, and a freed slot is
+/// Records are fixed-size (successors and up to 24 finger runs inline, store
+/// and replica payloads behind CoW handles), so the slab is one contiguous
+/// allocation and positional access chases a pointer only into the rare
+/// spilled finger table. Records are **slot-stable**: a membership change
+/// splices the 12-byte-per-position `(key, order)` columns, never the
+/// 344-byte records themselves, and a freed slot is
 /// recycled through a free list (`alloc_slot` / `free_slot`) so a warmed
 /// join/leave cycle allocates nothing. Ring order lives entirely in the
 /// `order` column; slot indices carry no ordering meaning.
@@ -1028,19 +1111,32 @@ mod tests {
         let canonical = FingerTable::from_levels(
             (0..RING_BITS as usize).map(|i| (i % 8 != 0).then_some(RingId(1 + i as u64 / 16))),
         );
-        let mut equal_runs = canonical;
-        equal_runs.targets[1] = equal_runs.targets[0];
-        let mut stray_start = canonical;
+        // 32 runs, two levels each: past the inline slots, so spilled.
+        let wide =
+            FingerTable::from_levels((0..RING_BITS).map(|i| Some(RingId(1 + u64::from(i) / 2))));
+        assert!(wide.spill.is_some());
+        let mut equal_runs = canonical.clone();
+        equal_runs.inline[1] = equal_runs.inline[0];
+        let mut stray_start = canonical.clone();
         stray_start.starts |= 1 << 8;
-        let mut junk_slot = canonical;
-        junk_slot.targets[canonical.runs()] = RingId(7);
-        let mut headless = canonical;
+        let mut junk_slot = canonical.clone();
+        junk_slot.inline[canonical.runs()] = RingId(7);
+        let mut headless = canonical.clone();
         headless.starts &= !(1 << 1);
+        let mut kept_spill = canonical.clone();
+        kept_spill.store_for(INLINE_RUNS + 1);
+        let mut missing_spill = wide.clone();
+        missing_spill.store_for(0);
+        let mut junk_inline = wide.clone();
+        junk_inline.inline[0] = RingId(7);
         for (table, needle) in [
             (equal_runs, "both target"),
             (stray_start, "starts at absent level 8"),
             (junk_slot, "beyond 4 runs"),
             (headless, "lowest present finger level 1 does not start a run"),
+            (kept_spill, "finger spill holds only 4 runs"),
+            (missing_spill, "32 finger runs but no spill"),
+            (junk_inline, "beyond 32 runs"),
         ] {
             let mut arena = RingArena::new();
             let mut node = Node::new(RingId(10));
@@ -1049,11 +1145,13 @@ mod tests {
             let violations = arena.check_columns(&keys, &[0]);
             assert!(violations.iter().any(|v| v.contains(needle)), "{needle}: {violations:?}");
         }
-        let mut arena = RingArena::new();
-        let mut node = Node::new(RingId(10));
-        node.fingers = canonical;
-        arena.push(node);
-        assert!(arena.check_columns(&keys, &[0]).is_empty());
+        for table in [canonical, wide] {
+            let mut arena = RingArena::new();
+            let mut node = Node::new(RingId(10));
+            node.fingers = table;
+            arena.push(node);
+            assert!(arena.check_columns(&keys, &[0]).is_empty());
+        }
     }
 
     #[test]

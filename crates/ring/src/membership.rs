@@ -66,7 +66,7 @@ impl Network {
             .expect("invariant: lookup returned this owner, so it is in the alive map");
         let old_pred = succ.predecessor;
         // Seed routing state from the successor (1 state-transfer message).
-        let seeded_fingers = succ.fingers;
+        let seeded_fingers = succ.fingers.clone();
         let mut succ_list = SuccessorList::new();
         succ_list.push(succ_id);
         for s in succ.successors.iter().copied() {

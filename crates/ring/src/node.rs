@@ -27,8 +27,8 @@ pub struct Node {
     /// Believed successors, nearest first; `successors[0]` is *the*
     /// successor. Inline (heap-free) — see [`crate::arena`].
     pub successors: SuccessorList,
-    /// Finger table: `fingers.get(i)` ≈ `successor(id + 2^i)`. Inline
-    /// (heap-free) — see [`crate::arena`].
+    /// Finger table: `fingers.get(i)` ≈ `successor(id + 2^i)`. Inline up
+    /// to 24 runs, boxed past that — see [`crate::arena`].
     pub fingers: FingerTable,
     /// The peer's local data (primary copies).
     pub store: LocalStore,
@@ -93,6 +93,7 @@ impl Node {
     /// every known peer in the open arc `(self.id, target)` by decreasing
     /// progress, without duplicates (the proptest below), and the common
     /// case (the best candidate answers) costs a single scan.
+    #[inline]
     pub(crate) fn best_candidate(&self, ceiling: u64) -> Option<RingId> {
         let me = self.id;
         let best = self

@@ -90,12 +90,26 @@ fn assert_equivalent(bulk: &mut Network, inc: &mut Network, seed: u64) {
     }
 }
 
-fn check(seed: u64, peers: usize, layout: NodeLayout) {
-    let ids = layout_ids(seed, peers, layout);
+fn check(seed: u64, ids: Vec<RingId>) {
     let placement = Placement::range(0.0, 1000.0);
     let mut bulk = Network::build_bulk(ids.clone(), placement);
     let mut inc = incremental(&ids, placement);
     assert_equivalent(&mut bulk, &mut inc, seed);
+}
+
+/// The ids `{0} ∪ {2^f : f < 64}`. Wired, the peer at `2^k` names a
+/// different peer at every level above `k`, so its table holds `64 − k`
+/// finger runs, and the peer at 0 holds 64: 41 of the 65 tables outgrow the
+/// 24 inline run slots and spill.
+fn spilling_ids() -> Vec<RingId> {
+    std::iter::once(RingId(0)).chain((0..64).map(|f| RingId(1 << f))).collect()
+}
+
+/// The finger runs of `id`'s table: present levels whose target differs
+/// from the previous present level's.
+fn finger_runs(net: &Network, id: RingId) -> usize {
+    let targets: Vec<RingId> = net.node(id).expect("alive").fingers.present().collect();
+    targets.len().min(1) + targets.windows(2).filter(|w| w[0] != w[1]).count()
 }
 
 proptest! {
@@ -112,7 +126,7 @@ proptest! {
             Just(NodeLayout::Adversarial),
         ],
     ) {
-        check(seed, peers, layout);
+        check(seed, layout_ids(seed, peers, layout));
     }
 }
 
@@ -122,7 +136,20 @@ proptest! {
 /// sweep's virtual-doubling wrap actually matters.
 #[test]
 fn bulk_build_matches_incremental_joins_at_4096() {
-    check(0xF12, 4_096, NodeLayout::Adversarial);
+    check(0xF12, layout_ids(0xF12, 4_096, NodeLayout::Adversarial));
+}
+
+/// One pinned cell whose tables spill: the join seeding copies spilled
+/// tables and stabilization's one-level writes move tables into a spill,
+/// and the result must still equal the bulk wiring.
+#[test]
+fn bulk_build_matches_incremental_joins_with_spilled_finger_tables() {
+    let ids = spilling_ids();
+    let bulk = Network::build_bulk(ids.clone(), Placement::range(0.0, 1000.0));
+    let runs: Vec<usize> = ids.iter().map(|&id| finger_runs(&bulk, id)).collect();
+    assert_eq!(runs.iter().filter(|&&r| r > 24).count(), 41, "{runs:?}");
+    assert_eq!(runs[0], 64);
+    check(0x5B11, ids);
 }
 
 /// `Network::bulk_load` as it stood before the sorted sweep, kept as the

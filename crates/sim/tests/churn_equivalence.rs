@@ -214,14 +214,14 @@ fn assert_matches(
     }
 }
 
-fn check(seed: u64, peers: usize, layout: NodeLayout) {
-    let ids = layout_ids(seed, peers, layout);
+fn check(seed: u64, ids: Vec<RingId>, window: fn(&Network, u64) -> Vec<ChurnEvent>) {
     let placement = Placement::range(0.0, 1000.0);
+    let peers = ids.len();
     let mut base = Network::build_bulk(ids, placement);
     let mut rng = SeedSequence::new(seed).stream(Component::Dataset, 5);
     let data: Vec<f64> = (0..peers * 20).map(|_| rng.gen_range(0.0..1000.0)).collect();
     base.bulk_load(&data);
-    let events = event_window(&base, seed);
+    let events = window(&base, seed);
 
     let mut model = Model::of(&base);
     for &ev in &events {
@@ -268,7 +268,7 @@ proptest! {
             Just(NodeLayout::Adversarial),
         ],
     ) {
-        check(seed, peers, layout);
+        check(seed, layout_ids(seed, peers, layout), event_window);
     }
 }
 
@@ -277,5 +277,33 @@ proptest! {
 /// budget.
 #[test]
 fn batched_churn_matches_sequential_events_at_4096() {
-    check(0xF12B, 4_096, NodeLayout::Adversarial);
+    check(0xF12B, layout_ids(0xF12B, 4_096, NodeLayout::Adversarial), event_window);
+}
+
+/// The spill cell's window, four events that move a table across the
+/// 24-run line and back. On the ids `{0} ∪ {2^f : f < 64}` the peer at
+/// `2^39` holds 25 runs, and its levels 49 and 54 each name a peer of
+/// their own (`2^50`, `2^55`). Once `2^50` leaves, levels 49 and 50 both
+/// name `2^51` and merge (24 runs), the join at `2^50 + 1` splits them
+/// (25), and the leave of `2^55` merges levels 54 and 55 (24). The peer
+/// at 0 leaves first, so the top level's run names `1`, not an id equal
+/// to the zeroed tail of the slots, and a run lost in a move shows.
+fn spill_window(_: &Network, _: u64) -> Vec<ChurnEvent> {
+    vec![
+        ChurnEvent::Leave(RingId(0)),
+        ChurnEvent::Leave(RingId(1 << 50)),
+        ChurnEvent::Join(RingId((1 << 50) + 1)),
+        ChurnEvent::Leave(RingId(1 << 55)),
+    ]
+}
+
+/// One pinned cell whose tables spill: the ids `{0} ∪ {2^f : f < 64}`,
+/// where the peer at `2^k` holds `64 − k` finger runs and the peer at 0
+/// holds 64, so 41 of the 65 tables outgrow the 24 inline run slots. The
+/// repair's range writes and whole-table rewires must move runs into and
+/// out of the spill and still equal the bulk wiring.
+#[test]
+fn batched_churn_matches_sequential_events_with_spilled_finger_tables() {
+    let ids = std::iter::once(RingId(0)).chain((0..64).map(|f| RingId(1 << f))).collect();
+    check(0x5B11, ids, spill_window);
 }
