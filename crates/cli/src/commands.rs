@@ -67,7 +67,7 @@ command-specific:
            --insert-pm M    insert share, per mille (default 200)
            --lookup-pm M    lookup share, per mille (default 700;
                             the remainder is estimate reads)
-           --probes K       probes per refresh (default 48)
+           --probes K       probes per refresh (default 48, at least 2)
            --refresh T      seconds between estimate refreshes (default 2)
            --no-batch       route each lookup separately
            --no-piggyback   dedicated probes only
@@ -198,10 +198,10 @@ fn positive(args: &Args, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-/// `--probes`, which must be at least `least`: the fewest replies the
-/// estimator can answer from.
-fn probes(args: &Args, least: usize) -> Result<usize, String> {
-    let probes = args.get_or("probes", 128usize)?;
+/// `--probes`, `default` when absent, which must be at least `least`: the
+/// fewest replies the estimator can answer from.
+fn probes(args: &Args, default: usize, least: usize) -> Result<usize, String> {
+    let probes = args.get_or("probes", default)?;
     if probes < least {
         return Err(format!("--probes must be at least {least}, got {probes}"));
     }
@@ -259,7 +259,7 @@ fn estimate(args: &Args) -> Result<Run, String> {
         "uniform-peer" => 1,
         _ => 0,
     };
-    let probes = probes(args, least)?;
+    let probes = probes(args, 128, least)?;
     let setup = setup(args)?;
     let estimator: Box<dyn DensityEstimator> = match method {
         "df-dde" => Box::new(DfDde::new(DfDdeConfig::with_probes(probes))),
@@ -345,7 +345,7 @@ fn estimate(args: &Args) -> Result<Run, String> {
 
 /// `ring-dde aggregate`
 fn aggregate(args: &Args) -> Result<Run, String> {
-    let probes = probes(args, 2)?;
+    let probes = probes(args, 128, 2)?;
     let setup = setup(args)?;
     let json = args.has_flag("json");
     Ok(Box::new(move || {
@@ -405,7 +405,7 @@ fn aggregate(args: &Args) -> Result<Run, String> {
 
 /// `ring-dde query`
 fn query(args: &Args) -> Result<Run, String> {
-    let probes = probes(args, 2)?;
+    let probes = probes(args, 128, 2)?;
     let lo = args.get_or("lo", 100.0f64)?;
     let hi = args.get_or("hi", 300.0f64)?;
     if !(lo.is_finite() && hi.is_finite()) {
@@ -502,7 +502,7 @@ fn workload(args: &Args) -> Result<Run, String> {
         rate: positive(args, "rate", 200.0)?,
         duration: positive(args, "duration", 10.0)?,
         mix: OpMix::new(insert_pm, lookup_pm),
-        probes: args.get_or("probes", 48usize)?,
+        probes: probes(args, 48, 2)?,
         refresh_interval: positive(args, "refresh", 2.0)?,
         batch: !args.has_flag("no-batch"),
         piggyback: !args.has_flag("no-piggyback"),
@@ -948,5 +948,72 @@ mod tests {
     fn churn_and_topology_commands_run() {
         run("churn --peers 48 --items 2000 --rate 0.2 --duration 3 --replication 1").unwrap();
         run("topology --peers 48 --items 2000").unwrap();
+    }
+
+    /// Seeded command lines end in an accepted run or a named refusal from
+    /// `check`, never a panic. The proptest shim has no collection strategy,
+    /// so the words come from a seeded `splitmix64` stream: every command and
+    /// its options, mostly each followed by a boundary value, with foreign
+    /// and unknown options, stray words and unknown commands mixed in. No
+    /// path value names an existing file, since `--replay` reads its file.
+    #[test]
+    fn no_command_line_panics_the_check() {
+        use dde_sim::scenario::{MAX_EVENTS, MAX_ITEMS, MAX_PEERS};
+        use dde_stats::rng::splitmix64;
+
+        let options_of = |spec: &Spec| -> Vec<String> {
+            spec.options
+                .iter()
+                .flat_map(|group| group.split(' '))
+                .map(|o| format!("--{o}"))
+                .collect()
+        };
+        let mut foreign: Vec<String> =
+            COMMANDS.iter().flat_map(|(spec, _)| options_of(spec)).collect();
+        foreign.push("--bogus".into());
+        let mut values: Vec<String> = "0 1 -1 NaN inf -inf 1e308 65536 18446744073709551616 \
+                                       1000 1001 0.5 t1 f12 zipf hashed gossip uniform-peer \
+                                       skip-successor-on-heal no-such-dir/absent.ron"
+            .split_whitespace()
+            .chain([""])
+            .map(String::from)
+            .collect();
+        for cap in [MAX_PEERS, MAX_ITEMS, MAX_EVENTS, MAX_JOBS] {
+            values.extend([cap.to_string(), (cap + 1).to_string()]);
+        }
+
+        let mut word = 0u64;
+        let mut draw = |n: usize| {
+            word += 1;
+            (splitmix64(0xA26F ^ word) % n as u64) as usize
+        };
+        let mut accepted = 0;
+        for _ in 0..4096 {
+            let (spec, _) = &COMMANDS[draw(COMMANDS.len())];
+            let own = options_of(spec);
+            let name = match draw(16) {
+                0 => "frobnicate",
+                1 => "",
+                _ => spec.name,
+            };
+            let mut argv = vec![name.to_string()];
+            for _ in 0..draw(7) {
+                match draw(8) {
+                    0 => argv.push(foreign[draw(foreign.len())].clone()),
+                    1 => argv.push(values[draw(values.len())].clone()),
+                    _ => {
+                        argv.push(own[draw(own.len())].clone());
+                        if draw(4) > 0 {
+                            argv.push(values[draw(values.len())].clone());
+                        }
+                    }
+                }
+            }
+            match check(argv.clone()) {
+                Ok(_) => accepted += 1,
+                Err(e) => assert!(!e.is_empty(), "{argv:?}: refused without a reason"),
+            }
+        }
+        assert!(accepted > 0, "no command line was accepted");
     }
 }

@@ -43,6 +43,8 @@ fn bad_values_exit_2_with_a_named_error() {
         ("aggregate --peers 100000 --probes 1", "--probes must be at least 2, got 1"),
         ("query --peers 100000 --probes 0", "--probes must be at least 2, got 0"),
         ("estimate --method uniform-peer --probes 0", "--probes must be at least 1, got 0"),
+        ("workload --peers 100000 --probes 1", "--probes must be at least 2, got 1"),
+        ("workload --probes 0", "--probes must be at least 2, got 0"),
         ("frobnicate", "unknown command 'frobnicate'"),
         ("estimate --rate 5", "estimate takes no option --rate"),
         ("estimate --peers 16 --items 200 --json extra", "takes no argument 'extra'"),

@@ -1,8 +1,7 @@
 //! Rule checking: the per-file passes (needle scan, `#[cfg(test)]` regions,
 //! the `ddelint::allow` grammar, D3 alias resolution, the D6 doc-contract
 //! rule) and the workspace-level orchestration that layers the cross-file
-//! rules (D8 taint, D9 exhaustiveness, D10 sans-IO, D11 dead public API) on
-//! top.
+//! rules (D8 taint, D10 sans-IO, D11 dead public API) on top.
 //!
 //! A [`FileCheck`] holds one file's lexed mask, parsed items, allows, and
 //! accumulated raw violations. [`check_workspace`] builds one per file,
@@ -191,7 +190,7 @@ pub struct FileCheck {
     pub src: String,
     /// Lexed mask and comment list.
     pub lexed: Lexed,
-    /// Parsed items (fns, uses, enums).
+    /// Parsed items (fns, uses).
     pub parsed: ParsedFile,
     regions: Vec<(usize, usize)>,
     allows: Vec<Allow>,
@@ -436,14 +435,14 @@ impl FileCheck {
 ///
 /// `path` must be workspace-relative with `/` separators — rule scoping is
 /// path-driven, so the same contents lint differently under different paths
-/// (which is what the fixture tests exploit). The cross-file rules (D8, D9,
+/// (which is what the fixture tests exploit). The cross-file rules (D8,
 /// D10, D11) need the whole corpus; use [`check_workspace`] for those.
 pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
     FileCheck::new(path, src).finish()
 }
 
 /// Checks a whole corpus of files: per-file rules, then the symbol-graph
-/// passes (D8 taint, D9 exhaustiveness, D10 sans-IO, D11 dead-pub), then
+/// passes (D8 taint, D10 sans-IO, D11 dead-pub), then
 /// allow application. Violations come back grouped per file in input order, each
 /// file's sorted by position — deterministic in the input.
 pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Violation> {
@@ -451,7 +450,6 @@ pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Violation> {
         inputs.iter().map(|(path, src)| FileCheck::new(path, src)).collect();
     let graph = SymbolGraph::build(&files);
     taint::check_d8(&mut files, &graph);
-    proto::check_d9(&mut files);
     proto::check_d10(&mut files);
     dead::check_d11(&mut files);
     files.into_iter().flat_map(FileCheck::finish).collect()

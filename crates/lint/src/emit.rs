@@ -8,22 +8,6 @@
 use crate::check::Violation;
 use crate::rules::RuleId;
 
-/// All rules in declaration order, for rule tables.
-pub const ALL_RULES: &[RuleId] = &[
-    RuleId::D1,
-    RuleId::D2,
-    RuleId::D3,
-    RuleId::D4,
-    RuleId::D5,
-    RuleId::D6,
-    RuleId::D8,
-    RuleId::D9,
-    RuleId::D10,
-    RuleId::D11,
-    RuleId::A0,
-    RuleId::A1,
-];
-
 /// Escapes a string for embedding in a JSON string literal.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -81,7 +65,7 @@ pub fn to_sarif(violations: &[Violation]) -> String {
          \"driver\": {\n          \"name\": \"ddelint\",\n          \
          \"informationUri\": \"https://example.invalid/ddelint\",\n          \"rules\": [",
     );
-    for (i, rule) in ALL_RULES.iter().enumerate() {
+    for (i, rule) in RuleId::ALL.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -7,14 +7,13 @@
 //! deterministic paths. This crate turns that convention into machine-checked
 //! law. It is dependency-free (no `syn`; the workspace builds offline): a
 //! byte-exact [`lexer`] classifies code vs comments vs literals, [`parse`]
-//! lifts the mask into items (fns, uses, enums, call sites), [`graph`]
-//! builds the workspace symbol graph, [`rules`] defines the rule set,
-//! [`policy`] scopes each rule to paths, and [`check`] applies the per-file
-//! rules (D1–D6) plus the cross-file passes — [`taint`] (D8 determinism
-//! taint), [`proto`] (D9 message-exhaustiveness, D10 sans-IO boundary),
-//! [`dead`] (D11 dead public API) — with inline
-//! `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON and
-//! SARIF for CI code scanning.
+//! lifts the mask into items (fns, uses, call sites), [`graph`] builds the
+//! workspace symbol graph, [`rules`] defines the rule set, [`policy`]
+//! scopes each rule to paths, and [`check`] applies the per-file rules
+//! (D1–D6) plus the cross-file passes — [`taint`] (D8 determinism taint),
+//! [`proto`] (D10 sans-IO boundary), [`dead`] (D11 dead public API) — with
+//! inline `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON
+//! and SARIF for CI code scanning.
 //!
 //! Run it as `cargo run -p lint -- check`. The rule set, the allow grammar,
 //! and the procedure for adding a rule are documented in TESTING.md

@@ -3,7 +3,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::emit::{self, ALL_RULES};
+use lint::emit;
+use lint::RuleId;
 
 const USAGE: &str = "\
 ddelint — workspace determinism/hygiene linter
@@ -59,7 +60,7 @@ fn main() -> ExitCode {
     let command = args.next();
     match command.as_deref() {
         Some("rules") => {
-            for rule in ALL_RULES {
+            for rule in RuleId::ALL {
                 println!("{} [{}] — {}", rule.code(), rule.name(), rule.describe());
             }
             ExitCode::SUCCESS

@@ -1,11 +1,11 @@
 //! A lightweight Rust *item* parser on top of the [`crate::lexer`] code mask.
 //!
 //! `ddelint` v2 needs more than needles: the determinism-taint rule (D8)
-//! follows entropy through call chains, the message-exhaustiveness rule (D9)
-//! enumerates enum variants, and the sans-IO boundary rule (D10) classifies
-//! method calls. None of that needs a real Rust parser — it needs *items*:
-//! which functions exist, what their signatures mention, what they call,
-//! which enums declare which variants, and what `use` declarations alias.
+//! follows entropy through call chains, the sans-IO boundary rule (D10)
+//! classifies method calls, and the dead-public-API rule (D11) finds who
+//! names a `pub fn`. None of that needs a real Rust parser — it needs
+//! *items*: which functions exist, what their signatures mention, what they
+//! call, and what `use` declarations alias.
 //!
 //! [`parse`] extracts exactly that, in one deterministic pass over the code
 //! mask (so items inside comments or string literals can never exist). The
@@ -69,24 +69,6 @@ pub struct FnItem {
     pub calls: Vec<Call>,
 }
 
-/// One variant of a parsed `enum`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// Byte offset of the variant name (for reporting).
-    pub at: usize,
-}
-
-/// One `enum` item and its variants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// Declared variants, in order.
-    pub variants: Vec<Variant>,
-}
-
 /// Everything [`parse`] extracts from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -94,8 +76,6 @@ pub struct ParsedFile {
     pub uses: Vec<UseAlias>,
     /// Functions, in file order.
     pub fns: Vec<FnItem>,
-    /// Enums, in file order.
-    pub enums: Vec<EnumItem>,
 }
 
 fn is_ident_byte(b: u8) -> bool {
@@ -334,48 +314,6 @@ fn collect_calls(toks: &[(Tok<'_>, usize)], from: usize, to: usize, out: &mut Ve
     }
 }
 
-/// Parses `enum` variants between the body tokens `from..to` (exclusive).
-fn collect_variants(toks: &[(Tok<'_>, usize)], from: usize, to: usize) -> Vec<Variant> {
-    let mut variants = Vec::new();
-    let mut i = from;
-    let mut expect_variant = true;
-    let mut depth = 0usize;
-    while i < to {
-        match toks[i].0 {
-            Tok::Punct(b'{') | Tok::Punct(b'(') | Tok::Punct(b'[') | Tok::Punct(b'<') => depth += 1,
-            Tok::Punct(b'}') | Tok::Punct(b')') | Tok::Punct(b']') | Tok::Punct(b'>') => {
-                depth = depth.saturating_sub(1);
-            }
-            Tok::Punct(b',') if depth == 0 => expect_variant = true,
-            // Attribute: skip the `[...]` block.
-            Tok::Punct(b'#') if depth == 0 && i + 1 < to && toks[i + 1].0 == Tok::Punct(b'[') => {
-                let mut d = 0usize;
-                i += 1;
-                while i < to {
-                    match toks[i].0 {
-                        Tok::Punct(b'[') => d += 1,
-                        Tok::Punct(b']') => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            Tok::Ident(name) if depth == 0 && expect_variant => {
-                variants.push(Variant { name: name.to_string(), at: toks[i].1 });
-                expect_variant = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    variants
-}
-
 /// The `impl` header's type name: the last path segment before `{`, taking
 /// the `for Type` side of trait impls.
 fn impl_type_name(toks: &[(Tok<'_>, usize)], mut i: usize, end: usize) -> Option<String> {
@@ -474,28 +412,6 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
                     if let Some(name) = impl_type_name(toks, i + 1, j) {
                         impl_stack.push((name, depth));
-                    }
-                }
-                i += 1;
-            }
-            Tok::Ident("enum") => {
-                if let Some(&(Tok::Ident(name), _)) = toks.get(i + 1) {
-                    let mut j = i + 2;
-                    while j < toks.len()
-                        && toks[j].0 != Tok::Punct(b'{')
-                        && toks[j].0 != Tok::Punct(b';')
-                    {
-                        j += 1;
-                    }
-                    if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
-                        let close = match_brace(toks, j);
-                        out.enums.push(EnumItem {
-                            name: name.to_string(),
-                            variants: collect_variants(toks, j + 1, close),
-                        });
-                        // Don't descend into the enum body looking for items.
-                        i = close;
-                        continue;
                     }
                 }
                 i += 1;

@@ -68,71 +68,6 @@ pub const NETWORK_READ_WHITELIST: &[&str] = &[
     "stats_mut",
 ];
 
-/// How one requirement of an exhaustive protocol enum is expressed in code
-/// (rule D9). All searches are confined to the named fn's (or const's) byte
-/// span in the code mask, so comments and unrelated code cannot satisfy
-/// them.
-#[derive(Debug, Clone, Copy)]
-pub enum Requirement {
-    /// `Enum::Variant` must appear in the body of fn `func` in `file`.
-    ArmIn { file: &'static str, func: &'static str, what: &'static str },
-    /// `Enum::Variant` must appear in the initializer of `const_name` in `file`.
-    ListedIn { file: &'static str, const_name: &'static str, what: &'static str },
-    /// `Enum::Variant` must appear as the first argument of a call to one of
-    /// `fns` somewhere outside the defining file and outside test regions.
-    Billed { fns: &'static [&'static str], what: &'static str },
-}
-
-impl Requirement {
-    /// Names the missing wiring in a D9 report.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Self::ArmIn { what, .. } | Self::ListedIn { what, .. } | Self::Billed { what, .. } => {
-                what
-            }
-        }
-    }
-}
-
-/// One protocol enum whose variants must be exhaustively wired (rule D9).
-#[derive(Debug, Clone, Copy)]
-pub struct ExhaustiveEnum {
-    /// Defining file (violations are reported at the variant declaration).
-    pub file: &'static str,
-    /// The enum's name.
-    pub enum_name: &'static str,
-    /// Everything each variant must have.
-    pub requirements: &'static [Requirement],
-}
-
-/// The protocol enums rule D9 polices. Adding a variant to one of these
-/// without wiring every listed site fails `cargo test` at the declaration.
-///
-/// `sim::dst::DstEvent` is not listed: each of its variants is one row of
-/// the `dst_events!` table, which derives the enum, its repro line, its
-/// generator and its parser, and its one hand-written site, `World::apply`,
-/// is a wildcard-free `match` that rustc holds exhaustive.
-pub const EXHAUSTIVE_ENUMS: &[ExhaustiveEnum] = &[ExhaustiveEnum {
-    file: "crates/ring/src/messages.rs",
-    enum_name: "MessageKind",
-    requirements: &[
-        Requirement::ArmIn {
-            file: "crates/ring/src/messages.rs",
-            func: "index",
-            what: "a dense-index arm in `MessageKind::index`",
-        },
-        Requirement::ListedIn {
-            file: "crates/ring/src/messages.rs",
-            const_name: "ALL",
-            what: "an entry in `MessageKind::ALL` (registry order)",
-        },
-        Requirement::Billed {
-            fns: &["record", "observe_timeout"],
-            what: "a `MessageStats` billing call (`record`/`observe_timeout`) at a use site",
-        },
-    ],
-}];
-
 /// Whether the walker should descend into / lint this path at all.
 ///
 /// Fixtures are deliberate rule violations (the lint test corpus), `target`
@@ -201,8 +136,6 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
         // everything (including shims — that's where `thread_rng` is
         // defined); benches and the CLI may time and jitter freely.
         RuleId::D8 => in_det_src(path) || path.starts_with("tests/"),
-        // D9 reports at the protocol enum's defining file.
-        RuleId::D9 => EXHAUSTIVE_ENUMS.iter().any(|e| e.file == path),
         RuleId::D10 => d10_file(path),
         // D11 reports in library src, where a `pub` is a promise to other
         // crates; binaries, tests and benches have no public API to rot.

@@ -33,10 +33,6 @@ pub enum RuleId {
     /// a reasoned allow. Catches helpers that launder `thread_rng()` two
     /// calls deep.
     D8,
-    /// Message exhaustiveness: every variant of a policed protocol enum
-    /// (`MessageKind`) must be wired everywhere the policy says — handler
-    /// arm, registry listing, stats billing.
-    D9,
     /// Sans-IO boundary: estimator/probe/routing-policy modules may call
     /// the `Network` only through the probe/read/billing whitelist — drivers
     /// own mutation, and the ground truth estimates are scored against stays
@@ -76,6 +72,22 @@ pub struct Needle {
 }
 
 impl RuleId {
+    /// Every rule, in declaration order: the rule table of `ddelint rules`
+    /// and of the SARIF log, and the names an allow may use.
+    pub const ALL: [RuleId; 11] = [
+        Self::D1,
+        Self::D2,
+        Self::D3,
+        Self::D4,
+        Self::D5,
+        Self::D6,
+        Self::D8,
+        Self::D10,
+        Self::D11,
+        Self::A0,
+        Self::A1,
+    ];
+
     /// Short mnemonic accepted (alongside the `Dn` form) in allow comments.
     pub fn name(self) -> &'static str {
         match self {
@@ -86,7 +98,6 @@ impl RuleId {
             Self::D5 => "unwrap",
             Self::D6 => "doc-determinism",
             Self::D8 => "det-taint",
-            Self::D9 => "message-exhaustive",
             Self::D10 => "sans-io",
             Self::D11 => "dead-pub",
             Self::A0 => "bad-allow",
@@ -104,7 +115,6 @@ impl RuleId {
             Self::D5 => "D5",
             Self::D6 => "D6",
             Self::D8 => "D8",
-            Self::D9 => "D9",
             Self::D10 => "D10",
             Self::D11 => "D11",
             Self::A0 => "A0",
@@ -122,7 +132,6 @@ impl RuleId {
             Self::D5 => "bare unwrap()/expect(\"\") in library-crate non-test code",
             Self::D6 => "pub fn in an estimator module lacking a determinism-contract doc comment",
             Self::D8 => "fn transitively reaches ambient entropy/wall-clock without threading a seed parameter",
-            Self::D9 => "protocol enum variant missing a handler arm, registry entry, or billing call",
             Self::D10 => "Network call outside the probe/read/billing whitelist (mutation or ground-truth read) in a sans-IO module",
             Self::D11 => "pub fn in library src that no other file names (delete it or drop the pub)",
             Self::A0 => "malformed ddelint::allow (unknown rule or missing/empty reason)",
@@ -132,21 +141,7 @@ impl RuleId {
 
     /// Parses either the `Dn` code or the mnemonic name.
     pub fn parse(s: &str) -> Option<Self> {
-        let all = [
-            Self::D1,
-            Self::D2,
-            Self::D3,
-            Self::D4,
-            Self::D5,
-            Self::D6,
-            Self::D8,
-            Self::D9,
-            Self::D10,
-            Self::D11,
-            Self::A0,
-            Self::A1,
-        ];
-        all.into_iter().find(|r| r.code() == s || r.name() == s)
+        Self::ALL.into_iter().find(|r| r.code() == s || r.name() == s)
     }
 
     /// All rules that can be targeted by an allow comment. `A0`/`A1` cannot

@@ -17,15 +17,14 @@ fn golden_path(file: &str) -> String {
     format!("{}{file}", concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/"))
 }
 
-/// One violation per rule family: D3 (alias), D8 (taint chain), D9
-/// (unwired variant), D10 (boundary). Paths are synthetic but realistic, so
-/// the golden files double as format documentation.
+/// One violation per rule family: D3 (alias), D8 (taint chain), D10
+/// (boundary). Paths are synthetic but realistic, so the golden files double
+/// as format documentation.
 fn corpus() -> Vec<(String, String)> {
     [
         ("crates/ring/src/fixture.rs", "d3_alias_violation.rs"),
         ("crates/stats/src/rng.rs", "d8_source.rs"),
         ("crates/stats/src/ecdf.rs", "d8_violation.rs"),
-        ("crates/ring/src/messages.rs", "d9_violation.rs"),
         ("crates/core/src/fixture.rs", "d10_violation.rs"),
     ]
     .into_iter()

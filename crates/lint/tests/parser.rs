@@ -1,6 +1,6 @@
 //! Unit coverage for the item parser and symbol graph underneath the
 //! cross-file rules: use-alias expansion, call-site extraction, impl/mod
-//! context, enum variants behind attributes, and the DOT dump.
+//! context, and the DOT dump.
 
 use lint::check::FileCheck;
 use lint::graph::SymbolGraph;
@@ -70,22 +70,6 @@ fn calls_distinguish_paths_and_method_sugar() {
             ("bare".to_string(), false, None),
         ]
     );
-}
-
-#[test]
-fn enum_variants_survive_attributes_and_payloads() {
-    let p = parsed(
-        "#[derive(Debug)]\n\
-         pub enum Ev {\n    \
-           #[allow(dead_code)]\n    \
-           Join { id: u64 },\n    \
-           Fail(u32),\n    \
-           Probe,\n\
-         }\n",
-    );
-    assert_eq!(p.enums.len(), 1);
-    let names: Vec<&str> = p.enums[0].variants.iter().map(|v| v.name.as_str()).collect();
-    assert_eq!(names, vec!["Join", "Fail", "Probe"], "payloads and attrs are not variants");
 }
 
 #[test]

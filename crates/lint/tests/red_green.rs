@@ -5,9 +5,9 @@
 //!
 //! The cross-file rules get the same treatment against the *whole* workspace
 //! (`read_tree` + one in-memory plant): D8 catches entropy laundered through
-//! the exempt RNG module, D9 catches an unwired `MessageKind` variant, D10
-//! catches a direct `Network` mutation inside an estimator module, and D11
-//! catches a `pub fn` that nothing calls, re-exported or not.
+//! the exempt RNG module, D10 catches a direct `Network` mutation inside an
+//! estimator module, and D11 catches a `pub fn` that nothing calls,
+//! re-exported or not.
 
 use std::path::Path;
 
@@ -111,29 +111,6 @@ fn red_d8_catches_entropy_laundered_through_the_exempt_rng_module() {
             violation.line
         );
     }
-}
-
-#[test]
-fn red_d9_catches_an_unwired_message_kind_variant() {
-    let mut tree = real_tree();
-    let messages = &mut tree
-        .iter_mut()
-        .find(|(p, _)| p == "crates/ring/src/messages.rs")
-        .expect("messages.rs is part of the linted tree")
-        .1;
-    let anchor = "pub enum MessageKind {";
-    let planted = messages.replace(anchor, "pub enum MessageKind {\n    DrillUnwired,");
-    assert_ne!(&planted, messages, "anchor must exist");
-    *messages = planted;
-    let v = check_workspace(&tree);
-    assert_eq!(rules_of(&v), vec![RuleId::D9], "{v:?}");
-    assert_eq!(v[0].path, "crates/ring/src/messages.rs");
-    assert!(v[0].message.contains("MessageKind::DrillUnwired"), "{}", v[0].message);
-    // All three wiring dimensions are missing and each is named.
-    for expect in ["MessageKind::index", "MessageKind::ALL", "billing"] {
-        assert!(v[0].message.contains(expect), "missing `{expect}` in: {}", v[0].message);
-    }
-    assert!(v[0].snippet.contains("DrillUnwired"));
 }
 
 #[test]

@@ -148,6 +148,11 @@ fn rule_ids_parse_by_code_and_name() {
     assert_eq!(RuleId::parse("wallclock"), Some(RuleId::D2));
     assert_eq!(RuleId::parse("doc-determinism"), Some(RuleId::D6));
     assert_eq!(RuleId::parse("bogus"), None);
+    // Every rule in the one list parses back from its code and its name.
+    for rule in RuleId::ALL {
+        assert_eq!(RuleId::parse(rule.code()), Some(rule));
+        assert_eq!(RuleId::parse(rule.name()), Some(rule));
+    }
 }
 
 #[test]

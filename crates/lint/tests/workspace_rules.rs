@@ -1,5 +1,5 @@
-//! Cross-file rule behaviour (D8 taint, D9 exhaustiveness, D10 sans-IO, D11
-//! dead public API) plus the D3 alias-resolution fix, driven through
+//! Cross-file rule behaviour (D8 taint, D10 sans-IO, D11 dead public API)
+//! plus the D3 alias-resolution fix, driven through
 //! `check_workspace` over fixture corpora with synthetic workspace paths
 //! (rule scoping is path-driven, so the paths choose which rules are live).
 
@@ -87,70 +87,6 @@ fn d8_does_not_apply_outside_deterministic_src() {
         ("crates/cli/src/fixture.rs", "d8_violation.rs"),
     ]);
     assert!(v.is_empty(), "binaries may jitter: {v:?}");
-}
-
-#[test]
-fn d9_reports_the_unbilled_variant_at_its_declaration() {
-    let v = check_corpus(&[
-        ("crates/ring/src/messages.rs", "d9_violation.rs"),
-        ("crates/ring/src/network.rs", "d9_billing.rs"),
-    ]);
-    assert_eq!(rules_of(&v), vec![RuleId::D9], "only Unbilled fires: {v:?}");
-    assert_eq!(v[0].path, "crates/ring/src/messages.rs");
-    assert!(v[0].message.contains("MessageKind::Unbilled"), "{}", v[0].message);
-    assert!(v[0].message.contains("billing"), "{}", v[0].message);
-    assert!(v[0].snippet.contains("Unbilled"));
-    // Line/col point at the variant declaration.
-    let src = fixture("d9_violation.rs");
-    let line_text = src.lines().nth(v[0].line - 1).expect("line exists");
-    assert!(line_text.trim_start().starts_with("Unbilled"), "{line_text}");
-}
-
-#[test]
-fn d9_missing_index_arm_is_named_separately() {
-    // Drop the billing file AND the index arm coverage by feeding only the
-    // enum file with its arms intact: billing is the one missing dimension,
-    // and the message says which.
-    let v = check_corpus(&[("crates/ring/src/messages.rs", "d9_violation.rs")]);
-    // Both variants now lack billing (no use-site file in the corpus).
-    assert_eq!(rules_of(&v), vec![RuleId::D9, RuleId::D9], "{v:?}");
-    assert!(v.iter().all(|x| x.message.contains("billing")), "{v:?}");
-    assert!(
-        v.iter().all(|x| !x.message.contains("dense-index")),
-        "index arms are present in the fixture: {v:?}"
-    );
-}
-
-#[test]
-fn d9_allow_on_the_variant_line_escapes() {
-    let v = check_corpus(&[
-        ("crates/ring/src/messages.rs", "d9_allowed.rs"),
-        ("crates/ring/src/network.rs", "d9_billing.rs"),
-    ]);
-    assert!(v.is_empty(), "reasoned allow on the variant line: {v:?}");
-}
-
-#[test]
-fn d9_refuses_an_entry_whose_enum_shows_no_variants() {
-    // Declared inside a macro: the parser reads `enum MessageKind` with zero
-    // variants, so the entry would check nothing. Reported at the enum name.
-    let v = check_corpus(&[
-        ("crates/ring/src/messages.rs", "d9_vacuous.rs"),
-        ("crates/ring/src/network.rs", "d9_billing.rs"),
-    ]);
-    assert_eq!(rules_of(&v), vec![RuleId::D9], "{v:?}");
-    assert_eq!(v[0].path, "crates/ring/src/messages.rs");
-    assert!(v[0].message.contains("`MessageKind` checks nothing"), "{}", v[0].message);
-    let src = fixture("d9_vacuous.rs");
-    let line_text = src.lines().nth(v[0].line - 1).expect("line exists");
-    assert!(line_text.contains("enum MessageKind"), "{line_text}");
-
-    // The defining file is present but declares no such enum at all:
-    // reported at the file's start.
-    let v = check_corpus(&[("crates/ring/src/messages.rs", "d9_billing.rs")]);
-    assert_eq!(rules_of(&v), vec![RuleId::D9], "{v:?}");
-    assert_eq!((v[0].line, v[0].col), (1, 1), "{v:?}");
-    assert!(v[0].message.contains("checks nothing"), "{}", v[0].message);
 }
 
 #[test]

@@ -9,99 +9,83 @@
 //!   during a lookup (2 messages);
 //! * payload bytes cover the variable-size parts (summaries, histograms);
 //!   fixed headers are charged [`HEADER_BYTES`] per message.
+//!
+//! The kinds are declared once, as rows of the `message_kinds!` table, which
+//! derives the enum, [`MessageKind::ALL`] and the counter array's length.
+//! `tests/cost_accounting.rs` requires some library run to bill every kind
+//! in [`MessageKind::ALL`], so a row that nothing bills fails `cargo test`.
 
 /// Fixed per-message overhead charged on top of payloads, in bytes.
 pub const HEADER_BYTES: usize = 48;
 
-/// Number of [`MessageKind`] variants (size of the dense counter array).
-const KIND_COUNT: usize = 17;
+/// Declares [`MessageKind`] from one table: the enum with its docs and
+/// derives, [`MessageKind::ALL`] in declaration order, and [`KIND_COUNT`].
+/// A kind's declaration position is its discriminant, so `kind as usize`
+/// indexes its counter in [`MessageStats`].
+macro_rules! message_kinds {
+    ($(#[$meta:meta])* pub enum MessageKind {$(
+        $(#[$doc:meta])*
+        $kind:ident,
+    )*}) => {
+        $(#[$meta])*
+        pub enum MessageKind {$(
+            $(#[$doc])*
+            $kind,
+        )*}
 
-/// The kinds of messages the overlay exchanges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MessageKind {
-    /// A routing step of an iterative lookup (request or reply).
-    LookupHop,
-    /// A routing attempt that timed out on a dead node.
-    LookupTimeout,
-    /// A density-estimation probe request.
-    Probe,
-    /// A probe reply carrying `(arc, count, summary)`.
-    ProbeReply,
-    /// A probe reply piggybacked on a foreground lookup's final exchange:
-    /// only the incremental payload is charged — the routing was already
-    /// paid for by the lookup it rides on.
-    ProbePiggyback,
-    /// Stabilization traffic (successor/predecessor refresh, finger fix).
-    Stabilize,
-    /// Data handoff during join/leave.
-    Handoff,
-    /// One gossip exchange (Push-Sum).
-    Gossip,
-    /// A random-walk step.
-    WalkStep,
-    /// A remote tuple-sampling request/reply.
-    TupleSample,
-    /// Replica refresh traffic (primary pushing deltas to its successors).
-    Replicate,
-    /// An injected fault: a request transmission lost on a link.
-    FaultDrop,
-    /// An injected fault: a reply dropped after the request was processed.
-    FaultReplyDrop,
-    /// An injected fault: the contacted peer crashed mid-request.
-    FaultCrash,
-    /// An injected fault: a timeout on a transiently sick (not dead) peer.
-    FaultSick,
-    /// An injected fault: a low-capacity peer's reply missed the caller's
-    /// deadline (the request was processed; the peer is alive).
-    FaultSlow,
-    /// An injected fault: the message could not cross an arc-partition cut.
-    FaultPartition,
+        /// Number of [`MessageKind`] variants (size of the dense counter array).
+        const KIND_COUNT: usize = [$(MessageKind::$kind),*].len();
+
+        impl MessageKind {
+            /// Every kind, in declaration (= `Ord` = counter) order.
+            pub const ALL: [MessageKind; KIND_COUNT] = [$(MessageKind::$kind),*];
+        }
+    };
 }
 
-impl MessageKind {
-    /// Every kind, in declaration (= `Ord`) order; `index` is the position
-    /// of each kind in this array.
-    const ALL: [MessageKind; KIND_COUNT] = [
-        MessageKind::LookupHop,
-        MessageKind::LookupTimeout,
-        MessageKind::Probe,
-        MessageKind::ProbeReply,
-        MessageKind::ProbePiggyback,
-        MessageKind::Stabilize,
-        MessageKind::Handoff,
-        MessageKind::Gossip,
-        MessageKind::WalkStep,
-        MessageKind::TupleSample,
-        MessageKind::Replicate,
-        MessageKind::FaultDrop,
-        MessageKind::FaultReplyDrop,
-        MessageKind::FaultCrash,
-        MessageKind::FaultSick,
-        MessageKind::FaultSlow,
-        MessageKind::FaultPartition,
-    ];
-
-    /// Dense index of this kind (its position in declaration order).
-    const fn index(self) -> usize {
-        match self {
-            MessageKind::LookupHop => 0,
-            MessageKind::LookupTimeout => 1,
-            MessageKind::Probe => 2,
-            MessageKind::ProbeReply => 3,
-            MessageKind::ProbePiggyback => 4,
-            MessageKind::Stabilize => 5,
-            MessageKind::Handoff => 6,
-            MessageKind::Gossip => 7,
-            MessageKind::WalkStep => 8,
-            MessageKind::TupleSample => 9,
-            MessageKind::Replicate => 10,
-            MessageKind::FaultDrop => 11,
-            MessageKind::FaultReplyDrop => 12,
-            MessageKind::FaultCrash => 13,
-            MessageKind::FaultSick => 14,
-            MessageKind::FaultSlow => 15,
-            MessageKind::FaultPartition => 16,
-        }
+// The kind table: one row per kind, in counter order. The fault kinds come
+// last, from `FaultDrop` on, since `MessageStats::total_faults` sums that tail.
+message_kinds! {
+    /// The kinds of messages the overlay exchanges.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum MessageKind {
+        /// A routing step of an iterative lookup (request or reply).
+        LookupHop,
+        /// A routing attempt that timed out on a dead node.
+        LookupTimeout,
+        /// A density-estimation probe request.
+        Probe,
+        /// A probe reply carrying `(arc, count, summary)`.
+        ProbeReply,
+        /// A probe reply piggybacked on a foreground lookup's final exchange:
+        /// only the incremental payload is charged — the routing was already
+        /// paid for by the lookup it rides on.
+        ProbePiggyback,
+        /// Stabilization traffic (successor/predecessor refresh, finger fix).
+        Stabilize,
+        /// Data handoff during join/leave.
+        Handoff,
+        /// One gossip exchange (Push-Sum).
+        Gossip,
+        /// A random-walk step.
+        WalkStep,
+        /// A remote tuple-sampling request/reply.
+        TupleSample,
+        /// Replica refresh traffic (primary pushing deltas to its successors).
+        Replicate,
+        /// An injected fault: a request transmission lost on a link.
+        FaultDrop,
+        /// An injected fault: a reply dropped after the request was processed.
+        FaultReplyDrop,
+        /// An injected fault: the contacted peer crashed mid-request.
+        FaultCrash,
+        /// An injected fault: a timeout on a transiently sick (not dead) peer.
+        FaultSick,
+        /// An injected fault: a low-capacity peer's reply missed the caller's
+        /// deadline (the request was processed; the peer is alive).
+        FaultSlow,
+        /// An injected fault: the message could not cross an arc-partition cut.
+        FaultPartition,
     }
 }
 
@@ -130,7 +114,7 @@ impl MessageStats {
 
     /// Records one message of `kind` with `payload` bytes (header added).
     pub fn record(&mut self, kind: MessageKind, payload: usize) {
-        self.counts[kind.index()] += 1;
+        self.counts[kind as usize] += 1;
         self.bytes += (HEADER_BYTES + payload) as u64;
     }
 
@@ -150,19 +134,15 @@ impl MessageStats {
         self.delay_units
     }
 
-    /// Total injected-fault events tallied (all `Fault*` kinds).
+    /// Total injected-fault events tallied (all `Fault*` kinds, the table's
+    /// tail from `FaultDrop` on).
     pub fn total_faults(&self) -> u64 {
-        self.count(MessageKind::FaultDrop)
-            + self.count(MessageKind::FaultReplyDrop)
-            + self.count(MessageKind::FaultCrash)
-            + self.count(MessageKind::FaultSick)
-            + self.count(MessageKind::FaultSlow)
-            + self.count(MessageKind::FaultPartition)
+        self.counts[MessageKind::FaultDrop as usize..].iter().sum()
     }
 
     /// Total messages of `kind`.
     pub fn count(&self, kind: MessageKind) -> u64 {
-        self.counts[kind.index()]
+        self.counts[kind as usize]
     }
 
     /// Total messages across all kinds.
@@ -264,11 +244,14 @@ mod tests {
         s.record_delay(5);
         s.record(MessageKind::FaultDrop, 8);
         s.record(MessageKind::FaultSick, 8);
+        s.record(MessageKind::FaultPartition, 8);
+        // The kind just before the fault tail is no fault.
+        s.record(MessageKind::Replicate, 8);
         let snapshot = s.clone();
         s.record_delay(7);
         s.record(MessageKind::FaultCrash, 8);
         assert_eq!(s.total_delay(), 12);
-        assert_eq!(s.total_faults(), 3);
+        assert_eq!(s.total_faults(), 4);
         let d = s.since(&snapshot);
         assert_eq!(d.total_delay(), 7);
         assert_eq!(d.total_faults(), 1);
