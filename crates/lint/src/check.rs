@@ -1,22 +1,19 @@
 //! Rule checking: the per-file passes (needle scan, `#[cfg(test)]` regions,
 //! the `ddelint::allow` grammar, D3 alias resolution, the D6 doc-contract
 //! rule) and the workspace-level orchestration that layers the cross-file
-//! rules (D8 taint, D10 sans-IO, D11 dead public API) on top.
+//! rules (D10 sans-IO, D11 dead public API) on top.
 //!
 //! A [`FileCheck`] holds one file's lexed mask, parsed items, allows, and
 //! accumulated raw violations. [`check_workspace`] builds one per file,
-//! runs the per-file passes, hands the set to the graph-based passes, and
-//! only then applies allows — so a `ddelint::allow(det-taint, ...)` works
+//! runs the per-file passes, hands the set to the cross-file passes, and
+//! only then applies allows — so a `ddelint::allow(dead-pub, ...)` works
 //! exactly like an allow for a needle rule, and a stale one still trips A1.
 
-use crate::graph::SymbolGraph;
 use crate::lexer::{lex, Lexed};
 use crate::parse::{in_regions, parse, test_regions, ParsedFile};
 use crate::policy;
 use crate::rules::{Boundary, RuleId, NEEDLES};
-use crate::{dead, proto, taint};
-
-use std::collections::BTreeSet;
+use crate::{dead, proto};
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,15 +222,6 @@ impl FileCheck {
         in_regions(&self.regions, byte)
     }
 
-    /// Lines covered by an allow for `rule` (for taint-source defusing).
-    pub fn allowed_lines(&self, rule: RuleId) -> BTreeSet<usize> {
-        self.allows
-            .iter()
-            .filter(|a| a.rule == rule)
-            .flat_map(|a| a.lines.iter().copied())
-            .collect()
-    }
-
     /// Appends a raw violation (allows are applied at [`FileCheck::finish`]).
     pub fn push(&mut self, v: Violation) {
         self.raw.push(v);
@@ -435,21 +423,19 @@ impl FileCheck {
 ///
 /// `path` must be workspace-relative with `/` separators — rule scoping is
 /// path-driven, so the same contents lint differently under different paths
-/// (which is what the fixture tests exploit). The cross-file rules (D8,
-/// D10, D11) need the whole corpus; use [`check_workspace`] for those.
+/// (which is what the fixture tests exploit). The cross-file rules (D10,
+/// D11) need the whole corpus; use [`check_workspace`] for those.
 pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
     FileCheck::new(path, src).finish()
 }
 
-/// Checks a whole corpus of files: per-file rules, then the symbol-graph
-/// passes (D8 taint, D10 sans-IO, D11 dead-pub), then
-/// allow application. Violations come back grouped per file in input order, each
-/// file's sorted by position — deterministic in the input.
+/// Checks a whole corpus of files: per-file rules, then the cross-file
+/// passes (D10 sans-IO, D11 dead-pub), then allow application. Violations
+/// come back grouped per file in input order, each file's sorted by
+/// position — deterministic in the input.
 pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Violation> {
     let mut files: Vec<FileCheck> =
         inputs.iter().map(|(path, src)| FileCheck::new(path, src)).collect();
-    let graph = SymbolGraph::build(&files);
-    taint::check_d8(&mut files, &graph);
     proto::check_d10(&mut files);
     dead::check_d11(&mut files);
     files.into_iter().flat_map(FileCheck::finish).collect()

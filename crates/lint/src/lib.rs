@@ -7,13 +7,12 @@
 //! deterministic paths. This crate turns that convention into machine-checked
 //! law. It is dependency-free (no `syn`; the workspace builds offline): a
 //! byte-exact [`lexer`] classifies code vs comments vs literals, [`parse`]
-//! lifts the mask into items (fns, uses, call sites), [`graph`] builds the
-//! workspace symbol graph, [`rules`] defines the rule set, [`policy`]
-//! scopes each rule to paths, and [`check`] applies the per-file rules
-//! (D1–D6) plus the cross-file passes — [`taint`] (D8 determinism taint),
-//! [`proto`] (D10 sans-IO boundary), [`dead`] (D11 dead public API) — with
-//! inline `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON
-//! and SARIF for CI code scanning.
+//! lifts the mask into items (fns, uses, call sites), [`rules`] defines the
+//! rule set, [`policy`] scopes each rule to paths, and [`check`] applies the
+//! per-file rules (D1–D6) plus the cross-file passes — [`proto`] (D10
+//! sans-IO boundary) and [`dead`] (D11 dead public API) — with inline
+//! `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON and
+//! SARIF for CI code scanning.
 //!
 //! Run it as `cargo run -p lint -- check`. The rule set, the allow grammar,
 //! and the procedure for adding a rule are documented in TESTING.md
@@ -22,16 +21,13 @@
 pub mod check;
 pub mod dead;
 pub mod emit;
-pub mod graph;
 pub mod lexer;
 pub mod parse;
 pub mod policy;
 pub mod proto;
 pub mod rules;
-pub mod taint;
 
 pub use check::{check_source, check_workspace, FileCheck, Violation};
-pub use graph::SymbolGraph;
 pub use rules::RuleId;
 
 use std::path::{Path, PathBuf};
@@ -80,16 +76,7 @@ pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 }
 
 /// Lints the whole tree under `root` — per-file rules plus the cross-file
-/// symbol-graph passes — returning all violations in (path, line, col)
-/// order.
+/// passes — returning all violations in (path, line, col) order.
 pub fn check_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(check_workspace(&read_tree(root)?))
-}
-
-/// Builds the workspace symbol graph for `root` and renders it as DOT
-/// (`ddelint graph --dot`).
-pub fn graph_dot(root: &Path) -> std::io::Result<String> {
-    let files: Vec<FileCheck> =
-        read_tree(root)?.iter().map(|(path, src)| FileCheck::new(path, src)).collect();
-    Ok(SymbolGraph::build(&files).to_dot(&files))
 }

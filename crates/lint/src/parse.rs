@@ -1,18 +1,17 @@
 //! A lightweight Rust *item* parser on top of the [`crate::lexer`] code mask.
 //!
-//! `ddelint` v2 needs more than needles: the determinism-taint rule (D8)
-//! follows entropy through call chains, the sans-IO boundary rule (D10)
-//! classifies method calls, and the dead-public-API rule (D11) finds who
-//! names a `pub fn`. None of that needs a real Rust parser — it needs
-//! *items*: which functions exist, what their signatures mention, what they
-//! call, and what `use` declarations alias.
+//! Some rules need more than needles: the sans-IO boundary rule (D10)
+//! classifies the calls inside each fn, the dead-public-API rule (D11)
+//! finds each `pub fn`, and D3 follows `use ... as` aliases. None of that
+//! needs a real Rust parser — it needs *items*: which functions exist,
+//! whether they are `pub`, what they call, and what `use` declarations
+//! alias.
 //!
 //! [`parse`] extracts exactly that, in one deterministic pass over the code
 //! mask (so items inside comments or string literals can never exist). The
-//! parser is heuristic by design — it tracks brace depth, `mod`/`impl`
-//! context, and `fn` body spans, and records *candidate* call sites (an
-//! identifier directly followed by `(`, or `.name(` method sugar). The
-//! symbol graph ([`crate::graph`]) decides what those candidates resolve to.
+//! parser is heuristic by design — it matches each `fn` body's braces and
+//! records *candidate* call sites in it (an identifier directly followed by
+//! `(`, or `.name(` method sugar); the rules decide which candidates matter.
 
 use crate::lexer::Lexed;
 
@@ -51,21 +50,12 @@ pub struct Call {
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// Enclosing `impl` type name, if any (`Network` for `impl Network`).
-    pub impl_type: Option<String>,
-    /// Enclosing in-file module path (`["tests"]` for `mod tests`).
-    pub modules: Vec<String>,
     /// Whether the declaration is bare `pub` (`pub(crate)`, `pub(super)`
     /// and private fns are not).
     pub is_pub: bool,
-    /// Signature text *after* the name (generics, params, return type) up to
-    /// the body brace — what D8's seed-threading absolution inspects.
-    pub sig: String,
     /// Byte offset of the `fn` keyword (for reporting).
     pub at: usize,
-    /// Body byte span in the mask (empty for bodyless trait declarations).
-    pub body: (usize, usize),
-    /// Candidate call sites in the body.
+    /// Candidate call sites in the body (none for a bodyless declaration).
     pub calls: Vec<Call>,
 }
 
@@ -314,73 +304,16 @@ fn collect_calls(toks: &[(Tok<'_>, usize)], from: usize, to: usize, out: &mut Ve
     }
 }
 
-/// The `impl` header's type name: the last path segment before `{`, taking
-/// the `for Type` side of trait impls.
-fn impl_type_name(toks: &[(Tok<'_>, usize)], mut i: usize, end: usize) -> Option<String> {
-    // Prefer the segment after `for` (trait impls name the trait first).
-    let mut for_at = None;
-    let mut j = i;
-    while j < end {
-        if toks[j].0 == Tok::Ident("for") {
-            for_at = Some(j);
-        }
-        j += 1;
-    }
-    if let Some(f) = for_at {
-        i = f + 1;
-    }
-    let mut last = None;
-    let mut k = i;
-    while k < end {
-        match toks[k].0 {
-            Tok::Ident(name) => {
-                // Skip lifetimes (`'a`): preceded by a quote.
-                if k >= 1 && toks[k - 1].0 == Tok::Punct(b'\'') {
-                    k += 1;
-                    continue;
-                }
-                last = Some(name.to_string());
-            }
-            // Generic args of the type we already captured; stop at the
-            // first angle after a captured name to avoid `Vec<RingId>`
-            // overwriting `Vec` with `RingId`.
-            Tok::Punct(b'<') if last.is_some() => break,
-            _ => {}
-        }
-        k += 1;
-    }
-    last
-}
-
 /// Parses one lexed file into its items. Deterministic in the input text.
 pub fn parse(lexed: &Lexed) -> ParsedFile {
     let tokens = tokenize(&lexed.mask);
     let toks = &tokens.toks;
     let mut out = ParsedFile::default();
 
-    // Context stacks, driven by brace depth.
-    let mut depth = 0usize;
-    let mut mod_stack: Vec<(String, usize)> = Vec::new();
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
-
     let mut i = 0;
     while i < toks.len() {
         let (tok, at) = toks[i];
         match tok {
-            Tok::Punct(b'{') => {
-                depth += 1;
-                i += 1;
-            }
-            Tok::Punct(b'}') => {
-                depth = depth.saturating_sub(1);
-                while mod_stack.last().is_some_and(|&(_, d)| d == depth) {
-                    mod_stack.pop();
-                }
-                while impl_stack.last().is_some_and(|&(_, d)| d == depth) {
-                    impl_stack.pop();
-                }
-                i += 1;
-            }
             Tok::Ident("use") => {
                 // Capture to the terminating `;`.
                 let mut j = i + 1;
@@ -391,30 +324,6 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 let text = &tokens.mask[toks[i + 1].1.min(end_byte)..end_byte];
                 expand_use(text, &[], at, &mut out.uses);
                 i = j + 1;
-            }
-            Tok::Ident("mod") => {
-                if let Some(&(Tok::Ident(name), _)) = toks.get(i + 1) {
-                    if toks.get(i + 2).map(|t| t.0) == Some(Tok::Punct(b'{')) {
-                        mod_stack.push((name.to_string(), depth));
-                    }
-                }
-                i += 1;
-            }
-            Tok::Ident("impl") => {
-                // Find the body `{`; `impl Trait for Type { ... }`.
-                let mut j = i + 1;
-                while j < toks.len()
-                    && toks[j].0 != Tok::Punct(b'{')
-                    && toks[j].0 != Tok::Punct(b';')
-                {
-                    j += 1;
-                }
-                if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
-                    if let Some(name) = impl_type_name(toks, i + 1, j) {
-                        impl_stack.push((name, depth));
-                    }
-                }
-                i += 1;
             }
             Tok::Ident("fn") => {
                 let Some(&(Tok::Ident(name), _)) = toks.get(i + 1) else {
@@ -447,29 +356,15 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 {
                     j += 1;
                 }
-                let sig_start = toks.get(i + 2).map_or(lexed.mask.len(), |&(_, b)| b);
-                let sig_end = toks.get(j).map_or(lexed.mask.len(), |&(_, b)| b);
-                let sig = lexed.mask[sig_start.min(sig_end)..sig_end].to_string();
-                let (body, calls, next) = if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
+                let mut calls = Vec::new();
+                let next = if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
                     let close = match_brace(toks, j);
-                    let mut calls = Vec::new();
                     collect_calls(toks, j + 1, close, &mut calls);
-                    let span =
-                        (toks[j].1, toks.get(close).map_or(lexed.mask.len(), |&(_, b)| b + 1));
-                    (span, calls, close + 1)
+                    close + 1
                 } else {
-                    ((sig_end, sig_end), Vec::new(), j + 1)
+                    j + 1
                 };
-                out.fns.push(FnItem {
-                    name: name.to_string(),
-                    impl_type: impl_stack.last().map(|(n, _)| n.clone()),
-                    modules: mod_stack.iter().map(|(n, _)| n.clone()).collect(),
-                    is_pub,
-                    sig,
-                    at,
-                    body,
-                    calls,
-                });
+                out.fns.push(FnItem { name: name.to_string(), is_pub, at, calls });
                 i = next;
             }
             _ => i += 1,

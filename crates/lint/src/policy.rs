@@ -70,19 +70,13 @@ pub const NETWORK_READ_WHITELIST: &[&str] = &[
 
 /// Whether the walker should descend into / lint this path at all.
 ///
-/// Fixtures are deliberate rule violations (the lint test corpus), `target`
-/// and `.git` are build products, and the shims vendor an external API
-/// surface (they *define* `thread_rng`; holding them to the workspace's
-/// conventions would mean diverging from the upstream API they mirror).
+/// Fixtures are deliberate rule violations (the lint test corpus), and
+/// `target` and `.git` hold build products and history.
 pub fn linted(path: &str) -> bool {
     !path.starts_with("target/")
         && !path.contains("/target/")
         && !path.starts_with(".git/")
         && !path.contains("tests/fixtures/")
-}
-
-fn in_shims(path: &str) -> bool {
-    path.starts_with("shims/")
 }
 
 fn in_det_crate(path: &str) -> bool {
@@ -113,29 +107,17 @@ pub fn ships(path: &str) -> bool {
 /// Whether `rule` applies to the file at `path` (before `#[cfg(test)]`
 /// region and allow-comment filtering, which are positional, not per-file).
 pub fn applies(rule: RuleId, path: &str) -> bool {
-    if in_shims(path) {
-        // Shims mirror external crates; only the allow-grammar rules apply
-        // (an allow comment in a shim must still be well-formed).
-        return matches!(rule, RuleId::A0 | RuleId::A1);
-    }
     match rule {
-        // The one sanctioned entropy module is stats::rng — everything else,
-        // including test code and examples, derives from SeedSequence.
-        RuleId::D1 => path != "crates/stats/src/rng.rs",
-        // Wall-clock reads need a site-level allow everywhere; the timing
-        // paths in sim::exec and crates/cli carry them inline.
-        RuleId::D2 => true,
+        // Every linted file, `stats::rng` and the shims included: all
+        // randomness derives from SeedSequence, and wall-clock reads and
+        // `unsafe` need a site-level allow (the timing paths in sim::exec
+        // and crates/cli carry them inline).
+        RuleId::D1 | RuleId::D2 | RuleId::D4 => true,
         RuleId::D3 => in_det_crate(path) || path.starts_with("tests/"),
-        RuleId::D4 => true,
         // D5 is scoped to library-crate src; `#[cfg(test)]` regions inside
         // those files are excluded positionally in check.rs.
         RuleId::D5 => in_det_src(path),
         RuleId::D6 => D6_FILES.contains(&path),
-        // D8 reports where determinism is law: deterministic-crate src and
-        // the integration-test tree. Taint still *propagates* through
-        // everything (including shims — that's where `thread_rng` is
-        // defined); benches and the CLI may time and jitter freely.
-        RuleId::D8 => in_det_src(path) || path.starts_with("tests/"),
         RuleId::D10 => d10_file(path),
         // D11 reports in library src, where a `pub` is a promise to other
         // crates; binaries, tests and benches have no public API to rot.
@@ -146,11 +128,10 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
 
 /// Whether violations of `rule` are exempt inside `#[cfg(test)]` regions.
 ///
-/// D5 (unwrap hygiene), D6 (public-API docs), D8 (taint — in-file unit
-/// tests drive helpers off arbitrary state), D10 (tests exercise mutation
-/// deliberately) and D11 (a test helper is no public API) are test-exempt;
-/// ambient entropy, wall-clock, unordered maps, and unsafe would break
-/// deterministic replay of the test suite itself.
+/// D5 (unwrap hygiene), D6 (public-API docs), D10 (tests exercise
+/// mutation deliberately) and D11 (a test helper is no public API) are
+/// test-exempt; ambient entropy, wall-clock, unordered maps, and unsafe
+/// would break deterministic replay of the test suite itself.
 pub fn test_exempt(rule: RuleId) -> bool {
-    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D8 | RuleId::D10 | RuleId::D11)
+    matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D10 | RuleId::D11)
 }

@@ -1,17 +1,18 @@
 //! The `ddelint` rule set: ids, names, needles, and messages.
 //!
-//! Rules are lexical by design — each one is a set of *needles* searched in
-//! the code mask produced by [`crate::lexer::lex`] (so comments and string
+//! Most rules are lexical — each one is a set of *needles* searched in the
+//! code mask produced by [`crate::lexer::lex`] (so comments and string
 //! literals can never match), plus a path scope decided by
-//! [`crate::policy`]. D6 (doc-determinism) is the one structural rule; its
-//! logic lives in [`crate::check`].
+//! [`crate::policy`]. D6 (doc-determinism) is structural, with its logic in
+//! [`crate::check`]; D10 and D11 read the parsed items of every file
+//! ([`crate::proto`], [`crate::dead`]).
 
 /// Identifier of one lint rule. `A0`/`A1` police the allow grammar itself so
 /// that escapes stay honest (no blanket allows, no stale allows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// No ambient entropy: `thread_rng` / `from_entropy` / `rand::random`
-    /// outside `stats::rng`.
+    /// No ambient entropy: `thread_rng` / `from_entropy` / `rand::random`,
+    /// anywhere.
     D1,
     /// No wall-clock reads (`Instant::now` / `SystemTime`) in deterministic
     /// paths without a site-level allow proving the value never feeds results.
@@ -27,12 +28,6 @@ pub enum RuleId {
     /// Every `pub fn` in the core/stats estimator modules documents its
     /// determinism contract.
     D6,
-    /// Determinism taint: no fn in a deterministic path may *transitively*
-    /// reach a D1/D2 entropy or wall-clock source through the call graph,
-    /// unless it threads an explicit seed/RNG parameter or the flow carries
-    /// a reasoned allow. Catches helpers that launder `thread_rng()` two
-    /// calls deep.
-    D8,
     /// Sans-IO boundary: estimator/probe/routing-policy modules may call
     /// the `Network` only through the probe/read/billing whitelist — drivers
     /// own mutation, and the ground truth estimates are scored against stays
@@ -73,15 +68,15 @@ pub struct Needle {
 
 impl RuleId {
     /// Every rule, in declaration order: the rule table of `ddelint rules`
-    /// and of the SARIF log, and the names an allow may use.
-    pub const ALL: [RuleId; 11] = [
+    /// and of the SARIF log, and the names an allow may use. Retired rule
+    /// numbers (D7, D8, D9) are not reused.
+    pub const ALL: [RuleId; 10] = [
         Self::D1,
         Self::D2,
         Self::D3,
         Self::D4,
         Self::D5,
         Self::D6,
-        Self::D8,
         Self::D10,
         Self::D11,
         Self::A0,
@@ -97,7 +92,6 @@ impl RuleId {
             Self::D4 => "unsafe",
             Self::D5 => "unwrap",
             Self::D6 => "doc-determinism",
-            Self::D8 => "det-taint",
             Self::D10 => "sans-io",
             Self::D11 => "dead-pub",
             Self::A0 => "bad-allow",
@@ -114,7 +108,6 @@ impl RuleId {
             Self::D4 => "D4",
             Self::D5 => "D5",
             Self::D6 => "D6",
-            Self::D8 => "D8",
             Self::D10 => "D10",
             Self::D11 => "D11",
             Self::A0 => "A0",
@@ -125,13 +118,12 @@ impl RuleId {
     /// One-line human description, shown by `ddelint rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Self::D1 => "ambient entropy (thread_rng/from_entropy/rand::random) outside stats::rng",
+            Self::D1 => "ambient entropy (thread_rng/from_entropy/rand::random)",
             Self::D2 => "wall-clock read (Instant::now/SystemTime) in a deterministic path",
             Self::D3 => "HashMap/HashSet in a deterministic crate (BTree or sorted-vec only)",
             Self::D4 => "unsafe code without an allow carrying a reason",
             Self::D5 => "bare unwrap()/expect(\"\") in library-crate non-test code",
             Self::D6 => "pub fn in an estimator module lacking a determinism-contract doc comment",
-            Self::D8 => "fn transitively reaches ambient entropy/wall-clock without threading a seed parameter",
             Self::D10 => "Network call outside the probe/read/billing whitelist (mutation or ground-truth read) in a sans-IO module",
             Self::D11 => "pub fn in library src that no other file names (delete it or drop the pub)",
             Self::A0 => "malformed ddelint::allow (unknown rule or missing/empty reason)",

@@ -3,11 +3,11 @@
 //! deliberately planted `thread_rng()` is caught by D1 at the planted line
 //! (red). This pins the linter to the actual tree, not just to fixtures.
 //!
-//! The cross-file rules get the same treatment against the *whole* workspace
-//! (`read_tree` + one in-memory plant): D8 catches entropy laundered through
-//! the exempt RNG module, D10 catches a direct `Network` mutation inside an
-//! estimator module, and D11 catches a `pub fn` that nothing calls,
-//! re-exported or not.
+//! The whole workspace gets the same treatment (`read_tree` + one in-memory
+//! plant): D1 catches ambient entropy planted in `stats::rng` and D2 a clock
+//! read planted in the rand shim, since neither place is exempt; D10 catches
+//! a direct `Network` mutation inside an estimator module, and D11 catches a
+//! `pub fn` that nothing calls, re-exported or not.
 
 use std::path::Path;
 
@@ -79,38 +79,41 @@ fn green_the_real_workspace_lints_clean() {
     assert!(v.is_empty(), "main must stay violation-free: {v:?}");
 }
 
-#[test]
-fn red_d8_catches_entropy_laundered_through_the_exempt_rng_module() {
+/// Plants `code` at the end of `path` in the real tree and asserts that the
+/// workspace check fails exactly once, with `rule` at `needle` on the
+/// planted line.
+fn assert_plant_fails(path: &str, code: &str, rule: RuleId, needle: &str) {
     let mut tree = real_tree();
-    // The helper hides in `stats::rng`, where the D1 needle rule does not
-    // apply — only the taint pass can see the flow from its importers.
-    plant(
-        &mut tree,
-        "crates/stats/src/rng.rs",
-        "\npub fn drill_jitter() -> u64 {\n    rand::thread_rng().next_u64()\n}\n",
-    );
-    plant(
-        &mut tree,
-        "crates/stats/src/ecdf.rs",
-        "\nfn drill_launder() -> u64 {\n    crate::rng::drill_jitter()\n}\n\n\
-         /// Nondeterministic on purpose: the D8 drill target.\n\
-         pub(crate) fn drill_perturb(x: u64) -> u64 {\n    x ^ drill_launder()\n}\n",
-    );
+    plant(&mut tree, path, code);
     let v = check_workspace(&tree);
-    assert_eq!(rules_of(&v), vec![RuleId::D8, RuleId::D8], "{v:?}");
-    // Reported at the importing call sites, with file:line:col pointing at
-    // real text and a witness chain naming the source.
-    for violation in &v {
-        assert_eq!(violation.path, "crates/stats/src/ecdf.rs");
-        assert!(violation.message.contains("drill_jitter"), "{}", violation.message);
-        let src = &tree.iter().find(|(p, _)| p == &violation.path).unwrap().1;
-        let line_text = src.lines().nth(violation.line - 1).expect("reported line exists");
-        assert!(
-            line_text.contains("drill_jitter()") || line_text.contains("drill_launder()"),
-            "line {}: {line_text}",
-            violation.line
-        );
-    }
+    assert_eq!(rules_of(&v), vec![rule], "{v:?}");
+    assert_eq!(v[0].path, path);
+    let src = &tree.iter().find(|(p, _)| p == path).expect("planted file in tree").1;
+    let lines: Vec<&str> = src.lines().collect();
+    let planted = lines.iter().rposition(|l| l.contains(needle)).expect("plant in file");
+    assert_eq!(v[0].line, planted + 1, "{v:?}");
+    assert_eq!(v[0].col, lines[planted].find(needle).expect("needle on line") + 1);
+}
+
+#[test]
+fn red_d1_catches_entropy_planted_in_the_rng_module() {
+    assert_plant_fails(
+        "crates/stats/src/rng.rs",
+        "\npub(crate) fn drill_jitter() -> u64 {\n    rand::thread_rng().next_u64()\n}\n",
+        RuleId::D1,
+        "thread_rng",
+    );
+}
+
+#[test]
+fn red_d2_catches_a_clock_read_planted_in_a_shim() {
+    assert_plant_fails(
+        "shims/rand/src/lib.rs",
+        "\nfn drill_clock() -> std::time::Duration {\n    \
+         std::time::SystemTime::now().elapsed().unwrap_or_default()\n}\n",
+        RuleId::D2,
+        "SystemTime",
+    );
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Rule behaviour over the fixture corpus: one true-positive and one
 //! allowlisted case per rule D1–D6, plus the allow-grammar meta rules A0/A1.
+//! D1, D2 and D4 apply to every linted file, `stats::rng` and the shims
+//! included.
 
 use lint::check_source;
 use lint::rules::RuleId;
@@ -35,14 +37,13 @@ fn d1_allow_suppresses_and_is_consumed() {
 }
 
 #[test]
-fn d1_exempts_only_the_rng_module() {
-    let src = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/d1_violation.rs"
-    ))
-    .expect("fixture exists");
-    assert!(check_source("crates/stats/src/rng.rs", &src).is_empty());
-    assert_eq!(check_source("crates/stats/src/ecdf.rs", &src).len(), 3);
+fn d1_applies_in_the_rng_module_and_the_shims() {
+    // No path is exempt: the seeded-stream module and the shims fail D1 like
+    // any other file.
+    for path in ["crates/stats/src/rng.rs", "crates/stats/src/ecdf.rs", "shims/rand/src/lib.rs"] {
+        let v = check_fixture("d1_violation.rs", path);
+        assert_eq!(rules_of(&v), vec![RuleId::D1; 3], "{path}: {v:?}");
+    }
 }
 
 #[test]
@@ -131,15 +132,15 @@ fn a1_flags_stale_allows() {
 }
 
 #[test]
-fn shims_are_exempt_except_allow_grammar() {
-    let src = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/d1_violation.rs"
-    ))
-    .expect("fixture exists");
-    assert!(check_source("shims/rand/src/lib.rs", &src).is_empty());
+fn shims_keep_the_allow_grammar_and_skip_crate_scoped_rules() {
     let bad_allow = "// ddelint::allow(bogus, \"x\")\nfn f() {}\n";
-    assert_eq!(check_source("shims/rand/src/lib.rs", bad_allow).len(), 1);
+    let v = check_source("shims/rand/src/lib.rs", bad_allow);
+    assert_eq!(rules_of(&v), vec![RuleId::A0], "{v:?}");
+    // D3 and D5 are scoped to the deterministic crates by path.
+    for fixture in ["d3_violation.rs", "d5_violation.rs"] {
+        let v = check_fixture(fixture, "shims/rand/src/lib.rs");
+        assert!(v.is_empty(), "{fixture}: {v:?}");
+    }
 }
 
 #[test]
@@ -153,6 +154,13 @@ fn rule_ids_parse_by_code_and_name() {
         assert_eq!(RuleId::parse(rule.code()), Some(rule));
         assert_eq!(RuleId::parse(rule.name()), Some(rule));
     }
+    // Retired rules stay retired, so an allow that names one trips A0.
+    for retired in ["D7", "hot-clone", "D8", "det-taint", "D9", "message-exhaustive"] {
+        assert_eq!(RuleId::parse(retired), None, "{retired}");
+    }
+    let v = check_source("crates/core/src/fixture.rs", "// ddelint::allow(det-taint, \"x\")\n");
+    assert_eq!(rules_of(&v), vec![RuleId::A0], "{v:?}");
+    assert!(v[0].message.contains("unknown rule `det-taint`"), "{}", v[0].message);
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Cross-file rule behaviour (D8 taint, D10 sans-IO, D11 dead public API)
-//! plus the D3 alias-resolution fix, driven through
+//! Cross-file rule behaviour (D10 sans-IO, D11 dead public API) plus the D3
+//! alias-resolution fix, driven through
 //! `check_workspace` over fixture corpora with synthetic workspace paths
 //! (rule scoping is path-driven, so the paths choose which rules are live).
 
@@ -38,55 +38,6 @@ fn d3_alias_flags_every_usage_not_just_the_declaration() {
 fn d3_alias_to_an_ordered_map_is_clean() {
     let v = check_source("crates/ring/src/fixture.rs", &fixture("d3_alias_allowed.rs"));
     assert!(v.is_empty(), "BTreeMap alias must be clean: {v:?}");
-}
-
-#[test]
-fn d8_catches_laundering_two_calls_deep_with_witness_chain() {
-    let v = check_corpus(&[
-        ("crates/stats/src/rng.rs", "d8_source.rs"),
-        ("crates/stats/src/ecdf.rs", "d8_violation.rs"),
-    ]);
-    assert_eq!(rules_of(&v), vec![RuleId::D8, RuleId::D8], "{v:?}");
-    // Direct importer: reported at the call site of the exempt-module helper.
-    assert_eq!(v[0].path, "crates/stats/src/ecdf.rs");
-    assert!(v[0].message.contains("`laundered` reaches ambient entropy"), "{}", v[0].message);
-    assert!(v[0].message.contains("ambient_jitter"), "{}", v[0].message);
-    assert!(v[0].snippet.contains("crate::rng::ambient_jitter()"));
-    // Transitive importer: the witness names the whole chain.
-    assert!(v[1].message.contains("`perturb` reaches ambient entropy"), "{}", v[1].message);
-    assert!(
-        v[1].message.contains("`laundered`") && v[1].message.contains("ambient_jitter"),
-        "witness chain must name both hops: {}",
-        v[1].message
-    );
-    // `stream_blend` threads a seed parameter: transitive taint absolved, so
-    // exactly two reports.
-}
-
-#[test]
-fn d8_source_module_alone_reports_nothing() {
-    // The exempt RNG module seeds taint but is not itself D8-reported (and
-    // D1 does not apply there) — without an importer the corpus is clean.
-    let v = check_corpus(&[("crates/stats/src/rng.rs", "d8_source.rs")]);
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn d8_allow_at_the_import_site_stops_the_flow_for_callers_too() {
-    let v = check_corpus(&[
-        ("crates/stats/src/rng.rs", "d8_source.rs"),
-        ("crates/stats/src/ecdf.rs", "d8_allowed.rs"),
-    ]);
-    assert!(v.is_empty(), "reviewed allow must silence the chain: {v:?}");
-}
-
-#[test]
-fn d8_does_not_apply_outside_deterministic_src() {
-    let v = check_corpus(&[
-        ("crates/stats/src/rng.rs", "d8_source.rs"),
-        ("crates/cli/src/fixture.rs", "d8_violation.rs"),
-    ]);
-    assert!(v.is_empty(), "binaries may jitter: {v:?}");
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn snapshot_store(key: Scenario, snap: Snapshot) {
 /// # Panics
 /// Panics on degenerate scenarios (zero peers, zero items).
 pub fn build(scenario: &Scenario) -> BuiltScenario {
-    // ddelint::allow(wallclock, "timing-only: the duration feeds the build-time perf counter, never an experiment value — this site-level review also stops D8 taint here")
+    // ddelint::allow(wallclock, "timing-only: the duration feeds the build-time perf counter, never an experiment value")
     let start = std::time::Instant::now();
     let built = build_cached(scenario);
     crate::exec::note_build(start.elapsed());

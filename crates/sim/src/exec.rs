@@ -203,7 +203,7 @@ impl<'a, T: Send> ExecPlan<'a, T> {
 fn execute<T>(cell: CellFn<'_, T>) -> CellResult<T> {
     let build0 = TL_BUILD.with(Cell::get);
     let allocs0 = dde_stats::alloc::thread_allocations();
-    // ddelint::allow(wallclock, "timing-only: elapsed feeds CellResult.elapsed and the stderr progress line, never an experiment value — this site-level review also stops D8 taint here")
+    // ddelint::allow(wallclock, "timing-only: elapsed feeds CellResult.elapsed and the stderr progress line, never an experiment value")
     let start = Instant::now();
     let value = cell();
     let elapsed = start.elapsed();

@@ -218,8 +218,10 @@ pub struct WorkloadReport {
     pub messages: u64,
     /// Total bytes across the run.
     pub bytes: u64,
-    /// Mean estimate age (virtual seconds) observed by estimate-read ops;
-    /// 0 when the mix schedules none.
+    /// Mean estimate age (virtual seconds) over the estimate-read ops that
+    /// found an estimate, each aged from the last *successful* refresh (a
+    /// failed one leaves the older estimate in service); 0 when no read
+    /// found one.
     pub mean_staleness: f64,
     /// KS distance of the final estimate to the live dataset's ECDF
     /// (inserts included); NaN if no refresh ever succeeded.
@@ -227,8 +229,8 @@ pub struct WorkloadReport {
 }
 
 /// Completes the current probe plan into a fresh skeleton and starts the
-/// next plan. On failure the previous estimate stays in service (stale
-/// beats absent).
+/// next plan; the flag says whether a fresh estimate replaced the old one.
+/// On failure the previous estimate stays in service (stale beats absent).
 #[allow(clippy::too_many_arguments)]
 fn refresh_estimate(
     estimator: &DfDde,
@@ -239,19 +241,21 @@ fn refresh_estimate(
     domain: (f64, f64),
     estimate: &mut Option<DensityEstimate>,
     report: &mut WorkloadReport,
-) -> ProbePlan {
+) -> (ProbePlan, bool) {
     report.piggybacked += plan.piggybacked();
-    match plan.complete(estimator, net, initiator, rng) {
-        Ok(replies) => match estimator.build_skeleton(&replies, domain) {
-            Ok(skeleton) => {
-                *estimate = Some(DensityEstimate::with_samples(skeleton.cdf, Vec::new()));
-                report.refreshes += 1;
-            }
-            Err(_) => report.refresh_failures += 1,
-        },
-        Err(_) => report.refresh_failures += 1,
+    let skeleton = plan
+        .complete(estimator, net, initiator, rng)
+        .ok()
+        .and_then(|replies| estimator.build_skeleton(&replies, domain).ok());
+    let refreshed = skeleton.is_some();
+    match skeleton {
+        Some(skeleton) => {
+            *estimate = Some(DensityEstimate::with_samples(skeleton.cdf, Vec::new()));
+            report.refreshes += 1;
+        }
+        None => report.refresh_failures += 1,
     }
-    ProbePlan::plan(estimator, rng)
+    (ProbePlan::plan(estimator, rng), refreshed)
 }
 
 /// Exact hop-count percentiles: one counter per hop value. A completed op
@@ -355,12 +359,13 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
     let mut latency = HopCounts::default();
     let mut estimate: Option<DensityEstimate> = None;
     let mut staleness_sum = 0.0_f64;
+    let mut served_reads = 0_usize;
 
     // Estimate at t = 0: all-dedicated (no traffic has flowed yet), so even
     // a zero-rate or lookup-free run serves *something*.
     let plan = ProbePlan::plan(&estimator, &mut est_rng);
     let initiator = ids[est_rng.gen_range(0..ids.len())];
-    let mut plan = refresh_estimate(
+    let (mut plan, _) = refresh_estimate(
         &estimator,
         &mut net,
         plan,
@@ -370,6 +375,8 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
         &mut estimate,
         &mut report,
     );
+    // When the last successful refresh ran; read only while `estimate` is
+    // set, which some successful refresh did.
     let mut last_refresh = 0.0_f64;
     let mut next_refresh = spec.refresh_interval;
 
@@ -378,7 +385,8 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
     for op in &ops {
         while next_refresh <= op.at {
             let initiator = ids[est_rng.gen_range(0..ids.len())];
-            plan = refresh_estimate(
+            let refreshed;
+            (plan, refreshed) = refresh_estimate(
                 &estimator,
                 &mut net,
                 plan,
@@ -388,7 +396,9 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
                 &mut estimate,
                 &mut report,
             );
-            last_refresh = next_refresh;
+            if refreshed {
+                last_refresh = next_refresh;
+            }
             next_refresh += spec.refresh_interval;
         }
 
@@ -433,9 +443,10 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
             }
             OpKind::Estimate => {
                 report.estimate_reads += 1;
-                staleness_sum += op.at - last_refresh;
                 if estimate.is_some() {
                     report.ops_completed += 1;
+                    staleness_sum += op.at - last_refresh;
+                    served_reads += 1;
                 } else {
                     report.ops_failed += 1;
                 }
@@ -450,8 +461,8 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
     report.hop_p50 = latency.quantile(0.50);
     report.hop_p95 = latency.quantile(0.95);
     report.hop_p99 = latency.quantile(0.99);
-    if report.estimate_reads > 0 {
-        report.mean_staleness = staleness_sum / report.estimate_reads as f64;
+    if served_reads > 0 {
+        report.mean_staleness = staleness_sum / served_reads as f64;
     }
     if let Some(e) = &estimate {
         let live = Ecdf::from_sorted(net.global_values());
@@ -613,6 +624,22 @@ mod tests {
         assert!(r.estimate_reads > 0);
         assert!(r.mean_staleness > 0.0);
         assert!(r.mean_staleness <= spec.refresh_interval);
+    }
+
+    #[test]
+    fn staleness_counts_only_reads_an_estimate_served() {
+        // Every message is lost and no lookup is offered to the probe plan,
+        // so no refresh succeeds and no read finds an estimate: there is no
+        // age to report.
+        let mut built = build(&scenario());
+        built.net.set_fault_plan(dde_ring::FaultPlan::new(7).with_loss(1.0));
+        let spec =
+            WorkloadSpec { mix: OpMix::new(100, 400), piggyback: false, ..WorkloadSpec::default() };
+        let r = run_workload(&built, &spec, 5);
+        assert_eq!(r.refreshes, 0);
+        assert!(r.estimate_reads > 0);
+        assert!(r.ops_failed >= r.estimate_reads, "every read failed");
+        assert_eq!(r.mean_staleness, 0.0);
     }
 
     #[test]

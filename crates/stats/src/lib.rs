@@ -48,8 +48,8 @@ pub use piecewise::PiecewiseCdf;
 /// bounded domain.
 ///
 /// Implemented by ground-truth distributions, empirical CDFs, histograms,
-/// piecewise skeletons, and kernel density estimates, so that error metrics
-/// and the inversion sampler can treat them interchangeably.
+/// and piecewise skeletons, so that error metrics and the inversion sampler
+/// can treat them interchangeably.
 pub trait CdfFn {
     /// The cumulative probability `P[X <= x]`, in `[0, 1]`.
     fn cdf(&self, x: f64) -> f64;

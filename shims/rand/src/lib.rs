@@ -376,35 +376,6 @@ pub mod rngs {
             Self { s }
         }
     }
-
-    /// Thread-local style generator returned by [`super::thread_rng`].
-    #[derive(Debug, Clone)]
-    pub struct ThreadRng(StdRng);
-
-    impl ThreadRng {
-        pub(crate) fn new(inner: StdRng) -> Self {
-            Self(inner)
-        }
-    }
-
-    impl RngCore for ThreadRng {
-        fn next_u32(&mut self) -> u32 {
-            self.0.next_u32()
-        }
-        fn next_u64(&mut self) -> u64 {
-            self.0.next_u64()
-        }
-    }
-}
-
-/// Returns a non-cryptographic "ambient" generator. Unlike upstream this is
-/// freshly seeded per call (from a process-wide counter), not thread-local —
-/// sufficient for the smoke-test uses in this workspace.
-pub fn thread_rng() -> rngs::ThreadRng {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0x7EAD_0000);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    rngs::ThreadRng::new(rngs::StdRng::seed_from_u64(n))
 }
 
 #[cfg(test)]
