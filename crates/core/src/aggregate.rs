@@ -181,7 +181,8 @@ mod tests {
 
     #[test]
     fn raw_arithmetic_on_synthetic_replies() {
-        // Two half-ring peers: counts 10 & 30, sums 100 & 900.
+        // Two half-ring peers: counts 10 & 30, sums 100 & 900. Each summary
+        // totals its count, or the HT pass would drop the reply.
         let h = u64::MAX / 2;
         let mk = |peer: u64, pred: u64, count: u64, sum: f64, sum_sq: f64| ProbeReply {
             peer: RingId(peer),
@@ -189,7 +190,7 @@ mod tests {
             count,
             sum,
             sum_sq,
-            summary: EquiDepthSummary::from_sorted(&[1.0], 1),
+            summary: EquiDepthSummary::from_sorted(&vec![1.0; count as usize], 1),
             hops: 0,
         };
         let replies =

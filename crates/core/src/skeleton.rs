@@ -67,7 +67,8 @@ pub struct CdfSkeleton {
     /// Estimated global sum of the squared values, `ŜQ`.
     pub sum_sq_hat: f64,
     /// Probe replies actually used (replies without a known predecessor are
-    /// dropped — their inclusion probability is unknown).
+    /// dropped — their inclusion probability is unknown — and so are
+    /// inconsistent ones; see `Unusable`).
     pub probes_used: usize,
 }
 
@@ -121,15 +122,40 @@ impl CdfSkeleton {
     }
 }
 
-/// The usable replies, each with its peer's arc fraction `s > 0`: a reply
-/// whose peer knows no predecessor is dropped, because its inclusion
-/// probability is unknown.
+/// Why the HT pass drops a reply.
+#[derive(Debug, PartialEq)]
+enum Unusable {
+    /// The peer knows no predecessor, so its inclusion probability is
+    /// unknown.
+    NoPredecessor,
+    /// The summary's total differs from the reply's item count.
+    TotalMismatch,
+    /// The summary's boundaries hold a NaN or descend (by `total_cmp`,
+    /// the order every store keeps).
+    DisorderedBoundaries,
+}
+
+/// The arc fraction `s` of a reply the HT pass can use, or why it cannot.
+/// `s` is positive for every predecessor: at least one id step, or the
+/// whole ring when the peer is its own predecessor. No honest peer sends
+/// an inconsistent reply (the DST oracle's `total_breach` checks each one),
+/// so honest runs drop only replies without a predecessor.
+fn check(r: &ProbeReply) -> Result<f64, Unusable> {
+    let pred = r.predecessor.ok_or(Unusable::NoPredecessor)?;
+    if r.summary.total() != r.count {
+        return Err(Unusable::TotalMismatch);
+    }
+    let b = r.summary.boundaries();
+    if b.iter().any(|x| x.is_nan()) || !b.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()) {
+        return Err(Unusable::DisorderedBoundaries);
+    }
+    Ok(r.peer.arc_fraction_from(pred))
+}
+
+/// The usable replies, each with its peer's arc fraction `s > 0`; the
+/// others are dropped, each for one of the [`Unusable`] reasons.
 pub(crate) fn usable(replies: &[ProbeReply]) -> impl Iterator<Item = (&ProbeReply, f64)> + Clone {
-    replies.iter().filter_map(|r| {
-        let pred = r.predecessor?;
-        let s = r.peer.arc_fraction_from(pred);
-        (s > 0.0).then_some((r, s))
-    })
+    replies.iter().filter_map(|r| check(r).ok().map(|s| (r, s)))
 }
 
 #[cfg(test)]
@@ -222,9 +248,43 @@ mod tests {
     fn drops_replies_without_predecessor() {
         let mut replies = uniform_replies();
         replies[0].predecessor = None;
+        assert_eq!(check(&replies[0]), Err(Unusable::NoPredecessor));
         let sk = CdfSkeleton::from_probes(&replies, (0.0, 100.0), 1024, Weighting::HorvitzThompson)
             .unwrap();
         assert_eq!(sk.probes_used, 3);
+    }
+
+    /// The usable replies' count once `replies[0]` is dropped, which must
+    /// leave `N̂` as if it had never arrived.
+    fn without_first(replies: &[ProbeReply]) -> usize {
+        let sk = CdfSkeleton::from_probes(replies, (0.0, 100.0), 1024, Weighting::HorvitzThompson)
+            .unwrap();
+        let rest =
+            CdfSkeleton::from_probes(&replies[1..], (0.0, 100.0), 1024, Weighting::HorvitzThompson)
+                .unwrap();
+        assert_eq!(sk.n_hat.to_bits(), rest.n_hat.to_bits(), "the dropped reply leaves no trace");
+        sk.probes_used
+    }
+
+    #[test]
+    fn drops_replies_whose_summary_total_is_not_the_count() {
+        let mut replies = uniform_replies();
+        replies[0].count += 1;
+        assert_eq!(check(&replies[0]), Err(Unusable::TotalMismatch));
+        assert_eq!(without_first(&replies), 3);
+    }
+
+    #[test]
+    fn drops_replies_whose_boundaries_hold_a_nan_or_descend() {
+        for values in [vec![f64::NAN], vec![0.0, -0.0]] {
+            let mut replies = uniform_replies();
+            let mut bad = reply(replies[0].peer.0, replies[0].predecessor.unwrap().0, vec![]);
+            bad.summary = EquiDepthSummary::from_sorted(&values, 2);
+            bad.count = values.len() as u64;
+            replies[0] = bad;
+            assert_eq!(check(&replies[0]), Err(Unusable::DisorderedBoundaries), "{values:?}");
+            assert_eq!(without_first(&replies), 3);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   all of its runs in one boxed 64-slot array instead, which exists
 //!   exactly while it has more than 24 runs (23 of 10⁶ uniform peers). A
 //!   routing hop scans the runs, not the 64 levels, and so reads about the
-//!   first 264 of a record's 344 bytes;
+//!   first 272 of a record's 336 bytes;
 //! * [`RingArena`] — the slab that owns every node record. Together with the
 //!   id and order columns kept by [`crate::index::NodeIndex`] this is the
 //!   network's columnar store: a dense sorted `Vec<RingId>` for search, a
@@ -256,7 +256,7 @@ impl std::fmt::Debug for SuccessorList {
 /// here up to 10⁶ peers hold at most 29 runs per table, and all but 23
 /// tables of a uniform 10⁶-peer ring fit inline (a load-balanced one, whose
 /// ids pack where the data does, spills about one in nine), so the record
-/// stays at 344 bytes. The masks and the spill's pointer come first, so a
+/// stays at 336 bytes. The masks and the spill's pointer come first, so a
 /// routing hop reads the 24-byte header and `8 · runs` bytes of targets,
 /// never a word past the runs.
 ///
@@ -280,10 +280,11 @@ pub struct FingerTable {
 const INLINE_RUNS: usize = 24;
 
 // Size fences: the header and 24 inline runs plus the spill's pointer come
-// to 216 bytes, and a record, which sets the slab's size (344 MB at 10⁶
-// peers), stays within 344 bytes.
+// to 216 bytes, and a record, which sets the slab's size (336 MB at 10⁶
+// peers), stays within 336 bytes: its store handle is 16 bytes and its
+// replica map a boxed pointer (see `Replicas`).
 const _: () = assert!(std::mem::size_of::<FingerTable>() <= 216);
-const _: () = assert!(std::mem::size_of::<Node>() <= 344);
+const _: () = assert!(std::mem::size_of::<Node>() <= 336);
 
 /// The number of finger levels `f` with `2^f ≤ gap`. When `gap` is the
 /// distance from a peer to its successor, every start `id + 2^f` of those
@@ -549,7 +550,7 @@ impl std::fmt::Debug for FingerTable {
 /// allocation and positional access chases a pointer only into the rare
 /// spilled finger table. Records are **slot-stable**: a membership change
 /// splices the 12-byte-per-position `(key, order)` columns, never the
-/// 344-byte records themselves, and a freed slot is
+/// 336-byte records themselves, and a freed slot is
 /// recycled through a free list (`alloc_slot` / `free_slot`) so a warmed
 /// join/leave cycle allocates nothing. Ring order lives entirely in the
 /// `order` column; slot indices carry no ordering meaning.

@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn churn_join_splices_and_stays_perfect() {
         let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
+        net.bulk_load((0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let before = net.total_items();
         assert_eq!(apply_one(&mut net, ChurnEvent::Join(RingId(5_000))).joins, 1);
         assert_eq!(apply_one(&mut net, ChurnEvent::Join(RingId(u64::MAX - 3))).joins, 1);
@@ -754,7 +754,7 @@ mod tests {
     #[test]
     fn churn_leave_hands_data_to_heir() {
         let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
+        net.bulk_load((0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let before = net.total_items();
         let victim = net.ids().nth(5).unwrap();
         assert_eq!(apply_one(&mut net, ChurnEvent::Leave(victim)).leaves, 1);
@@ -767,7 +767,7 @@ mod tests {
     #[test]
     fn churn_crash_loses_primary_data() {
         let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
+        net.bulk_load((0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let victim = net.ids().nth(3).unwrap();
         let victim_items = net.node(victim).unwrap().store.len();
         assert!(victim_items > 0);
@@ -790,7 +790,7 @@ mod tests {
     #[test]
     fn item_turnover_ops_place_and_charge_correctly() {
         let mut net = net_of_n(16);
-        net.bulk_load(&(0..160).map(|i| i as f64 * 100.0 / 160.0).collect::<Vec<_>>());
+        net.bulk_load((0..160).map(|i| i as f64 * 100.0 / 160.0).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(9);
         let bytes0 = net.stats().total_bytes();
         net.churn_insert_item(12.34);
@@ -809,7 +809,7 @@ mod tests {
     #[test]
     fn batch_apply_matches_sequential_single_events() {
         let mut seq = net_of_n(32);
-        seq.bulk_load(&(0..640).map(|i| i as f64 * 100.0 / 640.0).collect::<Vec<_>>());
+        seq.bulk_load((0..640).map(|i| i as f64 * 100.0 / 640.0).collect::<Vec<_>>());
         let mut bat = seq.clone();
         let ids: Vec<RingId> = seq.ids().collect();
         let step = u64::MAX / 33;
@@ -881,7 +881,7 @@ mod tests {
     #[test]
     fn batch_reports_crash_losses_for_truth_deltas() {
         let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
+        net.bulk_load((0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
         let victim = net.ids().nth(6).unwrap();
         let expected: Vec<f64> = net.node(victim).unwrap().store.values().to_vec();
         assert!(!expected.is_empty());
@@ -900,7 +900,7 @@ mod tests {
         // A single-peer network can grow through the batch path: the lone
         // base peer is both predecessor and arc donor for every joiner.
         let mut tiny = net_of_n(1);
-        tiny.bulk_load(&(0..64).map(|i| i as f64 * 100.0 / 64.0).collect::<Vec<_>>());
+        tiny.bulk_load((0..64).map(|i| i as f64 * 100.0 / 64.0).collect::<Vec<_>>());
         batch.join(RingId(1_000));
         batch.join(RingId(u64::MAX / 2 + 12_345));
         let out = batch.apply(&mut tiny);
@@ -924,7 +924,7 @@ mod tests {
     #[test]
     fn churn_then_stabilize_restores_ring() {
         let mut net = net_of_n(48);
-        net.bulk_load(&(0..500).map(|i| i as f64 / 5.0).collect::<Vec<_>>());
+        net.bulk_load((0..500).map(|i| i as f64 / 5.0).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(3);
         let mut churn = ChurnProcess::new(ChurnConfig::symmetric(0.2, 0.5));
         churn.run(&mut net, 10.0, &mut rng);

@@ -12,7 +12,7 @@
 //! Ring position `i` holds id `keys[i]` and its record lives in arena slot
 //! `order[i]` — the permutation column decouples ring order from record
 //! placement, so a membership change splices the two 12-byte-per-position
-//! columns and recycles one slot, never memmoving the 344-byte records.
+//! columns and recycles one slot, never memmoving the 336-byte records.
 //! `NodeIndex::repair_positions` then restores perfect routing state
 //! around the changed arcs in `O(log P)` per event (amortized over the
 //! finger-density argument below) instead of the `O(P · RING_BITS)` full

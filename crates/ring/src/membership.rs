@@ -484,7 +484,7 @@ mod tests {
     fn join_takes_over_arc_data() {
         let mut net = net_of(&[u64::MAX / 4, u64::MAX / 2, u64::MAX]);
         // Range placement on [0, 100]: values 0..25 → first node, etc.
-        net.bulk_load(&[10.0, 30.0, 40.0, 60.0, 90.0]);
+        net.bulk_load(vec![10.0, 30.0, 40.0, 60.0, 90.0]);
         assert_eq!(net.total_items(), 5);
         // Join a node at 3/8 of the ring: it owns (1/4, 3/8] ≈ values (25, 37.5].
         let new_id = RingId(u64::MAX / 8 * 3);
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn graceful_leave_hands_data_over() {
         let mut net = net_of(&[u64::MAX / 4, u64::MAX / 2, u64::MAX]);
-        net.bulk_load(&[10.0, 30.0, 60.0]);
+        net.bulk_load(vec![10.0, 30.0, 60.0]);
         net.leave(RingId(u64::MAX / 2)).unwrap();
         assert_eq!(net.len(), 2);
         assert_eq!(net.total_items(), 3); // handed over, not lost
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn crash_loses_data() {
         let mut net = net_of(&[u64::MAX / 4, u64::MAX / 2, u64::MAX]);
-        net.bulk_load(&[10.0, 30.0, 60.0]);
+        net.bulk_load(vec![10.0, 30.0, 60.0]);
         net.fail(RingId(u64::MAX / 2)).unwrap();
         assert_eq!(net.total_items(), 2);
         assert!(net.fail(RingId(123)).is_err());
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn joins_then_stabilize_converges() {
         let mut net = net_of(&[u64::MAX / 2, u64::MAX]);
-        net.bulk_load(&(0..100).map(|i| i as f64).collect::<Vec<_>>());
+        net.bulk_load((0..100).map(|i| i as f64).collect::<Vec<_>>());
         for k in 1..=10u64 {
             let id = RingId(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             net.join(id, RingId(u64::MAX)).unwrap();

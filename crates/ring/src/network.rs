@@ -13,12 +13,13 @@ use crate::index::NodeIndex;
 use crate::messages::{MessageKind, MessageStats};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
 use crate::placement::Placement;
+use crate::store::LocalStore;
 use dde_stats::equidepth::EquiDepthSummary;
 use dde_stats::rng::splitmix64;
 use rand::Rng;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Hard hop limit per lookup; exceeding it indicates a broken ring.
 pub const MAX_HOPS: u32 = 512;
@@ -101,17 +102,9 @@ pub struct Network {
     pub(crate) faults: Option<FaultPlan>,
 }
 
-/// `items` in the order `cmp` defines: borrowed when already in that order,
-/// else a copy that `sort` puts in that order once.
-fn in_ring_order(
-    items: &[f64],
-    cmp: impl Fn(&f64, &f64) -> Ordering,
-    sort: impl FnOnce(Vec<f64>) -> Vec<f64>,
-) -> Cow<'_, [f64]> {
-    if items.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()) {
-        return Cow::Borrowed(items);
-    }
-    Cow::Owned(sort(items.to_vec()))
+/// The end of the run of `items[from..]` placed at or before `id`.
+fn run_end(items: &[f64], from: usize, id: RingId, placement: Placement) -> usize {
+    from + items[from..].iter().take_while(|&&x| placement.place(x) <= id).count()
 }
 
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
@@ -332,40 +325,72 @@ impl Network {
     /// Distributes `items` to their owners per the placement map
     /// (construction-time; free of message charges).
     ///
-    /// Any input order is accepted. Items are taken in ring order —
+    /// Any input order is accepted. The items are put in ring order —
     /// ascending by `total_cmp` under range placement (the map preserves
-    /// order), by placed id under hashed — and input already in that order
-    /// is swept in place, with no copy; anything else is sorted once first.
-    /// One linear sweep against the id column then hands each owner its
-    /// run, and ring positions past the last id wrap to position 0.
+    /// order), by placed id under hashed — in one shared load buffer: an
+    /// owned input (a `Vec`) becomes the buffer, a borrowed one is copied
+    /// into it once, and input not yet in ring order is sorted there once.
+    /// One linear sweep against the id column then gives each empty store
+    /// a *view* of its run in the buffer ([`LocalStore`] says when a view
+    /// detaches), without a copy or an allocation of its own; under hashed
+    /// placement each run is first sorted by value in place. Ring
+    /// positions past the last id wrap to position 0, which merges its
+    /// head run and that tail through [`LocalStore::extend_values`], as
+    /// does any store that already holds items.
     ///
     /// # Panics
-    /// Panics if the network is empty or an item is NaN (a NaN has no
-    /// place in a sorted store).
-    pub fn bulk_load(&mut self, items: &[f64]) {
+    /// Panics if the network is empty, an item is NaN (a NaN has no place
+    /// in a sorted store), or there are more than `u32::MAX` items.
+    pub fn bulk_load<'a>(&mut self, items: impl Into<Cow<'a, [f64]>>) {
+        let items = items.into();
         assert!(!self.nodes.is_empty(), "bulk_load on empty network");
         assert!(items.iter().all(|x| !x.is_nan()), "bulk_load items contain NaN");
+        assert!(u32::try_from(items.len()).is_ok(), "bulk_load takes at most u32::MAX items");
         let placement = self.placement;
-        let ring_order = match placement {
-            Placement::Range { .. } => in_ring_order(items, f64::total_cmp, dde_stats::sort_total),
-            Placement::Hashed { .. } => {
-                let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
-                in_ring_order(items, by_id, |mut v| {
-                    v.sort_unstable_by(by_id);
-                    v
-                })
-            }
+        let hashed = matches!(placement, Placement::Hashed { .. });
+        let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
+        let in_order = if hashed {
+            items.windows(2).all(|w| by_id(&w[0], &w[1]).is_le())
+        } else {
+            items.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())
         };
+        let mut items = items.into_owned();
+        if !in_order {
+            if hashed {
+                items.sort_unstable_by(by_id);
+            } else {
+                items = dde_stats::sort_total(items);
+            }
+        }
         let (keys, order, arena) = self.nodes.split_view();
-        let mut rest: &[f64] = &ring_order;
-        for (&id, &slot) in keys.iter().zip(order) {
-            let n = rest.iter().take_while(|&&x| placement.place(x) <= id).count();
-            let (run, tail) = rest.split_at(n);
-            arena.slot_mut(slot as usize).store.extend_values(run.iter().copied());
-            rest = tail;
+        if hashed {
+            // Runs hold contiguous arcs, so sorting inside each run by
+            // value keeps every run's bounds.
+            let mut at = 0;
+            for &id in keys.iter() {
+                let end = run_end(&items, at, id, placement);
+                items[at..end].sort_unstable_by(f64::total_cmp);
+                at = end;
+            }
+        }
+        let buf = Arc::new(items);
+        let head = run_end(&buf, 0, keys[0], placement);
+        let mut at = head;
+        for (&id, &slot) in keys.iter().zip(order).skip(1) {
+            let end = run_end(&buf, at, id, placement);
+            if end > at {
+                let store = &mut arena.slot_mut(slot as usize).store;
+                if store.is_empty() {
+                    *store = LocalStore::view(&buf, at, end - at);
+                } else {
+                    store.extend_values(buf[at..end].iter().copied());
+                }
+            }
+            at = end;
         }
         // Past the last id the ring wraps: position 0 owns the tail too.
-        arena.slot_mut(order[0] as usize).store.extend_values(rest.iter().copied());
+        let wrapped = buf[..head].iter().chain(&buf[at..]).copied();
+        arena.slot_mut(order[0] as usize).store.extend_values(wrapped);
     }
 
     /// Total items across all alive peers.
@@ -822,7 +847,7 @@ impl Network {
                     violations.push(format!("{id}: non-finite stored value {x}"));
                 }
             }
-            for (&primary, entry) in &node.replicas {
+            for (&primary, entry) in node.replicas.iter() {
                 if primary == id {
                     violations.push(format!("{id}: holds a replica of itself"));
                 }
@@ -1031,6 +1056,6 @@ mod tests {
     fn bulk_load_refuses_nan() {
         let mut net =
             Network::build_bulk(vec![RingId(1 << 62), RingId(1 << 63)], Placement::range(0.0, 1.0));
-        net.bulk_load(&[0.9, f64::NAN, 0.1]);
+        net.bulk_load(vec![0.9, f64::NAN, 0.1]);
     }
 }

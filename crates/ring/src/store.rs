@@ -23,20 +23,52 @@ fn shared_empty() -> Arc<Vec<f64>> {
     Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new())))
 }
 
+/// `n` as a range field.
+fn fit(n: usize) -> u32 {
+    u32::try_from(n).expect("a store range holds at most u32::MAX items")
+}
+
 /// A peer's local data: values sorted ascending by `total_cmp` (so `-0.0`
 /// sits before `0.0`), the one order every mutator keeps.
 ///
-/// The backing vector sits behind an [`Arc`] so cloning a store — and hence
-/// forking a whole loaded [`crate::Network`] from a cached scenario
-/// snapshot — is O(1) per peer. The first mutation of a shared store
-/// detaches it with one copy of its values. `insert`, `extend_values` and `drain_all`
-/// copy the shared slice into a vector of its final size with their change
-/// applied, so it never grows within the same call; `remove` and `drain_by`
-/// only shrink the vector, so `Arc::make_mut`'s exact-length copy serves
-/// them.
-#[derive(Debug, Clone, PartialEq)]
+/// The values are the range `start..start + len` of a vector behind an
+/// [`Arc`]. Cloning a store — and hence forking a whole loaded
+/// [`crate::Network`] from a cached scenario snapshot — is O(1) per peer,
+/// and `Network::bulk_load` hands each peer a *view* of its run in one
+/// shared load buffer instead of a copy. A store *owns* its vector when the
+/// `Arc` is unique and the range covers the whole vector; only then does a
+/// mutator write in place. Any other store (a view, a fork's clone, a
+/// store whose range is partial) detaches on its first mutation with one
+/// copy of its range, and every other holder keeps reading its old values.
+/// `insert`, `extend_values` and `drain_all` copy the range into a vector
+/// of its final size with their change applied, so it never grows within
+/// the same call; `remove` and `drain_by` only shrink the vector, so they
+/// detach with an exact-length copy first.
+///
+/// Memory rule: a vector lives as long as any store that views it. A load
+/// buffer is therefore freed only once every view of it has detached or
+/// been dropped, as a forked store's shared vector is.
+#[derive(Clone)]
 pub struct LocalStore {
-    sorted: Arc<Vec<f64>>,
+    buf: Arc<Vec<f64>>,
+    start: u32,
+    len: u32,
+}
+
+// An `Arc` and a `u32` range: 16 bytes in every arena record.
+const _: () = assert!(std::mem::size_of::<LocalStore>() <= 16);
+
+impl std::fmt::Debug for LocalStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalStore").field("sorted", &self.values()).finish()
+    }
+}
+
+/// Stores compare by their values, wherever those live.
+impl PartialEq for LocalStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
 }
 
 impl Default for LocalStore {
@@ -49,17 +81,57 @@ impl LocalStore {
     /// An empty store (no allocation: the backing vector is the shared
     /// process-wide empty until the first write).
     pub fn new() -> Self {
-        Self { sorted: shared_empty() }
+        Self { buf: shared_empty(), start: 0, len: 0 }
+    }
+
+    /// A store that owns `values`, which must be sorted by `total_cmp`.
+    fn whole(values: Vec<f64>) -> Self {
+        let len = fit(values.len());
+        Self { buf: Arc::new(values), start: 0, len }
+    }
+
+    /// A view of `buf[start..start + len]`, which must be sorted by
+    /// `total_cmp`: no allocation and no copy, one more reference to `buf`.
+    ///
+    /// # Panics
+    /// Panics if the range does not lie inside `buf`.
+    pub(crate) fn view(buf: &Arc<Vec<f64>>, start: usize, len: usize) -> Self {
+        assert!(start + len <= buf.len(), "store view past its buffer's end");
+        debug_assert!(buf[start..start + len].windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        Self { buf: Arc::clone(buf), start: fit(start), len: fit(len) }
+    }
+
+    /// The backing vector, if this store owns it (see the type doc).
+    fn owned(&mut self) -> Option<&mut Vec<f64>> {
+        if self.start == 0 && self.len as usize == self.buf.len() {
+            Arc::get_mut(&mut self.buf)
+        } else {
+            None
+        }
+    }
+
+    /// The backing vector, owned: a store that does not own it detaches
+    /// first with one exact-length copy of its range.
+    fn make_owned(&mut self) -> &mut Vec<f64> {
+        if self.owned().is_none() {
+            *self = Self::whole(self.values().to_vec());
+        }
+        self.owned().expect("a detached store owns its vector")
+    }
+
+    /// Re-reads the range after a write in place to an owned vector.
+    fn sync_len(&mut self) {
+        self.len = fit(self.buf.len());
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.len as usize
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.len == 0
     }
 
     /// Inserts one value after every value `total_cmp`-at-or-below it,
@@ -67,16 +139,17 @@ impl LocalStore {
     /// [`LocalStore::extend_values`]).
     pub fn insert(&mut self, x: f64) {
         debug_assert!(!x.is_nan());
-        let pos = self.sorted.partition_point(|v| v.total_cmp(&x).is_le());
-        match Arc::get_mut(&mut self.sorted) {
-            Some(v) => v.insert(pos, x),
-            None => {
-                let mut v = Vec::with_capacity(self.sorted.len() + 1);
-                v.extend_from_slice(&self.sorted[..pos]);
-                v.push(x);
-                v.extend_from_slice(&self.sorted[pos..]);
-                self.sorted = Arc::new(v);
-            }
+        let pos = self.values().partition_point(|v| v.total_cmp(&x).is_le());
+        if let Some(v) = self.owned() {
+            v.insert(pos, x);
+            self.sync_len();
+        } else {
+            let values = self.values();
+            let mut v = Vec::with_capacity(values.len() + 1);
+            v.extend_from_slice(&values[..pos]);
+            v.push(x);
+            v.extend_from_slice(&values[pos..]);
+            *self = Self::whole(v);
         }
     }
 
@@ -88,31 +161,35 @@ impl LocalStore {
         let mut it = values.into_iter();
         let Some(first) = it.next() else { return };
         let additional = 1 + it.size_hint().0;
-        if Arc::get_mut(&mut self.sorted).is_none() {
-            let mut v = Vec::with_capacity(self.sorted.len() + additional);
-            v.extend_from_slice(&self.sorted);
-            self.sorted = Arc::new(v);
+        if self.owned().is_none() {
+            let old = self.values();
+            let mut v = Vec::with_capacity(old.len() + additional);
+            v.extend_from_slice(old);
+            *self = Self::whole(v);
         }
-        // Unshared now, so `make_mut` does not copy.
-        let sorted = Arc::make_mut(&mut self.sorted);
+        let sorted = self.make_owned();
         sorted.reserve(additional);
         sorted.push(first);
         sorted.extend(it);
         sorted.sort_by(f64::total_cmp);
+        self.sync_len();
     }
 
     /// Drops all items, keeping the backing allocation when this store owns
     /// it (so a recycled arena slot's store can refill without reallocating).
     pub fn clear(&mut self) {
-        match Arc::get_mut(&mut self.sorted) {
-            Some(v) => v.clear(),
-            None => self.sorted = shared_empty(),
+        match self.owned() {
+            Some(v) => {
+                v.clear();
+                self.len = 0;
+            }
+            None => *self = Self::new(),
         }
     }
 
     /// Number of items `<= x` (exact).
     pub fn count_le(&self, x: f64) -> usize {
-        self.sorted.partition_point(|&v| v <= x)
+        self.values().partition_point(|&v| v <= x)
     }
 
     /// Number of items in `[lo, hi]` (exact).
@@ -120,27 +197,33 @@ impl LocalStore {
         if hi < lo {
             return 0;
         }
-        let a = self.sorted.partition_point(|&v| v < lo);
-        let b = self.sorted.partition_point(|&v| v <= hi);
+        let values = self.values();
+        let a = values.partition_point(|&v| v < lo);
+        let b = values.partition_point(|&v| v <= hi);
         b - a
     }
 
     /// All items, sorted.
     pub fn values(&self) -> &[f64] {
-        &self.sorted
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
     }
 
     /// Removes and returns all items (graceful-leave handoff). Guaranteed
     /// not to allocate (or detach a shared backing) when already empty.
     pub fn drain_all(&mut self) -> Vec<f64> {
-        if self.sorted.is_empty() {
+        if self.is_empty() {
             return Vec::new();
         }
-        match Arc::get_mut(&mut self.sorted) {
-            Some(v) => std::mem::take(v),
+        match self.owned() {
+            Some(v) => {
+                let out = std::mem::take(v);
+                self.len = 0;
+                out
+            }
             None => {
-                let out = self.sorted.to_vec();
-                self.sorted = shared_empty();
+                let out = self.values().to_vec();
+                *self = Self::new();
                 out
             }
         }
@@ -150,9 +233,11 @@ impl LocalStore {
     /// exact bits (`remove(0.0)` leaves a `-0.0`); returns whether it was
     /// present.
     pub fn remove(&mut self, x: f64) -> bool {
-        let pos = self.sorted.partition_point(|v| v.total_cmp(&x).is_lt());
-        if pos < self.sorted.len() && self.sorted[pos].total_cmp(&x).is_eq() {
-            Arc::make_mut(&mut self.sorted).remove(pos);
+        let values = self.values();
+        let pos = values.partition_point(|v| v.total_cmp(&x).is_lt());
+        if pos < values.len() && values[pos].total_cmp(&x).is_eq() {
+            self.make_owned().remove(pos);
+            self.sync_len();
             true
         } else {
             false
@@ -163,11 +248,11 @@ impl LocalStore {
     /// the remainder. Used for handoff under hashed placement, where the
     /// handoff set is defined in *ring* space, not value space.
     pub fn drain_by(&mut self, mut pred: impl FnMut(f64) -> bool) -> Vec<f64> {
-        if self.sorted.is_empty() {
+        if self.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
-        Arc::make_mut(&mut self.sorted).retain(|&x| {
+        self.make_owned().retain(|&x| {
             if pred(x) {
                 out.push(x);
                 false
@@ -175,46 +260,50 @@ impl LocalStore {
                 true
             }
         });
+        self.sync_len();
         out
     }
 
     /// One uniform random item, or `None` if empty.
     pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<f64> {
-        if self.sorted.is_empty() {
+        let values = self.values();
+        if values.is_empty() {
             None
         } else {
-            Some(self.sorted[rng.gen_range(0..self.sorted.len())])
+            Some(values[rng.gen_range(0..values.len())])
         }
     }
 
     /// The item at the local `q`-quantile, or `None` if empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
+        let values = self.values();
+        if values.is_empty() {
             return None;
         }
-        let n = self.sorted.len();
+        let n = values.len();
         let idx = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Some(self.sorted[idx])
+        Some(values[idx])
     }
 
     /// The equi-depth summary with `buckets` buckets this peer would ship in
     /// a probe reply.
     pub fn summary(&self, buckets: usize) -> EquiDepthSummary {
-        EquiDepthSummary::from_sorted(&self.sorted, buckets.max(1))
+        EquiDepthSummary::from_sorted(self.values(), buckets.max(1))
     }
 
     /// Number of items in `self` that are missing from `other` (multiset
     /// difference size, linear merge over both sorted stores). Used to
     /// charge only the *delta* when refreshing replicas.
     ///
-    /// Two stores that share one backing vector (a replica refreshed from
-    /// this store and not written since) miss nothing, and answer without
-    /// the merge.
+    /// Two stores that read the same range of one backing vector (a
+    /// replica refreshed from this store and not written since) miss
+    /// nothing, and answer without the merge.
     pub fn missing_from(&self, other: &LocalStore) -> usize {
-        if Arc::ptr_eq(&self.sorted, &other.sorted) {
+        if Arc::ptr_eq(&self.buf, &other.buf) && (self.start, self.len) == (other.start, other.len)
+        {
             return 0;
         }
-        let (a, b) = (&self.sorted, &other.sorted);
+        let (a, b) = (self.values(), other.values());
         let (mut i, mut j, mut missing) = (0usize, 0usize, 0usize);
         while i < a.len() {
             if j >= b.len() || a[i] < b[j] {
@@ -238,7 +327,7 @@ impl LocalStore {
     /// arc wraps: two endpoint checks or one binary search decide. Hashed
     /// placement scans the items.
     pub(crate) fn any_outside(&self, placement: Placement, pred: RingId, id: RingId) -> bool {
-        let values = &self.sorted[..];
+        let values = self.values();
         let Some(map) = placement.domain_map() else {
             return values.iter().any(|&x| !placement.place(x).in_arc(pred, id));
         };
@@ -255,12 +344,12 @@ impl LocalStore {
 
     /// Sum of all stored values (for aggregate queries).
     pub fn sum(&self) -> f64 {
-        self.sorted.iter().sum()
+        self.values().iter().sum()
     }
 
     /// Sum of squares of all stored values (for variance estimation).
     pub fn sum_sq(&self) -> f64 {
-        self.sorted.iter().map(|x| x * x).sum()
+        self.values().iter().map(|x| x * x).sum()
     }
 }
 
@@ -273,7 +362,7 @@ mod tests {
     /// A store of `values` in any order.
     fn from_values(mut values: Vec<f64>) -> LocalStore {
         values.sort_by(f64::total_cmp);
-        LocalStore { sorted: Arc::new(values) }
+        LocalStore::whole(values)
     }
 
     #[test]
@@ -426,17 +515,50 @@ mod tests {
 
         /// Every mutator ≡ the same operation on a plain `Vec` kept sorted
         /// by `total_cmp` (an insert pushes and re-sorts, a removal drops
-        /// one bit-equal copy), on shared and unshared stores alike, over
-        /// values with duplicates and both zeros. A clone taken before an
-        /// operation (which makes the store shared) must still read as it
-        /// did.
+        /// one bit-equal copy), on owned stores, shared ones and views of
+        /// one shared buffer alike, over values with duplicates and both
+        /// zeros. A view's range is drawn at random, empty, or at either
+        /// end of the buffer, beside up to three sibling views of the same
+        /// buffer (with none, the view is its buffer's only holder but
+        /// still covers part of it). After every operation the siblings and
+        /// a clone taken before it (which makes the store shared) must
+        /// still read as they did, and `missing_from` between any two of
+        /// them must match the merge-free reference count, so its shortcut
+        /// may answer 0 only for one buffer and one range.
         #[test]
         fn mutators_match_plain_vec_reference(seed: u64) {
             let mut rng = StdRng::seed_from_u64(seed);
             let pool = [-0.0, 0.0, 1.0, 2.0, 2.0, 3.5, -1.0, 7.25];
             let pick = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
-            let mut store = LocalStore::new();
-            let mut reference: Vec<f64> = Vec::new();
+            let mut buffer: Vec<f64> = (0..rng.gen_range(0..24)).map(|_| pick(&mut rng)).collect();
+            buffer.sort_by(f64::total_cmp);
+            let n = buffer.len();
+            let buffer = Arc::new(buffer);
+            let range = |rng: &mut StdRng| {
+                let start = rng.gen_range(0..=n);
+                match rng.gen_range(0..5) {
+                    0 => (start, 0),
+                    1 => (0, rng.gen_range(0..=n)),
+                    2 => (start, n - start),
+                    3 => (0, n),
+                    _ => (start, rng.gen_range(0..=n - start)),
+                }
+            };
+            let siblings: Vec<LocalStore> = (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let (start, len) = range(&mut rng);
+                    LocalStore::view(&buffer, start, len)
+                })
+                .collect();
+            let sibling_bits: Vec<Vec<u64>> = siblings.iter().map(|v| bits(v.values())).collect();
+            let (mut store, mut reference) = if rng.gen_range(0..4) == 0 {
+                (LocalStore::new(), Vec::new())
+            } else {
+                let (start, len) = range(&mut rng);
+                (LocalStore::view(&buffer, start, len), buffer[start..start + len].to_vec())
+            };
+            drop(buffer);
+            check_missing(&store, &siblings, None);
             for op in 0..48 {
                 let snapshot = (rng.gen_range(0..2) == 0).then(|| store.clone());
                 let before = bits(&reference);
@@ -489,9 +611,50 @@ mod tests {
                 };
                 assert_eq!(bits(store.values()), bits(&reference), "op {op}: {step}");
                 assert_eq!(store.len(), reference.len(), "op {op}: {step} len");
-                if let Some(snapshot) = snapshot {
+                for (i, sibling) in siblings.iter().enumerate() {
+                    assert_eq!(bits(sibling.values()), sibling_bits[i], "op {op}: {step} changed sibling {i}");
+                }
+                if let Some(snapshot) = &snapshot {
                     assert_eq!(bits(snapshot.values()), before, "op {op}: {step} changed a clone");
                 }
+                check_missing(&store, &siblings, snapshot.as_ref());
+            }
+        }
+    }
+
+    /// `a`'s values missing from `b`'s, counted without a merge: values
+    /// compare as IEEE numbers there, so both zeros count as one key.
+    fn reference_missing(a: &[f64], b: &[f64]) -> usize {
+        let mut have = std::collections::BTreeMap::new();
+        for &x in b {
+            *have.entry((x + 0.0).to_bits()).or_insert(0usize) += 1;
+        }
+        a.iter()
+            .filter(|&&x| match have.get_mut(&(x + 0.0).to_bits()) {
+                Some(c) if *c > 0 => {
+                    *c -= 1;
+                    false
+                }
+                _ => true,
+            })
+            .count()
+    }
+
+    /// `missing_from` between every two of `store`, its clone, `siblings`
+    /// and `snapshot` ≡ the reference count.
+    fn check_missing(store: &LocalStore, siblings: &[LocalStore], snapshot: Option<&LocalStore>) {
+        let clone = store.clone();
+        let all: Vec<&LocalStore> =
+            [store, &clone].into_iter().chain(siblings).chain(snapshot).collect();
+        for a in &all {
+            for b in &all {
+                assert_eq!(
+                    a.missing_from(b),
+                    reference_missing(a.values(), b.values()),
+                    "{:?} missing from {:?}",
+                    a.values(),
+                    b.values()
+                );
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Proof that the steady-state lookup hot path never touches the heap.
+//! Proof that the steady-state lookup hot path never touches the heap, and
+//! that a bulk load's allocations do not grow with the ring.
 //!
 //! This binary installs [`CountingAlloc`] as its global allocator and counts
 //! this thread's allocations across a block of warmed-up lookups. The
@@ -236,4 +237,34 @@ fn hotspot_arc_lookup_stays_allocation_free() {
     }
     let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "hotspot-arc lookup allocated {delta} times over 1000 lookups");
+}
+
+#[test]
+fn bulk_load_allocations_do_not_grow_with_the_ring() {
+    // Every store but position 0's views its run in the one load buffer,
+    // so a load allocates the same few blocks (the buffer's copy and `Arc`,
+    // position 0's merged store) on 512 peers as on 4 096. A per-store copy
+    // would allocate once per non-empty store.
+    let allocs = |peers: usize, placement: Placement| {
+        let seq = SeedSequence::new(0xB0A7);
+        let mut id_rng = seq.stream(Component::NodeIds, 5);
+        let mut ids: Vec<RingId> = (0..peers).map(|_| RingId(id_rng.gen())).collect();
+        ids.sort();
+        ids.dedup();
+        let mut net = Network::build_bulk(ids, placement);
+        let mut rng = seq.stream(Component::Dataset, 5);
+        let items: Vec<f64> = (0..peers * 20).map(|_| rng.gen_range(0.0..1000.0)).collect();
+        let before = thread_allocations();
+        net.bulk_load(&items);
+        let delta = thread_allocations() - before;
+        assert_eq!(net.total_items(), items.len() as u64);
+        delta
+    };
+    for placement in [Placement::range(0.0, 1000.0), Placement::hashed(0.0, 1000.0)] {
+        let (small, large) = (allocs(512, placement), allocs(4096, placement));
+        assert_eq!(
+            small, large,
+            "{placement:?}: bulk_load allocated {small} times on 512 peers, {large} on 4096"
+        );
+    }
 }

@@ -122,7 +122,7 @@ fn lookup_errors_on_dead_initiator() {
 #[test]
 fn single_node_owns_everything() {
     let mut net = Network::build_bulk(vec![RingId(77)], Placement::range(0.0, 1.0));
-    net.bulk_load(&[0.1, 0.5, 0.9]);
+    net.bulk_load(vec![0.1, 0.5, 0.9]);
     for t in [0u64, 77, u64::MAX] {
         let res = net.lookup(RingId(77), RingId(t)).unwrap();
         assert_eq!(res.owner, RingId(77));

@@ -255,9 +255,22 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     ids.sort();
     ids.dedup();
 
+    // The flash crowd's landing window is read before the load, so that
+    // above [`STREAMING_TRUTH_ITEMS`] nothing reads the dataset afterwards
+    // and the load takes it over as its buffer instead of copying it.
+    let densest = placement
+        .domain_map()
+        .filter(|_| scenario.flash_crowd > 0)
+        .map(|map| adversary::window_arc(adversary::densest_window(&data, lo, hi), lo, hi, map));
     let mut net = Network::build_bulk(ids, placement);
     net.set_summary_buckets(scenario.summary_buckets);
-    net.bulk_load(&data);
+    let data_ecdf = if scenario.items >= STREAMING_TRUTH_ITEMS {
+        net.bulk_load(data);
+        None
+    } else {
+        net.bulk_load(&data);
+        Some(Ecdf::from_sorted(data))
+    };
 
     if scenario.flash_crowd > 0 {
         // A crowd of peers joins back-to-back through the overlay — no
@@ -267,9 +280,6 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
         // conservation is the overlay's own guarantee, not the builder's.
         let mut fc_rng = seq.stream(Component::Churn, 0xF1A5);
         let bootstrap = net.ids().next().expect("built network has peers");
-        let densest = placement.domain_map().map(|map| {
-            adversary::window_arc(adversary::densest_window(&data, lo, hi), lo, hi, map)
-        });
         for _ in 0..scenario.flash_crowd {
             let id = match densest {
                 Some((start, span)) => {
@@ -306,15 +316,14 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     // measure the estimators, not the builder.
     net.stats_mut().reset();
 
-    let data_truth = if scenario.items >= STREAMING_TRUTH_ITEMS {
+    let data_truth = match data_ecdf {
+        Some(ecdf) => DataTruth::Empirical(ecdf),
         // Mega-scale regime: keep the generator's analytic CDF instead of
         // retaining the realized dataset (see [`STREAMING_TRUTH_ITEMS`]).
-        DataTruth::Analytic(StreamingTruth::new(
+        None => DataTruth::Analytic(StreamingTruth::new(
             scenario.distribution.build(lo, hi),
             net.total_items(),
-        ))
-    } else {
-        DataTruth::Empirical(Ecdf::from_sorted(data))
+        )),
     };
     BuiltScenario { net, truth, data_truth, scenario: scenario.clone() }
 }

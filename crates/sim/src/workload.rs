@@ -38,7 +38,7 @@
 
 use crate::build::BuiltScenario;
 use dde_core::{DensityEstimate, DfDde, DfDdeConfig, ProbePlan};
-use dde_ring::{BatchRouter, MessageKind, Network, RingId};
+use dde_ring::{BatchRouter, MessageKind, MessageStats, Network, RingId};
 use dde_stats::rng::{Component, SeedSequence};
 use dde_stats::Ecdf;
 use rand::rngs::StdRng;
@@ -208,6 +208,9 @@ pub struct WorkloadReport {
     pub refresh_failures: usize,
     /// Probe points covered by piggybacking across all refresh cycles.
     pub piggybacked: usize,
+    /// Every message the run billed, by kind: the delta of the serving
+    /// fork's counters over the run. The five fields below read it.
+    pub stats: MessageStats,
     /// Dedicated Phase-1 probe messages sent.
     pub dedicated_probes: u64,
     /// Piggybacked probe-reply messages sent.
@@ -345,6 +348,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
         refreshes: 0,
         refresh_failures: 0,
         piggybacked: 0,
+        stats: MessageStats::default(),
         dedicated_probes: 0,
         piggyback_msgs: 0,
         lookup_hop_msgs: 0,
@@ -469,7 +473,8 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
         report.est_ks = e.ks_to(&live);
     }
 
-    let d = net.stats().since(&before);
+    report.stats = net.stats().since(&before);
+    let d = &report.stats;
     report.dedicated_probes = d.count(MessageKind::Probe);
     report.piggyback_msgs = d.count(MessageKind::ProbePiggyback);
     report.lookup_hop_msgs = d.count(MessageKind::LookupHop);

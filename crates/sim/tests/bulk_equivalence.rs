@@ -223,8 +223,9 @@ proptest! {
     /// the three layouts' ids, plus ids on item positions. The input comes
     /// as drawn, by ascending value, or by placed id; the ring order of
     /// each placement (the first under range, the second under hashed)
-    /// takes the in-place path. It loads in two parts, so the second part
-    /// meets non-empty stores.
+    /// skips the sort. It comes borrowed (copied into the load buffer) or
+    /// owned (the buffer itself), and loads in two parts, so the second
+    /// part meets non-empty stores.
     #[test]
     fn bulk_load_sweep_matches_per_item_reference(
         seed in 0u64..(1u64 << 32),
@@ -237,6 +238,7 @@ proptest! {
         hashed in any::<bool>(),
         order in 0u8..3,
         split in 0.0f64..1.0,
+        owned in any::<bool>(),
     ) {
         let mut ids = layout_ids(seed, peers, layout);
         let placement =
@@ -254,7 +256,11 @@ proptest! {
         let mut sweep = Network::build_bulk(ids.clone(), placement);
         let mut reference = Network::build_bulk(ids, placement);
         for part in [first, second] {
-            sweep.bulk_load(part);
+            if owned {
+                sweep.bulk_load(part.to_vec());
+            } else {
+                sweep.bulk_load(part);
+            }
             per_item_bulk_load(&mut reference, part);
         }
         prop_assert_eq!(store_bits(&sweep), store_bits(&reference));

@@ -2,7 +2,8 @@
 //! allocation counts of the `ringbench` harness.
 //!
 //! [`CountingAlloc`] delegates every operation to the [`System`] allocator
-//! and additionally bumps a per-thread counter per *allocation*, read by
+//! and additionally bumps a per-thread counter per *allocation* call —
+//! `alloc`, `alloc_zeroed` and `realloc` count once each — read by
 //! [`thread_allocations`] (deallocations are not counted — the interesting
 //! regression signal is "how many times did this hot path hit the heap", and
 //! frees mirror allocs). The count is per thread so that the per-cell
@@ -48,9 +49,12 @@ pub fn thread_allocations() -> u64 {
 /// A `#[global_allocator]` that counts allocations and otherwise behaves
 /// exactly like [`System`].
 ///
-/// `realloc` and `alloc_zeroed` use the [`GlobalAlloc`] defaults, which
-/// route through [`GlobalAlloc::alloc`], so a growing `Vec` is counted once
-/// per actual heap request.
+/// Every hook forwards to the same hook of [`System`], so a growing `Vec`
+/// grows its block the way `System` does (in place where it can) instead
+/// of through [`GlobalAlloc`]'s default `realloc`, which allocates a new
+/// block, copies the old one whole and frees it. `alloc`, `alloc_zeroed`
+/// and `realloc` each count once per call, so a growing `Vec` is counted
+/// once per heap request.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingAlloc;
 
@@ -62,9 +66,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
 
+    // ddelint::allow(unsafe, "signature required by GlobalAlloc::alloc_zeroed; body only counts and delegates")
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        System.alloc_zeroed(layout)
+    }
+
     // ddelint::allow(unsafe, "signature required by GlobalAlloc::dealloc; body only delegates")
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
+    }
+
+    // ddelint::allow(unsafe, "signature required by GlobalAlloc::realloc; body only counts and delegates, so System grows or shrinks the block")
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        System.realloc(ptr, layout, new_size)
     }
 }
 
@@ -82,6 +98,42 @@ mod tests {
         // ddelint::allow(unsafe, "pointer and layout come from the paired alloc above")
         unsafe { CountingAlloc.dealloc(p, layout) };
         assert_eq!(thread_allocations(), thread_before + 1, "alloc counted once on this thread");
+    }
+
+    /// `realloc` keeps the bytes through a grow and a shrink, zeroed memory
+    /// reads zero, and each call counts once.
+    #[test]
+    fn realloc_and_alloc_zeroed_keep_bytes_and_count_once() {
+        let layout = Layout::from_size_align(64, 8).unwrap();
+        let before = thread_allocations();
+        // ddelint::allow(unsafe, "test drives the allocator hooks directly with a valid layout")
+        let p = unsafe { CountingAlloc.alloc_zeroed(layout) };
+        assert!(!p.is_null());
+        assert_eq!(thread_allocations(), before + 1, "alloc_zeroed counted once");
+        // ddelint::allow(unsafe, "p holds 64 initialized bytes from alloc_zeroed")
+        let zeroed = unsafe { std::slice::from_raw_parts(p, 64) };
+        assert!(zeroed.iter().all(|&b| b == 0), "alloc_zeroed hands out zeroes");
+        let pattern: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x5A).collect();
+        // ddelint::allow(unsafe, "p is valid for 64 writable bytes")
+        unsafe { std::ptr::copy_nonoverlapping(pattern.as_ptr(), p, 64) };
+
+        let after_pattern = thread_allocations();
+        // ddelint::allow(unsafe, "p and layout come from the alloc_zeroed above; the new size is nonzero")
+        let grown = unsafe { CountingAlloc.realloc(p, layout, 4096) };
+        assert!(!grown.is_null());
+        assert_eq!(thread_allocations(), after_pattern + 1, "a grow counted once");
+        // ddelint::allow(unsafe, "realloc keeps the first 64 bytes initialized")
+        assert_eq!(unsafe { std::slice::from_raw_parts(grown, 64) }, &pattern[..]);
+
+        let grown_layout = Layout::from_size_align(4096, 8).unwrap();
+        // ddelint::allow(unsafe, "grown and its layout come from the realloc above; the new size is nonzero")
+        let shrunk = unsafe { CountingAlloc.realloc(grown, grown_layout, 16) };
+        assert!(!shrunk.is_null());
+        assert_eq!(thread_allocations(), after_pattern + 2, "a shrink counted once");
+        // ddelint::allow(unsafe, "realloc keeps the first 16 bytes initialized")
+        assert_eq!(unsafe { std::slice::from_raw_parts(shrunk, 16) }, &pattern[..16]);
+        // ddelint::allow(unsafe, "shrunk holds 16 bytes at align 8, from the realloc above")
+        unsafe { CountingAlloc.dealloc(shrunk, Layout::from_size_align(16, 8).unwrap()) };
     }
 
     #[test]
