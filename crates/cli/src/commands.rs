@@ -17,7 +17,6 @@ use dde_sim::{
 };
 use dde_stats::dist::DistributionKind;
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 use rand::rngs::StdRng;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -357,7 +356,7 @@ fn aggregate(args: &Args) -> Result<Run, String> {
             report.aggregates().ok_or("df-dde estimated no totals")?;
 
         // Exact references for context.
-        let vals = built.net.global_values();
+        let vals = built.net.live_values();
         let n = vals.len() as f64;
         let sum: f64 = vals.iter().sum();
         let mean = sum / n;
@@ -481,10 +480,9 @@ fn churn(args: &Args) -> Result<Run, String> {
         let report = DfDde::new(DfDdeConfig::with_probes(96))
             .estimate(&mut built.net, initiator, &mut rng)
             .map_err(|e| e.to_string())?;
-        let surviving = Ecdf::from_sorted(built.net.global_values());
         outln!(
             "  post-churn estimate: KS vs surviving data {:.4} ({} messages)",
-            report.estimate.ks_to(&surviving),
+            report.estimate.ks_to(&built.net.live_values()),
             report.messages()
         );
         Ok(())

@@ -79,7 +79,7 @@ mod tests {
     }
 
     fn exact_aggregates(net: &Network) -> (f64, f64, f64, f64) {
-        let vals = net.global_values();
+        let vals = net.live_values();
         let n = vals.len() as f64;
         let sum: f64 = vals.iter().sum();
         let mean = sum / n;

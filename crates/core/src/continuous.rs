@@ -176,8 +176,7 @@ mod tests {
                 // Crashes under range placement lose contiguous value ranges,
                 // so the right reference is the *surviving* data, not the
                 // original generator.
-                let truth_now = dde_stats::Ecdf::from_sorted(net.global_values());
-                let ks = e.ks_to(&truth_now);
+                let ks = e.ks_to(&net.live_values());
                 assert!(ks < 0.4, "estimate collapsed under churn: ks = {ks}");
                 ok_estimates += 1;
             }

@@ -367,7 +367,7 @@ mod tests {
         let kind = DistributionKind::Normal { center_frac: 0.5, std_frac: 0.12 };
         let mut net = build_net(128, 20_000, &kind, 7);
         let all: std::collections::BTreeSet<u64> =
-            net.global_values().iter().map(|v| v.to_bits()).collect();
+            net.live_values().iter().map(|v| v.to_bits()).collect();
         let mut rng = StdRng::seed_from_u64(5);
         let initiator = net.random_peer(&mut rng).unwrap();
         let cfg = DfDdeConfig {

@@ -23,6 +23,8 @@ use crate::dfdde::DfDde;
 use crate::estimator::EstimateError;
 use dde_ring::{Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// A planned set of Phase-1 probe points whose replies may be satisfied by
 /// piggybacking on foreground lookups before dedicated probes are issued.
@@ -30,6 +32,10 @@ use rand::rngs::StdRng;
 pub struct ProbePlan {
     /// The planned probe points, index = stratum.
     points: Vec<RingId>,
+    /// The strata in ascending point order (ties in stratum order), so an
+    /// offer finds the points inside its owner's arc by binary search.
+    /// Stratified points already ascend; i.i.d. uniform ones do not.
+    by_point: Vec<usize>,
     /// Collected replies, aligned with `points`.
     replies: Vec<Option<ProbeReply>>,
     /// How many replies arrived by piggyback (vs dedicated probes).
@@ -45,7 +51,23 @@ impl ProbePlan {
     pub fn plan(estimator: &DfDde, rng: &mut StdRng) -> Self {
         let k = estimator.config().probes;
         let points: Vec<RingId> = (0..k).map(|j| estimator.stratum_point(j, k, rng)).collect();
-        Self { replies: vec![None; points.len()], points, piggybacked: 0 }
+        let mut by_point: Vec<usize> = (0..k).collect();
+        by_point.sort_by_key(|&j| points[j]);
+        Self { replies: vec![None; k], points, by_point, piggybacked: 0 }
+    }
+
+    /// The positions in `by_point` of the points inside the arc `(pred,
+    /// owner]`: one range, a head and a tail range when the arc wraps past
+    /// zero, or every point when `pred == owner` (the whole ring, as
+    /// [`RingId::in_arc`] has it).
+    fn arc_ranges(&self, pred: RingId, owner: RingId) -> [Range<usize>; 2] {
+        let k = self.by_point.len();
+        let after = |id: RingId| self.by_point.partition_point(|&j| self.points[j] <= id);
+        match pred.cmp(&owner) {
+            Ordering::Equal => [0..k, 0..0],
+            Ordering::Less => [after(pred)..after(owner), 0..0],
+            Ordering::Greater => [0..after(owner), after(pred)..k],
+        }
     }
 
     /// Offers a foreground lookup's resolved `owner` to the plan: every
@@ -53,21 +75,24 @@ impl ProbePlan {
     /// piggybacked reply. Returns how many points this call covered.
     ///
     /// Determinism: draws no randomness; harvest order is the plan's fixed
-    /// stratum order, so identical network state yields identical replies.
+    /// ascending point order, so identical network state yields identical
+    /// replies. Replies land by stratum and the billing is a sum, so the
+    /// order is not observable.
     pub fn offer_owner(&mut self, net: &mut Network, owner: RingId) -> usize {
         // Read the owner's believed arc once: a point outside it cannot be
         // harvested (the same test `piggyback_probe` applies), so only the
-        // rare covered points pay for the owner lookup a reply needs.
+        // points inside it, found by binary search, are visited.
         let Some(pred) = net.node(owner).and_then(|n| n.predecessor) else {
             return 0;
         };
         let mut harvested = 0;
-        for (slot, &point) in self.replies.iter_mut().zip(&self.points) {
-            if slot.is_some() || !point.in_arc(pred, owner) {
+        for i in self.arc_ranges(pred, owner).into_iter().flatten() {
+            let j = self.by_point[i];
+            if self.replies[j].is_some() {
                 continue;
             }
-            if let Some(reply) = net.piggyback_probe(owner, point) {
-                *slot = Some(reply);
+            if let Some(reply) = net.piggyback_probe(owner, self.points[j]) {
+                self.replies[j] = Some(reply);
                 harvested += 1;
             }
         }

@@ -117,6 +117,10 @@ mod reference {
             self.replies.iter().filter(|r| r.is_none()).count()
         }
 
+        pub fn points(&self) -> &[RingId] {
+            &self.points
+        }
+
         pub fn piggybacked(&self) -> usize {
             self.piggybacked
         }
@@ -338,6 +342,67 @@ proptest! {
         if shape.dead_initiator && pending > 0 {
             assert_eq!(lib.result, Err(EstimateError::InitiatorDead), "{shape:?}");
         }
+        assert_same(lib, reference, shape);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ProbePlan::offer_owner`'s arc search ≡ the reference's scan of
+    /// every point, on arbitrary believed arcs under both strategies. The
+    /// ring gains peers on about a third of the planned points, so points
+    /// sit on an owner's end of its arc, and before each offer the owner's
+    /// predecessor is replanted on both sides as the owner itself (the whole
+    /// ring), a random id (the arc wraps past zero about half the time), or
+    /// a planned point or one next to it. Each offer must harvest as many
+    /// points, and the completed plans must return equal replies, slot for
+    /// slot, with equal billing.
+    #[test]
+    fn offers_on_arbitrary_arcs_match_the_reference_scan(
+        seed: u64,
+        peers in 1usize..48,
+        k in 1usize..=70,
+        stratified: bool,
+        offers in 1usize..40,
+    ) {
+        let shape = Shape { seed, peers, k, stratified, attempts: 1, faults: 0, dead_initiator: false };
+        let Case { net, est, initiator, rng } = shape.build();
+        let mut lib_rng = rng.clone();
+        let mut lib_plan = ProbePlan::plan(&est, &mut lib_rng);
+        let mut ref_rng = rng;
+        let mut ref_plan = reference::ProbePlan::plan(&est, &mut ref_rng);
+        let mut arc_rng = SeedSequence::new(seed).stream(Component::Test, 2);
+        let mut ids: Vec<RingId> = net.ids().collect();
+        ids.extend(ref_plan.points().iter().filter(|_| arc_rng.gen_range(0..3) == 0));
+        let mut grown = Network::build_bulk(ids, net.placement());
+        grown.bulk_load(net.live_values().iter().copied().collect::<Vec<f64>>());
+        let ids: Vec<RingId> = grown.ids().collect();
+        let (mut lib_net, mut ref_net) = (grown.fork(), grown);
+        for _ in 0..offers {
+            let owner = ids[arc_rng.gen_range(0..ids.len())];
+            let point = ref_plan.points()[arc_rng.gen_range(0..k)].0;
+            let pred = match arc_rng.gen_range(0..5) {
+                0 => owner,
+                1 => RingId(arc_rng.gen()),
+                2 => RingId(point),
+                3 => RingId(point.wrapping_sub(1)),
+                _ => RingId(point.wrapping_add(1)),
+            };
+            for net in [&mut lib_net, &mut ref_net] {
+                net.node_mut(owner).unwrap().predecessor = Some(pred);
+            }
+            prop_assert_eq!(
+                lib_plan.offer_owner(&mut lib_net, owner),
+                ref_plan.offer_owner(&mut ref_net, owner),
+                "harvest differs at {} with predecessor {}: {:?}", owner, pred, shape
+            );
+        }
+        prop_assert_eq!(lib_plan.piggybacked(), ref_plan.piggybacked());
+        let lib_result = lib_plan.complete(&est, &mut lib_net, initiator, &mut lib_rng);
+        let lib = Side { result: lib_result, net: lib_net, next_draw: lib_rng.gen() };
+        let ref_result = ref_plan.complete(&est, &mut ref_net, initiator, &mut ref_rng);
+        let reference = Side { result: ref_result, net: ref_net, next_draw: ref_rng.gen() };
         assert_same(lib, reference, shape);
     }
 }

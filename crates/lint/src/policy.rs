@@ -47,7 +47,7 @@ pub fn d10_file(path: &str) -> bool {
 /// exchanges (the simulated transport), the reads a peer could make of its
 /// own view, and stats billing. Everything else — membership, builds,
 /// rewiring, data mutation, fault-plan edits, and ground-truth reads such as
-/// `total_items`, `true_owner` or `global_values` — is driver territory.
+/// `total_items`, `true_owner` or `live_values` — is driver territory.
 pub const NETWORK_READ_WHITELIST: &[&str] = &[
     // Message exchanges: the simulated transport surface.
     "probe",

@@ -32,6 +32,8 @@
 //! * [`placement`] — mapping data values onto the ring (hashed vs
 //!   order-preserving range placement);
 //! * [`store`] — per-peer sorted data stores with rank queries and summaries;
+//! * [`live`] — every stored value as one ascending view, read in place
+//!   (the ground truth live-data scoring reads);
 //! * [`node`] — peer routing state;
 //! * [`messages`] — message kinds and cost accounting;
 //! * [`network`] — the overlay itself: build, route, probe;
@@ -55,6 +57,7 @@ pub mod churn;
 pub mod faults;
 pub mod id;
 pub mod index;
+pub mod live;
 pub mod membership;
 pub mod messages;
 pub mod network;
@@ -70,6 +73,7 @@ pub use churn::{ChurnApplied, ChurnBatch, ChurnConfig, ChurnEvent, ChurnProcess}
 pub use faults::{DelayDist, FaultDecision, FaultPlan};
 pub use id::RingId;
 pub use index::{NodeIndex, RepairStats};
+pub use live::{LiveValues, StoreRuns};
 pub use messages::{MessageKind, MessageStats};
 pub use network::{LookupError, LookupResult, Network, ProbeReply};
 pub use node::Node;

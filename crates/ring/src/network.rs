@@ -10,6 +10,7 @@ use crate::batch::BatchRouter;
 use crate::faults::{FaultDecision, FaultPlan};
 use crate::id::RingId;
 use crate::index::NodeIndex;
+use crate::live::LiveValues;
 use crate::messages::{MessageKind, MessageStats};
 use crate::node::{Node, SUCCESSOR_LIST_LEN};
 use crate::placement::Placement;
@@ -323,57 +324,72 @@ impl Network {
     }
 
     /// Distributes `items` to their owners per the placement map
-    /// (construction-time; free of message charges).
+    /// (construction-time; free of message charges): an owned input (a
+    /// `Vec`) becomes the load buffer, a borrowed one is copied into it once.
+    /// [`Network::bulk_load_shared`] says the rest.
+    ///
+    /// # Panics
+    /// As [`Network::bulk_load_shared`].
+    pub fn bulk_load<'a>(&mut self, items: impl Into<Cow<'a, [f64]>>) {
+        self.bulk_load_shared(Arc::new(items.into().into_owned()));
+    }
+
+    /// Distributes the items of a shared buffer to their owners per the
+    /// placement map (construction-time; free of message charges).
     ///
     /// Any input order is accepted. The items are put in ring order —
     /// ascending by `total_cmp` under range placement (the map preserves
-    /// order), by placed id under hashed — in one shared load buffer: an
-    /// owned input (a `Vec`) becomes the buffer, a borrowed one is copied
-    /// into it once, and input not yet in ring order is sorted there once.
+    /// order), by placed id under hashed — in one shared load buffer.
+    /// Under range placement, items already in that order *are* the
+    /// buffer: the load keeps `items` and copies nothing, so a caller that
+    /// holds the same `Arc` (the build's empirical truth) shares it with
+    /// the stores. Hashed placement and input not yet in ring order reorder
+    /// a private copy (none when `items` is the only holder of its `Arc`).
     /// One linear sweep against the id column then gives each empty store
     /// a *view* of its run in the buffer ([`LocalStore`] says when a view
     /// detaches), without a copy or an allocation of its own; under hashed
     /// placement each run is first sorted by value in place. Ring
-    /// positions past the last id wrap to position 0, which merges its
-    /// head run and that tail through [`LocalStore::extend_values`], as
-    /// does any store that already holds items.
+    /// positions past the last id wrap to position 0, which views its items
+    /// too when they are one sorted run of the buffer (its head or its wrap
+    /// tail is empty, or under range placement no other position got an
+    /// item), and otherwise merges its head run and that tail through
+    /// [`LocalStore::extend_values`], as does any store that already holds
+    /// items.
     ///
     /// # Panics
     /// Panics if the network is empty, an item is NaN (a NaN has no place
     /// in a sorted store), or there are more than `u32::MAX` items.
-    pub fn bulk_load<'a>(&mut self, items: impl Into<Cow<'a, [f64]>>) {
-        let items = items.into();
+    pub fn bulk_load_shared(&mut self, items: Arc<Vec<f64>>) {
         assert!(!self.nodes.is_empty(), "bulk_load on empty network");
         assert!(items.iter().all(|x| !x.is_nan()), "bulk_load items contain NaN");
         assert!(u32::try_from(items.len()).is_ok(), "bulk_load takes at most u32::MAX items");
         let placement = self.placement;
         let hashed = matches!(placement, Placement::Hashed { .. });
-        let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
-        let in_order = if hashed {
-            items.windows(2).all(|w| by_id(&w[0], &w[1]).is_le())
+        let (keys, order, arena) = self.nodes.split_view();
+        let buf = if !hashed && items.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()) {
+            items
         } else {
-            items.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())
-        };
-        let mut items = items.into_owned();
-        if !in_order {
+            let mut items = Arc::try_unwrap(items).unwrap_or_else(|shared| (*shared).clone());
             if hashed {
-                items.sort_unstable_by(by_id);
+                let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
+                if !items.windows(2).all(|w| by_id(&w[0], &w[1]).is_le()) {
+                    items.sort_unstable_by(by_id);
+                }
+                // Runs hold contiguous arcs, so sorting inside each run by
+                // value (the wrap tail past the last id included) keeps
+                // every run's bounds.
+                let mut at = 0;
+                for &id in keys.iter() {
+                    let end = run_end(&items, at, id, placement);
+                    items[at..end].sort_unstable_by(f64::total_cmp);
+                    at = end;
+                }
+                items[at..].sort_unstable_by(f64::total_cmp);
             } else {
                 items = dde_stats::sort_total(items);
             }
-        }
-        let (keys, order, arena) = self.nodes.split_view();
-        if hashed {
-            // Runs hold contiguous arcs, so sorting inside each run by
-            // value keeps every run's bounds.
-            let mut at = 0;
-            for &id in keys.iter() {
-                let end = run_end(&items, at, id, placement);
-                items[at..end].sort_unstable_by(f64::total_cmp);
-                at = end;
-            }
-        }
-        let buf = Arc::new(items);
+            Arc::new(items)
+        };
         let head = run_end(&buf, 0, keys[0], placement);
         let mut at = head;
         for (&id, &slot) in keys.iter().zip(order).skip(1) {
@@ -389,8 +405,21 @@ impl Network {
             at = end;
         }
         // Past the last id the ring wraps: position 0 owns the tail too.
-        let wrapped = buf[..head].iter().chain(&buf[at..]).copied();
-        arena.slot_mut(order[0] as usize).store.extend_values(wrapped);
+        let n = buf.len();
+        let run = if head == 0 {
+            Some(at..n)
+        } else if at == n {
+            Some(0..head)
+        } else {
+            (at == head && !hashed).then_some(0..n)
+        };
+        let zero = &mut arena.slot_mut(order[0] as usize).store;
+        match run {
+            Some(run) if zero.is_empty() && !run.is_empty() => {
+                *zero = LocalStore::view(&buf, run.start, run.len());
+            }
+            _ => zero.extend_values(buf[..head].iter().chain(&buf[at..]).copied()),
+        }
     }
 
     /// Total items across all alive peers.
@@ -398,31 +427,22 @@ impl Network {
         self.nodes.values().map(|n| n.store.len() as u64).sum()
     }
 
-    /// Every stored value across all peers, sorted by `total_cmp` (ground
-    /// truth for metrics), collected afresh on every call.
-    ///
-    /// One pass in ring order: position 0's values placed at or before its
-    /// own id, then positions 1…P−1, then position 0's wrap tail. Under
-    /// range placement with every item on its owner that is already the
-    /// sorted order. Otherwise (hashed placement, or items that protocol
-    /// churn left misplaced) the result is sorted once. Values equal under
-    /// `total_cmp` have identical bits, so either way the output equals a
-    /// collect-and-sort bit for bit.
-    pub fn global_values(&self) -> Vec<f64> {
-        let mut all = Vec::with_capacity(self.total_items() as usize);
+    /// Every stored value across all peers, ascending by `total_cmp` (the
+    /// ground truth live-data scoring reads), as a view of the stores: no
+    /// copy under range placement with every item on its owner, one sorted
+    /// copy otherwise ([`LiveValues`] says which and why).
+    pub fn live_values(&self) -> LiveValues<'_> {
         let mut nodes = self.nodes.iter();
-        let Some((&first, head)) = nodes.next() else { return all };
+        let Some((&first, head)) = nodes.next() else {
+            return LiveValues::from_runs(std::iter::empty());
+        };
         let head = head.store.values();
         let split = head.partition_point(|&x| self.placement.place(x) <= first);
-        all.extend_from_slice(&head[..split]);
-        for (_, node) in nodes {
-            all.extend_from_slice(node.store.values());
-        }
-        all.extend_from_slice(&head[split..]);
-        if !all.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()) {
-            all.sort_by(f64::total_cmp);
-        }
-        all
+        LiveValues::from_runs(
+            std::iter::once(&head[..split])
+                .chain(nodes.map(|(_, node)| node.store.values()))
+                .chain(std::iter::once(&head[split..])),
+        )
     }
 
     /// The single timeout cost path: one timeout-marker message (header +

@@ -241,10 +241,11 @@ fn hotspot_arc_lookup_stays_allocation_free() {
 
 #[test]
 fn bulk_load_allocations_do_not_grow_with_the_ring() {
-    // Every store but position 0's views its run in the one load buffer,
-    // so a load allocates the same few blocks (the buffer's copy and `Arc`,
-    // position 0's merged store) on 512 peers as on 4 096. A per-store copy
-    // would allocate once per non-empty store.
+    // Every store views its run in the one load buffer (position 0 merges
+    // a copy when it holds a head run and a wrap tail), so a load allocates
+    // the same few blocks (the buffer's copy and `Arc`, position 0's merged
+    // store) on 512 peers as on 4 096. A per-store copy would allocate once
+    // per non-empty store.
     let allocs = |peers: usize, placement: Placement| {
         let seq = SeedSequence::new(0xB0A7);
         let mut id_rng = seq.stream(Component::NodeIds, 5);

@@ -13,9 +13,12 @@ use std::sync::{Arc, Mutex};
 /// Item count at or above which the realized-data ground truth switches
 /// from a materialized [`Ecdf`] to the analytic [`StreamingTruth`]. The
 /// build sorts its dataset at every size (the bulk load sweeps it in ring
-/// order), so above this size the analytic truth saves only the retained
-/// vector and its clone per cached cell; the empirical CDF is within DKW
-/// noise (`ε(10⁶, 10⁻³) ≈ 0.002`) of the generator there anyway.
+/// order). Below this size the empirical truth shares that sorted vector
+/// with the ring's load buffer, so under range placement the dataset is
+/// held once; above it the analytic truth holds no samples, so the buffer
+/// goes as the stores detach from it and a hashed build keeps no second
+/// copy. The empirical CDF is within DKW noise (`ε(10⁶, 10⁻³) ≈ 0.002`) of
+/// the generator there anyway.
 pub const STREAMING_TRUTH_ITEMS: usize = 1_000_000;
 
 /// The realized dataset's ground truth — what a perfect estimator would
@@ -94,7 +97,9 @@ pub struct BuiltScenario {
 }
 
 /// One cached build: everything in a [`BuiltScenario`] that is immutable
-/// and cheap to hand out again. The analytic `truth` is *not* stored — a
+/// and cheap to hand out again (a fork of the network and a clone of the
+/// empirical truth, which shares the network's load buffer, copy no
+/// dataset). The analytic `truth` is *not* stored — a
 /// `Box<dyn Distribution>` is rebuilt per caller from the scenario (pure
 /// parameters, no sampling), which keeps the snapshot `Send + Sync`.
 struct Snapshot {
@@ -255,22 +260,19 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     ids.sort();
     ids.dedup();
 
-    // The flash crowd's landing window is read before the load, so that
-    // above [`STREAMING_TRUTH_ITEMS`] nothing reads the dataset afterwards
-    // and the load takes it over as its buffer instead of copying it.
+    // The flash crowd's landing window is read before the load, which
+    // takes the dataset over as its buffer instead of copying it. Below
+    // [`STREAMING_TRUTH_ITEMS`] the empirical truth shares that buffer.
     let densest = placement
         .domain_map()
         .filter(|_| scenario.flash_crowd > 0)
         .map(|map| adversary::window_arc(adversary::densest_window(&data, lo, hi), lo, hi, map));
     let mut net = Network::build_bulk(ids, placement);
     net.set_summary_buckets(scenario.summary_buckets);
-    let data_ecdf = if scenario.items >= STREAMING_TRUTH_ITEMS {
-        net.bulk_load(data);
-        None
-    } else {
-        net.bulk_load(&data);
-        Some(Ecdf::from_sorted(data))
-    };
+    let data = Arc::new(data);
+    let data_ecdf =
+        (scenario.items < STREAMING_TRUTH_ITEMS).then(|| Ecdf::from_shared(Arc::clone(&data)));
+    net.bulk_load_shared(data);
 
     if scenario.flash_crowd > 0 {
         // A crowd of peers joins back-to-back through the overlay — no
@@ -338,13 +340,18 @@ mod tests {
     use super::*;
     use dde_stats::dist::DistributionKind;
 
+    /// The ring's values, ascending.
+    fn values(net: &Network) -> Vec<f64> {
+        net.live_values().iter().copied().collect()
+    }
+
     #[test]
     fn build_is_deterministic() {
         let s = Scenario::default().with_peers(32).with_items(1_000);
         let a = build(&s);
         let b = build(&s);
         assert_eq!(a.net.len(), b.net.len());
-        assert_eq!(a.net.global_values(), b.net.global_values());
+        assert_eq!(values(&a.net), values(&b.net));
         assert_eq!(a.data_truth.samples(), b.data_truth.samples());
     }
 
@@ -356,7 +363,7 @@ mod tests {
         let forked = build(&s); // guaranteed cache hit → Network::fork path
         for b in [&first, &forked] {
             assert_eq!(b.net.len(), fresh.net.len());
-            assert_eq!(b.net.global_values(), fresh.net.global_values());
+            assert_eq!(values(&b.net), values(&fresh.net));
             assert_eq!(b.data_truth.samples(), fresh.data_truth.samples());
             assert_eq!(b.scenario, fresh.scenario);
             assert!(b.net.check_invariants().is_empty());
@@ -377,14 +384,14 @@ mod tests {
         let hit = build(&s);
         assert_eq!(miss.scenario.layout, NodeLayout::UniformIds);
         assert_eq!(hit.scenario, miss.scenario);
-        assert_eq!(hit.net.global_values(), miss.net.global_values());
+        assert_eq!(values(&hit.net), values(&miss.net));
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = build(&Scenario::default().with_peers(32).with_items(1_000).with_seed(1));
         let b = build(&Scenario::default().with_peers(32).with_items(1_000).with_seed(2));
-        assert_ne!(a.net.global_values(), b.net.global_values());
+        assert_ne!(values(&a.net), values(&b.net));
     }
 
     #[test]
@@ -535,7 +542,7 @@ mod tests {
             let _warm = build(s); // populate the cache
             let forked = build(s); // guaranteed hit → Network::fork path
             assert_eq!(forked.net.len(), fresh.net.len(), "{s:?}");
-            assert_eq!(forked.net.global_values(), fresh.net.global_values(), "{s:?}");
+            assert_eq!(values(&forked.net), values(&fresh.net), "{s:?}");
             assert_eq!(forked.data_truth.samples(), fresh.data_truth.samples(), "{s:?}");
             assert_eq!(forked.scenario, fresh.scenario, "{s:?}");
             assert_eq!(
@@ -585,6 +592,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Whether `values` lie inside the empirical truth's sample buffer.
+    fn in_truth(built: &BuiltScenario, values: &[f64]) -> bool {
+        let truth = built.data_truth.samples().expect("empirical truth").as_ptr_range();
+        let values = values.as_ptr_range();
+        truth.start <= values.start && values.end <= truth.end
+    }
+
+    /// The single copy: below [`STREAMING_TRUTH_ITEMS`] the stores of a
+    /// range-placed build view the empirical truth's own samples, whether
+    /// the build is fresh or a snapshot-cache hit, so neither copies the
+    /// dataset. The one store that may hold a copy is position 0 when it
+    /// merges a head and a wrap tail. A hashed build reorders a separate
+    /// copy, so none of its stores does. A one-peer ring's store views the
+    /// whole buffer that the truth shares, so its first write detaches it
+    /// and leaves the truth as it was.
+    #[test]
+    fn a_range_build_holds_its_dataset_once() {
+        let s = Scenario::default().with_peers(64).with_items(20_000).with_seed(7720);
+        let fresh = build_fresh(&s);
+        let _miss = build(&s);
+        let hit = build(&s);
+        for (built, case) in [(&fresh, "fresh"), (&hit, "cache hit")] {
+            let placement = built.net.placement();
+            let mut shared = 0;
+            for (pos, id) in built.net.ids().enumerate() {
+                let values = built.net.node(id).unwrap().store.values();
+                let head = values.partition_point(|&x| placement.place(x) <= id);
+                let merged = pos == 0 && head > 0 && head < values.len();
+                if !values.is_empty() && !merged {
+                    assert!(in_truth(built, values), "{case}: position {pos} holds a copy");
+                    shared += 1;
+                }
+            }
+            assert!(shared > 32, "{case}: only {shared} stores checked");
+        }
+
+        let hashed = build_fresh(&s.clone().with_placement(PlacementMode::Hashed));
+        for id in hashed.net.ids() {
+            let values = hashed.net.node(id).unwrap().store.values();
+            assert!(
+                values.is_empty() || !in_truth(&hashed, values),
+                "a hashed store views the truth"
+            );
+        }
+
+        let mut one =
+            build_fresh(&Scenario::default().with_peers(1).with_items(500).with_seed(7721));
+        let id = one.net.ids().next().unwrap();
+        let truth = one.data_truth.samples().unwrap().to_vec();
+        assert!(
+            in_truth(&one, one.net.node(id).unwrap().store.values()),
+            "one peer views its buffer"
+        );
+        one.net.node_mut(id).unwrap().store.insert(50.0);
+        let store = &one.net.node(id).unwrap().store;
+        assert_eq!(store.len(), 501);
+        assert!(!in_truth(&one, store.values()), "a write to a shared buffer must detach");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(one.data_truth.samples().unwrap()),
+            bits(&truth),
+            "the write reached the truth"
+        );
     }
 
     #[test]

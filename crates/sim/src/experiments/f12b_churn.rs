@@ -179,7 +179,8 @@ pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
         }
     }
     if matches!(built.data_truth, DataTruth::Empirical(_)) {
-        built.data_truth = DataTruth::Empirical(Ecdf::from_sorted(built.net.global_values()));
+        let values = built.net.live_values().iter().copied().collect();
+        built.data_truth = DataTruth::Empirical(Ecdf::from_sorted(values));
     }
     phase
 }

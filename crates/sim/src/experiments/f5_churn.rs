@@ -18,7 +18,6 @@ use crate::scenario::Scenario;
 use dde_core::{DensityEstimator, DfDde, DfDdeConfig};
 use dde_ring::{ChurnConfig, ChurnProcess, MessageKind};
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 
 /// Churn rates swept (events per peer per time unit).
 pub fn churn_sweep(scale: Scale) -> Vec<f64> {
@@ -49,8 +48,7 @@ fn churned_run(
     let est = DfDde::new(DfDdeConfig::with_probes(probes));
     let report = est.estimate(&mut built.net, initiator, &mut est_rng).ok()?;
     let delta = built.net.stats().since(&before);
-    let surviving = Ecdf::from_sorted(built.net.global_values());
-    let ks = report.estimate.ks_to(&surviving);
+    let ks = report.estimate.ks_to(&built.net.live_values());
     let timeouts = delta.count(MessageKind::LookupTimeout);
     let failures = (probes - report.probes_succeeded) as u64;
     Some((ks, timeouts, failures))

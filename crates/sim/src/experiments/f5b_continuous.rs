@@ -23,7 +23,6 @@ use dde_core::{ContinuousConfig, ContinuousEstimator};
 use dde_ring::{ChurnConfig, ChurnProcess, Network, RingId};
 use dde_stats::dist::DistributionKind;
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -103,8 +102,7 @@ fn monitored_run(
         let _ = cont.tick(&mut built.net, initiator, &mut est_rng);
         if tick + 4 >= ticks {
             if let Ok(e) = cont.current_estimate(scenario.domain) {
-                let truth_now = Ecdf::from_sorted(built.net.global_values());
-                tail.push(e.ks_to(&truth_now));
+                tail.push(e.ks_to(&built.net.live_values()));
             }
         }
     }

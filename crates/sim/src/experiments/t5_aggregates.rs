@@ -42,7 +42,7 @@ pub fn t5_aggregates(scale: Scale) -> Vec<Table> {
             let scenario = &scenario;
             plan.push(move || {
                 let mut built = build(scenario);
-                let vals = built.net.global_values();
+                let vals = built.net.live_values();
                 let n = vals.len() as f64;
                 let sum: f64 = vals.iter().sum();
                 let mean = sum / n;

@@ -40,7 +40,6 @@ use crate::build::BuiltScenario;
 use dde_core::{DensityEstimate, DfDde, DfDdeConfig, ProbePlan};
 use dde_ring::{BatchRouter, MessageKind, MessageStats, Network, RingId};
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -469,8 +468,7 @@ pub fn run_workload(built: &BuiltScenario, spec: &WorkloadSpec, run_index: u64) 
         report.mean_staleness = staleness_sum / served_reads as f64;
     }
     if let Some(e) = &estimate {
-        let live = Ecdf::from_sorted(net.global_values());
-        report.est_ks = e.ks_to(&live);
+        report.est_ks = e.ks_to(&net.live_values());
     }
 
     report.stats = net.stats().since(&before);

@@ -24,6 +24,11 @@ use dde_sim::experiments::{run_by_id, Scale};
 use dde_sim::report::Table;
 use dde_sim::{aggregate, build, build_fresh, Scenario};
 
+/// The ring's values, ascending.
+fn values(net: &dde_ring::Network) -> Vec<f64> {
+    net.live_values().iter().copied().collect()
+}
+
 fn render(tables: &[Table]) -> (String, String) {
     let text: String = tables.iter().map(dde_sim::Table::to_text).collect::<Vec<_>>().join("\n");
     let csv: String = tables.iter().map(dde_sim::Table::to_csv).collect::<Vec<_>>().join("\n");
@@ -64,7 +69,7 @@ fn forked_builds_replay_fresh_builds_exactly() {
     let mut first = build(&s); // populates (or hits) the snapshot cache
     let mut forked = build(&s); // guaranteed cache hit → Network::fork
 
-    assert_eq!(fresh.net.global_values(), forked.net.global_values());
+    assert_eq!(values(&fresh.net), values(&forked.net));
     assert_eq!(fresh.data_truth.samples(), forked.data_truth.samples());
 
     let est = DfDde::new(DfDdeConfig::with_probes(8));
@@ -104,7 +109,7 @@ fn snapshot_cache_keys_do_not_collide_for_bulk_built_scenarios() {
         assert_eq!(forked.net.ids().count(), p, "cache hit returned the wrong snapshot");
         assert_eq!(forked.net.total_items(), (p * ITEMS_PER_PEER) as u64);
         let fresh = build_fresh(&scale_scenario(p));
-        assert_eq!(fresh.net.global_values(), forked.net.global_values());
+        assert_eq!(values(&fresh.net), values(&forked.net));
     }
 }
 
@@ -130,17 +135,13 @@ fn churned_forks_do_not_corrupt_the_snapshot_cache() {
     let pristine = build_fresh(&s);
     let mut churned = build(&s); // primes (or hits) the snapshot cache
     churn_phase(&mut churned);
-    assert_ne!(
-        pristine.net.global_values(),
-        churned.net.global_values(),
-        "churn must actually change the data"
-    );
+    assert_ne!(values(&pristine.net), values(&churned.net), "churn must actually change the data");
 
     let hit = build(&s); // guaranteed cache hit → fork of the snapshot
     assert_eq!(hit.net.ids().count(), 64, "cache hit returned the wrong snapshot");
     assert_eq!(
-        pristine.net.global_values(),
-        hit.net.global_values(),
+        values(&pristine.net),
+        values(&hit.net),
         "a churned fork leaked its mutations back into the snapshot cache"
     );
 }

@@ -66,8 +66,8 @@ fn churned_agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
         removes.extend(removed);
     }
 
-    let materialized =
-        Ecdf::from_sorted(built.net.global_values()).ks_distance_to(built.truth.as_ref());
+    let values = built.net.live_values().iter().copied().collect();
+    let materialized = Ecdf::from_sorted(values).ks_distance_to(built.truth.as_ref());
     let mut truth = StreamingTruth::new(built.truth, initial);
     truth.journal_adds(adds);
     truth.journal_removes(removes);

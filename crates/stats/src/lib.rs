@@ -139,7 +139,7 @@ pub(crate) fn scan_pair<A: CdfFn + ?Sized, B: CdfFn + ?Sized>(
 /// Doubling steps bracket the point, then a binary search finds it inside
 /// the last step, so a cursor that moves `d` places pays `O(log d)`
 /// comparisons, and one that stays put pays one.
-pub(crate) fn gallop<T>(s: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
+pub fn gallop<T>(s: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
     let mut lo = from;
     let mut step = 1;
     let hi = loop {

@@ -1,11 +1,12 @@
 //! Streamed ground truth for the mega-scale regime.
 //!
-//! Quick-suite scales materialize every stored value into one sorted vector
-//! (`Network::global_values`) and evaluate KS statistics against that
-//! empirical CDF. At 10⁶ peers with items ∝ P that vector is 10⁷–10⁸
-//! doubles per cell — most of the build budget and a large slice of memory,
-//! spent re-deriving something the scenario already knows analytically: the
-//! data was *sampled from* a known generating distribution.
+//! Quick-suite scales keep the realized dataset as one sorted vector (the
+//! build's empirical CDF, which shares the ring's load buffer) and evaluate
+//! KS statistics against that empirical CDF. At 10⁶ peers with items ∝ P
+//! that vector is 10⁷–10⁸ doubles per cell — most of the build budget and a
+//! large slice of memory, spent re-deriving something the scenario already
+//! knows analytically: the data was *sampled from* a known generating
+//! distribution.
 //!
 //! [`StreamingTruth`] is the lazy replacement. It wraps the generating
 //! distribution's analytic CDF (every [`crate::dist::DistributionKind`] the

@@ -15,7 +15,6 @@ use dde_ring::{ChurnConfig, ChurnProcess};
 use dde_sim::{build, Scenario};
 use dde_stats::dist::DistributionKind;
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 
 fn main() {
     let scenario = Scenario::default()
@@ -51,10 +50,7 @@ fn main() {
             continue;
         }
         let ks = match monitor.current_estimate(scenario.domain) {
-            Ok(est) => {
-                let truth_now = Ecdf::from_sorted(built.net.global_values());
-                est.ks_to(&truth_now)
-            }
+            Ok(est) => est.ks_to(&built.net.live_values()),
             Err(_) => f64::NAN,
         };
         final_ks = ks;

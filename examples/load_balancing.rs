@@ -55,7 +55,7 @@ fn rebalance_round(
     // end state is what we measure.
     let mut rebalanced = Network::build_bulk(new_ids, placement);
     rebalanced.set_summary_buckets(net.summary_buckets());
-    rebalanced.bulk_load(net.global_values());
+    rebalanced.bulk_load(net.live_values().iter().copied().collect::<Vec<f64>>());
     (rebalanced, report.messages())
 }
 

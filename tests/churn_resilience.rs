@@ -7,7 +7,6 @@ use dde_ring::{ChurnConfig, ChurnProcess, RingId};
 use dde_sim::{build, Scenario};
 use dde_stats::assert::KsBand;
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 use rand::Rng;
 
 fn scenario() -> Scenario {
@@ -82,8 +81,7 @@ fn ring_heals_and_estimation_recovers_after_storm() {
     let report = DfDde::new(DfDdeConfig::with_probes(128))
         .estimate(&mut built.net, initiator, &mut est_rng)
         .expect("healed network estimates");
-    let surviving = Ecdf::from_sorted(built.net.global_values());
-    let ks = report.estimate.ks_to(&surviving);
+    let ks = report.estimate.ks_to(&built.net.live_values());
     // 128 probe replies are the effective sample behind the skeleton; the
     // systematic term covers summary granularity plus the post-storm shelf
     // structure (see TESTING.md for the band methodology).

@@ -78,7 +78,7 @@ fn remote_sampling_returns_genuine_tuples_end_to_end() {
     let scenario = Scenario::default().with_peers(96).with_items(10_000).with_seed(31);
     let mut built = build(&scenario);
     let stored: std::collections::BTreeSet<u64> =
-        built.net.global_values().iter().map(|v| v.to_bits()).collect();
+        built.net.live_values().iter().map(|v| v.to_bits()).collect();
     let est = DfDde::new(DfDdeConfig {
         sample_mode: SampleMode::RemoteTuples { m: 100 },
         ..DfDdeConfig::with_probes(64)
