@@ -11,7 +11,7 @@ use dde_core::{
 use dde_ring::{ChurnConfig, ChurnProcess, FaultPlan};
 use dde_sim::dst::{self, DstConfig, InjectedBug, Schedule};
 use dde_sim::experiments::{run_by_id, Scale, ALL_IDS};
-use dde_sim::scenario::{check_events, check_size};
+use dde_sim::scenario::{check_events, check_replication, check_size, MAX_EVENTS};
 use dde_sim::{
     build, exec, run_workload, BuiltScenario, OpMix, PlacementMode, Scenario, WorkloadSpec,
 };
@@ -51,22 +51,22 @@ network options (estimate, aggregate, query, churn, workload, topology):
 
 command-specific:
   estimate: --probes K      probe budget (default 128; at least 2 for
-                            df-dde, 1 for uniform-peer)
+                            df-dde, 1 for uniform-peer; at most 200000)
            --method M       df-dde|exact|uniform-peer|gossip (default df-dde)
            --json           machine-readable output
-  aggregate: --probes K     probe budget (default 128, at least 2)
+  aggregate: --probes K     probe budget (default 128, 2 to 200000)
            --json           machine-readable output
-  query:   --probes K       probe budget (default 128, at least 2)
+  query:   --probes K       probe budget (default 128, 2 to 200000)
            --lo X --hi Y    range bounds (default 100..300)
   churn:   --rate R         churn rate/peer/unit (default 0.1)
            --duration T     time units (default 10)
-           --replication R  replication factor (default 0)
+           --replication R  replication factor (default 0, at most 8)
   workload: --rate R        target arrival rate, ops/s (default 200)
            --duration T     virtual seconds of traffic (default 10)
            --insert-pm M    insert share, per mille (default 200)
            --lookup-pm M    lookup share, per mille (default 700;
                             the remainder is estimate reads)
-           --probes K       probes per refresh (default 48, at least 2)
+           --probes K       probes per refresh (default 48, 2 to 200000)
            --refresh T      seconds between estimate refreshes (default 2)
            --no-batch       route each lookup separately
            --no-piggyback   dedicated probes only
@@ -82,7 +82,8 @@ command-specific:
                             x events may not exceed 200000
            --seed S         master seed (default 3415)
            --peers N --items N --replication N
-                            the initial network (default 24, 1500, 1)
+                            the initial network (default 24, 1500, 1;
+                            replication at most 8)
            --bug [NAME]     arm an injected bug: skip-successor-on-heal
                             (the default) or drop-capacity-fifo-guard
            --out FILE       where a failure's repro goes (default dst-repro.ron)
@@ -197,12 +198,17 @@ fn positive(args: &Args, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
-/// `--probes`, `default` when absent, which must be at least `least`: the
-/// fewest replies the estimator can answer from.
+/// `--probes`, `default` when absent, which must be at least `least`, the
+/// fewest replies the estimator can answer from, and at most
+/// [`MAX_EVENTS`], since each probe is a scheduled exchange and the
+/// estimators reserve room for every reply up front.
 fn probes(args: &Args, default: usize, least: usize) -> Result<usize, String> {
     let probes = args.get_or("probes", default)?;
     if probes < least {
         return Err(format!("--probes must be at least {least}, got {probes}"));
+    }
+    if probes > MAX_EVENTS {
+        return Err(format!("--probes must be at most {MAX_EVENTS}, got {probes}"));
     }
     Ok(probes)
 }
@@ -440,6 +446,7 @@ fn churn(args: &Args) -> Result<Run, String> {
     let rate = positive(args, "rate", 0.1)?;
     let duration = positive(args, "duration", 10.0)?;
     let replication = args.get_or("replication", 0usize)?;
+    check_replication(replication)?;
     let setup = setup(args)?;
     // Per peer and time unit: `2 · rate` joins and departures, and one
     // stabilization step every period.
@@ -737,6 +744,7 @@ fn dst(args: &Args) -> Result<Run, String> {
     };
     let schedules = args.get_or("schedules", 16usize)?;
     check_size(cfg.peers, cfg.items)?;
+    check_replication(cfg.replication)?;
     // Each schedule builds a network, so one without events still counts.
     check_events(schedules as f64 * cfg.events.max(1) as f64)?;
     let jobs = jobs(args)?;
@@ -956,7 +964,8 @@ mod tests {
     /// path value names an existing file, since `--replay` reads its file.
     #[test]
     fn no_command_line_panics_the_check() {
-        use dde_sim::scenario::{MAX_EVENTS, MAX_ITEMS, MAX_PEERS};
+        use dde_ring::node::SUCCESSOR_LIST_LEN;
+        use dde_sim::scenario::{MAX_ITEMS, MAX_PEERS};
         use dde_stats::rng::splitmix64;
 
         let options_of = |spec: &Spec| -> Vec<String> {
@@ -976,7 +985,7 @@ mod tests {
             .chain([""])
             .map(String::from)
             .collect();
-        for cap in [MAX_PEERS, MAX_ITEMS, MAX_EVENTS, MAX_JOBS] {
+        for cap in [MAX_PEERS, MAX_ITEMS, MAX_EVENTS, MAX_JOBS, SUCCESSOR_LIST_LEN] {
             values.extend([cap.to_string(), (cap + 1).to_string()]);
         }
 

@@ -45,6 +45,20 @@ fn bad_values_exit_2_with_a_named_error() {
         ("estimate --method uniform-peer --probes 0", "--probes must be at least 1, got 0"),
         ("workload --peers 100000 --probes 1", "--probes must be at least 2, got 1"),
         ("workload --probes 0", "--probes must be at least 2, got 0"),
+        ("estimate --probes 200001", "--probes must be at most 200000, got 200001"),
+        (
+            "estimate --probes 18446744073709551615 --peers 16 --items 200",
+            "--probes must be at most 200000",
+        ),
+        (
+            "estimate --method uniform-peer --probes 18446744073709551615",
+            "--probes must be at most 200000",
+        ),
+        ("aggregate --probes 18446744073709551615", "--probes must be at most 200000"),
+        ("query --probes 18446744073709551615", "--probes must be at most 200000"),
+        ("workload --probes 200001", "--probes must be at most 200000"),
+        ("churn --replication 9", "replication: 9 is outside 0..=8"),
+        ("dst --replication 9", "replication: 9 is outside 0..=8"),
         ("frobnicate", "unknown command 'frobnicate'"),
         ("estimate --rate 5", "estimate takes no option --rate"),
         ("estimate --peers 16 --items 200 --json extra", "takes no argument 'extra'"),

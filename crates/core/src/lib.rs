@@ -76,6 +76,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used)]
 
 #[cfg(test)]
 mod aggregate;

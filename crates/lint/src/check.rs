@@ -1,7 +1,7 @@
 //! Rule checking: the per-file passes (needle scan, `#[cfg(test)]` regions,
-//! the `ddelint::allow` grammar, D3 alias resolution, the D6 doc-contract
-//! rule) and the workspace-level orchestration that layers the cross-file
-//! rules (D10 sans-IO, D11 dead public API) on top.
+//! the `ddelint::allow` grammar, the D6 doc-contract rule) and the
+//! workspace-level orchestration that layers the cross-file rules (D10
+//! sans-IO, D11 dead public API) on top.
 //!
 //! A [`FileCheck`] holds one file's lexed mask, parsed items, allows, and
 //! accumulated raw violations. [`check_workspace`] builds one per file,
@@ -187,7 +187,7 @@ pub struct FileCheck {
     pub src: String,
     /// Lexed mask and comment list.
     pub lexed: Lexed,
-    /// Parsed items (fns, uses).
+    /// Parsed items (fns and their call sites).
     pub parsed: ParsedFile,
     regions: Vec<(usize, usize)>,
     allows: Vec<Allow>,
@@ -212,7 +212,6 @@ impl FileCheck {
             raw,
         };
         fc.scan_needles();
-        fc.check_d3_aliases();
         fc.check_d6();
         fc
     }
@@ -227,7 +226,7 @@ impl FileCheck {
         self.raw.push(v);
     }
 
-    /// Scans the code mask for the textual needles (D1–D5).
+    /// Scans the code mask for the textual needles (D2, D4, D5).
     fn scan_needles(&mut self) {
         let mask = self.lexed.mask.as_bytes();
         for needle in NEEDLES {
@@ -261,55 +260,6 @@ impl FileCheck {
                     col,
                     rule: needle.rule,
                     message: format!("`{}` — {}", needle.text, needle.rule.describe()),
-                    snippet: snippet_at(&self.src, &self.lexed, at),
-                });
-            }
-        }
-    }
-
-    /// D3 through the symbol table: a `use ... as Alias` whose target is an
-    /// unordered map is flagged at every *usage* of the alias, not just at
-    /// the declaration the needle scan already catches — so allowing the
-    /// declaration line cannot quietly bless a whole file of `Map::new()`.
-    fn check_d3_aliases(&mut self) {
-        if !policy::applies(RuleId::D3, &self.path) {
-            return;
-        }
-        let mask = self.lexed.mask.as_bytes();
-        for alias in &self.parsed.uses {
-            let Some(target) = alias.segments.last() else { continue };
-            if target != "HashMap" && target != "HashSet" {
-                continue;
-            }
-            if alias.name == *target {
-                continue; // Unaliased import: usages carry the needle name.
-            }
-            let decl_line = self.lexed.line_of(alias.at);
-            let mut from = 0;
-            while let Some(rel) = self.lexed.mask[from..].find(alias.name.as_str()) {
-                let at = from + rel;
-                from = at + 1;
-                let end = at + alias.name.len();
-                let head_ok = at == 0 || !is_ident_byte(mask[at - 1]);
-                let tail_ok = end >= mask.len() || !is_ident_byte(mask[end]);
-                if !head_ok || !tail_ok {
-                    continue;
-                }
-                if self.lexed.line_of(at) == decl_line {
-                    continue; // The declaration itself is the needle's catch.
-                }
-                let (line, col) = self.lexed.pos(at);
-                self.raw.push(Violation {
-                    path: self.path.clone(),
-                    line,
-                    col,
-                    rule: RuleId::D3,
-                    message: format!(
-                        "`{}` is `{}` under an alias — {}",
-                        alias.name,
-                        alias.segments.join("::"),
-                        RuleId::D3.describe()
-                    ),
                     snippet: snippet_at(&self.src, &self.lexed, at),
                 });
             }

@@ -1,6 +1,6 @@
 //! A comment/string/raw-string-aware Rust tokenizer.
 //!
-//! `ddelint` must never report `thread_rng` inside a doc example, a string
+//! `ddelint` must never report `Instant::now` inside a doc example, a string
 //! literal, or a commented-out line, and must never mistake `"http://x"` for
 //! a comment. Instead of a full parser (no `syn`: the workspace builds
 //! offline and the linter has to stay dependency-free), [`lex`] performs one
@@ -51,11 +51,6 @@ impl Lexed {
             Err(i) => i - 1,
         };
         (line + 1, byte - self.line_starts[line] + 1)
-    }
-
-    /// The 1-based line number containing `byte`.
-    pub fn line_of(&self, byte: usize) -> usize {
-        self.pos(byte).0
     }
 
     /// Byte range of 1-based line `line` in the mask/source (excludes `\n`).

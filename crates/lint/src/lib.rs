@@ -4,15 +4,17 @@
 //! replay, 1-minimal DST repros, DKW-band accuracy assertions — rests on a
 //! convention: all randomness flows through `SeedSequence`, no wall-clock or
 //! ambient entropy feeds experiment results, no unordered-map iteration in
-//! deterministic paths. This crate turns that convention into machine-checked
-//! law. It is dependency-free (no `syn`; the workspace builds offline): a
-//! byte-exact [`lexer`] classifies code vs comments vs literals, [`parse`]
-//! lifts the mask into items (fns, uses, call sites), [`rules`] defines the
-//! rule set, [`policy`] scopes each rule to paths, and [`check`] applies the
-//! per-file rules (D1–D6) plus the cross-file passes — [`proto`] (D10
-//! sans-IO boundary) and [`dead`] (D11 dead public API) — with inline
-//! `// ddelint::allow(rule, reason)` escapes. [`emit`] renders JSON and
-//! SARIF for CI code scanning.
+//! deterministic paths. Clippy holds the parts it can state with resolved
+//! paths: ambient entropy and unordered maps through the root `clippy.toml`,
+//! and `.unwrap()` through `clippy::unwrap_used` in the library crates. This
+//! crate holds the rest. It is dependency-free (no `syn`; the workspace
+//! builds offline): a byte-exact [`lexer`] classifies code vs comments vs
+//! literals, [`parse`] lifts the mask into items (fns and their call sites),
+//! [`rules`] defines the rule set, [`policy`] scopes each rule to paths, and
+//! [`check`] applies the per-file rules (D2, D4–D6) plus the cross-file
+//! passes — [`proto`] (D10 sans-IO boundary) and [`dead`] (D11 dead public
+//! API) — with inline `// ddelint::allow(rule, reason)` escapes. [`emit`]
+//! renders JSON and SARIF for CI code scanning.
 //!
 //! Run it as `cargo run -p lint -- check`. The rule set, the allow grammar,
 //! and the procedure for adding a rule are documented in TESTING.md

@@ -1,11 +1,10 @@
 //! A lightweight Rust *item* parser on top of the [`crate::lexer`] code mask.
 //!
 //! Some rules need more than needles: the sans-IO boundary rule (D10)
-//! classifies the calls inside each fn, the dead-public-API rule (D11)
-//! finds each `pub fn`, and D3 follows `use ... as` aliases. None of that
-//! needs a real Rust parser — it needs *items*: which functions exist,
-//! whether they are `pub`, what they call, and what `use` declarations
-//! alias.
+//! classifies the calls inside each fn, and the dead-public-API rule (D11)
+//! finds each `pub fn`. Neither needs a real Rust parser — they need
+//! *items*: which functions exist, whether they are `pub`, and what they
+//! call.
 //!
 //! [`parse`] extracts exactly that, in one deterministic pass over the code
 //! mask (so items inside comments or string literals can never exist). The
@@ -15,25 +14,10 @@
 
 use crate::lexer::Lexed;
 
-/// One `use` leaf: the name it binds locally and the path it came from.
-///
-/// `use std::collections::HashMap as Map;` yields
-/// `{ name: "Map", segments: ["std", "collections", "HashMap"] }`; group
-/// imports (`use a::{B, C as D}`) are expanded into one record per leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseAlias {
-    /// The locally bound name (the alias, or the path's last segment).
-    pub name: String,
-    /// Full path segments of the imported item.
-    pub segments: Vec<String>,
-    /// Byte offset of the binding (for reporting).
-    pub at: usize,
-}
-
 /// A candidate call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Call {
-    /// Path segments as written: `["rand", "thread_rng"]`, `["helper"]`.
+    /// Path segments as written: `["Network", "probe"]`, `["helper"]`.
     /// For method calls, the single method name.
     pub segments: Vec<String>,
     /// Whether this was `.name(...)` method sugar.
@@ -62,8 +46,6 @@ pub struct FnItem {
 /// Everything [`parse`] extracts from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
-    /// `use` bindings, in file order.
-    pub uses: Vec<UseAlias>,
     /// Functions, in file order.
     pub fns: Vec<FnItem>,
 }
@@ -132,13 +114,8 @@ enum Tok<'a> {
     Punct(u8),
 }
 
-struct Tokens<'a> {
-    mask: &'a str,
-    /// (token, byte offset) pairs.
-    toks: Vec<(Tok<'a>, usize)>,
-}
-
-fn tokenize(mask: &str) -> Tokens<'_> {
+/// Splits the code mask into (token, byte offset) pairs.
+fn tokenize(mask: &str) -> Vec<(Tok<'_>, usize)> {
     let b = mask.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -159,7 +136,7 @@ fn tokenize(mask: &str) -> Tokens<'_> {
             i += 1;
         }
     }
-    Tokens { mask, toks }
+    toks
 }
 
 /// Matches the brace opened at token index `open` (must be `{`), returning
@@ -181,71 +158,6 @@ fn match_brace(toks: &[(Tok<'_>, usize)], open: usize) -> usize {
         i += 1;
     }
     toks.len() - 1
-}
-
-/// Expands one `use` declaration body (text between `use` and `;`) into
-/// leaves. Handles `::`-paths, `as` aliases, and nested `{...}` groups.
-fn expand_use(text: &str, prefix: &[String], at: usize, out: &mut Vec<UseAlias>) {
-    let text = text.trim().trim_start_matches("::");
-    // Split off a group suffix: `a::b::{...}`.
-    if let Some(brace) = text.find('{') {
-        let head = text[..brace].trim().trim_end_matches("::");
-        let mut pre = prefix.to_vec();
-        pre.extend(head.split("::").map(str::trim).filter(|s| !s.is_empty()).map(String::from));
-        let inner = text[brace + 1..].rsplit_once('}').map_or("", |(i, _)| i);
-        // Split the group on top-level commas only.
-        let mut depth = 0usize;
-        let mut part = String::new();
-        let mut parts = Vec::new();
-        for c in inner.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    part.push(c);
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    part.push(c);
-                }
-                ',' if depth == 0 => {
-                    parts.push(std::mem::take(&mut part));
-                }
-                _ => part.push(c),
-            }
-        }
-        parts.push(part);
-        for p in parts {
-            if !p.trim().is_empty() {
-                expand_use(&p, &pre, at, out);
-            }
-        }
-        return;
-    }
-    // Plain path, possibly aliased.
-    let (path, alias) = match text.split_once(" as ") {
-        Some((p, a)) => (p.trim(), Some(a.trim())),
-        None => (text, None),
-    };
-    let segments: Vec<String> = prefix
-        .iter()
-        .cloned()
-        .chain(path.split("::").map(str::trim).filter(|s| !s.is_empty()).map(String::from))
-        .collect();
-    let Some(last) = segments.last() else { return };
-    if last == "*" {
-        return; // Glob imports carry no binding we can resolve.
-    }
-    let name = alias.unwrap_or(last).to_string();
-    if name == "self" {
-        // `use a::b::{self}` binds `b`.
-        let mut segments = segments;
-        segments.pop();
-        if let Some(last) = segments.last().cloned() {
-            out.push(UseAlias { name: last, segments, at });
-        }
-        return;
-    }
-    out.push(UseAlias { name, segments, at });
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -306,69 +218,49 @@ fn collect_calls(toks: &[(Tok<'_>, usize)], from: usize, to: usize, out: &mut Ve
 
 /// Parses one lexed file into its items. Deterministic in the input text.
 pub fn parse(lexed: &Lexed) -> ParsedFile {
-    let tokens = tokenize(&lexed.mask);
-    let toks = &tokens.toks;
+    let toks = &tokenize(&lexed.mask);
     let mut out = ParsedFile::default();
 
     let mut i = 0;
     while i < toks.len() {
-        let (tok, at) = toks[i];
-        match tok {
-            Tok::Ident("use") => {
-                // Capture to the terminating `;`.
-                let mut j = i + 1;
-                while j < toks.len() && toks[j].0 != Tok::Punct(b';') {
-                    j += 1;
+        // `fn` and a name; a bare `fn(u64) -> u64` is a type.
+        let (Tok::Ident("fn"), Some(&(Tok::Ident(name), _))) = (toks[i].0, toks.get(i + 1)) else {
+            i += 1;
+            continue;
+        };
+        let at = toks[i].1;
+        // `pub` / `pub(crate)` lookback (attributes may intervene but
+        // visibility sits directly in the keyword run before `fn`).
+        let mut is_pub = false;
+        let mut restricted = false;
+        let mut back = i;
+        while back > 0 {
+            back -= 1;
+            match toks[back].0 {
+                Tok::Ident("pub") => {
+                    is_pub = !restricted;
+                    break;
                 }
-                let end_byte = toks.get(j).map_or(lexed.mask.len(), |&(_, b)| b);
-                let text = &tokens.mask[toks[i + 1].1.min(end_byte)..end_byte];
-                expand_use(text, &[], at, &mut out.uses);
-                i = j + 1;
+                Tok::Punct(b')') => restricted = true,
+                Tok::Ident("const" | "unsafe" | "async" | "extern" | "crate")
+                | Tok::Punct(b'(') => {}
+                _ => break,
             }
-            Tok::Ident("fn") => {
-                let Some(&(Tok::Ident(name), _)) = toks.get(i + 1) else {
-                    i += 1; // `fn(u64) -> u64` type position.
-                    continue;
-                };
-                // `pub` / `pub(crate)` lookback (attributes may intervene but
-                // visibility sits directly in the keyword run before `fn`).
-                let mut is_pub = false;
-                let mut restricted = false;
-                let mut back = i;
-                while back > 0 {
-                    back -= 1;
-                    match toks[back].0 {
-                        Tok::Ident("pub") => {
-                            is_pub = !restricted;
-                            break;
-                        }
-                        Tok::Punct(b')') => restricted = true,
-                        Tok::Ident("const" | "unsafe" | "async" | "extern" | "crate")
-                        | Tok::Punct(b'(') => {}
-                        _ => break,
-                    }
-                }
-                // Signature runs to the body `{` or a `;`.
-                let mut j = i + 2;
-                while j < toks.len()
-                    && toks[j].0 != Tok::Punct(b'{')
-                    && toks[j].0 != Tok::Punct(b';')
-                {
-                    j += 1;
-                }
-                let mut calls = Vec::new();
-                let next = if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
-                    let close = match_brace(toks, j);
-                    collect_calls(toks, j + 1, close, &mut calls);
-                    close + 1
-                } else {
-                    j + 1
-                };
-                out.fns.push(FnItem { name: name.to_string(), is_pub, at, calls });
-                i = next;
-            }
-            _ => i += 1,
         }
+        // Signature runs to the body `{` or a `;`.
+        let mut j = i + 2;
+        while j < toks.len() && toks[j].0 != Tok::Punct(b'{') && toks[j].0 != Tok::Punct(b';') {
+            j += 1;
+        }
+        let mut calls = Vec::new();
+        i = if toks.get(j).map(|t| t.0) == Some(Tok::Punct(b'{')) {
+            let close = match_brace(toks, j);
+            collect_calls(toks, j + 1, close, &mut calls);
+            close + 1
+        } else {
+            j + 1
+        };
+        out.fns.push(FnItem { name: name.to_string(), is_pub, at, calls });
     }
     out
 }

@@ -8,8 +8,10 @@
 
 use crate::rules::RuleId;
 
-/// The four crates whose behaviour must be a pure function of the seed.
-const DET_CRATES: &[&str] = &["crates/core/", "crates/ring/", "crates/stats/", "crates/sim/"];
+/// The library src of the four crates whose behaviour must be a pure
+/// function of the seed.
+const DET_SRC: &[&str] =
+    &["crates/core/src/", "crates/ring/src/", "crates/stats/src/", "crates/sim/src/"];
 
 /// Estimator modules whose public API must document a determinism contract
 /// (rule D6). Kept explicit so adding a module is a reviewed decision.
@@ -79,17 +81,8 @@ pub fn linted(path: &str) -> bool {
         && !path.contains("tests/fixtures/")
 }
 
-fn in_det_crate(path: &str) -> bool {
-    DET_CRATES.iter().any(|c| path.starts_with(c))
-}
-
 fn in_det_src(path: &str) -> bool {
-    DET_CRATES.iter().any(|c| {
-        let mut src = String::with_capacity(c.len() + 4);
-        src.push_str(c);
-        src.push_str("src/");
-        path.starts_with(&src)
-    })
+    DET_SRC.iter().any(|src| path.starts_with(src))
 }
 
 /// Whether code in the file at `path` can ship a call (rule D11): library
@@ -108,12 +101,10 @@ pub fn ships(path: &str) -> bool {
 /// region and allow-comment filtering, which are positional, not per-file).
 pub fn applies(rule: RuleId, path: &str) -> bool {
     match rule {
-        // Every linted file, `stats::rng` and the shims included: all
-        // randomness derives from SeedSequence, and wall-clock reads and
+        // Every linted file, the shims included: wall-clock reads and
         // `unsafe` need a site-level allow (the timing paths in sim::exec
         // and crates/cli carry them inline).
-        RuleId::D1 | RuleId::D2 | RuleId::D4 => true,
-        RuleId::D3 => in_det_crate(path) || path.starts_with("tests/"),
+        RuleId::D2 | RuleId::D4 => true,
         // D5 is scoped to library-crate src; `#[cfg(test)]` regions inside
         // those files are excluded positionally in check.rs.
         RuleId::D5 => in_det_src(path),
@@ -128,10 +119,10 @@ pub fn applies(rule: RuleId, path: &str) -> bool {
 
 /// Whether violations of `rule` are exempt inside `#[cfg(test)]` regions.
 ///
-/// D5 (unwrap hygiene), D6 (public-API docs), D10 (tests exercise
+/// D5 (empty-`expect` hygiene), D6 (public-API docs), D10 (tests exercise
 /// mutation deliberately) and D11 (a test helper is no public API) are
-/// test-exempt; ambient entropy, wall-clock, unordered maps, and unsafe
-/// would break deterministic replay of the test suite itself.
+/// test-exempt; wall-clock reads and unsafe would break deterministic
+/// replay of the test suite itself.
 pub fn test_exempt(rule: RuleId) -> bool {
     matches!(rule, RuleId::D5 | RuleId::D6 | RuleId::D10 | RuleId::D11)
 }

@@ -1,29 +1,25 @@
 //! The `ddelint` rule set: ids, names, needles, and messages.
 //!
-//! Most rules are lexical — each one is a set of *needles* searched in the
-//! code mask produced by [`crate::lexer::lex`] (so comments and string
+//! D2, D4 and D5 are lexical — each one is a set of *needles* searched in
+//! the code mask produced by [`crate::lexer::lex`] (so comments and string
 //! literals can never match), plus a path scope decided by
 //! [`crate::policy`]. D6 (doc-determinism) is structural, with its logic in
 //! [`crate::check`]; D10 and D11 read the parsed items of every file
-//! ([`crate::proto`], [`crate::dead`]).
+//! ([`crate::proto`], [`crate::dead`]). The rules clippy can state with
+//! resolved paths are clippy's: ambient entropy and unordered maps in the
+//! root `clippy.toml`, and `.unwrap()` as `clippy::unwrap_used`.
 
 /// Identifier of one lint rule. `A0`/`A1` police the allow grammar itself so
 /// that escapes stay honest (no blanket allows, no stale allows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// No ambient entropy: `thread_rng` / `from_entropy` / `rand::random`,
-    /// anywhere.
-    D1,
     /// No wall-clock reads (`Instant::now` / `SystemTime`) in deterministic
     /// paths without a site-level allow proving the value never feeds results.
     D2,
-    /// No `HashMap`/`HashSet` in deterministic crates: iteration order is
-    /// randomized per process, which breaks byte-identical replay.
-    D3,
     /// No `unsafe` anywhere without an allow carrying a reason.
     D4,
-    /// No bare `unwrap()` / empty `expect("")` in library-crate non-test
-    /// code.
+    /// No empty `expect("")` in library-crate non-test code: a panic must
+    /// say which invariant broke.
     D5,
     /// Every `pub fn` in the core/stats estimator modules documents its
     /// determinism contract.
@@ -46,12 +42,12 @@ pub enum RuleId {
 /// How a needle must sit in the code mask to count as a match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
-    /// Both ends must not touch identifier characters (`unsafe`, `HashMap`,
-    /// and path needles like `Instant::now` — `my_rand::random` cannot match
-    /// because `rand` would sit against the `_`, while a leading `::` as in
+    /// Both ends must not touch identifier characters (`unsafe`, and path
+    /// needles like `Instant::now` — `my_Instant::now` cannot match because
+    /// `Instant` would sit against the `_`, while a leading `::` as in
     /// `std::time::Instant::now` still matches).
     Ident,
-    /// Exact substring (`.unwrap()`, `.expect("")` — already self-delimited).
+    /// Exact substring (`.expect("")` — already self-delimited).
     Exact,
 }
 
@@ -69,26 +65,14 @@ pub struct Needle {
 impl RuleId {
     /// Every rule, in declaration order: the rule table of `ddelint rules`
     /// and of the SARIF log, and the names an allow may use. Retired rule
-    /// numbers (D7, D8, D9) are not reused.
-    pub const ALL: [RuleId; 10] = [
-        Self::D1,
-        Self::D2,
-        Self::D3,
-        Self::D4,
-        Self::D5,
-        Self::D6,
-        Self::D10,
-        Self::D11,
-        Self::A0,
-        Self::A1,
-    ];
+    /// numbers (D1, D3, D7, D8, D9) are not reused.
+    pub const ALL: [RuleId; 8] =
+        [Self::D2, Self::D4, Self::D5, Self::D6, Self::D10, Self::D11, Self::A0, Self::A1];
 
     /// Short mnemonic accepted (alongside the `Dn` form) in allow comments.
     pub fn name(self) -> &'static str {
         match self {
-            Self::D1 => "ambient-rng",
             Self::D2 => "wallclock",
-            Self::D3 => "unordered-map",
             Self::D4 => "unsafe",
             Self::D5 => "unwrap",
             Self::D6 => "doc-determinism",
@@ -102,9 +86,7 @@ impl RuleId {
     /// The `Dn`/`An` code.
     pub fn code(self) -> &'static str {
         match self {
-            Self::D1 => "D1",
             Self::D2 => "D2",
-            Self::D3 => "D3",
             Self::D4 => "D4",
             Self::D5 => "D5",
             Self::D6 => "D6",
@@ -118,11 +100,9 @@ impl RuleId {
     /// One-line human description, shown by `ddelint rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Self::D1 => "ambient entropy (thread_rng/from_entropy/rand::random)",
             Self::D2 => "wall-clock read (Instant::now/SystemTime) in a deterministic path",
-            Self::D3 => "HashMap/HashSet in a deterministic crate (BTree or sorted-vec only)",
             Self::D4 => "unsafe code without an allow carrying a reason",
-            Self::D5 => "bare unwrap()/expect(\"\") in library-crate non-test code",
+            Self::D5 => "empty expect(\"\") in library-crate non-test code",
             Self::D6 => "pub fn in an estimator module lacking a determinism-contract doc comment",
             Self::D10 => "Network call outside the probe/read/billing whitelist (mutation or ground-truth read) in a sans-IO module",
             Self::D11 => "pub fn in library src that no other file names (delete it or drop the pub)",
@@ -143,17 +123,11 @@ impl RuleId {
     }
 }
 
-/// The needle table for the textual rules D1–D5. D6 has no needles;
-/// it is driven by doc-comment structure in [`crate::check`].
+/// The needle table for the textual rules D2, D4 and D5. D6 has no
+/// needles; it is driven by doc-comment structure in [`crate::check`].
 pub const NEEDLES: &[Needle] = &[
-    Needle { rule: RuleId::D1, text: "thread_rng", boundary: Boundary::Ident },
-    Needle { rule: RuleId::D1, text: "from_entropy", boundary: Boundary::Ident },
-    Needle { rule: RuleId::D1, text: "rand::random", boundary: Boundary::Ident },
     Needle { rule: RuleId::D2, text: "Instant::now", boundary: Boundary::Ident },
     Needle { rule: RuleId::D2, text: "SystemTime", boundary: Boundary::Ident },
-    Needle { rule: RuleId::D3, text: "HashMap", boundary: Boundary::Ident },
-    Needle { rule: RuleId::D3, text: "HashSet", boundary: Boundary::Ident },
     Needle { rule: RuleId::D4, text: "unsafe", boundary: Boundary::Ident },
-    Needle { rule: RuleId::D5, text: ".unwrap()", boundary: Boundary::Exact },
     Needle { rule: RuleId::D5, text: ".expect(\"\")", boundary: Boundary::Exact },
 ];

@@ -17,12 +17,12 @@ fn golden_path(file: &str) -> String {
     format!("{}{file}", concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/"))
 }
 
-/// One violation per rule family: D3 (alias), D10 (boundary). Paths are
+/// One violation per rule family: D2 (needle), D10 (boundary). Paths are
 /// synthetic but realistic, so the golden files double as format
 /// documentation.
 fn corpus() -> Vec<(String, String)> {
     [
-        ("crates/ring/src/fixture.rs", "d3_alias_violation.rs"),
+        ("crates/ring/src/fixture.rs", "d2_violation.rs"),
         ("crates/core/src/fixture.rs", "d10_violation.rs"),
     ]
     .into_iter()

@@ -1,5 +1,5 @@
 // Fixture: a stale allow that suppresses nothing.
 fn f() -> u64 {
-    // ddelint::allow(ambient-rng, "nothing on the next line draws entropy")
+    // ddelint::allow(wallclock, "nothing on the next line reads the clock")
     7
 }

@@ -1,4 +1,5 @@
-// Fixture: D5 true positives — bare unwrap and empty expect outside tests.
+// Fixture: D5 true positive — an empty expect outside tests. The bare
+// unwrap is clippy's `unwrap_used`, so ddelint reports nothing for it.
 fn head(v: &[u64]) -> u64 {
     *v.first().unwrap()
 }
@@ -10,8 +11,8 @@ fn parse(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_fine_in_tests() {
+    fn empty_expect_is_fine_in_tests() {
         let v = vec![1u64];
-        assert_eq!(*v.first().unwrap(), 1);
+        assert_eq!(*v.first().expect(""), 1);
     }
 }

@@ -1,32 +1,10 @@
-//! Unit coverage for the item parser underneath the cross-file rules:
-//! use-alias expansion, fns inside `impl` and `mod` blocks, and call-site
-//! extraction.
+//! Unit coverage for the item parser underneath the cross-file rules: fns
+//! inside `impl` and `mod` blocks, and call-site extraction.
 
 use lint::parse::{parse, ParsedFile};
 
 fn parsed(src: &str) -> ParsedFile {
     parse(&lint::lexer::lex(src))
-}
-
-#[test]
-fn use_groups_and_aliases_expand() {
-    let p = parsed(
-        "use std::collections::{BTreeMap, HashMap as Map};\n\
-         use crate::estimator::{self, DfDde};\n\
-         use super::*;\n",
-    );
-    let names: Vec<(&str, String)> =
-        p.uses.iter().map(|u| (u.name.as_str(), u.segments.join("::"))).collect();
-    assert_eq!(
-        names,
-        vec![
-            ("BTreeMap", "std::collections::BTreeMap".to_string()),
-            ("Map", "std::collections::HashMap".to_string()),
-            ("estimator", "crate::estimator".to_string()),
-            ("DfDde", "crate::estimator::DfDde".to_string()),
-        ],
-        "glob imports are skipped; `self` binds the module"
-    );
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! The red/green demo from the acceptance criteria: the real
 //! `crates/stats/src/ecdf.rs` lints clean today (green); the same file with a
-//! deliberately planted `thread_rng()` is caught by D1 at the planted line
+//! deliberately planted `Instant::now()` is caught by D2 at the planted line
 //! (red). This pins the linter to the actual tree, not just to fixtures.
 //!
 //! The whole workspace gets the same treatment (`read_tree` + one in-memory
-//! plant): D1 catches ambient entropy planted in `stats::rng` and D2 a clock
-//! read planted in the rand shim, since neither place is exempt; D10 catches
-//! a direct `Network` mutation inside an estimator module, and D11 catches a
-//! `pub fn` that nothing calls, re-exported or not.
+//! plant): D2 catches a clock read planted in the rand shim, which is not
+//! exempt; D10 catches a direct `Network` mutation inside an estimator
+//! module, and D11 catches a `pub fn` that nothing calls, re-exported or
+//! not. Ambient entropy and unordered maps are clippy's; CI's clippy plants
+//! prove those red and green.
 
 use std::path::Path;
 
@@ -28,25 +29,25 @@ fn green_the_real_ecdf_lints_clean() {
 }
 
 #[test]
-fn red_a_planted_thread_rng_is_caught_by_d1() {
+fn red_a_planted_clock_read_is_caught_by_d2() {
     let mut src = real_ecdf();
-    let planted = "\nfn sneak_entropy() -> f64 {\n    let mut rng = rand::thread_rng();\n    rng.gen::<f64>()\n}\n";
+    let planted = "\nfn sneak_clock() -> f64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_secs_f64()\n}\n";
     src.push_str(planted);
     let v = check_source(ECDF_PATH, &src);
     assert_eq!(v.len(), 1, "exactly the planted site must fire: {v:?}");
-    assert_eq!(v[0].rule, RuleId::D1);
+    assert_eq!(v[0].rule, RuleId::D2);
     // The planted call sits 3 lines from the end of the appended block; check
     // the reported line matches the actual text at that position.
     let line_text = src.lines().nth(v[0].line - 1).expect("reported line exists");
-    assert!(line_text.contains("rand::thread_rng()"), "line {}: {line_text}", v[0].line);
-    assert_eq!(v[0].col, line_text.find("thread_rng").expect("needle on line") + 1);
+    assert!(line_text.contains("Instant::now()"), "line {}: {line_text}", v[0].line);
+    assert_eq!(v[0].col, line_text.find("Instant::now").expect("needle on line") + 1);
 }
 
 #[test]
 fn red_goes_green_again_with_a_site_allow() {
     let mut src = real_ecdf();
     src.push_str(
-        "\nfn sneak_entropy() -> f64 {\n    // ddelint::allow(ambient-rng, \"demo: red/green test round-trip\")\n    let mut rng = rand::thread_rng();\n    rng.gen::<f64>()\n}\n",
+        "\nfn sneak_clock() -> f64 {\n    // ddelint::allow(wallclock, \"demo: red/green test round-trip\")\n    let t = std::time::Instant::now();\n    t.elapsed().as_secs_f64()\n}\n",
     );
     let v = check_source(ECDF_PATH, &src);
     assert!(v.is_empty(), "allow must restore green: {v:?}");
@@ -93,16 +94,6 @@ fn assert_plant_fails(path: &str, code: &str, rule: RuleId, needle: &str) {
     let planted = lines.iter().rposition(|l| l.contains(needle)).expect("plant in file");
     assert_eq!(v[0].line, planted + 1, "{v:?}");
     assert_eq!(v[0].col, lines[planted].find(needle).expect("needle on line") + 1);
-}
-
-#[test]
-fn red_d1_catches_entropy_planted_in_the_rng_module() {
-    assert_plant_fails(
-        "crates/stats/src/rng.rs",
-        "\npub(crate) fn drill_jitter() -> u64 {\n    rand::thread_rng().next_u64()\n}\n",
-        RuleId::D1,
-        "thread_rng",
-    );
 }
 
 #[test]

@@ -115,5 +115,4 @@ fn positions_are_one_based_line_and_column() {
     let lexed = lex(src);
     let at = src.find("thread_rng").unwrap();
     assert_eq!(lexed.pos(at), (2, 11));
-    assert_eq!(lexed.line_of(at), 2);
 }

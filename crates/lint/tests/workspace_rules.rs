@@ -1,10 +1,10 @@
-//! Cross-file rule behaviour (D10 sans-IO, D11 dead public API) plus the D3
-//! alias-resolution fix, driven through
-//! `check_workspace` over fixture corpora with synthetic workspace paths
-//! (rule scoping is path-driven, so the paths choose which rules are live).
+//! Cross-file rule behaviour (D10 sans-IO, D11 dead public API), driven
+//! through `check_workspace` over fixture corpora with synthetic workspace
+//! paths (rule scoping is path-driven, so the paths choose which rules are
+//! live).
 
 use lint::rules::RuleId;
-use lint::{check_source, check_workspace, Violation};
+use lint::{check_workspace, Violation};
 
 fn fixture(file: &str) -> String {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/");
@@ -20,24 +20,6 @@ fn check_corpus(pairs: &[(&str, &str)]) -> Vec<Violation> {
 
 fn rules_of(violations: &[Violation]) -> Vec<RuleId> {
     violations.iter().map(|v| v.rule).collect()
-}
-
-#[test]
-fn d3_alias_flags_every_usage_not_just_the_declaration() {
-    let v = check_source("crates/ring/src/fixture.rs", &fixture("d3_alias_violation.rs"));
-    assert!(v.iter().all(|x| x.rule == RuleId::D3), "{v:?}");
-    // The `use` line fires via the needle; the return type and the
-    // constructor fire via alias resolution.
-    assert_eq!(v.len(), 3, "decl + 2 alias usages: {v:?}");
-    assert!(v[1].message.contains("std::collections::HashMap"), "{}", v[1].message);
-    assert!(v[1].snippet.contains("Map<u64, u64>"));
-    assert!(v[2].snippet.contains("Map::new()"));
-}
-
-#[test]
-fn d3_alias_to_an_ordered_map_is_clean() {
-    let v = check_source("crates/ring/src/fixture.rs", &fixture("d3_alias_allowed.rs"));
-    assert!(v.is_empty(), "BTreeMap alias must be clean: {v:?}");
 }
 
 #[test]

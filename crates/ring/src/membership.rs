@@ -1062,7 +1062,7 @@ mod tests {
     /// (the fallback branch) and, with `isolate`, its fingers and
     /// predecessor too; `joins` peers join without stabilization and
     /// `misplaced` items land on random peers.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per axis of the stale ring")]
     fn stale_ring(
         rng: &mut rand::rngs::StdRng,
         peers: usize,

@@ -48,8 +48,7 @@ pub type ReplicaEntry = (LocalStore, u32);
 /// Reads go through [`std::ops::Deref`] to the map (an absent map reads
 /// as an empty one); writes go through the methods below.
 #[derive(Clone, Default)]
-// The box is the point: it shrinks every arena record by 16 bytes.
-#[allow(clippy::box_collection)]
+#[allow(clippy::box_collection, reason = "the box shrinks every arena record by 16 bytes")]
 pub struct Replicas(Option<Box<BTreeMap<RingId, ReplicaEntry>>>);
 
 impl std::ops::Deref for Replicas {

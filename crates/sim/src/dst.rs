@@ -36,7 +36,7 @@
 
 use crate::build::build;
 use crate::exec::ExecPlan;
-use crate::scenario::{check_size, Scenario};
+use crate::scenario::{check_replication, check_size, Scenario};
 use dde_core::{ContinuousConfig, ContinuousEstimator, DfDde, DfDdeConfig, ProbePlan};
 use dde_ring::{BatchRouter, ChurnBatch, FaultPlan, Network, ProbeReply, RingId};
 use dde_stats::rng::{splitmix64, Component, SeedSequence};
@@ -968,7 +968,8 @@ pub fn to_repro(schedule: &Schedule) -> String {
 }
 
 /// Parses a repro file produced by [`to_repro`] (whitespace-tolerant),
-/// refusing a size [`check_size`] refuses.
+/// refusing a size [`check_size`] refuses and a replication factor
+/// [`check_replication`] refuses.
 pub fn parse_repro(text: &str) -> Result<Schedule, String> {
     let mut header = BTreeMap::new();
     let mut bug = None;
@@ -1012,11 +1013,13 @@ pub fn parse_repro(text: &str) -> Result<Schedule, String> {
     let peers = take_field(&mut header, "DstRepro", "peers")?;
     let items = take_field(&mut header, "DstRepro", "items")?;
     check_size(peers, items)?;
+    let replication = take_field(&mut header, "DstRepro", "replication")?;
+    check_replication(replication)?;
     Ok(Schedule {
         seed: take_field(&mut header, "DstRepro", "seed")?,
         peers,
         items,
-        replication: take_field(&mut header, "DstRepro", "replication")?,
+        replication,
         bug,
         events,
     })
@@ -1151,6 +1154,24 @@ mod tests {
             .replace("peers: 8", &format!("peers: {MAX_PEERS}"))
             .replace("items: 100", &format!("items: {MAX_ITEMS}"));
         assert!(parse_repro(&largest).is_ok(), "F12's largest point must stay replayable");
+    }
+
+    /// A replication factor past the successor list is refused by name: the
+    /// replay's seeding would place `min(r, P − 1)` copies on every peer.
+    #[test]
+    fn parse_refuses_replication_past_the_successor_list() {
+        let base = Schedule {
+            seed: 1,
+            peers: 8,
+            items: 100,
+            replication: 8,
+            bug: None,
+            events: vec![DstEvent::Heal],
+        };
+        let text = to_repro(&base);
+        assert_eq!(parse_repro(&text), Ok(base));
+        let err = parse_repro(&text.replace("replication: 8", "replication: 9")).unwrap_err();
+        assert!(err.contains("replication: 9 is outside 0..=8"), "{err}");
     }
 
     /// Seeded mutations of a generated repro file — byte replacements,

@@ -1,5 +1,6 @@
 //! Declarative scenario configuration.
 
+use dde_ring::node::SUCCESSOR_LIST_LEN;
 use dde_stats::dist::DistributionKind;
 
 /// The most initial peers a scenario may ask for: F12's largest point.
@@ -20,6 +21,20 @@ pub fn check_size(peers: usize, items: usize) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Refuses a replication factor above [`SUCCESSOR_LIST_LEN`]. A peer
+/// refreshes replicas only on its successor list, so a larger factor keeps
+/// no more copies once the seeded leases expire, while the seeding itself
+/// would place `min(r, P − 1)` copies per peer: O(P²) memory. Every entry
+/// point that takes a factor from outside the program — a DST repro file
+/// or a `ring-dde` command line — checks it here first.
+pub fn check_replication(replication: usize) -> Result<(), String> {
+    if replication <= SUCCESSOR_LIST_LEN {
+        Ok(())
+    } else {
+        Err(format!("replication: {replication} is outside 0..={SUCCESSOR_LIST_LEN}"))
+    }
 }
 
 /// The most events one run may schedule: churn's joins, departures and

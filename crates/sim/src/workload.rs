@@ -233,7 +233,10 @@ pub struct WorkloadReport {
 /// Completes the current probe plan into a fresh skeleton and starts the
 /// next plan; the flag says whether a fresh estimate replaced the old one.
 /// On failure the previous estimate stays in service (stale beats absent).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the serving loop lends each piece of its state separately"
+)]
 fn refresh_estimate(
     estimator: &DfDde,
     net: &mut Network,

@@ -6,8 +6,7 @@
 //! `{id}_{i}.csv` per rendered table, plus `dst_schedules.ron`. Setting
 //! `GOLDEN_UPDATE=1` rewrites them instead of comparing.
 
-// Each test binary uses a subset of these helpers.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a subset of these helpers")]
 
 use dde_sim::report::Table;
 use std::path::PathBuf;

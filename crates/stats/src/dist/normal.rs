@@ -71,7 +71,10 @@ pub fn std_norm_cdf(z: f64) -> f64 {
 /// The error function, accurate to ~1e-15 (Cody-style rational minimax
 /// approximations in three ranges, as in W. J. Cody, *Rational Chebyshev
 /// approximation for the error function*, Math. Comp. 1969).
-#[allow(clippy::excessive_precision)]
+#[allow(
+    clippy::excessive_precision,
+    reason = "Cody's published coefficients, kept digit for digit"
+)]
 fn erf(x: f64) -> f64 {
     let ax = x.abs();
     if ax < 0.46875 {
@@ -174,7 +177,10 @@ fn erf(x: f64) -> f64 {
 /// Acklam's rational approximation (relative error < 1.15e-9) followed by one
 /// Halley refinement step against the high-accuracy [`std_norm_cdf`], giving
 /// near machine precision over `(0, 1)`.
-#[allow(clippy::excessive_precision)]
+#[allow(
+    clippy::excessive_precision,
+    reason = "Acklam's published coefficients, kept digit for digit"
+)]
 pub fn inv_norm_cdf(u: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969683028665376e+01,

@@ -38,7 +38,7 @@ impl SeedSequence {
 /// Well-known simulation components, used as RNG stream labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant's name is its documentation")]
 pub enum Component {
     Dataset = 1,
     NodeIds = 2,
