@@ -282,7 +282,7 @@ fn estimate(args: &Args) -> Result<Run, String> {
         let report =
             estimator.estimate(&mut built.net, initiator, &mut rng).map_err(|e| e.to_string())?;
         let ks_gen = report.estimate.ks_to(built.truth.as_ref());
-        let ks_data = report.estimate.ks_to(&built.data_truth);
+        let ks_data = report.estimate.ks_to(&built.net.live_values());
 
         if json {
             let quantiles: Vec<Json> = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]

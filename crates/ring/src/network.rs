@@ -324,34 +324,21 @@ impl Network {
     }
 
     /// Distributes `items` to their owners per the placement map
-    /// (construction-time; free of message charges): an owned input (a
-    /// `Vec`) becomes the load buffer, a borrowed one is copied into it once.
-    /// [`Network::bulk_load_shared`] says the rest.
-    ///
-    /// # Panics
-    /// As [`Network::bulk_load_shared`].
-    pub fn bulk_load<'a>(&mut self, items: impl Into<Cow<'a, [f64]>>) {
-        self.bulk_load_shared(Arc::new(items.into().into_owned()));
-    }
-
-    /// Distributes the items of a shared buffer to their owners per the
-    /// placement map (construction-time; free of message charges).
+    /// (construction-time; free of message charges).
     ///
     /// Any input order is accepted. The items are put in ring order —
     /// ascending by `total_cmp` under range placement (the map preserves
-    /// order), by placed id under hashed — in one shared load buffer.
-    /// Under range placement, items already in that order *are* the
-    /// buffer: the load keeps `items` and copies nothing, so a caller that
-    /// holds the same `Arc` (the build's empirical truth) shares it with
-    /// the stores. Hashed placement and input not yet in ring order reorder
-    /// a private copy (none when `items` is the only holder of its `Arc`).
-    /// One linear sweep against the id column then gives each empty store
-    /// a *view* of its run in the buffer ([`LocalStore`] says when a view
-    /// detaches), without a copy or an allocation of its own; under hashed
-    /// placement each run is first sorted by value in place. Ring
-    /// positions past the last id wrap to position 0, which views its items
-    /// too when they are one sorted run of the buffer (its head or its wrap
-    /// tail is empty, or under range placement no other position got an
+    /// order), by placed id under hashed — in one load buffer: an owned
+    /// input (a `Vec`) becomes the buffer and is reordered in place, and a
+    /// borrowed one is copied into it once. Under range placement, input
+    /// already in that order is not moved. One linear sweep against the id
+    /// column then gives each
+    /// empty store a *view* of its run in the buffer ([`LocalStore`] says
+    /// when a view detaches), without a copy or an allocation of its own;
+    /// under hashed placement each run is first sorted by value in place.
+    /// Ring positions past the last id wrap to position 0, which views its
+    /// items too when they are one sorted run of the buffer (its head or its
+    /// wrap tail is empty, or under range placement no other position got an
     /// item), and otherwise merges its head run and that tail through
     /// [`LocalStore::extend_values`], as does any store that already holds
     /// items.
@@ -359,37 +346,33 @@ impl Network {
     /// # Panics
     /// Panics if the network is empty, an item is NaN (a NaN has no place
     /// in a sorted store), or there are more than `u32::MAX` items.
-    pub fn bulk_load_shared(&mut self, items: Arc<Vec<f64>>) {
+    pub fn bulk_load<'a>(&mut self, items: impl Into<Cow<'a, [f64]>>) {
+        let mut items = items.into().into_owned();
         assert!(!self.nodes.is_empty(), "bulk_load on empty network");
         assert!(items.iter().all(|x| !x.is_nan()), "bulk_load items contain NaN");
         assert!(u32::try_from(items.len()).is_ok(), "bulk_load takes at most u32::MAX items");
         let placement = self.placement;
         let hashed = matches!(placement, Placement::Hashed { .. });
         let (keys, order, arena) = self.nodes.split_view();
-        let buf = if !hashed && items.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()) {
-            items
-        } else {
-            let mut items = Arc::try_unwrap(items).unwrap_or_else(|shared| (*shared).clone());
-            if hashed {
-                let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
-                if !items.windows(2).all(|w| by_id(&w[0], &w[1]).is_le()) {
-                    items.sort_unstable_by(by_id);
-                }
-                // Runs hold contiguous arcs, so sorting inside each run by
-                // value (the wrap tail past the last id included) keeps
-                // every run's bounds.
-                let mut at = 0;
-                for &id in keys.iter() {
-                    let end = run_end(&items, at, id, placement);
-                    items[at..end].sort_unstable_by(f64::total_cmp);
-                    at = end;
-                }
-                items[at..].sort_unstable_by(f64::total_cmp);
-            } else {
-                items = dde_stats::sort_total(items);
+        if hashed {
+            let by_id = |a: &f64, b: &f64| placement.place(*a).cmp(&placement.place(*b));
+            if !items.windows(2).all(|w| by_id(&w[0], &w[1]).is_le()) {
+                items.sort_unstable_by(by_id);
             }
-            Arc::new(items)
-        };
+            // Runs hold contiguous arcs, so sorting inside each run by
+            // value (the wrap tail past the last id included) keeps every
+            // run's bounds.
+            let mut at = 0;
+            for &id in keys.iter() {
+                let end = run_end(&items, at, id, placement);
+                items[at..end].sort_unstable_by(f64::total_cmp);
+                at = end;
+            }
+            items[at..].sort_unstable_by(f64::total_cmp);
+        } else if !items.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()) {
+            items = dde_stats::sort_total(items);
+        }
+        let buf = Arc::new(items);
         let head = run_end(&buf, 0, keys[0], placement);
         let mut at = head;
         for (&id, &slot) in keys.iter().zip(order).skip(1) {

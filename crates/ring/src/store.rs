@@ -45,14 +45,10 @@ fn fit(n: usize) -> u32 {
 /// the same call; `remove` and `drain_by` only shrink the vector, so they
 /// detach with an exact-length copy first.
 ///
-/// Memory rule: a load buffer lives as long as any store views it or any
-/// [`dde_stats::Ecdf`] shares it (`Network::bulk_load_shared` lets the
-/// build's empirical truth and the stores hold one `Arc`). It is freed
-/// only once every view has detached or been dropped and every sharing
-/// `Ecdf` has been dropped, as a forked store's shared vector is. A store
-/// whose range covers its whole buffer (a one-peer ring's) therefore does
-/// not own it while an `Ecdf` shares it: its first write detaches with one
-/// copy, and the `Ecdf` keeps reading the old values.
+/// Memory rule: a load buffer lives as long as any store views it, and is
+/// freed once every view has detached or been dropped, as a forked store's
+/// shared vector is. A store whose range covers its whole buffer (a
+/// one-peer ring's, until it is forked) owns it and writes in place.
 #[derive(Clone)]
 pub struct LocalStore {
     buf: Arc<Vec<f64>>,

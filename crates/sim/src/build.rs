@@ -1,112 +1,36 @@
 //! Turning a [`Scenario`] into a live network with data and ground truth.
+//!
+//! The realized dataset lives only in the ring: the bulk load takes it
+//! over as its load buffer, and live-data scoring reads the stores in place
+//! through [`Network::live_values`].
 
 use crate::adversary;
 use crate::scenario::{NodeLayout, PlacementMode, Scenario};
 use dde_ring::{FaultPlan, Network, Placement, RingId};
 use dde_stats::dist::Distribution;
 use dde_stats::rng::{splitmix64, Component, SeedSequence};
-use dde_stats::streaming::StreamingTruth;
-use dde_stats::{CdfFn, Ecdf};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
 
-/// Item count at or above which the realized-data ground truth switches
-/// from a materialized [`Ecdf`] to the analytic [`StreamingTruth`]. The
-/// build sorts its dataset at every size (the bulk load sweeps it in ring
-/// order). Below this size the empirical truth shares that sorted vector
-/// with the ring's load buffer, so under range placement the dataset is
-/// held once; above it the analytic truth holds no samples, so the buffer
-/// goes as the stores detach from it and a hashed build keeps no second
-/// copy. The empirical CDF is within DKW noise (`ε(10⁶, 10⁻³) ≈ 0.002`) of
-/// the generator there anyway.
-pub const STREAMING_TRUTH_ITEMS: usize = 1_000_000;
-
-/// The realized dataset's ground truth — what a perfect estimator would
-/// recover. Materialized at quick-suite scales, analytic (the generating
-/// distribution standing in, exact to DKW noise) in the mega-scale regime.
-#[derive(Debug)]
-pub enum DataTruth {
-    /// The dataset's empirical CDF, materialized (differs from the
-    /// generator by the dataset's own sampling noise).
-    Empirical(Ecdf),
-    /// Analytic stand-in above [`STREAMING_TRUTH_ITEMS`]: the generator's
-    /// exact CDF plus the realized item count (see
-    /// [`dde_stats::streaming`]).
-    Analytic(StreamingTruth),
-}
-
-impl DataTruth {
-    /// The materialized samples, when this truth is empirical.
-    pub fn samples(&self) -> Option<&[f64]> {
-        match self {
-            DataTruth::Empirical(e) => Some(e.samples()),
-            DataTruth::Analytic(_) => None,
-        }
-    }
-
-    /// The empirical CDF, when materialized.
-    pub fn ecdf(&self) -> Option<&Ecdf> {
-        match self {
-            DataTruth::Empirical(e) => Some(e),
-            DataTruth::Analytic(_) => None,
-        }
-    }
-}
-
-impl CdfFn for DataTruth {
-    fn cdf(&self, x: f64) -> f64 {
-        match self {
-            DataTruth::Empirical(e) => e.cdf(x),
-            DataTruth::Analytic(t) => t.cdf(x),
-        }
-    }
-
-    fn domain(&self) -> (f64, f64) {
-        match self {
-            DataTruth::Empirical(e) => e.domain(),
-            DataTruth::Analytic(t) => t.domain(),
-        }
-    }
-
-    fn inv_cdf(&self, u: f64) -> f64 {
-        match self {
-            DataTruth::Empirical(e) => e.inv_cdf(u),
-            DataTruth::Analytic(t) => t.inv_cdf(u),
-        }
-    }
-
-    fn cdf_ascending(&self, xs: &[f64], out: &mut [f64]) {
-        match self {
-            DataTruth::Empirical(e) => e.cdf_ascending(xs, out),
-            DataTruth::Analytic(t) => t.cdf_ascending(xs, out),
-        }
-    }
-}
-
-/// A built scenario: the network plus both flavours of ground truth.
+/// A built scenario: the network, whose stores hold the realized dataset,
+/// and the distribution it was drawn from.
 pub struct BuiltScenario {
-    /// The live overlay with data loaded.
+    /// The live overlay with data loaded; its stores are the realized
+    /// dataset's ground truth ([`Network::live_values`]).
     pub net: Network,
     /// The generating distribution (analytic ground truth).
     pub truth: Box<dyn Distribution>,
-    /// The realized dataset's ground truth (empirical at quick-suite
-    /// scales, analytic in the mega-scale regime).
-    pub data_truth: DataTruth,
     /// The scenario this was built from.
     pub scenario: Scenario,
 }
 
-/// One cached build: everything in a [`BuiltScenario`] that is immutable
-/// and cheap to hand out again (a fork of the network and a clone of the
-/// empirical truth, which shares the network's load buffer, copy no
-/// dataset). The analytic `truth` is *not* stored — a
-/// `Box<dyn Distribution>` is rebuilt per caller from the scenario (pure
-/// parameters, no sampling), which keeps the snapshot `Send + Sync`.
+/// One cached build: a fork of the network, whose stores view the build's
+/// load buffer, so handing it out again copies no dataset. The analytic
+/// `truth` is *not* stored — a `Box<dyn Distribution>` is rebuilt per
+/// caller from the scenario (pure parameters, no sampling), which keeps the
+/// snapshot `Send + Sync`.
 struct Snapshot {
     net: Network,
-    /// `None` in the mega-scale regime — the analytic truth is rebuilt per
-    /// caller from the scenario (pure parameters, no sampling).
-    data_ecdf: Option<Ecdf>,
     /// The scenario the build actually used (the load-balanced + hashed
     /// combination falls back to uniform ids, so this can differ from the
     /// requested one).
@@ -162,28 +86,16 @@ pub fn build(scenario: &Scenario) -> BuiltScenario {
 fn build_cached(scenario: &Scenario) -> BuiltScenario {
     if let Some(snap) = snapshot_lookup(scenario) {
         let (lo, hi) = snap.scenario.domain;
-        let data_truth = match &snap.data_ecdf {
-            Some(e) => DataTruth::Empirical(e.clone()),
-            None => DataTruth::Analytic(StreamingTruth::new(
-                snap.scenario.distribution.build(lo, hi),
-                snap.net.total_items(),
-            )),
-        };
         return BuiltScenario {
             net: snap.net.fork(),
             truth: snap.scenario.distribution.build(lo, hi),
-            data_truth,
             scenario: snap.scenario.clone(),
         };
     }
     let built = build_fresh(scenario);
     snapshot_store(
         scenario.clone(),
-        Snapshot {
-            net: built.net.fork(),
-            data_ecdf: built.data_truth.ecdf().cloned(),
-            scenario: built.scenario.clone(),
-        },
+        Snapshot { net: built.net.fork(), scenario: built.scenario.clone() },
     );
     built
 }
@@ -202,8 +114,7 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     let truth = scenario.distribution.build(lo, hi);
 
     // Dataset first, sorted once: the layouts read its quantiles, and the
-    // flash crowd, the bulk load and the empirical truth read the same
-    // ascending vector.
+    // flash crowd and the bulk load read the same ascending vector.
     let mut data_rng = seq.stream(Component::Dataset, 0);
     let data: Vec<f64> = (0..scenario.items).map(|_| truth.sample(&mut data_rng)).collect();
     let data = dde_stats::sort_total(data);
@@ -261,18 +172,14 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     ids.dedup();
 
     // The flash crowd's landing window is read before the load, which
-    // takes the dataset over as its buffer instead of copying it. Below
-    // [`STREAMING_TRUTH_ITEMS`] the empirical truth shares that buffer.
+    // takes the dataset over as its buffer instead of copying it.
     let densest = placement
         .domain_map()
         .filter(|_| scenario.flash_crowd > 0)
         .map(|map| adversary::window_arc(adversary::densest_window(&data, lo, hi), lo, hi, map));
     let mut net = Network::build_bulk(ids, placement);
     net.set_summary_buckets(scenario.summary_buckets);
-    let data = Arc::new(data);
-    let data_ecdf =
-        (scenario.items < STREAMING_TRUTH_ITEMS).then(|| Ecdf::from_shared(Arc::clone(&data)));
-    net.bulk_load_shared(data);
+    net.bulk_load(data);
 
     if scenario.flash_crowd > 0 {
         // A crowd of peers joins back-to-back through the overlay — no
@@ -318,16 +225,7 @@ pub fn build_fresh(scenario: &Scenario) -> BuiltScenario {
     // measure the estimators, not the builder.
     net.stats_mut().reset();
 
-    let data_truth = match data_ecdf {
-        Some(ecdf) => DataTruth::Empirical(ecdf),
-        // Mega-scale regime: keep the generator's analytic CDF instead of
-        // retaining the realized dataset (see [`STREAMING_TRUTH_ITEMS`]).
-        None => DataTruth::Analytic(StreamingTruth::new(
-            scenario.distribution.build(lo, hi),
-            net.total_items(),
-        )),
-    };
-    BuiltScenario { net, truth, data_truth, scenario: scenario.clone() }
+    BuiltScenario { net, truth, scenario: scenario.clone() }
 }
 
 /// Converts a per-mille ring position/span to id space (1000 = full ring).
@@ -339,6 +237,7 @@ pub(crate) fn pm_to_ring(pm: u32) -> u64 {
 mod tests {
     use super::*;
     use dde_stats::dist::DistributionKind;
+    use dde_stats::Ecdf;
 
     /// The ring's values, ascending.
     fn values(net: &Network) -> Vec<f64> {
@@ -352,7 +251,6 @@ mod tests {
         let b = build(&s);
         assert_eq!(a.net.len(), b.net.len());
         assert_eq!(values(&a.net), values(&b.net));
-        assert_eq!(a.data_truth.samples(), b.data_truth.samples());
     }
 
     #[test]
@@ -364,7 +262,6 @@ mod tests {
         for b in [&first, &forked] {
             assert_eq!(b.net.len(), fresh.net.len());
             assert_eq!(values(&b.net), values(&fresh.net));
-            assert_eq!(b.data_truth.samples(), fresh.data_truth.samples());
             assert_eq!(b.scenario, fresh.scenario);
             assert!(b.net.check_invariants().is_empty());
         }
@@ -399,7 +296,7 @@ mod tests {
         let s = Scenario::default().with_peers(16).with_items(20_000);
         let built = build(&s);
         assert_eq!(built.net.total_items(), 20_000);
-        let ks = built.data_truth.ecdf().expect("quick scale").ks_distance_to(built.truth.as_ref());
+        let ks = Ecdf::from_sorted(values(&built.net)).ks_distance_to(built.truth.as_ref());
         // Dataset noise only: KS ~ 1/√N.
         assert!(ks < 0.02, "dataset diverges from generator: {ks}");
         assert!(built.net.check_invariants().is_empty());
@@ -543,7 +440,6 @@ mod tests {
             let forked = build(s); // guaranteed hit → Network::fork path
             assert_eq!(forked.net.len(), fresh.net.len(), "{s:?}");
             assert_eq!(values(&forked.net), values(&fresh.net), "{s:?}");
-            assert_eq!(forked.data_truth.samples(), fresh.data_truth.samples(), "{s:?}");
             assert_eq!(forked.scenario, fresh.scenario, "{s:?}");
             assert_eq!(
                 format!("{:?}", forked.net.fault_plan()),
@@ -594,68 +490,70 @@ mod tests {
         }
     }
 
-    /// Whether `values` lie inside the empirical truth's sample buffer.
-    fn in_truth(built: &BuiltScenario, values: &[f64]) -> bool {
-        let truth = built.data_truth.samples().expect("empirical truth").as_ptr_range();
-        let values = values.as_ptr_range();
-        truth.start <= values.start && values.end <= truth.end
+    /// How many values `built`'s stores hold, when the non-empty ones view
+    /// one block of a load buffer: ordered by address, they must tile it,
+    /// each beginning where the one before ended. Position 0 is left out of
+    /// the block when it merges a head run and a wrap tail into a copy of
+    /// its own, and its values are added to the count.
+    fn held_in_one_block(built: &BuiltScenario) -> usize {
+        let placement = built.net.placement();
+        let mut views = Vec::new();
+        let mut merged = 0;
+        for (pos, id) in built.net.ids().enumerate() {
+            let values = built.net.node(id).unwrap().store.values();
+            let head = values.iter().filter(|&&x| placement.place(x) <= id).count();
+            if pos == 0 && head > 0 && head < values.len() {
+                merged = values.len();
+            } else if !values.is_empty() {
+                views.push(values.as_ptr_range());
+            }
+        }
+        views.sort_by_key(|r| r.start);
+        for pair in views.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "two stores do not tile one block");
+        }
+        let (start, end) = (views[0].start as usize, views[views.len() - 1].end as usize);
+        (end - start) / std::mem::size_of::<f64>() + merged
     }
 
-    /// The single copy: below [`STREAMING_TRUTH_ITEMS`] the stores of a
-    /// range-placed build view the empirical truth's own samples, whether
-    /// the build is fresh or a snapshot-cache hit, so neither copies the
-    /// dataset. The one store that may hold a copy is position 0 when it
-    /// merges a head and a wrap tail. A hashed build reorders a separate
-    /// copy, so none of its stores does. A one-peer ring's store views the
-    /// whole buffer that the truth shares, so its first write detaches it
-    /// and leaves the truth as it was.
+    /// The single copy: the stores of a build view one load buffer, under
+    /// both placements and whether the build is fresh or a snapshot-cache
+    /// hit, so neither copies the dataset. Together with position 0's
+    /// values when it merges a head and a wrap tail into a copy of its own,
+    /// that block holds exactly the scenario's items. A one-peer ring's
+    /// store views its whole buffer, which a fork shares, and its first
+    /// write then detaches it and leaves the fork as it was.
     #[test]
     fn a_range_build_holds_its_dataset_once() {
-        let s = Scenario::default().with_peers(64).with_items(20_000).with_seed(7720);
-        let fresh = build_fresh(&s);
-        let _miss = build(&s);
-        let hit = build(&s);
-        for (built, case) in [(&fresh, "fresh"), (&hit, "cache hit")] {
-            let placement = built.net.placement();
-            let mut shared = 0;
-            for (pos, id) in built.net.ids().enumerate() {
-                let values = built.net.node(id).unwrap().store.values();
-                let head = values.partition_point(|&x| placement.place(x) <= id);
-                let merged = pos == 0 && head > 0 && head < values.len();
-                if !values.is_empty() && !merged {
-                    assert!(in_truth(built, values), "{case}: position {pos} holds a copy");
-                    shared += 1;
-                }
+        let range = Scenario::default().with_peers(64).with_items(20_000).with_seed(7720);
+        for s in [range.clone(), range.with_placement(PlacementMode::Hashed)] {
+            let fresh = build_fresh(&s);
+            let _miss = build(&s);
+            let hit = build(&s);
+            for (built, case) in [(&fresh, "fresh"), (&hit, "cache hit")] {
+                let held = held_in_one_block(built);
+                assert_eq!(held, s.items, "{case}, {:?}: the stores hold a copy", s.placement);
             }
-            assert!(shared > 32, "{case}: only {shared} stores checked");
-        }
-
-        let hashed = build_fresh(&s.clone().with_placement(PlacementMode::Hashed));
-        for id in hashed.net.ids() {
-            let values = hashed.net.node(id).unwrap().store.values();
-            assert!(
-                values.is_empty() || !in_truth(&hashed, values),
-                "a hashed store views the truth"
-            );
         }
 
         let mut one =
             build_fresh(&Scenario::default().with_peers(1).with_items(500).with_seed(7721));
         let id = one.net.ids().next().unwrap();
-        let truth = one.data_truth.samples().unwrap().to_vec();
-        assert!(
-            in_truth(&one, one.net.node(id).unwrap().store.values()),
-            "one peer views its buffer"
-        );
-        one.net.node_mut(id).unwrap().store.insert(50.0);
-        let store = &one.net.node(id).unwrap().store;
-        assert_eq!(store.len(), 501);
-        assert!(!in_truth(&one, store.values()), "a write to a shared buffer must detach");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let before = bits(one.net.node(id).unwrap().store.values());
+        let fork = one.net.fork();
+        let shared = |a: &Network, b: &Network| {
+            a.node(id).unwrap().store.values().as_ptr()
+                == b.node(id).unwrap().store.values().as_ptr()
+        };
+        assert!(shared(&one.net, &fork), "a fork copies the store");
+        one.net.node_mut(id).unwrap().store.insert(50.0);
+        assert_eq!(one.net.node(id).unwrap().store.len(), 501);
+        assert!(!shared(&one.net, &fork), "a write to a shared buffer must detach");
         assert_eq!(
-            bits(one.data_truth.samples().unwrap()),
-            bits(&truth),
-            "the write reached the truth"
+            bits(fork.node(id).unwrap().store.values()),
+            before,
+            "a write to a shared buffer reached the fork"
         );
     }
 
@@ -666,7 +564,7 @@ mod tests {
         let built = build(&s);
         let (lo, hi) = built.truth.domain();
         assert_eq!((lo, hi), (-50.0, 75.0));
-        for &v in built.data_truth.samples().expect("quick scale") {
+        for &v in built.net.live_values().iter() {
             assert!((lo..=hi).contains(&v));
         }
     }

@@ -16,7 +16,7 @@ use super::t1_defaults::{default_probes, default_scenario};
 use super::Scale;
 use crate::exec::ExecPlan;
 use crate::report::{f, Table};
-use crate::runner::aggregate_cell;
+use crate::runner::aggregate;
 use crate::scenario::Scenario;
 use dde_core::{
     DensityEstimator, DfDde, DfDdeConfig, GossipAggregation, GossipConfig, RandomWalkConfig,
@@ -47,12 +47,9 @@ fn faulted_aggregate(
     estimator: &dyn DensityEstimator,
     repeats: usize,
 ) -> crate::runner::AggregatedResult {
-    aggregate_cell(
-        scenario,
-        |built| built.net.set_fault_plan(sweep_plan(scenario, loss)),
-        estimator,
-        repeats,
-    )
+    let mut built = crate::build::build(scenario);
+    built.net.set_fault_plan(sweep_plan(scenario, loss));
+    aggregate(&mut built, estimator, repeats)
 }
 
 /// Builds figure F11's series.

@@ -8,12 +8,12 @@
 //! becomes infeasible long before 10⁶), the Metropolis–Hastings walk pays
 //! `O(burn_in + k·gap)` steps for equal-weight-biased samples.
 //!
-//! Mega-scale cells lean on the three scale paths this crate provides:
+//! Mega-scale cells lean on the scale paths this crate provides:
 //! `Network::build_bulk` wires the ring in `O(P·log P)` without per-join
 //! stabilization, the arena keeps per-peer routing state allocation-free,
-//! and above [`crate::build::STREAMING_TRUTH_ITEMS`] items the ground truth
-//! is the generator's analytic CDF ([`crate::build::DataTruth::Analytic`])
-//! instead of a materialized 10⁷-value sort.
+//! and the realized-data score reads the stores in place
+//! ([`dde_ring::Network::live_values`]), so even the 2·10⁷-item cell holds
+//! its dataset once, in the ring's load buffer.
 
 use super::Scale;
 use crate::exec::ExecPlan;
@@ -97,7 +97,7 @@ pub fn f12_scale(scale: Scale) -> Vec<Table> {
         let mut plan = ExecPlan::new();
         for est in estimators {
             let s = &scenario;
-            plan.push(move || aggregate_cell(s, |_| (), est.as_ref(), REPEATS));
+            plan.push(move || aggregate_cell(s, est.as_ref(), REPEATS));
         }
         let results = plan.run();
         let cell_time: f64 = results.iter().map(|r| r.elapsed.as_secs_f64()).sum();

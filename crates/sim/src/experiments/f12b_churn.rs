@@ -20,14 +20,12 @@
 //!   pins the counters at 10³ and 10⁴ peers, and the full one at 10⁴ to
 //!   10⁶; wall-clock is ringbench `churn`'s to time, never asserted here.
 //!
-//! Ground truth stays cheap under mutation: analytic cells journal churn
-//! deltas into [`dde_stats::streaming::StreamingTruth`] (`O(M log M)` per
-//! round), empirical cells re-collect the realized ECDF once after the last
-//! round.
+//! Ground truth needs no upkeep under mutation: the realized-data score
+//! reads the churned stores in place ([`dde_ring::Network::live_values`]).
 
 use super::f12_scale::{scale_scenario, ITEMS_PER_PEER, PROBES};
 use super::Scale;
-use crate::build::{BuiltScenario, DataTruth};
+use crate::build::BuiltScenario;
 use crate::exec::ExecPlan;
 use crate::report::{f, Table};
 use crate::runner::aggregate;
@@ -35,7 +33,6 @@ use crate::scenario::Scenario;
 use dde_core::{DfDde, DfDdeConfig};
 use dde_ring::{ChurnBatch, Network, RepairStats, RingId};
 use dde_stats::rng::{Component, SeedSequence};
-use dde_stats::Ecdf;
 use rand::Rng;
 
 /// The sweep's seed: distinct from F12 so the two columns never share a
@@ -104,7 +101,7 @@ impl ChurnPhaseStats {
 /// fresh uniform ids, `p/200` leaves and `p/200` crashes at uniform victims
 /// — as a single [`ChurnBatch`]. Victim collisions are resolved by the
 /// batch's one-event-per-id policy (skipped, counted).
-// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own membership windows through it to hold the journaled truth to a materialized one")
+// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own membership windows through it to hold the journaled truth to the live stores")
 pub fn membership_batch(
     net: &mut Network,
     batch: &mut ChurnBatch,
@@ -134,8 +131,8 @@ pub fn membership_batch(
 /// One round of item turnover: deletes `TURNOVER_FRAC` of the live items
 /// (uniform over stores) and inserts the same number of fresh draws from
 /// the generating distribution, both through the direct-placement path.
-/// Returns `(inserted, removed)` for the caller's truth journal.
-// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own turnover through it to hold the journaled truth to a materialized one")
+/// Returns `(inserted, removed)`, the values a truth journal would take.
+// ddelint::allow(dead-pub, "streaming_agreement.rs replays F12b's own turnover through it to hold the journaled truth to the live stores")
 pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f64>) {
     let seq = SeedSequence::new(built.scenario.seed);
     let mut rng = seq.stream(Component::Churn, 2 * round + 1);
@@ -156,9 +153,7 @@ pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f6
 }
 
 /// Runs the full churn phase on a built scenario: `ROUNDS` alternations of
-/// membership batch + item turnover, with the ground truth kept in sync
-/// (delta journals for analytic cells, one ECDF re-collection at the end
-/// for empirical cells).
+/// membership batch + item turnover.
 // ddelint::allow(dead-pub, "determinism.rs churns a cached fork with it to check that churn never leaks back into the snapshot cache")
 pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
     let mut phase = ChurnPhaseStats::default();
@@ -170,17 +165,8 @@ pub fn churn_phase(built: &mut BuiltScenario) -> ChurnPhaseStats {
         phase.skipped += applied.skipped;
         phase.items_moved += applied.items_moved;
         phase.repair.absorb(applied.repair);
-        let lost = applied.lost;
         let (inserted, removed) = item_turnover(built, round);
         phase.items_turned += (inserted.len() + removed.len()) as u64;
-        if let DataTruth::Analytic(truth) = &mut built.data_truth {
-            truth.journal_adds(inserted);
-            truth.journal_removes(removed.into_iter().chain(lost));
-        }
-    }
-    if matches!(built.data_truth, DataTruth::Empirical(_)) {
-        let values = built.net.live_values().iter().copied().collect();
-        built.data_truth = DataTruth::Empirical(Ecdf::from_sorted(values));
     }
     phase
 }
@@ -272,10 +258,7 @@ mod tests {
         assert!(phase.events > 0);
         assert!(phase.items_turned > 0);
         assert!(built.net.check_invariants().is_empty(), "{:?}", built.net.check_invariants());
-        // Empirical truth was re-collected: its sample count equals the live
-        // item count (crashes lost some, turnover is net-zero).
-        let ecdf = built.data_truth.ecdf().expect("quick scale is empirical");
-        assert_eq!(ecdf.samples().len() as u64, built.net.total_items());
+        // Crashes lose items; turnover is net-zero.
         assert!(built.net.total_items() < items_before, "crashes must lose some items");
     }
 

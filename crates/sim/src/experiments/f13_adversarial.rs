@@ -68,7 +68,7 @@ pub fn f13_adversarial(scale: Scale) -> Vec<Table> {
     for (_, scenario) in &axes {
         let methods: [&dyn DensityEstimator; 3] = [&dfdde, &gossip, &walk];
         for est in methods {
-            plan.push(move || aggregate_cell(scenario, |_| (), est, scale.repeats()));
+            plan.push(move || aggregate_cell(scenario, est, scale.repeats()));
         }
     }
     let results = plan.run();

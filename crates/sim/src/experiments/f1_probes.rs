@@ -35,7 +35,7 @@ pub fn f1_accuracy_vs_probes(scale: Scale) -> Vec<Table> {
         // other cell, so the grid parallelizes without ordering effects.
         for estimator in sampling_estimators(k) {
             let scenario = &scenario;
-            plan.push(move || aggregate_cell(scenario, |_| (), estimator.as_ref(), repeats));
+            plan.push(move || aggregate_cell(scenario, estimator.as_ref(), repeats));
         }
     }
     let results = plan.run();

@@ -27,12 +27,7 @@ pub fn f2_accuracy_vs_network_size(scale: Scale) -> Vec<Table> {
     for &p in &sizes {
         plan.push(move || {
             let scenario = default_scenario(scale).with_peers(p);
-            aggregate_cell(
-                &scenario,
-                |_| (),
-                &DfDde::new(DfDdeConfig::with_probes(k)),
-                scale.repeats(),
-            )
+            aggregate_cell(&scenario, &DfDde::new(DfDdeConfig::with_probes(k)), scale.repeats())
         });
     }
     let results = plan.run();

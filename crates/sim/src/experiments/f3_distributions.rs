@@ -35,7 +35,7 @@ pub fn f3_distribution_free(scale: Scale) -> Vec<Table> {
         ];
         for (estimator, repeats) in cells {
             let scenario = scenario.clone();
-            plan.push(move || aggregate_cell(&scenario, |_| (), estimator.as_ref(), repeats));
+            plan.push(move || aggregate_cell(&scenario, estimator.as_ref(), repeats));
         }
     }
     let results = plan.run();

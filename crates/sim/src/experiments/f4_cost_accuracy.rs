@@ -60,7 +60,7 @@ pub fn f4_cost_accuracy_frontier(scale: Scale) -> Vec<Table> {
     for (method, budget, estimator, repeats) in points {
         labels.push((method, budget));
         let scenario = &scenario;
-        plan.push(move || aggregate_cell(scenario, |_| (), estimator.as_ref(), repeats));
+        plan.push(move || aggregate_cell(scenario, estimator.as_ref(), repeats));
     }
     let results = plan.run();
 

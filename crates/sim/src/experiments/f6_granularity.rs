@@ -48,12 +48,7 @@ pub fn f6_summary_granularity(scale: Scale) -> Vec<Table> {
                 .with_peers(peers)
                 .with_distribution(spike)
                 .with_summary_buckets(b);
-            aggregate_cell(
-                &scenario,
-                |_| (),
-                &DfDde::new(DfDdeConfig::with_probes(k)),
-                scale.repeats(),
-            )
+            aggregate_cell(&scenario, &DfDde::new(DfDdeConfig::with_probes(k)), scale.repeats())
         });
     }
     let results = plan.run();

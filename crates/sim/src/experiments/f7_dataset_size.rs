@@ -32,12 +32,7 @@ pub fn f7_dataset_size(scale: Scale) -> Vec<Table> {
     for &n in &sizes {
         plan.push(move || {
             let scenario = default_scenario(scale).with_items(n);
-            aggregate_cell(
-                &scenario,
-                |_| (),
-                &DfDde::new(DfDdeConfig::with_probes(k)),
-                scale.repeats(),
-            )
+            aggregate_cell(&scenario, &DfDde::new(DfDdeConfig::with_probes(k)), scale.repeats())
         });
     }
     let results = plan.run();

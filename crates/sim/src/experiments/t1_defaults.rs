@@ -52,7 +52,7 @@ pub fn t1_default_parameters(scale: Scale) -> Vec<Table> {
         Box::new(ExactAggregation::new()),
     ] {
         let s = &s;
-        plan.push(move || aggregate_cell(s, |_| (), est.as_ref(), scale.repeats()));
+        plan.push(move || aggregate_cell(s, est.as_ref(), scale.repeats()));
     }
     for r in plan.run() {
         let a = r.value;

@@ -38,9 +38,7 @@ pub fn t3_bias_ablation(scale: Scale) -> Vec<Table> {
         ];
         for estimator in estimators {
             let scenario = scenario.clone();
-            plan.push(move || {
-                aggregate_cell(&scenario, |_| (), estimator.as_ref(), scale.repeats())
-            });
+            plan.push(move || aggregate_cell(&scenario, estimator.as_ref(), scale.repeats()));
         }
     }
     let results = plan.run();

@@ -31,7 +31,6 @@ pub fn t4_probe_strategy(scale: Scale) -> Vec<Table> {
             plan.push(move || {
                 aggregate_cell(
                     scenario,
-                    |_| (),
                     &DfDde::new(DfDdeConfig { strategy, ..DfDdeConfig::with_probes(k) }),
                     scale.repeats(),
                 )

@@ -12,7 +12,8 @@ pub struct RunResult {
     pub method: &'static str,
     /// KS distance to the generating distribution.
     pub ks_vs_generator: f64,
-    /// KS distance to the realized dataset's ECDF (excludes dataset noise).
+    /// KS distance to the data the ring holds when the run is scored
+    /// ([`dde_ring::Network::live_values`]; excludes dataset noise).
     pub ks_vs_data: f64,
     /// Messages sent by this run.
     pub messages: u64,
@@ -57,7 +58,7 @@ pub fn run_estimator(
     Ok(RunResult {
         method: estimator.name(),
         ks_vs_generator: report.estimate.ks_to(built.truth.as_ref()),
-        ks_vs_data: report.estimate.ks_to(&built.data_truth),
+        ks_vs_data: report.estimate.ks_to(&built.net.live_values()),
         messages: report.messages(),
         bytes: report.bytes(),
         mean_hops: report.cost.mean_hops(),
@@ -96,8 +97,8 @@ pub struct AggregatedResult {
     pub failures: usize,
 }
 
-/// One experiment cell: a **fresh** scenario build, an optional setup pass
-/// (install a fault plan, run churn, …), then `repeats` estimation runs.
+/// One experiment cell: a **fresh** scenario build, then `repeats`
+/// estimation runs.
 ///
 /// This is the unit the parallel runner ([`crate::exec::ExecPlan`])
 /// schedules. Everything inside derives from `(scenario.seed, Component,
@@ -106,13 +107,10 @@ pub struct AggregatedResult {
 /// suite's `jobs = N` ≡ `jobs = 1` byte-identity guarantee.
 pub fn aggregate_cell(
     scenario: &crate::scenario::Scenario,
-    setup: impl FnOnce(&mut BuiltScenario),
     estimator: &dyn DensityEstimator,
     repeats: usize,
 ) -> AggregatedResult {
-    let mut built = crate::build::build(scenario);
-    setup(&mut built);
-    aggregate(&mut built, estimator, repeats)
+    aggregate(&mut crate::build::build(scenario), estimator, repeats)
 }
 
 /// Runs the estimator `repeats` times (fresh RNG stream per run, same
@@ -176,9 +174,10 @@ pub fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build;
+    use crate::build::{build, build_fresh};
     use crate::scenario::Scenario;
     use dde_core::{DfDde, DfDdeConfig, ExactAggregation};
+    use dde_stats::Ecdf;
 
     fn small() -> Scenario {
         Scenario::default().with_peers(64).with_items(5_000).with_seed(11)
@@ -217,6 +216,26 @@ mod tests {
         assert!(agg.ks_mean > 0.0);
         assert!(agg.ks_std > 0.0); // runs differ
         assert!(agg.messages_mean > 32.0);
+    }
+
+    /// The realized-data score reads the stores as they are when the run
+    /// is scored, not the data the build loaded.
+    #[test]
+    fn ks_vs_data_scores_the_data_the_ring_holds() {
+        let mut built = build_fresh(&small());
+        let mut rng = SeedSequence::new(11).stream(Component::Churn, 0);
+        for _ in 0..2_000 {
+            built.net.churn_remove_item(&mut rng).expect("items left");
+        }
+        let mut fork = built.net.fork();
+        let est = DfDde::new(DfDdeConfig::with_probes(32));
+        let got = run_estimator(&mut built, &est, 0).unwrap().ks_vs_data;
+
+        let mut rng = SeedSequence::new(11).stream(Component::Estimator, 0);
+        let initiator = fork.random_peer(&mut rng).unwrap();
+        let report = est.estimate(&mut fork, initiator, &mut rng).unwrap();
+        let live = Ecdf::new(fork.live_values().iter().copied().collect());
+        assert_eq!(got.to_bits(), report.estimate.ks_to(&live).to_bits());
     }
 
     #[test]

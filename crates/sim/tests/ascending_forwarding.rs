@@ -1,16 +1,15 @@
 //! The wrappers forward `CdfFn::cdf_ascending` faithfully.
 //!
-//! `DensityEstimate` forwards to its skeleton's segment cursor and
-//! `DataTruth` to its ECDF's galloping cursor or to the streamed truth's
-//! generator. On real DF-DDE estimates over built scenarios, the ascending
-//! evaluation of each must equal `cdf` per point bit for bit, and the
-//! headline score, `DensityEstimate::ks_to`, must equal its per-point form
-//! against both truth arms. `crates/stats/tests/ascending_eval.rs` holds
+//! `DensityEstimate` forwards to its skeleton's segment cursor, the live
+//! view (`Network::live_values`) to its stores' galloping cursor, and
+//! `StreamingTruth` to its generator. On real DF-DDE estimates over built
+//! scenarios, the ascending evaluation of each must equal `cdf` per point
+//! bit for bit, and the headline score, `DensityEstimate::ks_to`, must
+//! equal its per-point form against both truths. `crates/stats/tests/ascending_eval.rs` holds
 //! the cursors themselves to the same contract on synthetic inputs.
 
 use dde_core::dfdde::{DfDde, DfDdeConfig};
 use dde_core::estimator::DensityEstimator;
-use dde_sim::build::DataTruth;
 use dde_sim::{build_fresh, Scenario};
 use dde_stats::dist::DistributionKind;
 use dde_stats::metrics::DEFAULT_GRID;
@@ -67,14 +66,12 @@ proptest! {
                 .expect("healthy ring")
                 .estimate;
             let (lo, hi) = s.domain;
-            let empirical = built.data_truth;
-            let analytic =
-                DataTruth::Analytic(StreamingTruth::new(kind.build(lo, hi), s.items as u64));
-            assert!(matches!(empirical, DataTruth::Empirical(_)), "a small build is empirical");
+            let live = built.net.live_values();
+            let streamed = StreamingTruth::new(kind.build(lo, hi), s.items as u64);
 
             // Samples and control points hit exactly, both zeros, points
             // past both ends, and runs of equal points.
-            let mut xs: Vec<f64> = empirical.samples().expect("empirical").to_vec();
+            let mut xs: Vec<f64> = live.iter().copied().collect();
             xs.extend(est.skeleton().points().iter().map(|&(x, _)| x));
             xs.extend([-0.0, 0.0, lo - 1.0, hi + 1.0, -1e12, 1e12]);
             xs.extend((0..64).map(|_| lo + (hi - lo) * rng.gen::<f64>()));
@@ -84,9 +81,10 @@ proptest! {
 
             let what = format!("{kind:?} seed {seed}");
             assert_ascending_matches_cdf(&est, &xs, &format!("DensityEstimate, {what}"));
-            assert_ascending_matches_cdf(&empirical, &xs, &format!("DataTruth::Empirical, {what}"));
-            assert_ascending_matches_cdf(&analytic, &xs, &format!("DataTruth::Analytic, {what}"));
-            for (truth, arm) in [(&empirical, "Empirical"), (&analytic, "Analytic")] {
+            let truths: [(&dyn CdfFn, &str); 2] =
+                [(&live, "live view"), (&streamed, "StreamingTruth")];
+            for (truth, arm) in truths {
+                assert_ascending_matches_cdf(truth, &xs, &format!("{arm}, {what}"));
                 let want = sup_diff_per_point(est.skeleton(), truth, DEFAULT_GRID);
                 prop_assert_eq!(est.ks_to(truth).to_bits(), want.to_bits(), "{} {}", arm, what);
             }

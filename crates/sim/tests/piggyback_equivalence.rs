@@ -80,7 +80,8 @@ fn piggybacked_estimate_matches_dedicated_on_identical_snapshots() {
         // dataset (k-probe sampling noise at α = 1e-3, plus the systematic
         // budget of 8-bucket summaries over the skewed default workload).
         for (label, sk) in [("dedicated", sk_d), ("piggybacked", sk_p)] {
-            let ks = DensityEstimate::with_samples(sk.cdf, Vec::new()).ks_to(&built.data_truth);
+            let ks =
+                DensityEstimate::with_samples(sk.cdf, Vec::new()).ks_to(&built.net.live_values());
             KsBand::new(PROBES, 1e-3)
                 .with_systematic(0.08)
                 .assert(&format!("{label} estimate, seed {seed}"), ks);

@@ -1,14 +1,12 @@
-//! The analytic (streamed) truth path agrees with the materialized one on
-//! real builds.
+//! The analytic (streamed) truth path agrees with the live stores on real
+//! builds.
 //!
 //! `crates/stats/tests/streaming_truth.rs` proves the merge arithmetic on
 //! synthetic partitions; this suite closes the loop at the scenario level:
 //! for every generator kind the builders emit, a small built network's
 //! per-peer stores streamed through [`StreamingTruth::ks_of_parts`] must
-//! reproduce the materialized `Ecdf` KS distance to < 1e-9 — so flipping a
-//! cell above [`dde_sim::build::STREAMING_TRUTH_ITEMS`] changes memory
-//! behaviour, not measured statistics (beyond the documented DKW-noise
-//! substitution of generator for realized data).
+//! reproduce the KS distance of an `Ecdf` of the ring's live values to
+//! < 1e-9, before and after F12b's churn.
 
 use dde_ring::ChurnBatch;
 use dde_sim::experiments::f12b_churn::{item_turnover, membership_batch};
@@ -18,6 +16,11 @@ use dde_stats::streaming::StreamingTruth;
 use dde_stats::Ecdf;
 use proptest::prelude::*;
 
+/// The ECDF of every value the ring holds.
+fn live_ecdf(net: &dde_ring::Network) -> Ecdf {
+    Ecdf::from_sorted(net.live_values().iter().copied().collect())
+}
+
 fn agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
     let s = Scenario::default()
         .with_peers(48)
@@ -25,8 +28,7 @@ fn agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
         .with_seed(seed)
         .with_distribution(kind);
     let built = build_fresh(&s);
-    let materialized =
-        built.data_truth.ecdf().expect("small scenario").ks_distance_to(built.truth.as_ref());
+    let materialized = live_ecdf(&built.net).ks_distance_to(built.truth.as_ref());
     let truth = StreamingTruth::new(built.truth, built.net.total_items());
     let parts: Vec<&[f64]> =
         built.net.ids().map(|id| built.net.node(id).expect("alive").store.values()).collect();
@@ -37,10 +39,10 @@ fn agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
 /// The churn-delta path: per-peer parts are frozen *before* the network
 /// churns, and every later data delta — turnover inserts/deletes and crash
 /// losses — is journaled into the streamed truth instead of re-streaming
-/// the stores. The stale parts plus journals must still agree with a
-/// from-scratch materialized ECDF of the post-churn network: that is
-/// exactly how an analytic cell keeps its ground truth current in
-/// `O(deltas)` instead of `O(items)` per round.
+/// the stores. The stale parts plus journals must still agree with an ECDF
+/// of the post-churn network's live values: that is how a journaled truth
+/// (ringbench `churn`'s) stays current in `O(deltas)` instead of
+/// `O(items)` per round.
 fn churned_agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
     let s = Scenario::default()
         .with_peers(64)
@@ -66,8 +68,7 @@ fn churned_agreement_gap(kind: DistributionKind, seed: u64) -> f64 {
         removes.extend(removed);
     }
 
-    let values = built.net.live_values().iter().copied().collect();
-    let materialized = Ecdf::from_sorted(values).ks_distance_to(built.truth.as_ref());
+    let materialized = live_ecdf(&built.net).ks_distance_to(built.truth.as_ref());
     let mut truth = StreamingTruth::new(built.truth, initial);
     truth.journal_adds(adds);
     truth.journal_removes(removes);
@@ -96,9 +97,7 @@ proptest! {
 
     /// Same closure for the churn column: batched membership windows plus
     /// item turnover, with crash losses and turnover deltas journaled into
-    /// the streamed truth, agree with the materialized post-churn ECDF —
-    /// so F12b's analytic cells measure the same statistic its empirical
-    /// cells do.
+    /// the streamed truth, agree with the ECDF of the post-churn stores.
     #[test]
     fn streamed_truth_matches_materialized_truth_after_churn(seed in 0u64..(1u64 << 32)) {
         for kind in [

@@ -1,19 +1,15 @@
 //! Empirical cumulative distribution functions.
 
 use crate::{gallop, scan, sort_total, CdfFn};
-use std::sync::Arc;
 
 /// The empirical CDF of a sample: `F̂(x) = #{xᵢ ≤ x} / n`.
 ///
-/// Backed by a sorted copy of the sample behind an [`Arc`], so a clone
-/// bumps a reference count instead of copying the sample, and a caller that
-/// already holds the sorted sample in a shared buffer (a ring's load
-/// buffer) hands it over with [`Ecdf::from_shared`]. `cdf` and rank queries
-/// are `O(log n)`, and [`CdfFn::cdf_ascending`] gallops forward over the
+/// Backed by a sorted copy of the sample; `cdf` and rank queries are
+/// `O(log n)`, and [`CdfFn::cdf_ascending`] gallops forward over the
 /// samples, `O(log d)` for a step of `d` ranks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
-    sorted: Arc<Vec<f64>>,
+    sorted: Vec<f64>,
 }
 
 impl Ecdf {
@@ -26,22 +22,13 @@ impl Ecdf {
     pub fn new(samples: Vec<f64>) -> Self {
         assert!(!samples.is_empty(), "ECDF of an empty sample");
         assert!(samples.iter().all(|x| !x.is_nan()), "ECDF sample contains NaN");
-        Self { sorted: Arc::new(sort_total(samples)) }
+        Self { sorted: sort_total(samples) }
     }
 
     /// Builds from data already sorted ascending (checked in debug builds).
     ///
     /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
     pub fn from_sorted(sorted: Vec<f64>) -> Self {
-        Self::from_shared(Arc::new(sorted))
-    }
-
-    /// Builds from a shared buffer already sorted ascending (checked in
-    /// debug builds), without a copy: the buffer lives as long as this ECDF
-    /// or any other holder does.
-    ///
-    /// Determinism: pure function of its inputs — no RNG, clock, or ambient state.
-    pub fn from_shared(sorted: Arc<Vec<f64>>) -> Self {
         assert!(!sorted.is_empty(), "ECDF of an empty sample");
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
         Self { sorted }
