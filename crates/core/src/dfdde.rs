@@ -111,6 +111,15 @@ impl DfDde {
     /// Phase 1 alone: run the probes and return the raw replies (exposed for
     /// the continuous estimator, which manages its own probe window).
     ///
+    /// The k attempt-0 points go to [`Network::probe_wave`] first, drawn
+    /// from a clone of `rng`, so the k routes overlap their record misses;
+    /// the clone replaces `rng` only when the wave answers, and then the
+    /// replies, billing and next draw are what the per-stratum loop would
+    /// have given. When the wave declines (a fault plan, a dead initiator,
+    /// a route that meets a dead peer), the loop runs from the untouched
+    /// `rng`. A clone, not a [`crate::ProbePlan`]: a plan draws every point
+    /// before any retry, and under faults the loop interleaves them.
+    ///
     /// Determinism: draws randomness only from the caller-supplied RNG stream; identical inputs and RNG state produce identical output.
     pub fn run_probes(
         &self,
@@ -119,6 +128,12 @@ impl DfDde {
         rng: &mut StdRng,
     ) -> Result<Vec<ProbeReply>, EstimateError> {
         let k = self.config.probes;
+        let mut wave_rng = rng.clone();
+        let points: Vec<RingId> = (0..k).map(|j| self.stratum_point(j, k, &mut wave_rng)).collect();
+        if let Some(replies) = net.probe_wave(initiator, &points) {
+            *rng = wave_rng;
+            return Ok(replies);
+        }
         let mut replies = Vec::with_capacity(k);
         for j in 0..k {
             replies.extend(self.probe_stratum(net, initiator, j, k, None, rng)?);

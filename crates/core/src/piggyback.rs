@@ -116,16 +116,19 @@ impl ProbePlan {
         self.points.is_empty()
     }
 
-    /// Issues dedicated probes for every still-uncovered point through the
+    /// Issues dedicated probes for every still-uncovered point and returns
+    /// all replies in stratum order. The uncovered points go to
+    /// [`Network::probe_wave`] first; if it declines, they go through the
     /// same per-stratum loop as [`DfDde::run_probes`] (first attempt at the
     /// planned point, retries redrawn within the stratum, waiting time
-    /// charged through the retry policy) and returns all replies in stratum
-    /// order. A probe whose attempts run out is skipped; the skeleton
-    /// degrades gracefully.
+    /// charged through the retry policy). A probe whose attempts run out is
+    /// skipped; the skeleton degrades gracefully.
     ///
     /// Determinism: randomness comes only from the caller-supplied RNG
     /// stream (retry redraws), in fixed stratum order — identical inputs,
     /// network state, and RNG state produce identical replies and billing.
+    /// An answered wave draws nothing, as a loop whose attempts all
+    /// succeed first time draws nothing.
     pub fn complete(
         mut self,
         estimator: &DfDde,
@@ -133,6 +136,15 @@ impl ProbePlan {
         initiator: RingId,
         rng: &mut StdRng,
     ) -> Result<Vec<ProbeReply>, EstimateError> {
+        let open: Vec<usize> =
+            (0..self.points.len()).filter(|&j| self.replies[j].is_none()).collect();
+        let points: Vec<RingId> = open.iter().map(|&j| self.points[j]).collect();
+        if let Some(replies) = net.probe_wave(initiator, &points) {
+            for (j, reply) in open.into_iter().zip(replies) {
+                self.replies[j] = Some(reply);
+            }
+            return Ok(self.replies.into_iter().flatten().collect());
+        }
         let k = self.points.len();
         for (j, (slot, &point)) in self.replies.iter_mut().zip(&self.points).enumerate() {
             if slot.is_none() {

@@ -46,13 +46,15 @@ pub fn d10_file(path: &str) -> bool {
 }
 
 /// `Network` methods the sans-IO layer may call (rule D10): probe message
-/// exchanges (the simulated transport), the reads a peer could make of its
-/// own view, and stats billing. Everything else — membership, builds,
+/// exchanges (the simulated transport: one probe, or a whole Phase-1 round
+/// as one `probe_wave`), the reads a peer could make of its own view, and
+/// stats billing. Everything else — membership, builds,
 /// rewiring, data mutation, fault-plan edits, and ground-truth reads such as
 /// `total_items`, `true_owner` or `live_values` — is driver territory.
 pub const NETWORK_READ_WHITELIST: &[&str] = &[
     // Message exchanges: the simulated transport surface.
     "probe",
+    "probe_wave",
     "piggyback_probe",
     "sample_tuple",
     "message_lost",

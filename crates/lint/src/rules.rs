@@ -25,9 +25,11 @@ pub enum RuleId {
     /// determinism contract.
     D6,
     /// Sans-IO boundary: estimator/probe/routing-policy modules may call
-    /// the `Network` only through the probe/read/billing whitelist — drivers
-    /// own mutation, and the ground truth estimates are scored against stays
-    /// out of the estimator's reach.
+    /// the `Network` only through the probe/read/billing whitelist
+    /// (`policy::NETWORK_READ_WHITELIST`; its probe exchanges include a
+    /// whole round as one `probe_wave`) — drivers own mutation, and the
+    /// ground truth estimates are scored against stays out of the
+    /// estimator's reach.
     D10,
     /// Dead public API: a bare-`pub` fn in library src that no other file
     /// names — delete it, or drop the `pub` and let rustc's `dead_code`

@@ -5,6 +5,9 @@ pub(crate) fn survey(net: &mut Network, origin: RingId) -> usize {
     if net.is_alive(origin) {
         seen += 1;
     }
+    if let Some(replies) = net.probe_wave(origin, &[origin]) {
+        seen += replies.len();
+    }
     // ddelint::allow(sans-io, "fixture: reviewed repair path — the driver contract is documented at the call site")
     net.rewire_perfectly();
     seen

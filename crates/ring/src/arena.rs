@@ -356,7 +356,7 @@ impl FingerTable {
 
     /// Each run's target, in level order.
     #[inline]
-    fn targets(&self) -> &[RingId] {
+    pub(crate) fn targets(&self) -> &[RingId] {
         &self.slots()[..self.runs()]
     }
 

@@ -121,10 +121,10 @@ impl Network {
     pub fn leave(&mut self, id: RingId) -> Result<(), MembershipError> {
         let node = self.nodes.get(&id).ok_or(MembershipError::UnknownPeer)?;
         let pred = node.predecessor;
-        let (succs, succ_len) = node.successors_snapshot();
+        let succs = node.successors;
         // First alive successor (the leaving node pings down its list).
         let mut heir = None;
-        for &s in &succs[..succ_len] {
+        for s in succs {
             if s != id && self.is_alive(s) {
                 heir = Some(s);
                 break;
@@ -209,14 +209,14 @@ impl Network {
     /// made.
     fn stabilize_node(&mut self, id: RingId, mut pos: usize) -> usize {
         let mut corrections = 0;
-        let (snap, snap_len) = self.nodes.node_at(pos).successors_snapshot();
+        let snap = self.nodes.node_at(pos).successors;
 
         // 1. One liveness pass: keep the alive successors, and charge a
         // timeout for each dead one ahead of the first alive. A converged
         // ring holds entry k at position pos + 1 + k.
         let mut succs = SuccessorList::new();
         let mut first_alive = None;
-        for (k, &s) in snap[..snap_len].iter().enumerate() {
+        for (k, s) in snap.into_iter().enumerate() {
             match self.nodes.position_ahead(s, pos, 1 + k) {
                 Some(p) => {
                     first_alive.get_or_insert((s, p));
@@ -280,13 +280,10 @@ impl Network {
 
         // 3. Refresh the successor list from the (possibly new) successor:
         // the alive entries, the successor and its list, merged once.
-        let (succ_list, succ_list_len) = self.nodes.node_at(succ_pos).successors_snapshot();
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + succ_list_len));
+        let succ_list = self.nodes.node_at(succ_pos).successors;
+        self.stats.record(MessageKind::Stabilize, 8 * (1 + succ_list.len()));
         let mut list = succs;
-        list.merge_by_distance(
-            id,
-            std::iter::once(succ).chain(succ_list[..succ_list_len].iter().copied()),
-        );
+        list.merge_by_distance(id, std::iter::once(succ).chain(succ_list));
         // Re-drop anything dead that the transferred list brought in; only
         // entries not already known alive need a check.
         let mut dead = SuccessorList::new();
@@ -630,11 +627,11 @@ mod tests {
         fn reference_stabilize_node(&mut self, id: RingId) -> usize {
             let mut corrections = 0;
             let Some(node) = self.nodes.get(&id) else { return 0 };
-            let (snap, snap_len) = node.successors_snapshot();
+            let snap = node.successors;
 
             // 1. Drop dead successors from the front (timeout per dead one).
             let mut alive_succ = None;
-            for &s in &snap[..snap_len] {
+            for s in snap {
                 if self.is_alive(s) {
                     alive_succ = Some(s);
                     break;
@@ -642,8 +639,7 @@ mod tests {
                 self.observe_timeout(MessageKind::LookupTimeout);
                 corrections += 1;
             }
-            let succs: SuccessorList =
-                snap[..snap_len].iter().copied().filter(|&s| self.is_alive(s)).collect();
+            let succs: SuccessorList = snap.into_iter().filter(|&s| self.is_alive(s)).collect();
             let mut succ = match alive_succ {
                 Some(s) => s,
                 None => {
@@ -705,26 +701,26 @@ mod tests {
             }
 
             // 3. Refresh the successor list from the (possibly new) successor.
-            let (succ_list, succ_list_len) = self
+            let succ_list = self
                 .nodes
                 .get(&succ)
                 .expect("invariant: id was taken from the alive map in this same pass")
-                .successors_snapshot();
-            self.stats.record(MessageKind::Stabilize, 8 * (1 + succ_list_len));
+                .successors;
+            self.stats.record(MessageKind::Stabilize, 8 * (1 + succ_list.len()));
             {
                 let node = self
                     .nodes
                     .get_mut(&id)
                     .expect("invariant: id was taken from the alive map in this same pass");
-                let before = node.successors_snapshot();
+                let before = node.successors;
                 node.successors = succs;
                 node.offer_successor(succ);
-                for &s in &succ_list[..succ_list_len] {
+                for s in succ_list {
                     if s != id {
                         node.offer_successor(s);
                     }
                 }
-                if node.successors_snapshot() != before {
+                if node.successors != before {
                     corrections += 1;
                 }
             }
@@ -980,16 +976,15 @@ mod tests {
             }
 
             // 2. Refresh our own replicas on the first r alive successors.
-            let (store, succs, succ_len) = {
+            let (store, succs) = {
                 let Some(node) = self.nodes.get(&id) else { return promoted };
-                let (succs, succ_len) = node.successors_snapshot();
-                (node.store.clone(), succs, succ_len)
+                (node.store.clone(), node.successors)
             };
             if store.is_empty() {
                 return promoted;
             }
             let mut placed = 0;
-            for &s in &succs[..succ_len] {
+            for s in succs {
                 if placed >= self.replication {
                     break;
                 }

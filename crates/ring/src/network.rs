@@ -12,7 +12,7 @@ use crate::id::RingId;
 use crate::index::NodeIndex;
 use crate::live::LiveValues;
 use crate::messages::{MessageKind, MessageStats};
-use crate::node::{Node, SUCCESSOR_LIST_LEN};
+use crate::node::{Node, Step, SUCCESSOR_LIST_LEN};
 use crate::placement::Placement;
 use crate::store::LocalStore;
 use dde_stats::equidepth::EquiDepthSummary;
@@ -106,6 +106,16 @@ pub struct Network {
 /// The end of the run of `items[from..]` placed at or before `id`.
 fn run_end(items: &[f64], from: usize, id: RingId, placement: Placement) -> usize {
     from + items[from..].iter().take_while(|&&x| placement.place(x) <= id).count()
+}
+
+/// One route of a [`Network::probe_wave`] between rounds: the point it
+/// routes to, the index position of the peer it stands on, and the hops
+/// taken so far.
+#[derive(Debug, Clone, Copy)]
+struct WaveRoute {
+    target: RingId,
+    pos: usize,
+    hops: u32,
 }
 
 /// Outcome of one hop-level request/reply exchange (see `Network::contact`).
@@ -573,40 +583,41 @@ impl Network {
                 return Err(LookupError::HopLimitExceeded);
             }
             let node = self.nodes.node_at(cur_pos);
-            // A node knows its own arc.
-            if node.owns(target) {
-                self.stats.record_lookup(hops);
-                return Ok((LookupResult { owner: cur, hops }, cur_pos));
-            }
-            // A node with no successors at all cannot resolve anything it
-            // does not own itself (a storm-isolated node must *not* claim
-            // foreign arcs — the initiator should retry elsewhere).
-            if node.successors.is_empty() {
-                return Err(LookupError::NoRoute);
-            }
-            // Is the target in (cur, successor]? Then the successor owns it.
-            // (Iterate a stack snapshot: contacting a dead successor purges
-            // it from the live list.)
-            let (succs, succ_len) = node.successors_snapshot();
-            if target.in_arc(cur, succs[0]) {
-                for &s in &succs[..succ_len] {
-                    match self.contact(cur, s, batch.as_deref_mut()) {
-                        Contact::Ok(pos) => {
-                            hops += 1;
-                            self.stats.record_lookup(hops);
-                            return Ok((LookupResult { owner: s, hops }, pos));
-                        }
-                        // Dead successor: ownership passed on; try the next.
-                        Contact::Gone => {}
-                        // Transient fault on the *owner* exchange: the true
-                        // owner is alive but unreachable right now. Falling
-                        // through to the next successor would return a
-                        // wrong owner — fail the lookup instead.
-                        Contact::Faulted => return Err(LookupError::MessageLost),
-                    }
+            let mut cand = match node.first_step(target) {
+                // A node knows its own arc.
+                Step::Owned => {
+                    self.stats.record_lookup(hops);
+                    return Ok((LookupResult { owner: cur, hops }, cur_pos));
                 }
-                return Err(LookupError::NoRoute);
-            }
+                // A node with no successors at all cannot resolve anything
+                // it does not own itself (a storm-isolated node must *not*
+                // claim foreign arcs — the initiator should retry elsewhere).
+                Step::Isolated => return Err(LookupError::NoRoute),
+                // The target is in (cur, successor]: the successor owns it.
+                // (Iterate a copy: contacting a dead successor purges it
+                // from the live list.)
+                Step::Successor(_) => {
+                    let succs = node.successors;
+                    for s in succs {
+                        match self.contact(cur, s, batch.as_deref_mut()) {
+                            Contact::Ok(pos) => {
+                                hops += 1;
+                                self.stats.record_lookup(hops);
+                                return Ok((LookupResult { owner: s, hops }, pos));
+                            }
+                            // Dead successor: ownership passed on; try the next.
+                            Contact::Gone => {}
+                            // Transient fault on the *owner* exchange: the
+                            // true owner is alive but unreachable right now.
+                            // Falling through to the next successor would
+                            // return a wrong owner — fail the lookup instead.
+                            Contact::Faulted => return Err(LookupError::MessageLost),
+                        }
+                    }
+                    return Err(LookupError::NoRoute);
+                }
+                Step::Forward(cand) => cand,
+            };
             // Advance via the best candidate that answers (any candidate
             // preserves correctness; faulted ones just cost a timeout).
             // Candidates come lazily, best first: the next one is only
@@ -614,23 +625,22 @@ impl Network {
             // exchange purges nothing but the candidate it tried, so
             // rescanning the live state below that candidate's progress
             // continues the same best-first order.
-            let mut ceiling = node.route_ceiling(target);
             let mut next = None;
-            while let Some(c) = self.nodes.node_at(cur_pos).best_candidate(ceiling) {
+            while let Some(c) = cand {
                 if let Contact::Ok(pos) = self.contact(cur, c, batch.as_deref_mut()) {
                     next = Some((c, pos));
                     break;
                 }
-                ceiling = cur.distance_to(c) - 1;
                 cur_pos = self.nodes.position_hinted(cur, cur_pos).expect("cur is alive");
+                cand = self.nodes.node_at(cur_pos).best_candidate(cur.distance_to(c) - 1);
             }
             if next.is_none() {
                 // All preceding candidates unresponsive: step through the
                 // successor list (the target then lies beyond the first
                 // responsive one, so the next iteration resolves or
                 // advances from there).
-                let (succs, succ_len) = self.nodes.node_at(cur_pos).successors_snapshot();
-                for &s in &succs[..succ_len] {
+                let succs = self.nodes.node_at(cur_pos).successors;
+                for s in succs {
                     if let Contact::Ok(pos) = self.contact(cur, s, batch.as_deref_mut()) {
                         next = Some((s, pos));
                         break;
@@ -668,6 +678,82 @@ impl Network {
         self.stats.record(MessageKind::ProbeReply, 40 + reply.summary.wire_size());
         self.charge_rpc_delay(initiator, res.owner);
         Ok(reply)
+    }
+
+    /// Probes every point of `points` from `initiator` as one *wave*: the
+    /// k probes of a Phase-1 round are independent RPCs, so their routes
+    /// advance together, one hop per round. Each round first reads the
+    /// routing lines of every unfinished route's current record
+    /// (`Node::read_ahead`), so the round's record misses are in flight
+    /// together instead of each waiting alone, and then moves every route
+    /// one hop by the first choice a lookup makes (`Node::first_step`).
+    /// A last pass reads each owner's store bounds before the replies are
+    /// built.
+    ///
+    /// When every route meets only live peers, the wave bills exactly what
+    /// [`Network::probe`] bills for each point (two [`MessageKind::LookupHop`]
+    /// per hop, the completed lookup, a [`MessageKind::Probe`] and its
+    /// [`MessageKind::ProbeReply`]) and returns the replies in point order,
+    /// each equal to the one `probe` returns. Otherwise it returns `None`
+    /// and has changed nothing — no charge, no purge: when a fault plan is
+    /// installed (even one that injects nothing), when `initiator` is not
+    /// alive, and when a route contacts a dead peer, stands on a peer with
+    /// no successor or no candidate, or passes [`MAX_HOPS`]. The caller
+    /// then probes point by point, which purges and retries as `probe`
+    /// does. `crates/core/tests/probe_round.rs` is the contract.
+    pub fn probe_wave(&mut self, initiator: RingId, points: &[RingId]) -> Option<Vec<ProbeReply>> {
+        if self.faults.is_some() {
+            return None;
+        }
+        let start = self.nodes.position_of(initiator)?;
+        let mut routes: Vec<WaveRoute> =
+            points.iter().map(|&target| WaveRoute { target, pos: start, hops: 0 }).collect();
+        // The routes still short of their owner, in point order.
+        let mut open: Vec<usize> = (0..routes.len()).collect();
+        while !open.is_empty() {
+            for &i in &open {
+                self.nodes.node_at(routes[i].pos).read_ahead();
+            }
+            let mut kept = 0;
+            for o in 0..open.len() {
+                let route = &mut routes[open[o]];
+                if route.hops > MAX_HOPS {
+                    return None;
+                }
+                let (next, arrived) = match self.nodes.node_at(route.pos).first_step(route.target) {
+                    Step::Owned => continue,
+                    Step::Successor(s) => (s, true),
+                    Step::Forward(Some(c)) => (c, false),
+                    Step::Isolated | Step::Forward(None) => return None,
+                };
+                // A dead peer would cost a timeout and a purge: decline.
+                route.pos = self.nodes.position_of(next)?;
+                route.hops += 1;
+                if !arrived {
+                    open[kept] = open[o];
+                    kept += 1;
+                }
+            }
+            open.truncate(kept);
+        }
+        // Read each owner's store bounds ahead of the summaries, likewise.
+        for route in &routes {
+            let values = self.nodes.node_at(route.pos).store.values();
+            std::hint::black_box((values.first().copied(), values.last().copied()));
+        }
+        // Every route met only live peers: bill each point as `probe` does.
+        let mut replies = Vec::with_capacity(routes.len());
+        for route in &routes {
+            for _ in 0..2 * route.hops {
+                self.stats.record(MessageKind::LookupHop, 8);
+            }
+            self.stats.record_lookup(route.hops);
+            let reply = self.probe_reply_at(route.pos, route.hops);
+            self.stats.record(MessageKind::Probe, 8);
+            self.stats.record(MessageKind::ProbeReply, 40 + reply.summary.wire_size());
+            replies.push(reply);
+        }
+        Some(replies)
     }
 
     /// Assembles the probe statistic from the local state of the peer at

@@ -9,9 +9,22 @@ use std::collections::BTreeMap;
 /// networks up to ~2⁸·ln-ish failure patterns and is what we use everywhere).
 pub const SUCCESSOR_LIST_LEN: usize = 8;
 
-/// A stack-allocated copy of a successor list (lookup iterates a snapshot
-/// because contacting a dead successor purges it from the live list).
-pub(crate) type SuccessorSnapshot = ([RingId; SUCCESSOR_LIST_LEN], usize);
+/// The first move a lookup for a target makes at a node
+/// ([`Node::first_step`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// The node owns the target: its believed arc holds it.
+    Owned,
+    /// The node knows no successor, so it cannot resolve a target it does
+    /// not own.
+    Isolated,
+    /// The target lies in `(id, successor]`: the successor owns it.
+    Successor(RingId),
+    /// Forward to this candidate, the known peer with the most progress
+    /// short of the target ([`Node::best_candidate`]); `None` when no known
+    /// peer qualifies.
+    Forward(Option<RingId>),
+}
 
 /// One peer: identifier, routing state, and local data.
 ///
@@ -164,14 +177,35 @@ impl Node {
         (best != 0).then(|| RingId(me.0.wrapping_add(best)))
     }
 
-    /// Copies the successor list into a fixed stack array (callers iterate
-    /// the copy because `forget` may shrink the live list mid-walk).
-    pub(crate) fn successors_snapshot(&self) -> SuccessorSnapshot {
-        debug_assert!(self.successors.len() <= SUCCESSOR_LIST_LEN);
-        let mut ids = [self.id; SUCCESSOR_LIST_LEN];
-        let len = self.successors.len().min(SUCCESSOR_LIST_LEN);
-        ids[..len].copy_from_slice(&self.successors[..len]);
-        (ids, len)
+    /// The first choice a lookup for `target` makes here, in the order it
+    /// checks: this node's own arc, then an empty successor list, then the
+    /// arc `(id, successor]`, then the best candidate. Every lookup and
+    /// every route of a probe wave takes its hops through this one rule.
+    #[inline]
+    pub(crate) fn first_step(&self, target: RingId) -> Step {
+        if self.owns(target) {
+            return Step::Owned;
+        }
+        let Some(&succ) = self.successors.first() else {
+            return Step::Isolated;
+        };
+        if target.in_arc(self.id, succ) {
+            return Step::Successor(succ);
+        }
+        Step::Forward(self.best_candidate(self.route_ceiling(target)))
+    }
+
+    /// Reads what [`Node::first_step`] reads — id, predecessor, successor
+    /// list and finger runs, one word per cache line — into
+    /// [`std::hint::black_box`] without using it. A caller that steps many
+    /// routes at once reads every route's record this way first, so all of
+    /// their misses are in flight before the first step waits on one.
+    #[inline]
+    pub(crate) fn read_ahead(&self) {
+        std::hint::black_box((self.predecessor, self.id, self.successors.first().copied()));
+        for line in self.fingers.targets().chunks(8) {
+            std::hint::black_box(line[0]);
+        }
     }
 
     /// Purges a (discovered-dead) peer from all routing state.

@@ -61,7 +61,7 @@ impl Network {
                 let mut last_visit = single_wrap_owner;
                 loop {
                     let node = self.nodes.get(&cur).expect("walk on alive peers");
-                    let (succs, succ_len) = node.successors_snapshot();
+                    let succs = node.successors;
                     let matched: Vec<f64> = node
                         .store
                         .values()
@@ -76,7 +76,7 @@ impl Network {
                     if last_visit || cur.0 >= end.0 || visited >= limit {
                         break;
                     }
-                    let next = succs[..succ_len].iter().copied().find(|&s| self.is_alive(s));
+                    let next = succs.into_iter().find(|&s| self.is_alive(s));
                     let Some(next) = next else { break };
                     if next == first.owner {
                         break; // full circle
@@ -100,7 +100,7 @@ impl Network {
                 let limit = self.len() * 2 + 8;
                 loop {
                     let node = self.nodes.get(&cur).expect("walk on alive peers");
-                    let (succs, succ_len) = node.successors_snapshot();
+                    let succs = node.successors;
                     let matched: Vec<f64> = node
                         .store
                         .values()
@@ -114,7 +114,7 @@ impl Network {
                     }
                     items.extend(matched);
                     visited += 1;
-                    let next = succs[..succ_len].iter().copied().find(|&s| self.is_alive(s));
+                    let next = succs.into_iter().find(|&s| self.is_alive(s));
                     let Some(next) = next else { break };
                     if next == initiator || visited >= limit {
                         break;

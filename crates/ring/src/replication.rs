@@ -97,12 +97,12 @@ impl Network {
 
         // 2. Refresh our own replicas on the first r alive successors.
         let store = node.store.clone();
-        let (succs, succ_len) = node.successors_snapshot();
+        let succs = node.successors;
         if store.is_empty() {
             return promoted;
         }
         let mut placed = 0;
-        for (k, &s) in succs[..succ_len].iter().enumerate() {
+        for (k, s) in succs.into_iter().enumerate() {
             if placed >= self.replication {
                 break;
             }
